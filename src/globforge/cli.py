@@ -164,7 +164,11 @@ def _cmd_free_groupoid(args) -> int:
     if not rep.valid:
         _emit(emit_report(rep), args.report)
         return 1
-    cat = free_groupoid_cells(parsed.gs, args.max_len)
+    try:
+        cat = free_groupoid_cells(parsed.gs, args.max_len)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     payload = {
         "kind": "free-groupoid",
         "subject": parsed.name,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .globular import TruncatedGlobularSet, globular_set
 from .layers import ReflexorStructure, ReversorStructure
-from .magma import CompositionStructure, InfinityMagma, NMagma, StrictNCategory
+from .magma import CompositionStructure, InfinityMagma, StrictNCategory
 
 
 class ParseError(ValueError):
@@ -62,9 +62,6 @@ class ParsedStructure:
 
     def as_category(self, threshold: int | None = None) -> StrictNCategory:
         return StrictNCategory(self.magma, self.threshold if threshold is None else threshold)
-
-    def as_nmagma(self) -> NMagma:
-        return NMagma(self.magma, self.rev if self.rev else ReversorStructure(self.threshold, {}))
 
 
 def _ident(token: str, lineno: int) -> str:

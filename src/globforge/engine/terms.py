@@ -116,7 +116,6 @@ class DimSolver:
             if cur is None or ik + kj < cur:
                 dist[(i, j)] = ik + kj
         self.dist = dist
-        self.names_closed = names
 
     def entails(self, cond: DimCond) -> bool:
         a, b = cond.lhs, cond.rhs
@@ -308,37 +307,6 @@ def brackets_in(t: Term) -> frozenset[App]:
                 out.add(cur)
             stack.extend(cur.args)
     return frozenset(out)
-
-
-def atoms_in(t: Term) -> set[str]:
-    out = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Atom):
-            if not cur.const:
-                out.add(cur.name)
-        else:
-            stack.extend(cur.args)
-    return out
-
-
-def dim_vars_in(t: Term) -> set[str]:
-    out = set()
-
-    def walk_dim(d: DimExpr) -> None:
-        if d.var is not None:
-            out.add(d.var)
-
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        walk_dim(cur.grade)
-        if isinstance(cur, App):
-            for d in cur.dims:
-                walk_dim(d)
-            stack.extend(cur.args)
-    return out
 
 
 def render(t: Term) -> str:

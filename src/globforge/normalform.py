@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .globular import TruncatedGlobularSet
-from .terms import IllTypedTermError, StretchTerm, TermContext, term_dim, term_name
+from .terms import IllTypedTermError, StretchTerm, TermContext
 from .words import Step, Word, reduce_word, word_name
 
 Letter = tuple[str, int]  # (2-generator, +1 or -1)
@@ -270,7 +270,7 @@ class Strictifier:
         return nf
 
     def _pi(self, t: StretchTerm) -> NF:
-        d = term_dim(t)
+        d = t.dim
         if d == 0:
             assert t.kind == "gen"
             return NF0(t.cell)
@@ -362,12 +362,12 @@ def normalize2(g: TruncatedGlobularSet, t: StretchTerm) -> StretchTerm:
 
     def check(u: StretchTerm) -> None:
         if u.kind in ("rev", "bracket"):
-            raise IllTypedTermError(f"normalize2 does not accept {u.kind} nodes: {term_name(u)}")
+            raise IllTypedTermError(f"normalize2 does not accept {u.kind} nodes: {u.name}")
         for a in u.args:
             check(a)
 
     check(t)
-    if term_dim(t) > 2:
+    if t.dim > 2:
         raise IllTypedTermError("normalize2 handles terms of dimension <= 2")
     strict = Strictifier(g, threshold=max(2, 0))
     return strict.canonical_term(strict.pi(t))

@@ -23,12 +23,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .globular import TruncatedGlobularSet, globular_set, parallel
+from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
 from .layers import ReflexorStructure, ReversorStructure
 from .magma import CompositionStructure, InfinityMagma, NMagma
 from .normalform import NF, Strictifier, nf_name
 from .report import ValidationReport
-from .terms import StretchTerm, TermContext, term_dim, term_name, term_size
+from .terms import StretchTerm, TermContext
 
 LAW_PI_MORPHISM = "the projection onto the strict side preserves all structure"
 LAW_BRACKET_FACES = "a bracket cell has its first argument as target and its second as source"
@@ -174,13 +174,13 @@ def generate_free_stretching(
     strict = Strictifier(g, n)
     ctx = TermContext(g, n, strict)
 
-    order = lambda t: (term_size(t), term_name(t))
+    order = lambda t: (t.size, t.name)
     by_size: dict[int, list[StretchTerm]] = {}
     terms: dict[int, dict[str, StretchTerm]] = {m: {} for m in range(D + 1)}
-    # terms bucketed by the p-target boundary, for composability lookups
-    tgt_bucket: dict[tuple[int, int, str], list[StretchTerm]] = {}
-    # terms bucketed by (faces, strict image), for bracket pairing
-    par_bucket: dict[tuple[int, str, str, str], list[StretchTerm]] = {}
+    # terms bucketed by the p-target boundary and size, for composability lookups
+    tgt_bucket: dict[tuple[int, int, str, int], list[StretchTerm]] = {}
+    # terms bucketed by (faces, strict image, size), for bracket pairing
+    par_bucket: dict[tuple[int, str, str, str, int], list[StretchTerm]] = {}
 
     refl_maps: dict[tuple[int, int], dict[str, str]] = {(p, p + 1): {} for p in range(D)}
     rev_maps: dict[tuple[int, int], dict[str, str]] = {
@@ -191,20 +191,21 @@ def generate_free_stretching(
     }
     bracket_pairs: dict[tuple[int, str, str], StretchTerm] = {}
 
+    def par_key(t: StretchTerm) -> tuple[int, str, str, str]:
+        sname = ctx.src(t).name if t.dim >= 1 else ""
+        tname = ctx.tgt(t).name if t.dim >= 1 else ""
+        return (t.dim, sname, tname, nf_name(strict.pi(t)))
+
     def admit(t: StretchTerm) -> None:
-        d, nm = term_dim(t), term_name(t)
+        d, nm = t.dim, t.name
         if d > D or nm in terms[d]:
             return
         terms[d][nm] = t
-        by_size.setdefault(term_size(t), []).append(t)
+        by_size.setdefault(t.size, []).append(t)
         for p in range(d):
-            tgt_bucket.setdefault(
-                (d, p, term_name(ctx.boundary(t, p, "target"))), []
-            ).append(t)
+            tgt_bucket.setdefault((d, p, ctx.boundary(t, p, "target").name, t.size), []).append(t)
         if d + 1 <= D:
-            sname = term_name(ctx.src(t)) if d >= 1 else ""
-            tname = term_name(ctx.tgt(t)) if d >= 1 else ""
-            par_bucket.setdefault((d, sname, tname, nf_name(strict.pi(t))), []).append(t)
+            par_bucket.setdefault(par_key(t) + (t.size,), []).append(t)
 
     for m in range(min(D, g.max_dim) + 1):
         for c in g.grade(m):
@@ -213,50 +214,42 @@ def generate_free_stretching(
     for s in range(2, S + 1):
         # unary constructors on terms of size s-1
         for t in list(by_size.get(s - 1, [])):
-            d = term_dim(t)
+            d = t.dim
             if d + 1 <= D:
                 u = ctx.refl(d, d + 1, t)
                 admit(u)
-                refl_maps[(d, d + 1)][term_name(t)] = term_name(u)
+                refl_maps[(d, d + 1)][t.name] = u.name
             for p in range(n, d):
                 u = ctx.rev(d, p, t)
                 admit(u)
-                rev_maps[(d, p)][term_name(t)] = term_name(u)
+                rev_maps[(d, p)][t.name] = u.name
         # binary constructors with argument sizes summing to s-1
         for s1 in range(1, s - 1):
             s0 = s - 1 - s1
             for t1 in list(by_size.get(s1, [])):
-                d = term_dim(t1)
+                d = t1.dim
                 for p in range(d):
-                    key = (d, p, term_name(ctx.boundary(t1, p, "source")))
+                    key = (d, p, ctx.boundary(t1, p, "source").name, s0)
                     for t0 in tgt_bucket.get(key, []):
-                        if term_size(t0) != s0:
-                            continue
                         u = ctx.comp(d, p, t1, t0)
                         admit(u)
-                        comp_maps[(d, p)][(term_name(t1), term_name(t0))] = term_name(u)
+                        comp_maps[(d, p)][(t1.name, t0.name)] = u.name
                 if d + 1 <= D and d >= 1:
-                    key2 = (
-                        d,
-                        term_name(ctx.src(t1)),
-                        term_name(ctx.tgt(t1)),
-                        nf_name(strict.pi(t1)),
-                    )
-                    for t0 in par_bucket.get(key2, []):
-                        if term_size(t0) != s0 or order(t1) <= order(t0):
+                    for t0 in par_bucket.get(par_key(t1) + (s0,), []):
+                        if order(t1) <= order(t0):
                             continue
                         B = ctx.bracket(d, t1, t0)
                         admit(B)
-                        bracket_pairs[(d, term_name(t1), term_name(t0))] = B
+                        bracket_pairs[(d, t1.name, t0.name)] = B
 
     # materialize the magma side
     cells = {m: sorted(terms[m]) for m in range(D + 1)}
     src = {
-        m: {nm: term_name(ctx.src(t)) for nm, t in terms[m].items()}
+        m: {nm: ctx.src(t).name for nm, t in terms[m].items()}
         for m in range(1, D + 1)
     }
     tgt = {
-        m: {nm: term_name(ctx.tgt(t)) for nm, t in terms[m].items()}
+        m: {nm: ctx.tgt(t).name for nm, t in terms[m].items()}
         for m in range(1, D + 1)
     }
     gs = globular_set(D, cells, src, tgt)
@@ -317,7 +310,7 @@ def generate_free_stretching(
         ReversorStructure(n, c_rev),
     )
 
-    brackets = {key: term_name(B) for key, B in bracket_pairs.items()}
+    brackets = {key: B.name for key, B in bracket_pairs.items()}
     for m in range(D):
         for nm in terms[m]:
             refl_nm = refl_maps[(m, m + 1)].get(nm)
@@ -453,12 +446,22 @@ def dump_stretching(E: Stretching) -> str:
 
 
 def load_stretching(text: str) -> Stretching:
+    """Parse a dump; ValueError (one line) if it is not a stretching whose
+    sides are well-formed globular sets, which validate_stretching assumes."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("kind") != "stretching":
         raise ValueError("not a stretching dump")
+    sides = {side: _nmagma_from_payload(payload[side]) for side in ("m_side", "c_side")}
+    for side, nm in sides.items():
+        rep = validate_globular(nm.magma.gs).sorted()
+        if not rep.valid:
+            first = rep.violations[0]
+            raise ValueError(" ".join(f"{side}: {first.axiom}: {first.detail}".splitlines()))
     return Stretching(
-        m_side=_nmagma_from_payload(payload["m_side"]),
-        c_side=_nmagma_from_payload(payload["c_side"]),
+        m_side=sides["m_side"],
+        c_side=sides["c_side"],
         threshold=payload["threshold"],
         pi={int(m): dict(t) for m, t in payload["pi"].items()},
         brackets={(m, c1, c0): B for m, c1, c0, B in payload["brackets"]},

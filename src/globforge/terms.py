@@ -21,12 +21,19 @@ side conditions are checked at construction time by TermContext:
 Multi-step reflexors are represented by nested one-step constructors, so
 refl-tower absorption is definitional.  Term size counts constructor nodes
 of this canonical representation.
+
+Terms are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006).  StretchTerm(kind, dims, args, cell) returns the one
+live term with those fields, so equal terms are the same object: equality
+and hashing are by identity and cost O(1) whatever the term's depth.  A
+term's dimension, size and name are computed once, when it is built, and
+never change.  The intern table holds terms weakly, so a term lives only
+while something else uses it; dropping a stretching frees its terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
 
 from .globular import TruncatedGlobularSet
 
@@ -35,51 +42,86 @@ class IllTypedTermError(ValueError):
     """A constructor side condition failed."""
 
 
-@dataclass(frozen=True)
+def _dim(kind: str, dims: tuple[int, ...]) -> int:
+    if kind in ("gen", "comp", "rev"):
+        return dims[0]
+    if kind == "refl":
+        return dims[1]
+    if kind == "bracket":
+        return dims[0] + 1
+    raise ValueError(kind)
+
+
+def _name(kind: str, dims: tuple[int, ...], args: tuple["StretchTerm", ...], cell: str) -> str:
+    if kind == "gen":
+        return cell
+    if kind == "comp":
+        m, p = dims
+        return f"({args[0].name} *{m}.{p} {args[1].name})"
+    if kind == "refl":
+        p, m = dims
+        return f"1[{p}.{m}]({args[0].name})"
+    if kind == "rev":
+        m, p = dims
+        return f"j[{m}.{p}]({args[0].name})"
+    (m,) = dims
+    return f"[{args[0].name};{args[1].name}]{m}"
+
+
+_INTERNED: weakref.WeakValueDictionary[tuple, "StretchTerm"] = weakref.WeakValueDictionary()
+
+
 class StretchTerm:
+    """An interned term; equal fields give the identical object."""
+
+    __slots__ = ("kind", "dims", "args", "cell", "dim", "size", "name", "__weakref__")
+
     kind: str  # gen | comp | refl | rev | bracket
     dims: tuple[int, ...]
-    args: tuple["StretchTerm", ...]
-    cell: str = ""
+    args: tuple[StretchTerm, ...]
+    cell: str
+    dim: int
+    size: int
+    name: str
+
+    def __new__(cls, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str = ""):
+        key = (kind, dims, args, cell)
+        t = _INTERNED.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            init = object.__setattr__
+            init(t, "dim", _dim(kind, dims))  # first: rejects an unknown kind
+            init(t, "kind", kind)
+            init(t, "dims", dims)
+            init(t, "args", args)
+            init(t, "cell", cell)
+            init(t, "size", 1 + sum(a.size for a in args))
+            init(t, "name", _name(kind, dims, args, cell))
+            _INTERNED[key] = t
+        return t
+
+    # __eq__ and __hash__ stay object identity: interning makes that structural
+
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"StretchTerm is immutable; cannot set {attr}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"StretchTerm is immutable; cannot delete {attr}")
+
+    def __repr__(self) -> str:
+        return f"StretchTerm({self.name!r})"
 
 
-@lru_cache(maxsize=None)
 def term_dim(t: StretchTerm) -> int:
-    if t.kind == "gen":
-        return t.dims[0]
-    if t.kind == "comp":
-        return t.dims[0]
-    if t.kind == "refl":
-        return t.dims[1]
-    if t.kind == "rev":
-        return t.dims[0]
-    if t.kind == "bracket":
-        return t.dims[0] + 1
-    raise ValueError(t.kind)
+    return t.dim
 
 
-@lru_cache(maxsize=None)
 def term_size(t: StretchTerm) -> int:
-    return 1 + sum(term_size(a) for a in t.args)
+    return t.size
 
 
-@lru_cache(maxsize=None)
 def term_name(t: StretchTerm) -> str:
-    if t.kind == "gen":
-        return t.cell
-    if t.kind == "comp":
-        m, p = t.dims
-        return f"({term_name(t.args[0])} *{m}.{p} {term_name(t.args[1])})"
-    if t.kind == "refl":
-        p, m = t.dims
-        return f"1[{p}.{m}]({term_name(t.args[0])})"
-    if t.kind == "rev":
-        m, p = t.dims
-        return f"j[{m}.{p}]({term_name(t.args[0])})"
-    if t.kind == "bracket":
-        (m,) = t.dims
-        return f"[{term_name(t.args[0])};{term_name(t.args[1])}]{m}"
-    raise ValueError(t.kind)
+    return t.name
 
 
 class TermContext:
@@ -101,7 +143,7 @@ class TermContext:
         hit = self._faces.get(key)
         if hit is not None:
             return hit
-        m = term_dim(t)
+        m = t.dim
         assert m >= 1
         if t.kind == "gen":
             out = StretchTerm("gen", (m - 1,), (), self.g.map(side, m)[t.cell])
@@ -137,14 +179,14 @@ class TermContext:
 
     def boundary(self, t: StretchTerm, q: int, side: str) -> StretchTerm:
         cur = t
-        for _ in range(term_dim(t) - q):
+        for _ in range(t.dim - q):
             cur = self._face(cur, side)
         return cur
 
     def parallel(self, t1: StretchTerm, t0: StretchTerm) -> bool:
-        if term_dim(t1) != term_dim(t0):
+        if t1.dim != t0.dim:
             return False
-        if term_dim(t1) == 0:
+        if t1.dim == 0:
             return True
         return self.src(t1) == self.src(t0) and self.tgt(t1) == self.tgt(t0)
 
@@ -157,21 +199,21 @@ class TermContext:
     def comp(self, m: int, p: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
         if not 0 <= p < m:
             raise IllTypedTermError(f"composition indices need 0 <= p < m, got ({m}, {p})")
-        if term_dim(t1) != m or term_dim(t0) != m:
+        if t1.dim != m or t0.dim != m:
             raise IllTypedTermError(
                 f"composition over ({m}, {p}) needs two {m}-terms, "
-                f"got dimensions {term_dim(t1)} and {term_dim(t0)}"
+                f"got dimensions {t1.dim} and {t0.dim}"
             )
         if self.boundary(t1, p, "source") != self.boundary(t0, p, "target"):
             raise IllTypedTermError(
-                f"terms are not {p}-compatible: {term_name(t1)} after {term_name(t0)}"
+                f"terms are not {p}-compatible: {t1.name} after {t0.name}"
             )
         return StretchTerm("comp", (m, p), (t1, t0))
 
     def refl(self, p: int, m: int, t: StretchTerm) -> StretchTerm:
         if not 0 <= p < m:
             raise IllTypedTermError(f"reflexor indices need 0 <= p < m, got ({p}, {m})")
-        if term_dim(t) != p:
+        if t.dim != p:
             raise IllTypedTermError(f"reflexor over ({p}, {m}) needs a {p}-term")
         cur = t
         for k in range(p, m):
@@ -183,24 +225,24 @@ class TermContext:
             raise IllTypedTermError(
                 f"reversor indices need {self.threshold} <= p < m, got ({m}, {p})"
             )
-        if term_dim(t) != m:
+        if t.dim != m:
             raise IllTypedTermError(f"reversor over ({m}, {p}) needs an {m}-term")
         return StretchTerm("rev", (m, p), (t,))
 
     def bracket(self, m: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
-        if term_dim(t1) != m or term_dim(t0) != m:
+        if t1.dim != m or t0.dim != m:
             raise IllTypedTermError(f"bracket at level {m} needs two {m}-terms")
         if t1 == t0:
             # the diagonal bracket is the degenerate cell, definitionally
             return self.refl(m, m + 1, t1)
         if not self.parallel(t1, t0):
             raise IllTypedTermError(
-                f"bracket arguments are not parallel: {term_name(t1)} vs {term_name(t0)}"
+                f"bracket arguments are not parallel: {t1.name} vs {t0.name}"
             )
         if self.strictifier is None:
             raise IllTypedTermError("bracket admission needs a strictifier")
         if self.strictifier.pi(t1) != self.strictifier.pi(t0):
             raise IllTypedTermError(
-                f"bracket arguments strictify differently: {term_name(t1)} vs {term_name(t0)}"
+                f"bracket arguments strictify differently: {t1.name} vs {t0.name}"
             )
         return StretchTerm("bracket", (m,), (t1, t0))

@@ -166,6 +166,8 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
     """
     if g.max_dim > 1:
         raise ValueError("free groupoid generation expects a graph of dimension <= 1")
+    if max_len < 0:
+        raise ValueError(f"the word-length bound must be >= 0, got {max_len}")
     words = enumerate_reduced_words(g, max_len)
     names = {word_name(w): w for w in words}
     cells1 = tuple(sorted(names))

@@ -155,6 +155,40 @@ def test_stretch_dump_validates(edge_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["[1, 2, 3]\n", "42\n", "null\n", '"stretching"\n'])
+def test_validate_stretching_non_object_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "dump.json"
+    path.write_text(text)
+    assert main(["validate", str(path), "--layer", "stretching"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "JSON object" in err
+
+
+def test_validate_stretching_missing_src_exit_two(edge_file, tmp_path, capsys):
+    dump_path = tmp_path / "stretch.json"
+    assert main(["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "5",
+                 "--report", str(dump_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(dump_path.read_text())
+    x = sorted(payload["m_side"]["src"]["2"])[0]
+    del payload["m_side"]["src"]["2"][x]
+    dump_path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="m_side"):
+        load_stretching(dump_path.read_text())
+    assert main(["validate", str(dump_path), "--layer", "stretching"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and x in err
+
+
+def test_free_groupoid_negative_bound_exit_two(edge_file, capsys):
+    assert main(["free-groupoid", edge_file, "--max-len", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "-1" in err
+
+
 def test_check_proofs(capsys):
     assert main(["check-proofs", "--suite", "S2"]) == 0
     rep = parse_report(capsys.readouterr().out)

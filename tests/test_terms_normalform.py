@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 from fixtures import one_edge_graph
 
+from globforge.cli import main
 from globforge.globular import globular_set
 from globforge.normalform import (
     NF1,
@@ -10,7 +14,8 @@ from globforge.normalform import (
     nf_name,
     normalize2,
 )
-from globforge.terms import IllTypedTermError, TermContext, term_dim, term_size
+from globforge.stretching import generate_free_stretching
+from globforge.terms import IllTypedTermError, StretchTerm, TermContext, term_dim, term_name, term_size
 
 
 def two_graph():
@@ -308,3 +313,70 @@ def test_threshold_one_interchange_on_nf():
                     assert lhs == rhs
                     checked += 1
     assert checked > 50
+
+
+# -- hash-consing ------------------------------------------------------------
+
+
+def test_equal_constructions_are_identical():
+    g = two_graph()
+    ctx = TermContext(g, 2)
+    a = ctx.comp(2, 1, ctx.gen("al"), ctx.refl(1, 2, ctx.src(ctx.gen("al"))))
+    other = TermContext(g, 2)
+    b = other.comp(2, 1, other.gen("al"), other.refl(1, 2, other.gen("f0")))
+    assert a is b
+    assert StretchTerm("comp", (2, 1), (ctx.gen("al"), ctx.refl(1, 2, ctx.gen("f0")))) is a
+    assert ctx.refl(0, 2, ctx.gen("a")) is other.refl(1, 2, other.refl(0, 1, other.gen("a")))
+
+
+def _recomputed(t: StretchTerm) -> tuple[str, int, int]:
+    """(name, size, dim) by structural recursion, independent of the stored fields."""
+    parts = [_recomputed(a) for a in t.args]
+    size = 1 + sum(sz for _, sz, _ in parts)
+    if t.kind == "gen":
+        return t.cell, size, t.dims[0]
+    if t.kind == "comp":
+        m, p = t.dims
+        return f"({parts[0][0]} *{m}.{p} {parts[1][0]})", size, m
+    if t.kind == "refl":
+        p, m = t.dims
+        return f"1[{p}.{m}]({parts[0][0]})", size, m
+    if t.kind == "rev":
+        m, p = t.dims
+        return f"j[{m}.{p}]({parts[0][0]})", size, m
+    assert t.kind == "bracket"
+    (m,) = t.dims
+    return f"[{parts[0][0]};{parts[1][0]}]{m}", size, m + 1
+
+
+def test_stored_fields_match_recomputation_on_c7_universe():
+    E = generate_free_stretching(one_edge_graph(), n=0, D=2, S=7)
+    checked = 0
+    for m, grade in E.terms.items():
+        for nm, t in grade.items():
+            assert (term_name(t), term_size(t), term_dim(t)) == _recomputed(t)
+            assert (nm, m) == (t.name, t.dim)
+            checked += 1
+    assert checked == 2 + 125 + 409
+
+
+def test_terms_are_freed_with_their_stretching():
+    E = generate_free_stretching(one_edge_graph(), n=0, D=2, S=6)
+    t = max(E.terms[2].values(), key=lambda u: (u.size, u.name))
+    ref = weakref.ref(t)
+    del t, E
+    gc.collect()
+    assert ref() is None
+
+
+def test_repeated_stretch_in_one_process_is_byte_identical(tmp_path, capsys):
+    graph = tmp_path / "edge.glob"
+    graph.write_text("structure edge\ndim 1\ncells 0: a b\ncells 1: e\nsrc e = a\ntgt e = b\n")
+    dumps = []
+    for k in range(2):
+        path = tmp_path / f"dump{k}.json"
+        assert main(["stretch", str(graph), "--n", "0", "--dim", "2", "--size", "7",
+                     "--report", str(path)]) == 0
+        dumps.append(path.read_bytes())
+    capsys.readouterr()
+    assert dumps[0] == dumps[1]

@@ -130,6 +130,11 @@ def test_free_groupoid_one_edge():
     assert rev.apply(1, 0, "e+") == "e-"
 
 
+def test_free_groupoid_rejects_negative_bound():
+    with pytest.raises(ValueError, match="bound"):
+        free_groupoid_cells(one_edge_graph(), -1)
+
+
 def test_free_groupoid_empty_graph():
     from globforge.globular import globular_set
 
