@@ -9,6 +9,7 @@ success.  Parse errors and unusable inputs exit 2 with a message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,6 +70,8 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
     rep = ValidationReport(parsed.name)
     gs = parsed.gs
     refl = parsed.refl if parsed.refl else ReflexorStructure({})
+    # three layers depend on the reflexors; check them once
+    reflexors = functools.cache(lambda: validate_reflexors(gs, refl))
 
     def want(name: str, declared: bool) -> bool:
         return layer == name or (layer == "auto" and declared)
@@ -86,19 +89,23 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
             if rep.valid:
                 rep.extend(validate_involutive(gs, rev))
                 if parsed.refl:
-                    rep.extend(validate_reflexive_compat(gs, parsed.refl, rev))
+                    # compat applies the reflexor tables, so they must be valid first
+                    compat = reflexors()
+                    if compat.valid:
+                        compat = validate_reflexive_compat(gs, parsed.refl, rev)
+                    rep.extend(compat)
     if want("reflexors", parsed.refl is not None):
         if parsed.refl is None:
             rep.add("reflexor.total", "one-step reflexor tables are total", (),
                     "no reflexor layer declared")
         else:
-            rep.extend(validate_reflexors(gs, parsed.refl))
+            rep.extend(reflexors())
     if want("magma", parsed.comp is not None) or want("strict", parsed.comp is not None):
         if parsed.comp is None:
             rep.add("positional.total", "composition is defined exactly on boundary-compatible pairs",
                     (), "no composition layer declared")
         else:
-            rep.extend(validate_reflexors(gs, refl))
+            rep.extend(reflexors())
             magma_rep = validate_magma(parsed.magma)
             rep.extend(magma_rep)
             if layer in ("auto", "strict") and magma_rep.valid:
@@ -110,7 +117,7 @@ def _cmd_validate(args) -> int:
     if args.layer == "stretching":
         try:
             E = load_stretching(Path(args.file).read_text(encoding="utf-8"))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"{args.file}: not a stretching dump: {exc}\n")
             return 2
         rep = validate_stretching(E)

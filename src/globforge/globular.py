@@ -16,7 +16,7 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
 from .report import ValidationReport
@@ -58,12 +58,17 @@ class TruncatedGlobularSet:
     cells: Mapping[int, tuple[str, ...]]
     src: Mapping[int, Mapping[str, str]]
     tgt: Mapping[int, Mapping[str, str]]
+    # membership index derived from cells, so it takes no part in equality
+    cell_sets: Mapping[int, frozenset[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cell_sets", {m: frozenset(cs) for m, cs in self.cells.items()})
 
     def grade(self, m: int) -> tuple[str, ...]:
         return self.cells.get(m, ())
 
     def has_cell(self, m: int, name: str) -> bool:
-        return name in self.cells.get(m, ())
+        return name in self.cell_sets.get(m, ())
 
     def map(self, side: Side, m: int) -> Mapping[str, str]:
         table = self.src if side == "source" else self.tgt
@@ -94,7 +99,6 @@ def validate_globular(gs: TruncatedGlobularSet) -> ValidationReport:
     """
     rep = ValidationReport("globular")
     for m in range(1, gs.max_dim + 1):
-        here, below = set(gs.grade(m)), set(gs.grade(m - 1))
         for side in ("source", "target"):
             table = gs.map(side, m)
             for x in gs.grade(m):
@@ -103,13 +107,13 @@ def validate_globular(gs: TruncatedGlobularSet) -> ValidationReport:
                         "globular.map", LAW_TOTAL_MAPS, (x,),
                         f"{side} of {m}-cell {x} is not declared",
                     )
-                elif table[x] not in below:
+                elif not gs.has_cell(m - 1, table[x]):
                     rep.add(
                         "globular.map", LAW_TOTAL_MAPS, (x, table[x]),
                         f"{side} of {m}-cell {x} is {table[x]}, not a {m - 1}-cell",
                     )
             for x in table:
-                if x not in here:
+                if not gs.has_cell(m, x):
                     rep.add(
                         "globular.map", LAW_TOTAL_MAPS, (x,),
                         f"{side} table at grade {m} mentions undeclared cell {x}",

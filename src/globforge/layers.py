@@ -91,7 +91,7 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
     n = rev.threshold
     for (m, p) in rev.pairs(gs.max_dim):
         table = rev.table(m, p)
-        grade = set(gs.grade(m))
+        grade = gs.cell_sets[m]
         for x in gs.grade(m):
             if x not in table:
                 rep.add("reversor.total", LAW_REVERSOR_TOTAL, (x,), f"j[{m}][{p}] has no entry for {x}")
@@ -148,7 +148,7 @@ def validate_reflexors(gs: TruncatedGlobularSet, refl: ReflexorStructure) -> Val
     rep = ValidationReport("reflexors")
     for p in range(gs.max_dim):
         table = refl.table(p, p + 1)
-        grade = set(gs.grade(p + 1))
+        grade = gs.cell_sets[p + 1]
         for x in gs.grade(p):
             if x not in table:
                 rep.add("reflexor.total", LAW_REFLEXOR_TOTAL, (x,), f"refl[{p}][{p + 1}] has no entry for {x}")

@@ -137,7 +137,7 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
                 f"table comp[{m}][{p}] is outside the range 0 <= p < m <= {gs.max_dim}",
             )
             continue
-        grade = set(gs.grade(m))
+        grade = gs.cell_sets[m]
         for (y, x), z in sorted(table.items()):
             if y not in grade or x not in grade or z not in grade:
                 rep.add(

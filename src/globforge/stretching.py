@@ -407,27 +407,78 @@ def _nmagma_payload(nm: NMagma) -> dict:
     }
 
 
-def _nmagma_from_payload(payload: dict) -> NMagma:
-    D = payload["max_dim"]
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _typed(value, kind: type, where: str):
+    """value itself if it has the JSON type kind; a one-line ValueError otherwise."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+        where = " ".join(where.splitlines())  # a cell name may hold a newline
+        raise ValueError(f"{where}: expected a JSON {_JSON_TYPES[kind]}, got {found}")
+    return value
+
+
+def _key(obj: dict, key: str, kind: type, where: str):
+    if key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return _typed(obj[key], kind, f"{where}.{key}")
+
+
+def _names(value, where: str) -> list[str]:
+    for x in _typed(value, list, where):
+        if not isinstance(x, str):
+            _typed(x, str, where)
+    return value
+
+
+def _name_map(value, where: str) -> dict[str, str]:
+    for x, y in _typed(value, dict, where).items():
+        if not isinstance(y, str):
+            _typed(y, str, f"{where}.{x}")
+    return value
+
+
+def _rows(value, kinds: tuple[type, ...], where: str) -> list[list]:
+    """A JSON array of arrays whose items have the JSON types in kinds, in order."""
+    for row in _typed(value, list, where):
+        if len(_typed(row, list, where)) != len(kinds):
+            raise ValueError(f"{where}: expected rows of {len(kinds)} items, got {len(row)}")
+        for x, kind in zip(row, kinds):
+            if type(x) is not kind:
+                _typed(x, kind, where)
+    return value
+
+
+def _comp_rows(value, where: str) -> dict[tuple[str, str], str]:
+    return {(y, x): z for y, x, z in _rows(value, (str, str, str), where)}
+
+
+def _graded(obj: dict, key: str, parts: int, where: str, entry) -> dict:
+    """obj[key] re-keyed by its dotted integer grades ("m" or "m.p"), each value read by entry."""
+    out = {}
+    for k, v in _key(obj, key, dict, where).items():
+        try:
+            grades = tuple(int(g) for g in k.split("."))
+        except ValueError:
+            grades = ()
+        if len(grades) != parts:
+            raise ValueError(f"{where}.{key}: key {k!r} is not of the form {'m' if parts == 1 else 'm.p'}")
+        out[grades[0] if parts == 1 else grades] = entry(v, f"{where}.{key}.{k}")
+    return out
+
+
+def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
     gs = globular_set(
-        D,
-        {int(m): cs for m, cs in payload["cells"].items()},
-        {int(m): t for m, t in payload["src"].items()},
-        {int(m): t for m, t in payload["tgt"].items()},
+        _key(payload, "max_dim", int, where),
+        _graded(payload, "cells", 1, where, _names),
+        _graded(payload, "src", 1, where, _name_map),
+        _graded(payload, "tgt", 1, where, _name_map),
     )
-    refl = ReflexorStructure(
-        {tuple(map(int, k.split("."))): dict(t) for k, t in payload["refl"].items()}
-    )
-    rev = ReversorStructure(
-        payload["threshold"],
-        {tuple(map(int, k.split("."))): dict(t) for k, t in payload["rev"].items()},
-    )
-    comp = CompositionStructure(
-        {
-            tuple(map(int, k.split("."))): {(y, x): z for y, x, z in t}
-            for k, t in payload["comp"].items()
-        }
-    )
+    refl = ReflexorStructure(_graded(payload, "refl", 2, where, _name_map))
+    rev = ReversorStructure(_key(payload, "threshold", int, where), _graded(payload, "rev", 2, where, _name_map))
+    comp = CompositionStructure(_graded(payload, "comp", 2, where, _comp_rows))
     return NMagma(InfinityMagma(gs, refl, comp), rev)
 
 
@@ -447,22 +498,27 @@ def dump_stretching(E: Stretching) -> str:
 
 def load_stretching(text: str) -> Stretching:
     """Parse a dump; ValueError (one line) if it is not a stretching whose
-    sides are well-formed globular sets, which validate_stretching assumes."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    parts have their JSON types and whose sides are well-formed globular
+    sets, which validate_stretching assumes."""
+    try:
+        payload = _typed(json.loads(text), dict, "$")
+    except RecursionError:
+        raise ValueError("$: JSON nested too deeply") from None
     if payload.get("kind") != "stretching":
-        raise ValueError("not a stretching dump")
-    sides = {side: _nmagma_from_payload(payload[side]) for side in ("m_side", "c_side")}
+        raise ValueError(f"$.kind is {payload.get('kind')!r}, expected 'stretching'")
+    sides = {
+        side: _nmagma_from_payload(_key(payload, side, dict, "$"), f"$.{side}") for side in ("m_side", "c_side")
+    }
     for side, nm in sides.items():
         rep = validate_globular(nm.magma.gs).sorted()
         if not rep.valid:
             first = rep.violations[0]
             raise ValueError(" ".join(f"{side}: {first.axiom}: {first.detail}".splitlines()))
+    rows = _rows(_key(payload, "brackets", list, "$"), (int, str, str, str), "$.brackets")
     return Stretching(
         m_side=sides["m_side"],
         c_side=sides["c_side"],
-        threshold=payload["threshold"],
-        pi={int(m): dict(t) for m, t in payload["pi"].items()},
-        brackets={(m, c1, c0): B for m, c1, c0, B in payload["brackets"]},
+        threshold=_key(payload, "threshold", int, "$"),
+        pi=_graded(payload, "pi", 1, "$", _name_map),
+        brackets={(m, c1, c0): B for m, c1, c0, B in rows},
     )

@@ -13,8 +13,13 @@ reduce_word_any_order replays an arbitrary deletion order for comparison.
 
 free_groupoid_cells materializes the 1-truncated free groupoid on a graph
 as a strict structure whose 1-cells are the reduced words up to a length
-bound.  Composition is concatenate-then-reduce and is partial at the length
-boundary, so validators should be run with require_total=False.
+bound.  The composite of reduced words y after x is y[:len(y)-c] + x[c:],
+where c is the length of the overlap in which y's last steps cancel x's
+first steps.  This is exactly the reduced concatenation: each factor is
+reduced, so the only cancellable pairs are at the junction, and once the
+overlap is gone the new junction does not cancel either.  Composition is
+partial at the length boundary, so validators should be run with
+require_total=False.
 """
 
 from __future__ import annotations
@@ -110,7 +115,11 @@ def word_name(w: Word) -> str:
     """Canonical cell name: id(a) for the empty word, dotted signed edges otherwise."""
     if not w.steps:
         return f"id({w.base})"
-    return ".".join(f"{edge}{'+' if orient > 0 else '-'}" for edge, orient in w.steps)
+    return ".".join(_tokens(w))
+
+
+def _tokens(w: Word) -> tuple[str, ...]:
+    return tuple(f"{edge}{'+' if orient > 0 else '-'}" for edge, orient in w.steps)
 
 
 def parse_word(gs: TruncatedGlobularSet, text: str) -> Word:
@@ -177,14 +186,31 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
 
     refl = ReflexorStructure({(0, 1): {a: word_name(Word(a, ())) for a in g.grade(0)}})
 
+    ends = {(e, o): _ends(g, (e, o)) for e in g.grade(1) for o in (1, -1)}
+    tokens = {nm: _tokens(w) for nm, w in names.items()}
+    by_target: dict[str, list[str]] = {a: [] for a in g.grade(0)}
+    for nm in names:
+        by_target[tgt[1][nm]].append(nm)
+
+    # y o x exists only when x ends where y starts: scan that bucket alone.
+    # Both words are valid and reduced, so the overlap c gives the composite
+    # and only the new junction ys[ly-1-c] | xs[c] has not been chained yet.
     table: dict[tuple[str, str], str] = {}
     for ny, wy in names.items():
-        for nx, wx in names.items():
-            if word_source(g, wy) != word_target(g, wx):
+        ys, ly, ty = wy.steps, len(wy.steps), tokens[ny]
+        undo = tuple((e, -o) for e, o in reversed(ys))  # undo[i] cancels ys[ly-1-i]
+        for nx in by_target[src[1][ny]]:
+            wx = names[nx]
+            xs, lx = wx.steps, len(wx.steps)
+            c, top = 0, min(ly, lx)
+            while c < top and undo[c] == xs[c]:
+                c += 1
+            if ly + lx - 2 * c > max_len:
                 continue
-            z = reduce_word(g, Word(wx.base, wy.steps + wx.steps))
-            if len(z) <= max_len:
-                table[(ny, nx)] = word_name(z)
+            if c < ly and c < lx and ends[ys[ly - 1 - c]][0] != ends[xs[c]][1]:
+                raise MalformedWordError(f"steps {ys[ly - 1 - c]} and {xs[c]} do not chain")
+            kept = ty[: ly - c] + tokens[nx][c:]
+            table[(ny, nx)] = ".".join(kept) if kept else f"id({wx.base})"
     comp = CompositionStructure({(1, 0): table})
     return StrictNCategory(InfinityMagma(gs, refl, comp), threshold=0)
 

@@ -182,6 +182,82 @@ def test_validate_stretching_missing_src_exit_two(edge_file, tmp_path, capsys):
     assert err.count("\n") == 1 and x in err
 
 
+def test_validate_reversors_over_incomplete_reflexors_reports(tmp_path, capsys):
+    # reflexive compatibility applies the reflexor tables, so it waits for them
+    path = tmp_path / "iso.glob"
+    path.write_text(WALKING_ISO.replace("refl 0 1 b = idb\n", ""))
+    for layer in ("auto", "reversors"):
+        assert main(["validate", str(path), "--layer", layer]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        rep = parse_report(out)
+        assert rep.axiom_ids() == {"reflexor.total"}
+        assert rep.violations[0].cells == ("b",)
+
+
+def _stretch_dump(edge_file, tmp_path, capsys) -> dict:
+    dump_path = tmp_path / "stretch.json"
+    assert main(["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "5",
+                 "--report", str(dump_path)]) == 0
+    capsys.readouterr()
+    return json.loads(dump_path.read_text())
+
+
+def _validate_dump_err(payload, tmp_path, capsys) -> str:
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path), "--layer", "stretching"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    return err
+
+
+def test_validate_stretching_wrong_json_types_exit_two(tmp_path, capsys):
+    payload = {"kind": "stretching", "m_side": [], "c_side": {}, "threshold": 0, "pi": {}, "brackets": []}
+    err = _validate_dump_err(payload, tmp_path, capsys)
+    assert "m_side" in err and "JSON object" in err
+
+
+def test_validate_stretching_side_missing_max_dim_exit_two(edge_file, tmp_path, capsys):
+    payload = _stretch_dump(edge_file, tmp_path, capsys)
+    del payload["c_side"]["max_dim"]
+    err = _validate_dump_err(payload, tmp_path, capsys)
+    assert "c_side" in err and "max_dim" in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("pi", "1"), []),
+    (("brackets",), [[0, "a", "a"]]),
+    (("brackets",), [["0", "a", "a", "x"]]),
+    (("m_side", "comp", "1.0"), [["a", "b"]]),
+    (("m_side", "refl"), {"0": {}}),
+    (("m_side", "cells", "0"), [1, 2]),
+    (("threshold",), True),
+])
+def test_validate_stretching_malformed_parts_exit_two(edge_file, tmp_path, capsys, where, value):
+    payload = _stretch_dump(edge_file, tmp_path, capsys)
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    _validate_dump_err(payload, tmp_path, capsys)
+
+
+def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(path), "--layer", "stretching"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "nested" in err
+
+
+def test_validate_stretching_wrong_kind_says_it_once(tmp_path, capsys):
+    err = _validate_dump_err({"kind": "report"}, tmp_path, capsys)
+    assert err.count("not a stretching dump") == 1
+    assert "'report'" in err
+
+
 def test_free_groupoid_negative_bound_exit_two(edge_file, capsys):
     assert main(["free-groupoid", edge_file, "--max-len", "-1"]) == 2
     out, err = capsys.readouterr()

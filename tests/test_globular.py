@@ -40,6 +40,15 @@ def test_missing_map_reported():
     assert rep.axiom_ids() == {"globular.map"}
 
 
+def test_has_cell_is_per_grade_and_index_stays_out_of_equality():
+    gs = globular_set(1, {0: ["a", "f"], 1: ["f"]}, src={1: {"f": "a"}}, tgt={1: {"f": "a"}})
+    assert gs.has_cell(0, "f") and gs.has_cell(1, "f")
+    assert not gs.has_cell(1, "a") and not gs.has_cell(2, "f")
+    twin = globular_set(1, {0: ["f", "a"], 1: ["f"]}, src={1: {"f": "a"}}, tgt={1: {"f": "a"}})
+    assert twin == gs and twin.cell_sets is not gs.cell_sets
+    assert "cell_sets" not in repr(gs)
+
+
 def test_boundary_basic():
     gs = two_cell_globe()
     assert boundary(gs, 2, "al", 0, "source") == "a"

@@ -1,8 +1,9 @@
 import pytest
 from fixtures import one_edge_graph, two_edge_graph
+from hypothesis import given, settings, strategies as st
 
 from globforge.layers import validate_reflexors
-from globforge.globular import validate_globular
+from globforge.globular import globular_set, validate_globular
 from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
 from globforge.words import (
     MalformedWordError,
@@ -208,3 +209,56 @@ def test_enumerate_reduced_words_deterministic():
     a = [word_name(w) for w in enumerate_reduced_words(g, 3)]
     b = [word_name(w) for w in enumerate_reduced_words(g, 3)]
     assert a == b
+
+
+def _bouquet(k):
+    loops = [f"x{i}" for i in range(1, k + 1)]
+    return globular_set(1, {0: ["o"], 1: loops}, src={1: {e: "o" for e in loops}}, tgt={1: {e: "o" for e in loops}})
+
+
+def _two_cycle():
+    return globular_set(1, {0: ["a", "b"], 1: ["f", "g"]}, src={1: {"f": "a", "g": "b"}}, tgt={1: {"f": "b", "g": "a"}})
+
+
+def _assert_table_matches_reduced_concatenation(g, max_len):
+    """Every composable (y, x): the entry is the reduced concatenation when it
+    fits within the bound and absent otherwise; no other entry exists."""
+    maps = free_groupoid_cells(g, max_len).magma.comp.maps
+    words = enumerate_reduced_words(g, max_len)
+    expected = {}
+    for wy in words:
+        for wx in words:
+            if word_source(g, wy) != word_target(g, wx):
+                continue
+            z = reduce_word(g, Word(wx.base, wy.steps + wx.steps))
+            if len(z) <= max_len:
+                expected[(word_name(wy), word_name(wx))] = word_name(z)
+    assert maps == {(1, 0): expected}
+
+
+ORACLE_GRAPHS = {"bouquet1": _bouquet(1), "bouquet2": _bouquet(2), "path2": two_edge_graph(), "cycle2": _two_cycle()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("max_len", range(5))
+def test_free_groupoid_table_is_reduced_concatenation(name, max_len):
+    _assert_table_matches_reduced_concatenation(ORACLE_GRAPHS[name], max_len)
+
+
+@st.composite
+def _small_graphs(draw):
+    points = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    n_edges = draw(st.integers(0, 3))
+    ends = [(draw(st.sampled_from(points)), draw(st.sampled_from(points))) for _ in range(n_edges)]
+    edges = [f"e{i}" for i in range(n_edges)]
+    return globular_set(
+        1, {0: points, 1: edges},
+        src={1: {e: s for e, (s, _) in zip(edges, ends)}},
+        tgt={1: {e: t for e, (_, t) in zip(edges, ends)}},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.integers(0, 3))
+def test_free_groupoid_table_on_random_graphs(graph, max_len):
+    _assert_table_matches_reduced_concatenation(graph, max_len)
