@@ -3,7 +3,8 @@
 Every command prints a canonical machine-readable document to stdout and,
 with --report PATH, also writes it to a file.  Validation commands exit 0
 exactly when the merged report has no violations; data commands exit 0 on
-success.  Parse errors and unusable inputs exit 2 with a message on stderr.
+success.  Parse errors, unusable inputs and internal errors exit 2 with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -276,6 +277,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except Exception as exc:
+        # exit 1 means "the report has violations", so a crash must not use it
+        message = " ".join(f"internal error: {type(exc).__name__}: {exc}".splitlines())
+        sys.stderr.write(message + "\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,18 @@ derive_canonical_reversors extracts by brute-force search.
 Validators take `require_total=False` to check size- or length-bounded
 fragments, where composites may fall outside the stored carrier; axioms are
 then checked on the stored entries only.
+
+The validators index the tables instead of scanning whole grades.
+Associativity reads a table by columns, cols[b] = {a: a o b}: for a stored
+(y, x) the z that matter are the keys of cols[y], and the composites
+(z o y) o x and z o (y o x) form two lists in that key order.  Rows whose
+lists are equal are skipped, which is exact: equal composites satisfy the
+law, and a composite absent on both sides is skipped on fragments and, under
+require_total, found by one test for an absent entry.  Interchange inverts
+the q-table into fibres, fibre[c] = the pairs with q-composite c, and visits
+fibre[yy] x fibre[xx] for each stored p-composite of (yy, xx): exactly the
+squares whose outer composite exists.  validate_magma computes each cell's
+iterated boundaries once per grade.
 """
 
 from __future__ import annotations
@@ -107,19 +119,6 @@ class StrictNCategory:
         return self.magma.gs
 
 
-def compatible_pairs(gs: TruncatedGlobularSet, m: int, p: int) -> list[tuple[str, str]]:
-    """All (y, x) with the p-source of y equal to the p-target of x."""
-    by_src: dict[str, list[str]] = {}
-    for y in gs.grade(m):
-        by_src.setdefault(boundary(gs, m, y, p, "source"), []).append(y)
-    pairs = []
-    for x in gs.grade(m):
-        tx = boundary(gs, m, x, p, "target")
-        for y in by_src.get(tx, ()):
-            pairs.append((y, x))
-    return pairs
-
-
 def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> ValidationReport:
     """Positional axioms plus domain exactness of the composition tables.
 
@@ -129,8 +128,14 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
     """
     rep = ValidationReport("magma")
     gs, comp = mag.gs, mag.comp
+    faces = {  # faces[m, q, side][x] = boundary(gs, m, x, q, side), once per cell
+        (m, q, side): {x: boundary(gs, m, x, q, side) for x in gs.grade(m)}
+        for m in range(1, gs.max_dim + 1)
+        for q in range(m)
+        for side in ("source", "target")
+    }
 
-    for (m, p), table in sorted(comp.maps.items()):
+    for (m, p), table in comp.maps.items():
         if not (0 <= p < m <= gs.max_dim):
             rep.add(
                 "positional.domain", LAW_COMP_TOTAL, (),
@@ -138,14 +143,15 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
             )
             continue
         grade = gs.cell_sets[m]
-        for (y, x), z in sorted(table.items()):
+        src_p, tgt_p = faces[m, p, "source"], faces[m, p, "target"]
+        for (y, x), z in table.items():
             if y not in grade or x not in grade or z not in grade:
                 rep.add(
                     "positional.domain", LAW_COMP_TOTAL, (y, x, z),
                     f"comp[{m}][{p}] entry ({y}, {x}) -> {z} mentions cells outside grade {m}",
                 )
                 continue
-            if boundary(gs, m, y, p, "source") != boundary(gs, m, x, p, "target"):
+            if src_p[y] != tgt_p[x]:
                 rep.add(
                     "positional.domain", LAW_COMP_TOTAL, (y, x),
                     f"comp[{m}][{p}] is defined on ({y}, {x}) although the pair is not {p}-compatible",
@@ -157,22 +163,27 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
         for m in range(1, gs.max_dim + 1):
             for p in range(m):
                 table = comp.table(m, p)
-                for (y, x) in compatible_pairs(gs, m, p):
-                    if (y, x) not in table:
-                        rep.add(
-                            "positional.total", LAW_COMP_TOTAL, (y, x),
-                            f"comp[{m}][{p}] misses the compatible pair ({y}, {x})",
-                        )
+                by_src: dict[str, list[str]] = {}
+                for y, sy in faces[m, p, "source"].items():
+                    by_src.setdefault(sy, []).append(y)
+                for x, tx in faces[m, p, "target"].items():
+                    for y in by_src.get(tx, ()):
+                        if (y, x) not in table:
+                            rep.add(
+                                "positional.total", LAW_COMP_TOTAL, (y, x),
+                                f"comp[{m}][{p}] misses the compatible pair ({y}, {x})",
+                            )
 
-    for (m, p), table in sorted(comp.maps.items()):
-        for (y, x), z in sorted(table.items()):
-            for q in range(m):
-                for side, tag in (("source", "src"), ("target", "tgt")):
-                    bz = boundary(gs, m, z, q, side)
+    for (m, p), table in comp.maps.items():
+        for q in range(m):
+            table_q = comp.table(q, p)
+            for side, tag in (("source", "src"), ("target", "tgt")):
+                bnd = faces[m, q, side]
+                for (y, x), z in table.items():
+                    bz = bnd[z]
                     if q > p:
-                        by = boundary(gs, m, y, q, side)
-                        bx = boundary(gs, m, x, q, side)
-                        want = comp.get(q, p, by, bx)
+                        by, bx = bnd[y], bnd[x]
+                        want = table_q.get((by, bx))
                         if want is None:
                             if require_total:
                                 rep.add(
@@ -186,17 +197,17 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
                                 f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz} but the composite of boundaries is {want}",
                             )
                     elif q == p:
-                        want = boundary(gs, m, x if side == "source" else y, q, side)
+                        want = bnd[x if side == "source" else y]
                         if bz != want:
                             rep.add(
                                 "positional.b", LAW_POSITIONAL_B, (y, x, z),
                                 f"{tag}_{p}({y} o[{m},{p}] {x}) = {bz}, expected {want}",
                             )
                     else:
-                        bx = boundary(gs, m, x, q, side)
+                        bx = bnd[x]
                         # sanity cross-check: compatibility plus globularity force
                         # the factors to agree below the composition level
-                        assert bx == boundary(gs, m, y, q, side)
+                        assert bx == bnd[y]
                         if bz != bx:
                             rep.add(
                                 "positional.c", LAW_POSITIONAL_C, (y, x, z),
@@ -214,14 +225,18 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
     rep = ValidationReport("strict")
     gs, refl, comp = mag.gs, mag.refl, mag.comp
 
-    for (m, p), table in sorted(comp.maps.items()):
-        for (y, x), yx in sorted(table.items()):
-            for z in gs.grade(m):
-                zy = comp.get(m, p, z, y)
-                if zy is None:
-                    continue
-                left = comp.get(m, p, zy, x)
-                right = comp.get(m, p, z, yx)
+    for (m, p), table in comp.maps.items():
+        cols: dict[str, dict[str, str]] = {}  # cols[b][a] = a o b
+        for (a, b), ab in table.items():
+            cols.setdefault(b, {})[a] = ab
+        for (y, x), yx in table.items():
+            # the z with z o y stored; y need not be a right factor at all
+            col_y = cols.get(y, {})
+            lefts = list(map(cols[x].get, col_y.values()))
+            rights = list(map(cols.get(yx, {}).get, col_y))
+            if lefts == rights and not (require_total and None in lefts):
+                continue
+            for z, left, right in zip(col_y, lefts, rights):
                 if left is None or right is None:
                     if require_total:
                         rep.add(
@@ -266,26 +281,26 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
 
     for m in range(2, gs.max_dim + 1):
         for p in range(m - 1):
+            table_p = comp.table(m, p)
             for q in range(p + 1, m):
                 table_q = comp.table(m, q)
-                for (y2, y1), yy in sorted(table_q.items()):
-                    for (x2, x1), xx in sorted(table_q.items()):
-                        outer = comp.get(m, p, yy, xx)
-                        if outer is None:
-                            continue
-                        a = comp.get(m, p, y2, x2)
-                        b = comp.get(m, p, y1, x1)
-                        if a is None or b is None:
-                            continue
-                        other = comp.get(m, q, a, b)
-                        if other is None:
-                            continue
-                        if outer != other:
-                            rep.add(
-                                "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
-                                f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
-                                f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
-                            )
+                fibre: dict[str, list[tuple[str, str]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
+                for pair, c in table_q.items():
+                    fibre.setdefault(c, []).append(pair)
+                for (yy, xx), outer in table_p.items():
+                    for y2, y1 in fibre.get(yy, ()):
+                        for x2, x1 in fibre.get(xx, ()):
+                            a = table_p.get((y2, x2))
+                            b = table_p.get((y1, x1))
+                            if a is None or b is None:
+                                continue
+                            other = table_q.get((a, b))
+                            if other is not None and outer != other:
+                                rep.add(
+                                    "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
+                                    f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
+                                    f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
+                                )
 
     for m in range(2, gs.max_dim + 1):
         for p in range(1, m):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .globular import TruncatedGlobularSet
 from .terms import IllTypedTermError, StretchTerm, TermContext
-from .words import Step, Word, reduce_word, word_name
+from .words import Step, Word, free_reduce, reduce_word, word_name
 
 Letter = tuple[str, int]  # (2-generator, +1 or -1)
 
@@ -87,16 +87,6 @@ def nf_name(nf: NF) -> str:
     if isinstance(nf, NF3):
         return f"1({nf_name(nf.content)})"
     raise TypeError(type(nf))
-
-
-def _reduce_letters(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for let in letters:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-        else:
-            stack.append(let)
-    return tuple(stack)
 
 
 class Strictifier:
@@ -203,7 +193,7 @@ class Strictifier:
                 if self.cod2(b) != a.dom:
                     raise IllTypedTermError("vertical composition of non-matching 2-cells")
                 cols = tuple(
-                    _reduce_letters(cb + ca) if self.inv2 else cb + ca
+                    free_reduce(cb + ca) if self.inv2 else cb + ca
                     for cb, ca in zip(b.cols, a.cols)
                 )
                 return NF2(b.dom, cols)

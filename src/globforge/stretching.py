@@ -470,9 +470,16 @@ def _graded(obj: dict, key: str, parts: int, where: str, entry) -> dict:
 
 
 def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
+    max_dim = _key(payload, "max_dim", int, where)
+    cells = _graded(payload, "cells", 1, where, _names)
+    # a dump lists every grade up to max_dim, which keeps the build as small as the text
+    missing = next((m for m in range(max_dim + 1) if m not in cells), None)
+    if max_dim < 0 or missing is not None:
+        why = "is negative" if max_dim < 0 else f"names grade {missing}, which {where}.cells lacks"
+        raise ValueError(f"{where}.max_dim: {max_dim} {why}")
     gs = globular_set(
-        _key(payload, "max_dim", int, where),
-        _graded(payload, "cells", 1, where, _names),
+        max_dim,
+        cells,
         _graded(payload, "src", 1, where, _name_map),
         _graded(payload, "tgt", 1, where, _name_map),
     )

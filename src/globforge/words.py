@@ -8,7 +8,8 @@ The empty word at a point is that point's identity.
 
 Reduction deletes adjacent inverse pairs e+e- or e-e+ of the same edge
 until none remain.  The rewrite is confluent, so the reduced word is unique
-regardless of deletion order; reduce_word uses a single stack scan and
+regardless of deletion order; free_reduce does it in one stack scan, for
+words and for the columns of 2-generator letters in normalform alike, and
 reduce_word_any_order replays an arbitrary deletion order for comparison.
 
 free_groupoid_cells materializes the 1-truncated free groupoid on a graph
@@ -85,15 +86,20 @@ def _cancels(a: Step, b: Step) -> bool:
     return a[0] == b[0] and a[1] == -b[1]
 
 
-def reduce_word(gs: TruncatedGlobularSet, w: Word) -> Word:
-    """Unique reduced form via a stack scan; idempotent and endpoint-preserving."""
+def free_reduce(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+    """Delete adjacent inverse pairs of signed letters with one stack scan."""
     stack: list[Step] = []
-    for step in w.steps:
+    for step in steps:
         if stack and _cancels(stack[-1], step):
             stack.pop()
         else:
             stack.append(step)
-    return make_word(gs, w.base, stack)
+    return tuple(stack)
+
+
+def reduce_word(gs: TruncatedGlobularSet, w: Word) -> Word:
+    """Unique reduced form via a stack scan; idempotent and endpoint-preserving."""
+    return make_word(gs, w.base, free_reduce(w.steps))
 
 
 def reduce_word_any_order(gs: TruncatedGlobularSet, w: Word, rng: random.Random) -> Word:

@@ -226,6 +226,15 @@ def test_validate_stretching_side_missing_max_dim_exit_two(edge_file, tmp_path, 
     assert "c_side" in err and "max_dim" in err
 
 
+@pytest.mark.parametrize("max_dim", [-1, 100_000])
+def test_validate_stretching_max_dim_out_of_cells_exit_two(edge_file, tmp_path, capsys, max_dim):
+    # the bound must name a listed grade before any grade is built
+    payload = _stretch_dump(edge_file, tmp_path, capsys)
+    payload["m_side"]["max_dim"] = max_dim
+    err = _validate_dump_err(payload, tmp_path, capsys)
+    assert f"$.m_side.max_dim: {max_dim}" in err
+
+
 @pytest.mark.parametrize("where, value", [
     (("pi", "1"), []),
     (("brackets",), [[0, "a", "a"]]),
@@ -263,6 +272,17 @@ def test_free_groupoid_negative_bound_exit_two(edge_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "-1" in err
+
+
+def test_internal_error_exits_two_with_one_line(iso_file, capsys, monkeypatch):
+    def crash(cat):
+        raise RuntimeError("table went away\nsecond line")
+
+    monkeypatch.setattr("globforge.cli.compute_index", crash)
+    assert main(["index", iso_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: table went away second line\n"
 
 
 def test_check_proofs(capsys):

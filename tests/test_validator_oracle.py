@@ -1,0 +1,325 @@
+"""The indexed strict-structure validators against brute-force oracles.
+
+validate_strict reads associativity off table columns and interchange off
+the fibres of the q-table; validate_magma reads boundaries from per-grade
+tables.  The oracles below are the direct forms: z over the whole grade for
+every stored (y, x), every pair of q-composites for interchange, and one
+boundary() call per entry.  Reports must be byte-equal under emit_report.
+"""
+
+import pytest
+from fixtures import (
+    cyclic_group_category,
+    klein_four_category,
+    pad_to_dim,
+    poset_category,
+    redirect_comp,
+    square_2cat,
+    sym3_category,
+    two_edge_graph,
+    walking_iso_category,
+)
+from hypothesis import given, settings, strategies as st
+
+from globforge.globular import boundary, globular_set
+from globforge.layers import ReflexorStructure
+from globforge.magma import (
+    LAW_ASSOC,
+    LAW_COMP_TOTAL,
+    LAW_INTERCHANGE,
+    LAW_POSITIONAL_A,
+    LAW_POSITIONAL_B,
+    LAW_POSITIONAL_C,
+    CompositionStructure,
+    InfinityMagma,
+    validate_magma,
+    validate_strict,
+)
+from globforge.report import ValidationReport, emit_report
+from globforge.stretching import generate_free_stretching
+from globforge.words import free_groupoid_cells
+
+
+def _assoc_interchange_oracle(mag: InfinityMagma, require_total: bool) -> ValidationReport:
+    rep = ValidationReport("strict")
+    gs, comp = mag.gs, mag.comp
+    for (m, p), table in sorted(comp.maps.items()):
+        for (y, x), yx in sorted(table.items()):
+            for z in gs.grade(m):
+                zy = comp.get(m, p, z, y)
+                if zy is None:
+                    continue
+                left = comp.get(m, p, zy, x)
+                right = comp.get(m, p, z, yx)
+                if left is None or right is None:
+                    if require_total:
+                        rep.add(
+                            "assoc.triple", LAW_ASSOC, (z, y, x),
+                            f"a composite needed for the triple ({z}, {y}, {x}) over comp[{m}][{p}] is missing",
+                        )
+                    continue
+                if left != right:
+                    rep.add(
+                        "assoc.triple", LAW_ASSOC, (z, y, x),
+                        f"(({z} o {y}) o {x}) = {left} but ({z} o ({y} o {x})) = {right} over comp[{m}][{p}]",
+                    )
+    for m in range(2, gs.max_dim + 1):
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                table_q = comp.table(m, q)
+                for (y2, y1), yy in sorted(table_q.items()):
+                    for (x2, x1), xx in sorted(table_q.items()):
+                        outer = comp.get(m, p, yy, xx)
+                        if outer is None:
+                            continue
+                        a = comp.get(m, p, y2, x2)
+                        b = comp.get(m, p, y1, x1)
+                        if a is None or b is None:
+                            continue
+                        other = comp.get(m, q, a, b)
+                        if other is None:
+                            continue
+                        if outer != other:
+                            rep.add(
+                                "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
+                                f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
+                                f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
+                            )
+    return rep
+
+
+def _compatible_pairs(gs, m: int, p: int) -> list[tuple[str, str]]:
+    by_src: dict[str, list[str]] = {}
+    for y in gs.grade(m):
+        by_src.setdefault(boundary(gs, m, y, p, "source"), []).append(y)
+    pairs = []
+    for x in gs.grade(m):
+        for y in by_src.get(boundary(gs, m, x, p, "target"), ()):
+            pairs.append((y, x))
+    return pairs
+
+
+def _magma_oracle(mag: InfinityMagma, require_total: bool) -> ValidationReport:
+    rep = ValidationReport("magma")
+    gs, comp = mag.gs, mag.comp
+    for (m, p), table in sorted(comp.maps.items()):
+        if not (0 <= p < m <= gs.max_dim):
+            rep.add(
+                "positional.domain", LAW_COMP_TOTAL, (),
+                f"table comp[{m}][{p}] is outside the range 0 <= p < m <= {gs.max_dim}",
+            )
+            continue
+        grade = gs.cell_sets[m]
+        for (y, x), z in sorted(table.items()):
+            if y not in grade or x not in grade or z not in grade:
+                rep.add(
+                    "positional.domain", LAW_COMP_TOTAL, (y, x, z),
+                    f"comp[{m}][{p}] entry ({y}, {x}) -> {z} mentions cells outside grade {m}",
+                )
+                continue
+            if boundary(gs, m, y, p, "source") != boundary(gs, m, x, p, "target"):
+                rep.add(
+                    "positional.domain", LAW_COMP_TOTAL, (y, x),
+                    f"comp[{m}][{p}] is defined on ({y}, {x}) although the pair is not {p}-compatible",
+                )
+    if not rep.valid:
+        return rep
+    if require_total:
+        for m in range(1, gs.max_dim + 1):
+            for p in range(m):
+                table = comp.table(m, p)
+                for (y, x) in _compatible_pairs(gs, m, p):
+                    if (y, x) not in table:
+                        rep.add(
+                            "positional.total", LAW_COMP_TOTAL, (y, x),
+                            f"comp[{m}][{p}] misses the compatible pair ({y}, {x})",
+                        )
+    for (m, p), table in sorted(comp.maps.items()):
+        for (y, x), z in sorted(table.items()):
+            for q in range(m):
+                for side, tag in (("source", "src"), ("target", "tgt")):
+                    bz = boundary(gs, m, z, q, side)
+                    if q > p:
+                        by = boundary(gs, m, y, q, side)
+                        bx = boundary(gs, m, x, q, side)
+                        want = comp.get(q, p, by, bx)
+                        if want is None:
+                            if require_total:
+                                rep.add(
+                                    "positional.total", LAW_COMP_TOTAL, (by, bx),
+                                    f"comp[{q}][{p}] misses ({by}, {bx}) needed for the boundary of ({y}, {x})",
+                                )
+                            continue
+                        if bz != want:
+                            rep.add(
+                                "positional.a", LAW_POSITIONAL_A, (y, x, z),
+                                f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz} but the composite of boundaries is {want}",
+                            )
+                    elif q == p:
+                        want = boundary(gs, m, x if side == "source" else y, q, side)
+                        if bz != want:
+                            rep.add(
+                                "positional.b", LAW_POSITIONAL_B, (y, x, z),
+                                f"{tag}_{p}({y} o[{m},{p}] {x}) = {bz}, expected {want}",
+                            )
+                    elif bz != boundary(gs, m, x, q, side):
+                        rep.add(
+                            "positional.c", LAW_POSITIONAL_C, (y, x, z),
+                            f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz}, "
+                            f"expected the shared boundary {boundary(gs, m, x, q, side)}",
+                        )
+    return rep
+
+
+def _assoc_interchange(rep: ValidationReport) -> ValidationReport:
+    """The part of a strict report that the oracle above covers."""
+    out = ValidationReport(rep.subject)
+    out.violations = [v for v in rep.violations if v.axiom.split(".")[0] in ("assoc", "interchange")]
+    return out
+
+
+def _agree(mag: InfinityMagma) -> bool:
+    """Both validators match their oracles in both modes; True if any report has violations."""
+    found = False
+    for total in (True, False):
+        strict = emit_report(_assoc_interchange(validate_strict(mag, require_total=total)))
+        assert strict == emit_report(_assoc_interchange_oracle(mag, total))
+        magma = emit_report(validate_magma(mag, require_total=total))
+        assert magma == emit_report(_magma_oracle(mag, total))
+        found = found or '"valid": false' in strict + magma
+    return found
+
+
+def _bouquet(k: int):
+    loops = [f"x{i}" for i in range(1, k + 1)]
+    return globular_set(1, {0: ["o"], 1: loops}, src={1: {e: "o" for e in loops}}, tgt={1: {e: "o" for e in loops}})
+
+
+def _free_stretching_strict_side():
+    g = globular_set(
+        2,
+        {0: ["a", "b"], 1: ["f0", "f1"], 2: ["al"]},
+        src={1: {"f0": "a", "f1": "a"}, 2: {"al": "f0"}},
+        tgt={1: {"f0": "b", "f1": "b"}, 2: {"al": "f1"}},
+    )
+    return generate_free_stretching(g, 2, 2, 6).c_side.magma
+
+
+def _left_factor_only():
+    # u is the left factor of (u, v) and the right factor of nothing
+    gs = globular_set(1, {0: ["o"], 1: ["u", "v"]}, src={1: dict.fromkeys("uv", "o")},
+                      tgt={1: dict.fromkeys("uv", "o")})
+    comp = CompositionStructure({(1, 0): {("u", "v"): "u", ("v", "v"): "v"}})
+    return InfinityMagma(gs, ReflexorStructure({(0, 1): {"o": "v"}}), comp)
+
+
+FIXTURES = {
+    "iso": walking_iso_category(),
+    "poset3": poset_category(["a", "b", "c"]),
+    "z2": cyclic_group_category(2),
+    "z5": cyclic_group_category(5),
+    "klein": klein_four_category(),
+    "s3": sym3_category(),
+    "square": square_2cat(),
+    "square-thin": square_2cat(with_spare=False),
+    "iso-padded": pad_to_dim(walking_iso_category(), 2),
+    "poset3-padded": pad_to_dim(poset_category(["a", "b", "c"]), 2),
+    "z2-padded": pad_to_dim(cyclic_group_category(2), 3),
+    "square-padded": pad_to_dim(square_2cat(), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_strict_fixtures_match_oracles(name):
+    _agree(FIXTURES[name].magma)
+
+
+@pytest.mark.parametrize("max_len", range(5))
+def test_free_groupoid_bouquet_matches_oracles(max_len):
+    _agree(free_groupoid_cells(_bouquet(2), max_len).magma)
+
+
+@pytest.mark.parametrize("max_len", range(5))
+def test_free_groupoid_path_matches_oracles(max_len):
+    _agree(free_groupoid_cells(two_edge_graph(), max_len).magma)
+
+
+def test_free_stretching_strict_side_matches_oracles():
+    _agree(_free_stretching_strict_side())
+
+
+def test_left_factor_that_is_never_a_right_factor():
+    mag = _left_factor_only()
+    assert _agree(mag)  # the total magma misses (u, u) and (v, u)
+    assert validate_strict(mag, require_total=False).valid
+
+
+def test_every_redirect_of_z5_matches_oracles():
+    cat = cyclic_group_category(5)
+    table = cat.magma.comp.table(1, 0)
+    flagged = 0
+    for pair, z in sorted(table.items()):
+        for value in cat.gs.grade(1):
+            if value != z:
+                flagged += _agree(redirect_comp(cat, (1, 0), pair, value).magma)
+    assert flagged == 4 * len(table)
+
+
+def test_every_redirect_of_square_matches_oracles():
+    # each entry is sent to the next cell of its grade, so every entry moves once
+    cat = square_2cat()
+    flagged = moved = 0
+    for key, table in sorted(cat.magma.comp.maps.items()):
+        grade = cat.gs.grade(key[0])
+        for pair, z in sorted(table.items()):
+            value = grade[(grade.index(z) + 1) % len(grade)]
+            flagged += _agree(redirect_comp(cat, key, pair, value).magma)
+            moved += 1
+    assert flagged == moved
+
+
+CELLS = [f"c{i}" for i in range(6)]
+
+
+@st.composite
+def _partial_tables(draw):
+    """A one-object carrier whose top cells are loops, with random partial tables."""
+    dim = draw(st.integers(1, 2))
+    top = CELLS[: draw(st.integers(1, len(CELLS)))]
+    pairs = st.tuples(st.sampled_from(top), st.sampled_from(top))
+    tables = {
+        (dim, p): draw(st.dictionaries(pairs, st.sampled_from(top), max_size=len(top) ** 2))
+        for p in range(dim)
+    }
+    if dim == 1:
+        gs = globular_set(1, {0: ["o"], 1: top}, {1: dict.fromkeys(top, "o")}, {1: dict.fromkeys(top, "o")})
+        refl = {(0, 1): {"o": top[0]}}
+    else:
+        gs = globular_set(2, {0: ["o"], 1: ["i"], 2: top},
+                          {1: {"i": "o"}, 2: dict.fromkeys(top, "i")}, {1: {"i": "o"}, 2: dict.fromkeys(top, "i")})
+        refl = {(0, 1): {"o": "i"}, (1, 2): {"i": top[0]}}
+        tables[(1, 0)] = {("i", "i"): "i"}
+    return InfinityMagma(gs, ReflexorStructure(refl), CompositionStructure(tables))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_partial_tables())
+def test_random_partial_tables_match_oracles(mag):
+    _agree(mag)
+
+
+@st.composite
+def _square_tables(draw):
+    """square_2cat's carrier with random entries, compatible or not, in each of its tables."""
+    cat = square_2cat()
+    tables = {}
+    for (m, p) in cat.magma.comp.maps:
+        cells = st.sampled_from(cat.gs.grade(m))
+        tables[(m, p)] = draw(st.dictionaries(st.tuples(cells, cells), cells, max_size=12))
+    return InfinityMagma(cat.gs, cat.magma.refl, CompositionStructure(tables))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_tables())
+def test_random_square_tables_match_oracles(mag):
+    _agree(mag)
