@@ -11,7 +11,10 @@ carriers through pi, v, and lam.  Each rule names the law it encodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .terms import (
     DimCond,
@@ -49,7 +52,10 @@ def _rule(name, lhs, rhs, conds, carriers, law) -> RewriteRule:
     return RewriteRule(name, lhs, rhs, tuple(conds), carriers, law)
 
 
-def rule_library() -> dict[str, RewriteRule]:
+@functools.cache
+def rule_library() -> Mapping[str, RewriteRule]:
+    """The catalogue by rule name, built once per process and read-only;
+    a caller that adds rules copies it first."""
     m, p, q, n = dim("m"), dim("p"), dim("q"), dim("n")
     x = var("x", m)
     rules: list[RewriteRule] = []
@@ -414,4 +420,4 @@ def rule_library() -> dict[str, RewriteRule]:
     out = {r.name: r for r in rules}
     if len(out) != len(rules):
         raise AssertionError("duplicate rule names")
-    return out
+    return MappingProxyType(out)

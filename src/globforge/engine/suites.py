@@ -16,9 +16,9 @@ Each suite replays one family of equational arguments:
       joined to degenerate cells by coherence, making 1-cells equivalences
 
 Chains are built by matching the cited rule against the current term, so
-each stored step carries its full substitution; the construction asserts
-the claimed end term, and check_suite verifies everything again
-independently.
+each stored step carries its full substitution.  Every step is checked by
+the checker's apply_step while the chain is built, on one context per
+suite, and check_suite replays the finished suites again.
 """
 
 from __future__ import annotations
@@ -28,11 +28,16 @@ from dataclasses import dataclass, field
 from .derivation import (
     BracketIntroStep,
     Derivation,
+    DerivationContext,
     InverseUniquenessStep,
     RewriteStep,
     Step,
+    StepFailure,
     Suite,
+    apply_step,
 )
+# rule_library is unused here but stays bound: perfbench/tracer.py patches
+# it as an attribute of this module.
 from .rules import ALL, RewriteRule, rule_library
 from .terms import (
     DimExpr,
@@ -40,6 +45,7 @@ from .terms import (
     Position,
     Subst,
     Term,
+    TermError,
     bracketT,
     compT,
     const,
@@ -50,9 +56,7 @@ from .terms import (
     match,
     oneT,
     piT,
-    register_symbol,
     render,
-    replace,
     revT,
     srcT,
     subterm,
@@ -64,21 +68,32 @@ from .terms import (
 
 
 class _Chain:
-    """Builds one derivation, inferring substitutions by matching."""
+    """Builds one derivation, inferring substitutions by matching and
+    stepping through apply_step."""
 
-    def __init__(self, name: str, start: Term, rules: dict[str, RewriteRule], defaults: dict[str, DimExpr]):
+    def __init__(self, name: str, start: Term, ctx: DerivationContext, defaults: dict[str, DimExpr]):
         self.name = name
         self.start = start
         self.cur = start
-        self.rules = rules
+        self.ctx = ctx
         self.defaults = defaults
         self.steps: list[Step] = []
 
+    def _fail(self, message: str) -> AssertionError:
+        return AssertionError(f"{self.name}: step {len(self.steps)}: {message}")
+
+    def _step(self, step: Step) -> "_Chain":
+        try:
+            self.cur = apply_step(self.cur, step, self.ctx)
+        except (StepFailure, TermError) as exc:
+            raise self._fail(str(exc)) from exc
+        self.steps.append(step)
+        return self
+
     def rw(self, rule_name: str, pos: Position = (), direction: str = "fwd",
            dims: dict[str, DimExpr] | None = None, cells: dict[str, Term] | None = None) -> "_Chain":
-        rule = self.rules[rule_name]
+        rule = self.ctx.rules[rule_name]
         pattern = rule.lhs if direction == "fwd" else rule.rhs
-        replacement = rule.rhs if direction == "fwd" else rule.lhs
         cell_b: dict[str, Term] = dict(cells or {})
         dim_b: dict[str, DimExpr] = dict(self.defaults)
         dim_b.update(dims or {})
@@ -86,34 +101,14 @@ class _Chain:
         try:
             match(pattern, sub, cell_b, dim_b)
         except MatchError as exc:
-            raise AssertionError(
-                f"{self.name}: {rule_name} does not match {render(sub)} at {pos}: {exc}"
-            )
-        subst = Subst(cell_b, dim_b)
-        self.cur = replace(self.cur, pos, subst.term(replacement))
-        self.steps.append(RewriteStep(rule_name, tuple(pos), subst, direction))
-        return self
+            raise self._fail(f"{rule_name} does not match {render(sub)} at {pos}: {exc}") from exc
+        return self._step(RewriteStep(rule_name, tuple(pos), Subst(cell_b, dim_b), direction))
 
     def unique(self, pos: Position, m, p, alpha: Term, beta: Term, direction: str = "fwd") -> "_Chain":
-        step = InverseUniquenessStep(tuple(pos), dim(m), dim(p), alpha, beta, direction)
-        old = beta if direction == "fwd" else revT(m, p, alpha)
-        new = revT(m, p, alpha) if direction == "fwd" else beta
-        assert subterm(self.cur, pos) == old, f"{self.name}: uniqueness expects {render(old)}"
-        self.cur = replace(self.cur, pos, new)
-        self.steps.append(step)
-        return self
+        return self._step(InverseUniquenessStep(tuple(pos), dim(m), dim(p), alpha, beta, direction))
 
     def intro(self, pos: Position, m, c1: Term, c0: Term, face: str = "tgt", direction: str = "fwd") -> "_Chain":
-        md = dim(m)
-        step = BracketIntroStep(tuple(pos), md, c1, c0, face, direction)
-        bracket = bracketT(md, c1, c0)
-        cell = c1 if face == "tgt" else c0
-        wrapped = tgtT(md.shift(1), md, bracket) if face == "tgt" else srcT(md.shift(1), md, bracket)
-        old, new = (cell, wrapped) if direction == "fwd" else (wrapped, cell)
-        assert subterm(self.cur, pos) == old, f"{self.name}: intro expects {render(old)}"
-        self.cur = replace(self.cur, pos, new)
-        self.steps.append(step)
-        return self
+        return self._step(BracketIntroStep(tuple(pos), dim(m), c1, c0, face, direction))
 
     def done(self, end: Term) -> Derivation:
         assert self.cur == end, (
@@ -133,19 +128,14 @@ class _SuiteBuilder:
     derivations: list[Derivation] = field(default_factory=list)
 
     def __post_init__(self):
-        self.rules = dict(rule_library())
-        for rule in self.local_rules:
-            self.rules[rule.name] = rule
+        self.ctx = DerivationContext.for_suite(self.build())
 
     def chain(self, name: str, start: Term) -> _Chain:
-        return _Chain(name, start, self.rules, self.defaults)
+        return _Chain(name, start, self.ctx, self.defaults)
 
     def add(self, deriv: Derivation) -> Derivation:
         self.derivations.append(deriv)
-        self.rules[f"established:{deriv.name}"] = RewriteRule(
-            f"established:{deriv.name}", deriv.start, deriv.end, (), ALL,
-            "equality established earlier in this suite",
-        )
+        self.ctx.establish(deriv)
         return deriv
 
     def build(self) -> Suite:
@@ -160,7 +150,6 @@ def _rule(name, lhs, rhs, conds, law) -> RewriteRule:
 
 
 def _suite_s1() -> Suite:
-    register_symbol("F", "C", "C")
     m, p, q, n = dim("m"), dim("p"), dim("q"), dim("n")
     x, y = var("x", m), var("y", m)
     xp = var("xp", p)
@@ -328,9 +317,6 @@ def _suite_s3b() -> Suite:
 
 
 def _suite_s4() -> Suite:
-    register_symbol("mu", "M", "M")
-    register_symbol("Tv", "M", "M")
-    register_symbol("lamT", "M", "M")
     m, p, n = dim("m"), dim("p"), dim("n")
     xM, yM = var("x", m, "M"), var("y", m, "M")
     xMp = var("x", p, "M")
@@ -566,17 +552,12 @@ def _collapse_rule(name: str, level: int) -> RewriteRule:
     )
 
 
-def _suite_s6() -> Suite:
-    f, a0, b0 = _dim1_constants()
-    local = _dim_facts(f, a0, b0) + (_collapse_rule("dim1-collapse", 1),)
-    sb = _SuiteBuilder(
-        "S6", "in an algebra of dimension 1, 1-cells are invertible",
-        local_rules=local, defaults={"n": dim(0)},
-    )
-    lf = lamT(f)
+def _composite_meets_unit(sb: _SuiteBuilder, f: Term, b0: Term) -> tuple[Term, Term]:
+    """Adds the chains showing that c1 = lam f * j(lam f) and the unit c0 on
+    lam b have equal projections and boundaries; returns (c1, c0)."""
+    lf, lamb = lamT(f), lamT(b0)
     c1 = compT(1, 0, lf, revT(1, 0, lf))
-    c0 = oneT(0, 1, lamT(b0))
-
+    c0 = oneT(0, 1, lamb)
     sb.add(
         sb.chain("projection-agrees", piT(c1))
         .rw("pi-comp", ())
@@ -588,7 +569,6 @@ def _suite_s6() -> Suite:
         .rw("pi-refl", (), "rev")
         .done(piT(c0))
     )
-    lamb = lamT(b0)
     sb.add(
         sb.chain("source-of-composite", srcT(1, 0, c1))
         .rw("pos-b-src", ())
@@ -597,9 +577,7 @@ def _suite_s6() -> Suite:
         .rw("fact-tgt-f", (0,))
         .done(lamb)
     )
-    sb.add(
-        sb.chain("source-of-unit", srcT(1, 0, c0)).rw("refl-bnd-src-at", ()).done(lamb)
-    )
+    sb.add(sb.chain("source-of-unit", srcT(1, 0, c0)).rw("refl-bnd-src-at", ()).done(lamb))
     sb.add(
         sb.chain("target-of-composite", tgtT(1, 0, c1))
         .rw("pos-b-tgt", ())
@@ -607,9 +585,18 @@ def _suite_s6() -> Suite:
         .rw("fact-tgt-f", (0,))
         .done(lamb)
     )
-    sb.add(
-        sb.chain("target-of-unit", tgtT(1, 0, c0)).rw("refl-bnd-tgt-at", ()).done(lamb)
+    sb.add(sb.chain("target-of-unit", tgtT(1, 0, c0)).rw("refl-bnd-tgt-at", ()).done(lamb))
+    return c1, c0
+
+
+def _suite_s6() -> Suite:
+    f, a0, b0 = _dim1_constants()
+    local = _dim_facts(f, a0, b0) + (_collapse_rule("dim1-collapse", 1),)
+    sb = _SuiteBuilder(
+        "S6", "in an algebra of dimension 1, 1-cells are invertible",
+        local_rules=local, defaults={"n": dim(0)},
     )
+    c1, c0 = _composite_meets_unit(sb, f, b0)
     sb.add(
         sb.chain("right-inverse-law", compT(1, 0, f, revT(1, 0, f)))
         .rw("induced-rev", (1,))
@@ -626,6 +613,7 @@ def _suite_s6() -> Suite:
     )
 
     # the mirror composite, landing on the unit at the source point
+    lf = lamT(f)
     c1m = compT(1, 0, revT(1, 0, lf), lf)
     c0m = oneT(0, 1, lamT(a0))
     lama = lamT(a0)
@@ -687,39 +675,7 @@ def _suite_s7() -> Suite:
         "S7", "in an algebra of dimension 2, 1-cells are equivalences",
         local_rules=local, defaults={"n": dim(0)},
     )
-    lf = lamT(f)
-    c1 = compT(1, 0, lf, revT(1, 0, lf))
-    c0 = oneT(0, 1, lamT(b0))
-    lamb = lamT(b0)
-
-    sb.add(
-        sb.chain("projection-agrees", piT(c1))
-        .rw("pi-comp", ())
-        .rw("pi-rev", (1,))
-        .rw("inverse-right", ())
-        .rw("pi-tgt", (0,), "rev")
-        .rw("lam-tgt", (0, 0), "rev")
-        .rw("fact-tgt-f", (0, 0, 0))
-        .rw("pi-refl", (), "rev")
-        .done(piT(c0))
-    )
-    sb.add(
-        sb.chain("source-of-composite", srcT(1, 0, c1))
-        .rw("pos-b-src", ())
-        .rw("rev-swap-src", ())
-        .rw("lam-tgt", (), "rev")
-        .rw("fact-tgt-f", (0,))
-        .done(lamb)
-    )
-    sb.add(sb.chain("source-of-unit", srcT(1, 0, c0)).rw("refl-bnd-src-at", ()).done(lamb))
-    sb.add(
-        sb.chain("target-of-composite", tgtT(1, 0, c1))
-        .rw("pos-b-tgt", ())
-        .rw("lam-tgt", (), "rev")
-        .rw("fact-tgt-f", (0,))
-        .done(lamb)
-    )
-    sb.add(sb.chain("target-of-unit", tgtT(1, 0, c0)).rw("refl-bnd-tgt-at", ()).done(lamb))
+    c1, c0 = _composite_meets_unit(sb, f, b0)
 
     B = bracketT(1, c1, c0)
     sb.add(
@@ -727,8 +683,7 @@ def _suite_s7() -> Suite:
     )
 
     X2 = compT(2, 1, revT(2, 1, B), B)
-    Y2 = oneT(0, 2, lamb)
-    pib = piT(lamb)
+    Y2 = oneT(0, 2, lamT(b0))
     sb.add(
         sb.chain("candidate-projection", piT(X2))
         .rw("pi-comp", ())

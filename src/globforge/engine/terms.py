@@ -10,13 +10,15 @@ C for its strict side, G for an algebra.  The structural symbols src, tgt,
 rev, one (reflexor), comp, and bracket keep the carrier; pi maps M to C,
 v maps M to G, and lam maps G back to M.  Display follows the usual
 notation per carrier (j/i for rev, 1/iota for one, */o for comp).
-Suite-local symbols (unary carrier endomaps) can be registered on top.
+The unary endomaps the built-in suites cite (F, mu, Tv, lamT) are fixed
+symbols in the same table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Union
 
 Position = tuple[int, ...]
@@ -133,19 +135,15 @@ class DimSolver:
 CARRIERS = ("M", "C", "G")
 
 # unary carrier maps: symbol -> (argument carrier, result carrier)
-CARRIER_MAPS: dict[str, tuple[str, str]] = {
+CARRIER_MAPS: Mapping[str, tuple[str, str]] = MappingProxyType({
     "pi": ("M", "C"),
     "v": ("M", "G"),
     "lam": ("G", "M"),
-}
-
-
-def register_symbol(name: str, frm: str, to: str) -> None:
-    """Register a grade-preserving unary symbol between carriers."""
-    existing = CARRIER_MAPS.get(name)
-    if existing is not None and existing != (frm, to):
-        raise TermError(f"symbol {name} already registered with a different signature")
-    CARRIER_MAPS[name] = (frm, to)
+    "F": ("C", "C"),  # S1: a strict morphism
+    "mu": ("M", "M"),  # S4: the monad multiplication
+    "Tv": ("M", "M"),  # S4: the lifted structure map
+    "lamT": ("M", "M"),  # S4: the free-level unit
+})
 
 
 DISPLAY = {

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from globforge.engine import (
@@ -12,6 +18,7 @@ from globforge.engine import (
     rule_library,
 )
 from globforge.engine.derivation import BracketIntroStep, StepFailure
+from globforge.engine.suites import _SuiteBuilder
 from globforge.engine.terms import (
     DimSolver,
     Subst,
@@ -216,3 +223,55 @@ def test_s7_degenerate_reversor_step_mutation_cites_rule():
     assert any(
         "rev-fixes-degenerate" in v.cells and f"step {si}" in v.cells for v in rep.violations
     )
+
+
+SUITES_DIGEST = "d5d8a2f70372cddcc8e53009af44d1751432d52526fe223709f29029c153ea55"
+
+
+def test_suites_pinned_step_for_step():
+    S = builtin_suites()
+    pinned = repr([(k, [(d.name, d.start, d.steps, d.end) for d in S[k].derivations]) for k in sorted(S)])
+    assert hashlib.sha256(pinned.encode()).hexdigest() == SUITES_DIGEST
+
+
+def test_suite_symbols_need_no_suite():
+    # the suite-local symbols are fixed, so a fresh process can build them
+    # before (and without) building any suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from globforge.engine.terms import dim, unary, var\n"
+        "unary('mu', var('x', dim('m'), 'M'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rule_library_is_shared_and_read_only():
+    lib = rule_library()
+    assert lib is rule_library()
+    with pytest.raises(TypeError):
+        lib["inverse-left"] = lib["inverse-right"]
+
+
+def test_builder_rejects_unentailed_side_condition():
+    m, p, n = dim("m"), dim("p"), dim("n")
+    al = const("alpha", m, "C")
+    sb = _SuiteBuilder("X", "no assumptions", defaults={"n": n})
+    with pytest.raises(AssertionError, match="bad: step 0: side condition"):
+        sb.chain("bad", compT(m, p, revT(m, p, al), al)).rw("inverse-left", ())
+
+
+def test_builder_rejects_uniqueness_without_unit_equations():
+    m, p, n = dim("m"), dim("p"), dim("n")
+    al = const("alpha", m, "C")
+    sb = _SuiteBuilder("X", "nothing established", assumptions=(le(n, p), lt(p, m)), defaults={"n": n})
+    with pytest.raises(AssertionError, match="bad: step 0: inverse uniqueness needs the established equality"):
+        sb.chain("bad", al).unique((), m, p, alpha=revT(m, p, al), beta=al)
+
+
+def test_builder_rejects_unintroduced_bracket():
+    c, d = const("c", 1, "M"), const("d", 1, "M")
+    sb = _SuiteBuilder("X", "no introductions")
+    with pytest.raises(AssertionError, match="bad: step 0: bracket .* without a prior introduction"):
+        sb.chain("bad", c).rw("bracket-src", (), "rev", cells={"c1": d})
