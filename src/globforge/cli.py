@@ -137,6 +137,9 @@ def _cmd_derive(args) -> int:
     cat = parsed.as_category(args.n)
     try:
         rev = derive_canonical_reversors(cat, args.n)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep = ValidationReport(parsed.name)
         rep.add("derive.inverse", "inverses in a strict structure are unique", (exc.cell,), str(exc))

@@ -169,6 +169,8 @@ def generate_free_stretching(
     Deterministic: grades are sorted by (size, name), brackets are stored
     once per unordered pair with the larger term as target.
     """
+    if min(n, D, S) < 0:
+        raise ValueError(f"the bounds n, D, S must be >= 0, got n={n}, D={D}, S={S}")
     if D > 3:
         raise UnsupportedDimensionError(f"free stretching generation supports dimension <= 3, got {D}")
     strict = Strictifier(g, n)

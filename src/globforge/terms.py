@@ -112,18 +112,6 @@ class StretchTerm:
         return f"StretchTerm({self.name!r})"
 
 
-def term_dim(t: StretchTerm) -> int:
-    return t.dim
-
-
-def term_size(t: StretchTerm) -> int:
-    return t.size
-
-
-def term_name(t: StretchTerm) -> str:
-    return t.name
-
-
 class TermContext:
     """Constructor front-end enforcing the side conditions over one graph.
 

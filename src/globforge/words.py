@@ -9,8 +9,7 @@ The empty word at a point is that point's identity.
 Reduction deletes adjacent inverse pairs e+e- or e-e+ of the same edge
 until none remain.  The rewrite is confluent, so the reduced word is unique
 regardless of deletion order; free_reduce does it in one stack scan, for
-words and for the columns of 2-generator letters in normalform alike, and
-reduce_word_any_order replays an arbitrary deletion order for comparison.
+words and for the columns of 2-generator letters in normalform alike.
 
 free_groupoid_cells materializes the 1-truncated free groupoid on a graph
 as a strict structure whose 1-cells are the reduced words up to a length
@@ -25,7 +24,6 @@ require_total=False.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .globular import TruncatedGlobularSet, globular_set
@@ -100,21 +98,6 @@ def free_reduce(steps: tuple[Step, ...]) -> tuple[Step, ...]:
 def reduce_word(gs: TruncatedGlobularSet, w: Word) -> Word:
     """Unique reduced form via a stack scan; idempotent and endpoint-preserving."""
     return make_word(gs, w.base, free_reduce(w.steps))
-
-
-def reduce_word_any_order(gs: TruncatedGlobularSet, w: Word, rng: random.Random) -> Word:
-    """Delete a randomly chosen cancellable adjacent pair until none remain.
-
-    Confluence of the cancellation rewrite makes this agree with
-    reduce_word for every deletion order.
-    """
-    steps = list(w.steps)
-    while True:
-        sites = [i for i in range(len(steps) - 1) if _cancels(steps[i], steps[i + 1])]
-        if not sites:
-            return make_word(gs, w.base, steps)
-        i = rng.choice(sites)
-        del steps[i : i + 2]
 
 
 def word_name(w: Word) -> str:

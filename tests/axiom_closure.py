@@ -9,7 +9,7 @@ rewrite graph.  Intermediate terms may grow up to a separate size cap.
 
 from __future__ import annotations
 
-from globforge.terms import IllTypedTermError, StretchTerm, TermContext, term_dim, term_name, term_size
+from globforge.terms import IllTypedTermError, StretchTerm, TermContext
 
 
 def enumerate_terms(ctx: TermContext, max_size: int, max_dim: int = 2) -> list[StretchTerm]:
@@ -22,34 +22,34 @@ def enumerate_terms(ctx: TermContext, max_size: int, max_dim: int = 2) -> list[S
     tgt_bucket: dict[tuple[int, int, StretchTerm], list[StretchTerm]] = {}
 
     def bucket(t: StretchTerm) -> None:
-        for p in range(term_dim(t)):
-            tgt_bucket.setdefault((term_dim(t), p, ctx.boundary(t, p, "target")), []).append(t)
+        for p in range(t.dim):
+            tgt_bucket.setdefault((t.dim, p, ctx.boundary(t, p, "target")), []).append(t)
 
     for t in by_size[1]:
         bucket(t)
     for s in range(2, max_size + 1):
         out: list[StretchTerm] = []
         for t in by_size.get(s - 1, []):
-            d = term_dim(t)
+            d = t.dim
             if d + 1 <= max_dim:
                 out.append(ctx.refl(d, d + 1, t))
         for s1 in range(1, s - 1):
             s0 = s - 1 - s1
             for t1 in by_size.get(s1, []):
-                d = term_dim(t1)
+                d = t1.dim
                 for p in range(d):
                     key = (d, p, ctx.boundary(t1, p, "source"))
                     for t0 in tgt_bucket.get(key, []):
-                        if term_size(t0) == s0:
+                        if t0.size == s0:
                             out.append(ctx.comp(d, p, t1, t0))
         seen = {}
         for t in out:
-            seen.setdefault(term_name(t), t)
+            seen.setdefault(t.name, t)
         by_size[s] = list(seen.values())
         for t in by_size[s]:
             bucket(t)
     all_terms = [t for s in range(1, max_size + 1) for t in by_size.get(s, [])]
-    all_terms.sort(key=lambda t: (term_size(t), term_name(t)))
+    all_terms.sort(key=lambda t: (t.size, t.name))
     return all_terms
 
 
@@ -67,7 +67,7 @@ def _tower_views(t: StretchTerm):
 
 def _root_moves(ctx: TermContext, t: StretchTerm) -> list[StretchTerm]:
     out: list[StretchTerm] = []
-    d = term_dim(t)
+    d = t.dim
 
     def offer(build) -> None:
         # candidates outside the syntactic term universe are not moves
@@ -131,10 +131,10 @@ def _root_moves(ctx: TermContext, t: StretchTerm) -> list[StretchTerm]:
 
 
 def neighbors(ctx: TermContext, t: StretchTerm, cap: int) -> list[StretchTerm]:
-    out = [u for u in _root_moves(ctx, t) if term_size(u) <= cap]
+    out = [u for u in _root_moves(ctx, t) if u.size <= cap]
     if t.kind in ("comp", "refl"):
         for i, a in enumerate(t.args):
-            for b in neighbors(ctx, a, cap - (term_size(t) - term_size(a))):
+            for b in neighbors(ctx, a, cap - (t.size - a.size)):
                 args = list(t.args)
                 args[i] = b
                 try:

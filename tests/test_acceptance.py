@@ -60,8 +60,8 @@ from globforge.words import (
     free_groupoid_cells,
     make_word,
     reduce_word,
-    reduce_word_any_order,
 )
+from word_oracle import reduce_word_any_order
 
 SEED = int(os.environ.get("GLOBFORGE_SEED", "20240915"))
 

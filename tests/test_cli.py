@@ -274,6 +274,22 @@ def test_free_groupoid_negative_bound_exit_two(edge_file, capsys):
     assert err.count("\n") == 1 and "-1" in err
 
 
+@pytest.mark.parametrize("bounds", [("-3", "2", "3"), ("0", "-1", "3"), ("0", "2", "-1")])
+def test_stretch_negative_bound_exit_two(edge_file, capsys, bounds):
+    n, dim, size = bounds
+    assert main(["stretch", edge_file, "--n", n, "--dim", dim, "--size", size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("the bounds n, D, S must be >= 0")
+
+
+def test_derive_reversors_negative_threshold_exit_two(iso_file, capsys):
+    assert main(["derive-reversors", iso_file, "--n", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "the reversor threshold must be >= 0, got -1\n"
+
+
 def test_internal_error_exits_two_with_one_line(iso_file, capsys, monkeypatch):
     def crash(cat):
         raise RuntimeError("table went away\nsecond line")

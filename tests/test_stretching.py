@@ -102,7 +102,7 @@ def test_free_stretching_rejects_groupoidal_two_generators():
 def _count_terms_oracle(g, n, D, S):
     """Independent enumerator: grow all terms recursively, then close."""
     from globforge.normalform import Strictifier
-    from globforge.terms import TermContext, term_dim, term_name, term_size
+    from globforge.terms import TermContext
 
     strict = Strictifier(g, n)
     ctx = TermContext(g, n, strict)
@@ -110,51 +110,51 @@ def _count_terms_oracle(g, n, D, S):
     for m in range(min(D, g.max_dim) + 1):
         for c in g.grade(m):
             t = ctx.gen(c)
-            seen[term_name(t)] = t
+            seen[t.name] = t
     changed = True
     while changed:
         changed = False
         items = list(seen.values())
         for t in items:
-            d = term_dim(t)
-            if term_size(t) + 1 <= S:
+            d = t.dim
+            if t.size + 1 <= S:
                 if d + 1 <= D:
                     u = ctx.refl(d, d + 1, t)
-                    if term_name(u) not in seen:
-                        seen[term_name(u)] = u
+                    if u.name not in seen:
+                        seen[u.name] = u
                         changed = True
                 for p in range(n, d):
                     u = ctx.rev(d, p, t)
-                    if term_name(u) not in seen:
-                        seen[term_name(u)] = u
+                    if u.name not in seen:
+                        seen[u.name] = u
                         changed = True
         for t1 in items:
             for t0 in items:
-                d = term_dim(t1)
-                if term_dim(t0) != d:
+                d = t1.dim
+                if t0.dim != d:
                     continue
-                if term_size(t1) + term_size(t0) + 1 > S:
+                if t1.size + t0.size + 1 > S:
                     continue
                 for p in range(d):
                     if ctx.boundary(t1, p, "source") == ctx.boundary(t0, p, "target"):
                         u = ctx.comp(d, p, t1, t0)
-                        if term_name(u) not in seen:
-                            seen[term_name(u)] = u
+                        if u.name not in seen:
+                            seen[u.name] = u
                             changed = True
                 if (
                     d + 1 <= D
                     and t1 != t0
-                    and (term_size(t1), term_name(t1)) > (term_size(t0), term_name(t0))
+                    and (t1.size, t1.name) > (t0.size, t0.name)
                     and ctx.parallel(t1, t0)
                     and strict.pi(t1) == strict.pi(t0)
                 ):
                     u = ctx.bracket(d, t1, t0)
-                    if term_name(u) not in seen:
-                        seen[term_name(u)] = u
+                    if u.name not in seen:
+                        seen[u.name] = u
                         changed = True
     from collections import Counter
 
-    counts = Counter(term_dim(t) for t in seen.values())
+    counts = Counter(t.dim for t in seen.values())
     return {m: counts.get(m, 0) for m in range(D + 1)}
 
 
@@ -180,7 +180,6 @@ def test_induced_algebra_from_free_stretching():
     G = free_groupoid_cells(g, 1)
     # v: evaluation of a term to its reduced word; lam: canonical inclusion
     from globforge.normalform import NF1, Strictifier
-    from globforge.terms import term_name
     from globforge.words import parse_word
 
     strict = Strictifier(g, 0)
@@ -188,7 +187,7 @@ def test_induced_algebra_from_free_stretching():
     lam = {0: {a: a for a in G.gs.grade(0)}, 1: {}}
     for nm in G.gs.grade(1):
         w = parse_word(g, nm)
-        lam[1][nm] = term_name(strict.canonical_term(NF1(w)))
+        lam[1][nm] = strict.canonical_term(NF1(w)).name
     induced = induced_algebra_magma(E, G.gs, v, lam)
     # induced composition is concatenate-then-reduce
     want = G.magma.comp.table(1, 0)

@@ -15,7 +15,7 @@ from globforge.normalform import (
     normalize2,
 )
 from globforge.stretching import generate_free_stretching
-from globforge.terms import IllTypedTermError, StretchTerm, TermContext, term_dim, term_name, term_size
+from globforge.terms import IllTypedTermError, StretchTerm, TermContext
 
 
 def two_graph():
@@ -32,11 +32,11 @@ def test_term_construction_and_sizes():
     g = two_graph()
     ctx = TermContext(g, 2)
     al = ctx.gen("al")
-    assert term_dim(al) == 2
-    assert term_size(al) == 1
+    assert al.dim == 2
+    assert al.size == 1
     unit = ctx.refl(1, 2, ctx.src(al))
     t = ctx.comp(2, 1, al, unit)
-    assert term_size(t) == 4
+    assert t.size == 4
     with pytest.raises(IllTypedTermError):
         ctx.comp(2, 1, al, al)  # target of al is not its source
     with pytest.raises(IllTypedTermError):
@@ -49,7 +49,7 @@ def test_multi_step_refl_normalizes_to_nested_one_steps():
     a = ctx.gen("a")
     t = ctx.refl(0, 2, a)
     assert t == ctx.refl(1, 2, ctx.refl(0, 1, a))
-    assert term_size(t) == 3
+    assert t.size == 3
 
 
 def test_rev_needs_threshold():
@@ -185,7 +185,7 @@ def test_bracket_requires_pi_equality():
     c1 = ctx.comp(1, 0, e, ctx.rev(1, 0, e))
     c0 = ctx.refl(0, 1, ctx.gen("b"))
     B = ctx.bracket(1, c1, c0)
-    assert term_dim(B) == 2
+    assert B.dim == 2
     assert ctx.tgt(B) == c1 and ctx.src(B) == c0
     with pytest.raises(IllTypedTermError):
         ctx.bracket(1, e, ctx.rev(1, 0, e))  # not parallel
@@ -354,7 +354,7 @@ def test_stored_fields_match_recomputation_on_c7_universe():
     checked = 0
     for m, grade in E.terms.items():
         for nm, t in grade.items():
-            assert (term_name(t), term_size(t), term_dim(t)) == _recomputed(t)
+            assert (t.name, t.size, t.dim) == _recomputed(t)
             assert (nm, m) == (t.name, t.dim)
             checked += 1
     assert checked == 2 + 125 + 409

@@ -5,6 +5,8 @@ the fibres of the q-table; validate_magma reads boundaries from per-grade
 tables.  The oracles below are the direct forms: z over the whole grade for
 every stored (y, x), every pair of q-composites for interchange, and one
 boundary() call per entry.  Reports must be byte-equal under emit_report.
+On total tables validate_strict first tries Light's test over a generating
+set; the spy tests below watch when that fast path passes.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from fixtures import (
 )
 from hypothesis import given, settings, strategies as st
 
+from globforge import magma
 from globforge.globular import boundary, globular_set
 from globforge.layers import ReflexorStructure
 from globforge.magma import (
@@ -323,3 +326,82 @@ def _square_tables(draw):
 @given(_square_tables())
 def test_random_square_tables_match_oracles(mag):
     _agree(mag)
+
+
+TOTAL = {
+    **{f"z{n}": cyclic_group_category(n) for n in range(1, 7)},
+    "klein": klein_four_category(),
+    "s3": sym3_category(),
+    "iso": walking_iso_category(),
+    **{f"poset{k}": poset_category(list("abcd"[:k])) for k in range(1, 5)},
+    "square": square_2cat(),
+}
+
+
+def _without(cat, key: tuple[int, int], pair: tuple[str, str]) -> InfinityMagma:
+    maps = {k: dict(t) for k, t in cat.magma.comp.maps.items()}
+    del maps[key][pair]
+    return InfinityMagma(cat.gs, cat.magma.refl, CompositionStructure(maps))
+
+
+@st.composite
+def _total_tables_one_entry_off(draw):
+    """A total fixture with one entry redirected to any cell of its grade, or deleted."""
+    cat = TOTAL[draw(st.sampled_from(sorted(TOTAL)))]
+    key = draw(st.sampled_from(sorted(cat.magma.comp.maps)))
+    pair = draw(st.sampled_from(sorted(cat.magma.comp.table(*key))))
+    value = draw(st.sampled_from((None, *cat.gs.grade(key[0]))))
+    if value is None:
+        return _without(cat, key, pair)
+    return redirect_comp(cat, key, pair, value).magma
+
+
+@settings(max_examples=150, deadline=None)
+@given(_total_tables_one_entry_off())
+def test_total_tables_with_one_entry_off_match_oracles(mag):
+    _agree(mag)
+
+
+def _spy(monkeypatch):
+    """Record what each Light's test returns and the generators it picks."""
+    results, generator_sets = [], []
+    light_test, generators = magma._light_test, magma._generators
+
+    def light_test_spy(*args):
+        results.append(light_test(*args))
+        return results[-1]
+
+    def generators_spy(*args):
+        generator_sets.append(generators(*args))
+        return generator_sets[-1]
+
+    monkeypatch.setattr(magma, "_light_test", light_test_spy)
+    monkeypatch.setattr(magma, "_generators", generators_spy)
+    return results, generator_sets
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_light_test_passes_on_cyclic_groups(monkeypatch, n):
+    results, generator_sets = _spy(monkeypatch)
+    assert validate_strict(cyclic_group_category(n).magma).valid
+    assert results == [True]
+    assert [len(gens) for gens in generator_sets] == [min(n, 2)]
+
+
+SCAN_ONLY = {
+    "absent-pair": (_without(cyclic_group_category(4), (1, 0), ("r1", "r2")), True, [False]),
+    "absent-pair-iso": (_without(walking_iso_category(), (1, 0), ("g", "f")), True, [False]),
+    # f o id(a) and id(b) o f should run a -> b; id(a) ends at a, id(b) starts at b
+    "wrong-target": (redirect_comp(walking_iso_category(), (1, 0), ("f", "id(a)"), "id(a)").magma, True, [False]),
+    "wrong-source": (redirect_comp(walking_iso_category(), (1, 0), ("id(b)", "f"), "id(b)").magma, True, [False]),
+    "not-total": (cyclic_group_category(4).magma, False, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ONLY))
+def test_light_test_fails_or_is_not_reached(monkeypatch, name):
+    mag, total, expected = SCAN_ONLY[name]
+    results, _ = _spy(monkeypatch)
+    rep = validate_strict(mag, require_total=total)
+    assert results == expected
+    assert emit_report(_assoc_interchange(rep)) == emit_report(_assoc_interchange_oracle(mag, total))

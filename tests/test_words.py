@@ -13,12 +13,12 @@ from globforge.words import (
     make_word,
     parse_word,
     reduce_word,
-    reduce_word_any_order,
     reverse_word,
     word_name,
     word_source,
     word_target,
 )
+from word_oracle import reduce_word_any_order
 
 
 def test_make_word_validates_chaining():
