@@ -47,9 +47,14 @@ LAYERS = ("auto", "globular", "reversors", "reflexors", "magma", "strict", "stre
 
 
 def _emit(text: str, path: str | None) -> None:
-    sys.stdout.write(text)
+    # the report file first: if it cannot be written, stdout stays empty
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            sys.stderr.write(f"cannot write report {path}: {exc.strerror or exc}\n")
+            raise SystemExit(2)
+    sys.stdout.write(text)
 
 
 def _dump(payload: dict, path: str | None) -> None:

@@ -15,7 +15,9 @@ A suite is a named list of derivations sharing a context: assumptions on
 the dimension variables, local hypothesis rules, ground facts, and the
 equalities established by earlier derivations (which also become citable
 rules, named established:<derivation>).  Failures are report entries
-naming the derivation and the first bad step.
+naming the derivation and the first bad step; a bracket used before its
+introduction is named by the leftmost such bracket in pre-order, so the
+report does not depend on hashing.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .terms import (
     lt,
     oneT,
     piT,
+    preorder,
     render,
     replace,
     revT,
@@ -159,13 +162,17 @@ class StepFailure(Exception):
         self.message = message
 
 
+def _leftmost(t: Term, among: frozenset[App]) -> App:
+    """The first of the brackets among (all in t) in a pre-order walk of t."""
+    return next(s for s in preorder(t) if s in among)
+
+
 def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> None:
-    fresh = brackets_in(after) - brackets_in(before)
-    for b in fresh:
-        if b not in ctx.introduced:
-            raise StepFailure(
-                f"bracket {render(b)} appears without a prior introduction step"
-            )
+    fresh = brackets_in(after) - brackets_in(before) - ctx.introduced
+    if fresh:
+        raise StepFailure(
+            f"bracket {render(_leftmost(after, fresh))} appears without a prior introduction step"
+        )
 
 
 def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
@@ -287,13 +294,13 @@ def check_derivation(deriv: Derivation, ctx: DerivationContext | None = None) ->
     if ctx is None:
         ctx = DerivationContext(DimSolver(()), dict(rule_library()))
     rep = ValidationReport(f"derivation:{deriv.name}")
-    for b in brackets_in(deriv.start):
-        if b not in ctx.introduced:
-            rep.add(
-                "derivation.step", LAW_CONTRACT, (deriv.name, "start"),
-                f"start term uses bracket {render(b)} before any introduction",
-            )
-            return rep
+    unintroduced = brackets_in(deriv.start) - ctx.introduced
+    if unintroduced:
+        rep.add(
+            "derivation.step", LAW_CONTRACT, (deriv.name, "start"),
+            f"start term uses bracket {render(_leftmost(deriv.start, unintroduced))} before any introduction",
+        )
+        return rep
     current = deriv.start
     for i, step in enumerate(deriv.steps):
         try:

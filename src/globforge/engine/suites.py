@@ -23,6 +23,7 @@ suite, and check_suite replays the finished suites again.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .derivation import (
@@ -815,17 +816,45 @@ def _suite_s7() -> Suite:
     return sb.build()
 
 
-def builtin_suites() -> dict[str, Suite]:
-    """The fixed suites, keyed by their CLI names."""
-    return {
-        "S1": _suite_s1(),
-        "S2": _suite_s2(),
-        "S3a": _suite_s3a(),
-        "S3b": _suite_s3b(),
-        "S4": _suite_s4(),
-        "S5a": _suite_s5a(),
-        "S5b": _suite_s5b(),
-        "S5c": _suite_s5c(),
-        "S6": _suite_s6(),
-        "S7": _suite_s7(),
-    }
+_BUILDERS: dict[str, Callable[[], Suite]] = {
+    "S1": _suite_s1,
+    "S2": _suite_s2,
+    "S3a": _suite_s3a,
+    "S3b": _suite_s3b,
+    "S4": _suite_s4,
+    "S5a": _suite_s5a,
+    "S5b": _suite_s5b,
+    "S5c": _suite_s5c,
+    "S6": _suite_s6,
+    "S7": _suite_s7,
+}
+
+
+class _LazySuites(Mapping[str, Suite]):
+    def __init__(self):
+        self._built: dict[str, Suite] = {}
+
+    def __getitem__(self, key: str) -> Suite:
+        suite = self._built.get(key)
+        if suite is None:
+            suite = self._built[key] = _BUILDERS[key]()
+        return suite
+
+    def __contains__(self, key) -> bool:
+        return key in _BUILDERS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_BUILDERS)
+
+    def __len__(self) -> int:
+        return len(_BUILDERS)
+
+
+def builtin_suites() -> Mapping[str, Suite]:
+    """The fixed suites, keyed by their CLI names in the order S1 to S7.
+
+    The mapping is read-only and builds a suite the first time its key is
+    read, then keeps it, so reading one suite builds one.  Each call returns
+    a new mapping that builds its suites afresh.
+    """
+    return _LazySuites()

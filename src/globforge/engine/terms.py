@@ -12,14 +12,26 @@ v maps M to G, and lam maps G back to M.  Display follows the usual
 notation per carrier (j/i for rev, 1/iota for one, */o for comp).
 The unary endomaps the built-in suites cite (F, mu, Tv, lamT) are fixed
 symbols in the same table.
+
+Terms are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006), as StretchTerm is.  app(), var() and const() are the
+only constructors: each returns the one live term with its fields, so
+equal terms are the same object, and equality and hashing are by identity
+and cost O(1) whatever the term's depth.  The intern tables hold terms
+weakly, so a term lives only while something else uses it.  A term's
+grade, carrier and the bracket subterms of its arguments are computed once,
+when it is built; brackets_in reads them instead of walking the term.  A
+bracket's stored set leaves the bracket itself out, so no term refers to
+itself and reference counting alone frees an unused term.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 Position = tuple[int, ...]
 
@@ -34,7 +46,7 @@ class DimExpr:
     off: int
 
     def shift(self, k: int) -> "DimExpr":
-        return DimExpr(self.var, self.off + k)
+        return self if k == 0 else DimExpr(self.var, self.off + k)
 
     def __str__(self) -> str:
         if self.var is None:
@@ -153,24 +165,31 @@ DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
+# eq=False keeps object identity as equality and hash: interning makes that structural
+@dataclass(frozen=True, eq=False)
 class Atom:
     name: str
     grade: DimExpr
     carrier: str
     const: bool = False
 
+    brackets = frozenset()  # not a field: an atom has no subterms
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class App:
     sym: str
     dims: tuple[DimExpr, ...]
     args: tuple["Term", ...]
-    grade: DimExpr = field(compare=False, default=DimExpr(None, -1))
-    carrier: str = field(compare=False, default="?")
+    grade: DimExpr
+    carrier: str
+    brackets: frozenset["App"] = field(repr=False)  # the arguments' bracket subterms
 
 
 Term = Union[Atom, App]
+
+_ATOMS: weakref.WeakValueDictionary[tuple, Atom] = weakref.WeakValueDictionary()
+_APPS: weakref.WeakValueDictionary[tuple, App] = weakref.WeakValueDictionary()
 
 
 def _check_grade(t: Term, want: DimExpr, what: str) -> None:
@@ -179,22 +198,34 @@ def _check_grade(t: Term, want: DimExpr, what: str) -> None:
 
 
 def app(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> App:
-    """Smart constructor: checks grades and carriers, fills in the result's."""
+    """The one live term sym[dims](args): checks grades and carriers the
+    first time, and fills in the result's."""
+    key = (sym, dims, args)
+    t = _APPS.get(key)
+    if t is None:
+        grade, carrier = _result_type(sym, dims, args)
+        parts = [b for b in map(brackets_in, args) if b]
+        brackets = parts[0] if len(parts) == 1 else frozenset().union(*parts)
+        t = _APPS[key] = App(sym, dims, args, grade, carrier, brackets)
+    return t
+
+
+def _result_type(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> tuple[DimExpr, str]:
     if sym in ("src", "tgt"):
         m, q = dims
         (x,) = args
         _check_grade(x, m, sym)
-        return App(sym, dims, args, grade=q, carrier=x.carrier)
+        return q, x.carrier
     if sym == "rev":
         m, p = dims
         (x,) = args
         _check_grade(x, m, sym)
-        return App(sym, dims, args, grade=m, carrier=x.carrier)
+        return m, x.carrier
     if sym == "one":
         p, m = dims
         (x,) = args
         _check_grade(x, p, sym)
-        return App(sym, dims, args, grade=m, carrier=x.carrier)
+        return m, x.carrier
     if sym == "comp":
         m, p = dims
         y, x = args
@@ -203,7 +234,7 @@ def app(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> App:
         if y.carrier != x.carrier and "?" not in (y.carrier, x.carrier):
             raise TermError(f"composition across carriers {y.carrier} and {x.carrier}")
         carrier = y.carrier if y.carrier != "?" else x.carrier
-        return App(sym, dims, args, grade=m, carrier=carrier)
+        return m, carrier
     if sym == "bracket":
         (m,) = dims
         c1, c0 = args
@@ -212,7 +243,7 @@ def app(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> App:
         for c in args:
             if c.carrier not in ("M", "?"):
                 raise TermError("brackets live on the free side")
-        return App(sym, dims, args, grade=m.shift(1), carrier="M")
+        return m.shift(1), "M"
     if sym in CARRIER_MAPS:
         frm, to = CARRIER_MAPS[sym]
         (x,) = args
@@ -220,7 +251,7 @@ def app(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> App:
             raise TermError(f"{sym} takes no dimension arguments")
         if x.carrier not in (frm, "?"):
             raise TermError(f"{sym} expects a {frm}-term, got {x.carrier}")
-        return App(sym, dims, args, grade=x.grade, carrier=to)
+        return x.grade, to
     raise TermError(f"unknown symbol {sym}")
 
 
@@ -266,12 +297,20 @@ def unary(sym: str, x: Term) -> App:
     return app(sym, (), (x,))
 
 
+def _atom(name: str, grade: DimExpr, carrier: str, is_const: bool) -> Atom:
+    key = (name, grade, carrier, is_const)
+    t = _ATOMS.get(key)
+    if t is None:
+        t = _ATOMS[key] = Atom(*key)
+    return t
+
+
 def var(name: str, grade, carrier: str = "?") -> Atom:
-    return Atom(name, dim(grade), carrier)
+    return _atom(name, dim(grade), carrier, False)
 
 
 def const(name: str, grade, carrier: str) -> Atom:
-    return Atom(name, dim(grade), carrier, const=True)
+    return _atom(name, dim(grade), carrier, True)
 
 
 # -- traversal -----------------------------------------------------------
@@ -296,15 +335,20 @@ def replace(t: Term, pos: Position, new: Term) -> Term:
 
 
 def brackets_in(t: Term) -> frozenset[App]:
-    out = set()
+    """The bracket subterms of t, t itself included."""
+    if isinstance(t, App) and t.sym == "bracket":
+        return t.brackets | {t}
+    return t.brackets
+
+
+def preorder(t: Term) -> Iterator[Term]:
+    """The subterms of t, t first, then each argument's from left to right."""
     stack = [t]
     while stack:
         cur = stack.pop()
+        yield cur
         if isinstance(cur, App):
-            if cur.sym == "bracket":
-                out.add(cur)
-            stack.extend(cur.args)
-    return frozenset(out)
+            stack.extend(reversed(cur.args))
 
 
 def render(t: Term) -> str:

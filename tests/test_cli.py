@@ -3,7 +3,9 @@ import json
 import pytest
 
 from globforge.cli import main
-from globforge.report import parse_report
+from globforge.engine import check_suite
+from globforge.engine.suites import _BUILDERS
+from globforge.report import ValidationReport, emit_report, parse_report
 from globforge.stretching import load_stretching, validate_stretching
 
 WALKING_ISO = """
@@ -305,5 +307,22 @@ def test_check_proofs(capsys):
     assert main(["check-proofs", "--suite", "S2"]) == 0
     rep = parse_report(capsys.readouterr().out)
     assert rep.valid
+    # the lazily built suites report what the ten suites built eagerly do
+    eager = {key: build() for key, build in _BUILDERS.items()}
+    merged = ValidationReport("proof-suites")
+    for key in sorted(eager):
+        merged.extend(check_suite(eager[key]))
     assert main(["check-proofs"]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == emit_report(merged)
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize("command", ["validate", "check-proofs"])
+def test_unwritable_report_exits_two_with_one_line(command, where, iso_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json" if where == "missing-dir" else tmp_path
+    argv = ["validate", iso_file] if command == "validate" else ["check-proofs", "--suite", "S2"]
+    assert main(argv + ["--report", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"cannot write report {target}: ")
+    assert err.count("\n") == 1 and "Errno" not in err

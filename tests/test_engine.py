@@ -1,5 +1,6 @@
 import hashlib
 import os
+import weakref
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +18,15 @@ from globforge.engine import (
     check_suite,
     rule_library,
 )
+from globforge.engine import suites as suites_module
 from globforge.engine.derivation import BracketIntroStep, StepFailure
 from globforge.engine.suites import _SuiteBuilder
 from globforge.engine.terms import (
+    App,
     DimSolver,
     Subst,
+    app,
+    brackets_in,
     bracketT,
     compT,
     const,
@@ -275,3 +280,113 @@ def test_builder_rejects_unintroduced_bracket():
     sb = _SuiteBuilder("X", "no introductions")
     with pytest.raises(AssertionError, match="bad: step 0: bracket .* without a prior introduction"):
         sb.chain("bad", c).rw("bracket-src", (), "rev", cells={"c1": d})
+
+
+_TWO_FRESH_BRACKETS = """
+from globforge.engine import Derivation, RewriteRule, RewriteStep, check_derivation
+from globforge.engine.derivation import DerivationContext
+from globforge.engine.rules import ALL, rule_library
+from globforge.engine.terms import DimSolver, Subst, bracketT, compT, const
+
+a, b, c, d = (const(name, 1, "M") for name in "abcd")
+e = const("e", 2, "M")
+two = compT(2, 1, bracketT(1, a, b), bracketT(1, c, d))
+ctx = DerivationContext(DimSolver(()), dict(rule_library()))
+ctx.rules["two"] = RewriteRule("two", e, two, (), ALL, "makes two brackets at once")
+print(check_derivation(Derivation("start", two, (), two), ctx).violations[0].detail)
+step = RewriteStep("two", (), Subst({}, {}))
+print(check_derivation(Derivation("step", e, (step,), two), ctx).violations[0].detail)
+"""
+
+
+def test_unintroduced_bracket_report_is_the_leftmost_under_any_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TWO_FRESH_BRACKETS], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert outs == {
+        "start term uses bracket [a;b]_1 before any introduction\n"
+        "bracket [a;b]_1 appears without a prior introduction step\n"
+    }
+
+
+def test_equal_constructions_are_one_object():
+    m, p = dim("m"), dim("p")
+    assert var("x", m) is var("x", dim("m"))
+    assert var("x", m) is not var("x", m, "M")
+    assert const("f", 1, "G") is const("f", dim(1), "G")
+    assert const("f", 1, "G") is not var("f", 1, "G")
+    x = var("x", m)
+    assert compT(m, p, x, revT(m, p, x)) is compT("m", "p", var("x", "m"), revT("m", "p", var("x", "m")))
+    assert app("rev", (m, p), (x,)) is revT(m, p, x)
+    c1, c0 = const("c1", 1, "M"), const("c0", 1, "M")
+    assert bracketT(1, c1, c0) is bracketT(1, c1, c0)
+    assert bracketT(1, c1, c0) is not bracketT(1, c0, c1)
+
+
+def _brackets_by_recursion(t) -> frozenset:
+    if not isinstance(t, App):
+        return frozenset()
+    own = {t} if t.sym == "bracket" else set()
+    return frozenset(own.union(*(_brackets_by_recursion(a) for a in t.args)))
+
+
+def _replayed_terms(suite):
+    ctx = DerivationContext.for_suite(suite)
+    for d in suite.derivations:
+        cur = d.start
+        yield cur
+        for step in d.steps:
+            cur = apply_step(cur, step, ctx)
+            yield cur
+        yield d.end
+        ctx.establish(d)
+
+
+def test_stored_brackets_match_a_recursive_walk():
+    with_brackets = 0
+    for key, suite in builtin_suites().items():
+        for t in _replayed_terms(suite):
+            assert brackets_in(t) == _brackets_by_recursion(t), (key, render(t))
+            with_brackets += bool(brackets_in(t))
+    assert with_brackets > 0
+
+
+def test_terms_are_freed_when_unused():
+    # freed by reference counting alone: terms hold no reference cycles
+    f, g = const("freed-f", 1, "M"), const("freed-g", 1, "M")
+    t = piT(tgtT(2, 1, bracketT(1, f, g)))
+    refs = [weakref.ref(u) for u in (t, t.args[0].args[0], f)]
+    del f, g, t
+    assert [r() for r in refs] == [None, None, None]
+    # a fresh construction builds a new term with the same fields
+    again = const("freed-f", 1, "M")
+    assert (again.name, again.grade, again.carrier, again.const) == ("freed-f", dim(1), "M", True)
+
+
+def test_suites_are_built_when_read(monkeypatch):
+    built = []
+    for key, build in list(suites_module._BUILDERS.items()):
+        def spy(key=key, build=build):
+            built.append(key)
+            return build()
+
+        monkeypatch.setitem(suites_module._BUILDERS, key, spy)
+    S = builtin_suites()
+    assert list(S) == ["S1", "S2", "S3a", "S3b", "S4", "S5a", "S5b", "S5c", "S6", "S7"]
+    assert len(S) == 10 and "S2" in S and "S8" not in S
+    assert built == []
+    suite = S["S2"]
+    assert built == ["S2"] and suite.name == "S2"
+    assert S["S2"] is suite and built == ["S2"]
+    with pytest.raises(KeyError):
+        S["S8"]
+    with pytest.raises(TypeError):
+        S["S2"] = suite
+    assert [k for k, _ in S.items()] == list(S)
+    assert sorted(built) == sorted(S)
