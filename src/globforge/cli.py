@@ -11,46 +11,64 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
-from pathlib import Path
 
-from .dsl import ParseError, ParsedStructure, parse_structure
-from .globular import validate_globular
-from .layers import (
-    ReflexorStructure,
-    validate_involutive,
-    validate_reflexive_compat,
-    validate_reflexors,
-    validate_reversors,
-)
-from .magma import (
-    AmbiguousInverseError,
-    NoInverseError,
-    compute_index,
-    derive_canonical_reversors,
-    validate_magma,
-    validate_strict,
-)
-from .report import ValidationReport, emit_report
-from .stretching import (
-    UnsupportedDimensionError,
-    dump_stretching,
-    generate_free_stretching,
-    load_stretching,
-    validate_stretching,
-)
-from .words import MalformedWordError, free_groupoid_cells, parse_word, reduce_word, word_name
-from .engine import builtin_suites, check_suite
+# The names cli takes from each layer.  A layer is imported when a command
+# first needs it, and then all its names are bound as globals of this module
+# at once, so `cli.<name>` stays the one place callers and the benchmark's
+# tracer look them up.
+_LAYER_NAMES = {
+    "dsl": ("ParseError", "ParsedStructure", "parse_structure"),
+    "globular": ("validate_globular",),
+    "layers": (
+        "ReflexorStructure", "validate_involutive", "validate_reflexive_compat", "validate_reflexors",
+        "validate_reversors",
+    ),
+    "magma": (
+        "AmbiguousInverseError", "NoInverseError", "compute_index", "derive_canonical_reversors",
+        "validate_magma", "validate_strict",
+    ),
+    "report": ("ValidationReport", "emit_report"),
+    "stretching": (
+        "UnsupportedDimensionError", "dump_stretching", "generate_free_stretching", "load_stretching",
+        "validate_stretching",
+    ),
+    "words": ("MalformedWordError", "free_groupoid_cells", "parse_word", "reduce_word", "word_name"),
+    "engine": ("builtin_suites", "check_suite"),
+}
+_OWNER = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def _import(*layers: str) -> None:
+    """Import the layers and bind their names here, keeping names already bound."""
+    scope = globals()
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import(_OWNER[name])
+    return globals()[name]
+
 
 LAYERS = ("auto", "globular", "reversors", "reflexors", "magma", "strict", "stretching")
+# a literal, so that building the parser imports no engine; a test keeps it
+# equal to the keys of builtin_suites()
+SUITE_CHOICES = ("S1", "S2", "S3a", "S3b", "S4", "S5a", "S5b", "S5c", "S6", "S7", "all")
 
 
 def _emit(text: str, path: str | None) -> None:
     # the report file first: if it cannot be written, stdout stays empty
     if path:
         try:
-            Path(path).write_text(text, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             sys.stderr.write(f"cannot write report {path}: {exc.strerror or exc}\n")
             raise SystemExit(2)
@@ -61,18 +79,30 @@ def _dump(payload: dict, path: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load(path: str) -> ParsedStructure:
+    _import("dsl")
     try:
-        return parse_structure(Path(path).read_text(encoding="utf-8"))
+        text = _read(path)
     except FileNotFoundError:
         sys.stderr.write(f"no such file: {path}\n")
         raise SystemExit(2)
+    except (OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"{path}: {getattr(exc, 'strerror', None) or exc}\n")
+        raise SystemExit(2)
+    try:
+        return parse_structure(text)
     except ParseError as exc:
         sys.stderr.write(f"{path}: {exc}\n")
         raise SystemExit(2)
 
 
 def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
+    _import("globular", "layers", "magma", "report")
     rep = ValidationReport(parsed.name)
     gs = parsed.gs
     refl = parsed.refl if parsed.refl else ReflexorStructure({})
@@ -121,8 +151,9 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
 
 def _cmd_validate(args) -> int:
     if args.layer == "stretching":
+        _import("stretching", "report")
         try:
-            E = load_stretching(Path(args.file).read_text(encoding="utf-8"))
+            E = load_stretching(_read(args.file))
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"{args.file}: not a stretching dump: {exc}\n")
             return 2
@@ -173,6 +204,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_free_groupoid(args) -> int:
     parsed = _load(args.file)
+    _import("globular", "report", "words")
     if parsed.gs.max_dim > 1:
         sys.stderr.write("free-groupoid needs a generating graph of dimension <= 1\n")
         return 2
@@ -205,6 +237,7 @@ def _cmd_free_groupoid(args) -> int:
 
 def _cmd_stretch(args) -> int:
     parsed = _load(args.file)
+    _import("stretching", "report")
     try:
         E = generate_free_stretching(parsed.gs, args.n, args.dim, args.size)
     except (UnsupportedDimensionError, ValueError) as exc:
@@ -219,6 +252,7 @@ def _cmd_stretch(args) -> int:
 
 
 def _cmd_check_proofs(args) -> int:
+    _import("engine", "report")
     suites = builtin_suites()
     if args.suite != "all":
         suites = {args.suite: suites[args.suite]}
@@ -271,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-proofs", help="replay the built-in derivation suites")
     p.add_argument(
         "--suite",
-        choices=["S1", "S2", "S3a", "S3b", "S4", "S5a", "S5b", "S5c", "S6", "S7", "all"],
+        choices=SUITE_CHOICES,
         default="all",
     )
     p.add_argument("--report")

@@ -81,6 +81,7 @@ def parse_structure(text: str) -> ParsedStructure:
     dim_line: int | None = None
     threshold = 0
     cells: dict[int, list[str]] = {}
+    cells_line: dict[int, int] = {}  # grade -> its first cells line
     deferred: list[tuple[int, str]] = []
     seen_structure = False
     seen_threshold = False
@@ -117,6 +118,7 @@ def parse_structure(text: str) -> ParsedStructure:
             grade = int(m.group(1))
             names = m.group(2).split()
             bucket = cells.setdefault(grade, [])
+            cells_line.setdefault(grade, lineno)
             for nm in names:
                 _ident(nm, lineno)
                 if nm in bucket:
@@ -130,7 +132,7 @@ def parse_structure(text: str) -> ParsedStructure:
     max_dim = dim_line if dim_line is not None else (max(cells) if cells else 0)
     for grade in cells:
         if grade > max_dim:
-            raise ParseError(0, f"cells declared in grade {grade} above dim {max_dim}")
+            raise ParseError(cells_line[grade], f"cells declared in grade {grade} above dim {max_dim}")
 
     grades: dict[int, set[str]] = {m: set(cells.get(m, [])) for m in range(max_dim + 1)}
 

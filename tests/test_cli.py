@@ -326,3 +326,25 @@ def test_unwritable_report_exits_two_with_one_line(command, where, iso_file, tmp
     assert out == ""
     assert err.startswith(f"cannot write report {target}: ")
     assert err.count("\n") == 1 and "Errno" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["stretch", "--n", "0", "--dim", "2", "--size", "3"]])
+@pytest.mark.parametrize("content", ["directory", b"\xff\xfe"])
+def test_unreadable_presentation_exits_two_with_one_line(command, content, tmp_path, capsys):
+    if content == "directory":
+        path, reason = tmp_path, "Is a directory"
+    else:
+        path, reason = tmp_path / "bad.glob", "'utf-8' codec can't decode byte 0xff"
+        path.write_bytes(content)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{path}: {reason}")
+    assert err.count("\n") == 1 and "internal error" not in err
+
+
+def test_suite_choices_are_the_builtin_suites():
+    from globforge.cli import SUITE_CHOICES
+    from globforge.engine import builtin_suites
+
+    assert list(SUITE_CHOICES) == list(builtin_suites()) + ["all"]

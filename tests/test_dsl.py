@@ -76,6 +76,14 @@ def test_unresolved_identifier_has_line_number():
     assert "x" in err.value.message
 
 
+def test_cells_above_dim_name_the_first_cells_line_of_the_grade():
+    text = "structure X\ndim 1\ncells 0: a\n\ncells 3: q\ncells 3: r\n"
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line == 5
+    assert str(err.value) == "line 5: cells declared in grade 3 above dim 1"
+
+
 def test_duplicate_and_ambiguity_errors():
     with pytest.raises(ParseError):
         parse_structure("cells 0: a a\n")
