@@ -165,6 +165,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    if args.n < 0:  # a bad argument, whatever the file holds
+        sys.stderr.write(f"the reversor threshold must be >= 0, got {args.n}\n")
+        return 2
     parsed = _load(args.file)
     rep = _validate(parsed, "strict")
     if not rep.valid:
@@ -173,9 +176,6 @@ def _cmd_derive(args) -> int:
     cat = parsed.as_category(args.n)
     try:
         rev = derive_canonical_reversors(cat, args.n)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep = ValidationReport(parsed.name)
         rep.add("derive.inverse", "inverses in a strict structure are unique", (exc.cell,), str(exc))
@@ -203,6 +203,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_free_groupoid(args) -> int:
+    if args.max_len < 0:  # a bad argument, whatever the file or the word holds
+        sys.stderr.write(f"the word-length bound must be >= 0, got {args.max_len}\n")
+        return 2
     parsed = _load(args.file)
     _import("globular", "report", "words")
     if parsed.gs.max_dim > 1:
@@ -212,11 +215,14 @@ def _cmd_free_groupoid(args) -> int:
     if not rep.valid:
         _emit(emit_report(rep), args.report)
         return 1
-    try:
-        cat = free_groupoid_cells(parsed.gs, args.max_len)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
+    word = None
+    if args.reduce is not None:  # before the groupoid is built, so a bad word fails fast
+        try:
+            word = parse_word(parsed.gs, args.reduce)
+        except MalformedWordError as exc:
+            sys.stderr.write(f"malformed word: {exc}\n")
+            return 2
+    cat = free_groupoid_cells(parsed.gs, args.max_len)
     payload = {
         "kind": "free-groupoid",
         "subject": parsed.name,
@@ -224,12 +230,7 @@ def _cmd_free_groupoid(args) -> int:
         "points": list(cat.gs.grade(0)),
         "cells": list(cat.gs.grade(1)),
     }
-    if args.reduce is not None:
-        try:
-            word = parse_word(parsed.gs, args.reduce)
-        except MalformedWordError as exc:
-            sys.stderr.write(f"malformed word: {exc}\n")
-            return 2
+    if word is not None:
         payload["reduced"] = word_name(reduce_word(parsed.gs, word))
     _dump(payload, args.report)
     return 0

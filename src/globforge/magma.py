@@ -22,16 +22,20 @@ fragments, where composites may fall outside the stored carrier; axioms are
 then checked on the stored entries only.
 
 The validators index the tables instead of scanning whole grades.
-Associativity reads a table by columns, cols[b] = {a: a o b}: for a stored
-(y, x) the z that matter are the keys of cols[y], and the composites
-(z o y) o x and z o (y o x) form two lists in that key order.  Rows whose
-lists are equal are skipped, which is exact: equal composites satisfy the
-law, and a composite absent on both sides is skipped on fragments and, under
-require_total, found by one test for an absent entry.  Interchange inverts
-the q-table into fibres, fibre[c] = the pairs with q-composite c, and visits
-fibre[yy] x fibre[xx] for each stored p-composite of (yy, xx): exactly the
-squares whose outer composite exists.  validate_magma computes each cell's
-iterated boundaries once per grade.
+Associativity numbers the cells of a table once and reads it by columns of
+numbers, cols[b] = {a: a o b}: for a stored (y, x) the z that matter are the
+keys of cols[y], and two itemgetters, built once per y, gather the
+composites (z o y) o x from cols[x] and z o (y o x) from cols[y o x] in that
+key order.  Rows whose gathers are equal are skipped, which is exact: equal
+composites satisfy the law.  An absent composite makes its gather raise
+KeyError, and only such rows and unequal ones are read triple by triple,
+where an absent composite is skipped on fragments and reported under
+require_total.  Columns are dicts, not lists over all cells, so they take
+memory in proportion to the table even when the table is sparse.
+Interchange inverts the q-table into fibres, fibre[c] = the pairs with
+q-composite c, and visits fibre[yy] x fibre[xx] for each stored p-composite
+of (yy, xx): exactly the squares whose outer composite exists.
+validate_magma computes each cell's iterated boundaries once per grade.
 
 Under require_total, Light's associativity test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, 1.2) comes before the column scan.
@@ -52,8 +56,11 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .globular import GlobularMorphism, TruncatedGlobularSet, boundary, validate_morphism
 from .layers import ReflexorStructure, ReversorStructure
@@ -252,9 +259,44 @@ def _generators(
     return gens
 
 
+def _columns(table: Mapping[tuple[str, str], str]) -> tuple[list[str], dict[str, int], list[dict[int, int]]]:
+    """Number the cells of a table: names[i] is cell i, num[names[i]] = i, and cols[b][a] = a o b."""
+    names = list(dict.fromkeys(chain(chain.from_iterable(table), table.values())))
+    num = {c: i for i, c in enumerate(names)}
+    cols: list[dict[int, int]] = [{} for _ in names]
+    for (a, b), ab in table.items():
+        cols[num[b]][num[a]] = num[ab]
+    return names, num, cols
+
+
+def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The stored (y, x, y o x), y in ys, whose triples are not all stored and associative.
+
+    Over the z with z o y stored, two itemgetters built once per y gather the
+    (z o y) o x and the z o (y o x); a missing composite raises KeyError, so
+    the one compare also tests that every composite is stored.
+    """
+    gathers: list[tuple[itemgetter, itemgetter] | None] = [None] * len(cols)
+    for y in ys:
+        col_y = cols[y]  # y need not be a right factor at all
+        if col_y:
+            gathers[y] = itemgetter(*col_y.values()), itemgetter(*col_y)
+    for x, col_x in enumerate(cols):
+        for y, yx in col_x.items():
+            gather = gathers[y]
+            if gather is None:
+                continue
+            try:
+                if gather[0](col_x) == gather[1](cols[yx]):
+                    continue
+            except KeyError:
+                pass
+            yield y, x, yx
+
+
 def _light_test(
     gs: TruncatedGlobularSet, m: int, p: int,
-    table: Mapping[tuple[str, str], str], cols: Mapping[str, Mapping[str, str]],
+    table: Mapping[tuple[str, str], str], num: Mapping[str, int], cols: list[dict[int, int]],
 ) -> bool:
     """Light's test (see the module docstring): True means the column scan would report nothing."""
     if not 0 <= p < m <= gs.max_dim:
@@ -268,18 +310,12 @@ def _light_test(
                 return False
     except KeyError:  # a cell outside grade m, or a carrier missing a face
         return False
-    rows: dict[str, list[str]] = {}  # rows[c]: the x with tgt(x) = c
-    for x in grade:
-        rows.setdefault(tgt[x], []).append(x)
-    if len(table) != sum(len(rows.get(src[y], ())) for y in grade):
+    rows = Counter(tgt.values())  # rows[c]: how many x have tgt(x) = c
+    if len(table) != sum(rows[src[y]] for y in grade):
         return False  # a compatible pair is absent
-    for g in _generators(grade, table, src, tgt):
-        col_g = cols.get(g, {})  # the z with z o g stored
-        for x in rows.get(src[g], ()):  # the x with g o x stored
-            col_x, col_gx = cols[x], cols.get(table[g, x], {})
-            if any(col_x[zg] != col_gx[z] for z, zg in col_g.items()):
-                return False
-    return True
+    # a generator outside the table is composable with nothing, so has no law to check
+    gens = [num[g] for g in _generators(grade, table, src, tgt) if g in num]
+    return not any(_differing_rows(cols, gens))
 
 
 def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> ValidationReport:
@@ -293,19 +329,16 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
     gs, refl, comp = mag.gs, mag.refl, mag.comp
 
     for (m, p), table in comp.maps.items():
-        cols: dict[str, dict[str, str]] = {}  # cols[b][a] = a o b
-        for (a, b), ab in table.items():
-            cols.setdefault(b, {})[a] = ab
-        if require_total and _light_test(gs, m, p, table, cols):
+        names, num, cols = _columns(table)
+        if require_total and _light_test(gs, m, p, table, num, cols):
             continue
-        for (y, x), yx in table.items():
-            # the z with z o y stored; y need not be a right factor at all
-            col_y = cols.get(y, {})
-            lefts = list(map(cols[x].get, col_y.values()))
-            rights = list(map(cols.get(yx, {}).get, col_y))
-            if lefts == rights and not (require_total and None in lefts):
-                continue
+        for y, x, yx in _differing_rows(cols, range(len(names))):
+            col_y = cols[y]
+            lefts = map(cols[x].get, col_y.values())
+            rights = map(cols[yx].get, col_y)
+            y, x = names[y], names[x]
             for z, left, right in zip(col_y, lefts, rights):
+                z = names[z]
                 if left is None or right is None:
                     if require_total:
                         rep.add(
@@ -316,7 +349,8 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
                 if left != right:
                     rep.add(
                         "assoc.triple", LAW_ASSOC, (z, y, x),
-                        f"(({z} o {y}) o {x}) = {left} but ({z} o ({y} o {x})) = {right} over comp[{m}][{p}]",
+                        f"(({z} o {y}) o {x}) = {names[left]} but ({z} o ({y} o {x})) = {names[right]} "
+                        f"over comp[{m}][{p}]",
                     )
 
     for m in range(1, gs.max_dim + 1):

@@ -292,6 +292,41 @@ def test_derive_reversors_negative_threshold_exit_two(iso_file, capsys):
     assert err == "the reversor threshold must be >= 0, got -1\n"
 
 
+def test_derive_reversors_negative_threshold_on_invalid_file_exit_two(tmp_path, capsys):
+    # without refl lines the file fails validation, which is a report with exit 1 for --n 0
+    path = tmp_path / "no-refl.glob"
+    path.write_text("".join(line + "\n" for line in WALKING_ISO.splitlines() if not line.startswith("refl")))
+    assert main(["derive-reversors", str(path), "--n", "0"]) == 1
+    capsys.readouterr()
+    assert main(["derive-reversors", str(path), "--n", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "the reversor threshold must be >= 0, got -1\n"
+
+
+def _no_groupoid(monkeypatch):
+    def spy(g, max_len):
+        raise AssertionError("the free groupoid was built")
+
+    monkeypatch.setattr("globforge.cli.free_groupoid_cells", spy)
+
+
+def test_free_groupoid_malformed_word_exits_before_building(edge_file, capsys, monkeypatch):
+    _no_groupoid(monkeypatch)
+    assert main(["free-groupoid", edge_file, "--max-len", "5", "--reduce", "e+.zz+"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("malformed word: ") and err.count("\n") == 1
+
+
+def test_free_groupoid_negative_bound_wins_over_malformed_word(edge_file, capsys, monkeypatch):
+    _no_groupoid(monkeypatch)
+    assert main(["free-groupoid", edge_file, "--max-len", "-1", "--reduce", "e+.zz+"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "the word-length bound must be >= 0, got -1\n"
+
+
 def test_internal_error_exits_two_with_one_line(iso_file, capsys, monkeypatch):
     def crash(cat):
         raise RuntimeError("table went away\nsecond line")

@@ -362,6 +362,35 @@ def test_total_tables_with_one_entry_off_match_oracles(mag):
     _agree(mag)
 
 
+def _loops(table: dict[tuple[str, str], str]) -> InfinityMagma:
+    """One object with the loops a and b, composed by the given table; no reflexors, so no unit laws."""
+    gs = globular_set(1, {0: ["o"], 1: ["a", "b"]}, src={1: dict.fromkeys("ab", "o")},
+                      tgt={1: dict.fromkeys("ab", "o")})
+    return InfinityMagma(gs, ReflexorStructure({}), CompositionStructure({(1, 0): table}))
+
+
+# name: (magma, valid under require_total, valid on fragments)
+COLUMN_EDGES = {
+    # a<b is the right factor of b<b only, so its itemgetters gather a single cell
+    "one-entry-column": (poset_category(["a", "b"]).magma, True, True),
+    # b's column holds only (a, b): (a o b) o a = b but a o (b o a) = a
+    "one-entry-column-broken": (_loops({("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b"}), False, False),
+    # b = a o a is the right factor of nothing, so z o (a o a) has no column to read
+    "composite-without-column": (_loops({("a", "a"): "b", ("b", "a"): "a"}), False, True),
+    # r2's column misses only r1 o r2, in an otherwise total table
+    "one-absent-entry": (_without(cyclic_group_category(4), (1, 0), ("r1", "r2")), False, True),
+    "one-absent-entry-iso": (_without(walking_iso_category(), (1, 0), ("g", "f")), False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_EDGES))
+def test_column_edge_cases_match_oracles(name):
+    mag, valid_total, valid_fragment = COLUMN_EDGES[name]
+    _agree(mag)
+    assert validate_strict(mag, require_total=True).valid == valid_total
+    assert validate_strict(mag, require_total=False).valid == valid_fragment
+
+
 def _spy(monkeypatch):
     """Record what each Light's test returns and the generators it picks."""
     results, generator_sets = [], []
