@@ -17,15 +17,18 @@ A presentation file declares one structure as flat tables:
 plus `refl <p> <m> <x> = <y>` and `comp <m> <p> (<y>, <x>) = <z>` lines;
 `#` starts a comment.  In a comp line the pair (y, x) denotes the composite
 "y after x".  Cell identifiers may not contain whitespace or the characters
-( ) , : = #.  Grades of src/tgt lines are inferred from the declared cells
-and must be unambiguous; everything unknown, duplicated, or ill-graded is a
-parse-time error carrying its line number.
+( ) , : = #, and numbers are decimal digits.  Grades of src/tgt lines are
+inferred from the declared cells and must be unambiguous; everything
+unknown, duplicated, or ill-graded is a parse-time error carrying its line
+number.  emit_structure writes a parsed structure back as text that
+parse_structure reads to an equal structure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .globular import TruncatedGlobularSet, globular_set
 from .layers import ReflexorStructure, ReversorStructure
@@ -39,8 +42,26 @@ class ParseError(ValueError):
         self.message = message
 
 
-_IDENT = re.compile(r"^[^\s(),:=#]+$")
-_COMP = re.compile(r"^comp\s+(\d+)\s+(\d+)\s+\(\s*([^\s(),:=#]+)\s*,\s*([^\s(),:=#]+)\s*\)\s*=\s*([^\s(),:=#]+)$")
+_ID = r"([^\s(),:=#]+)"
+_IDENT = re.compile(_ID)
+_CELLS = re.compile(r"cells\s+(\d+)\s*:\s*(.*)")
+_SRC_TGT = re.compile(rf"(?:src|tgt)\s+{_ID}\s*=\s*{_ID}")
+_HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
+
+
+def _table_line(head: str, args: str) -> re.Pattern[str]:
+    return re.compile(rf"{head}\s+(\d+)\s+(\d+)\s+{args}\s*=\s*{_ID}")
+
+
+# The table-line kinds, in emit order: head -> (pattern, usage, grades), where
+# grades[i] says which of the line's two indices is the grade of its i-th
+# name.  The last name, the value, is an m-cell, so grades[-1] points at m;
+# the other index is p.  A table is keyed by its two indices as written.
+_TABLES = {
+    "refl": (_table_line("refl", _ID), "refl <p> <m> <id> = <id>", (0, 1)),
+    "rev": (_table_line("rev", _ID), "rev <m> <p> <id> = <id>", (0, 0)),
+    "comp": (_table_line("comp", rf"\(\s*{_ID}\s*,\s*{_ID}\s*\)"), "comp <m> <p> (<id>, <id>) = <id>", (0, 0, 0)),
+}
 
 
 @dataclass
@@ -65,197 +86,130 @@ class ParsedStructure:
 
 
 def _ident(token: str, lineno: int) -> str:
-    if not _IDENT.match(token):
+    if not _IDENT.fullmatch(token):
         raise ParseError(lineno, f"invalid identifier {token!r}")
     return token
 
 
+def _show(key: str | tuple[str, ...]) -> str:
+    return f"({', '.join(key)})" if isinstance(key, tuple) else key
+
+
 def parse_structure(text: str) -> ParsedStructure:
-    lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((i, line))
-
-    name = "anonymous"
-    dim_line: int | None = None
-    threshold = 0
-    cells: dict[int, list[str]] = {}
+    header: dict[str, str] = {}
+    declared: dict[int, dict[str, str]] = {}  # grade -> {name: the name object every table holds}
     cells_line: dict[int, int] = {}  # grade -> its first cells line
-    deferred: list[tuple[int, str]] = []
-    seen_structure = False
-    seen_threshold = False
+    deferred: list[tuple[int, str, str]] = []
 
-    for lineno, line in lines:
-        head = line.split()[0]
-        if head == "structure":
-            if seen_structure:
-                raise ParseError(lineno, "duplicate structure line")
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, "expected: structure <name>")
-            name = _ident(parts[1], lineno)
-            seen_structure = True
-        elif head == "dim":
-            if dim_line is not None:
-                raise ParseError(lineno, "duplicate dim line")
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError(lineno, "expected: dim <natural number>")
-            dim_line = int(parts[1])
-        elif head == "threshold":
-            if seen_threshold:
-                raise ParseError(lineno, "duplicate threshold line")
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError(lineno, "expected: threshold <natural number>")
-            threshold = int(parts[1])
-            seen_threshold = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        head = parts[0]
+        if head in _HEADERS:
+            if head in header:
+                raise ParseError(lineno, f"duplicate {head} line")
+            if len(parts) != 2 or not (head == "structure" or parts[1].isdecimal()):
+                raise ParseError(lineno, f"expected: {head} {_HEADERS[head]}")
+            header[head] = _ident(parts[1], lineno)
         elif head == "cells":
-            m = re.match(r"^cells\s+(\d+)\s*:\s*(.*)$", line)
-            if not m:
+            mt = _CELLS.fullmatch(line)
+            if not mt:
                 raise ParseError(lineno, "expected: cells <m>: <id> ...")
-            grade = int(m.group(1))
-            names = m.group(2).split()
-            bucket = cells.setdefault(grade, [])
+            grade = int(mt[1])
+            bucket = declared.setdefault(grade, {})
             cells_line.setdefault(grade, lineno)
-            for nm in names:
-                _ident(nm, lineno)
-                if nm in bucket:
+            for nm in mt[2].split():
+                if _ident(nm, lineno) in bucket:
                     raise ParseError(lineno, f"cell {nm} declared twice in grade {grade}")
-                bucket.append(nm)
-        elif head in ("src", "tgt", "refl", "comp", "rev"):
-            deferred.append((lineno, line))
+                bucket[nm] = nm
+        elif head in _TABLES or head in ("src", "tgt"):
+            deferred.append((lineno, head, line))
         else:
             raise ParseError(lineno, f"unknown declaration {head!r}")
 
-    max_dim = dim_line if dim_line is not None else (max(cells) if cells else 0)
-    for grade in cells:
+    max_dim = int(header["dim"]) if "dim" in header else max(declared, default=0)
+    for grade, lineno in cells_line.items():
         if grade > max_dim:
-            raise ParseError(cells_line[grade], f"cells declared in grade {grade} above dim {max_dim}")
-
-    grades: dict[int, set[str]] = {m: set(cells.get(m, [])) for m in range(max_dim + 1)}
+            raise ParseError(lineno, f"cells declared in grade {grade} above dim {max_dim}")
 
     def grades_of(nm: str) -> list[int]:
-        return [m for m in range(max_dim + 1) if nm in grades[m]]
+        return sorted(g for g, names in declared.items() if nm in names)
 
-    def resolve(nm: str, grade: int, lineno: int) -> str:
-        if nm not in grades.get(grade, ()):
-            if not grades_of(nm):
-                raise ParseError(lineno, f"unresolved identifier {nm!r}")
-            raise ParseError(
-                lineno, f"grade mismatch: {nm} is not a {grade}-cell (found in {grades_of(nm)})"
-            )
-        return nm
+    def unresolved(nm: str, grade: int, lineno: int) -> ParseError:
+        found = grades_of(nm)
+        if not found:
+            return ParseError(lineno, f"unresolved identifier {nm!r}")
+        return ParseError(lineno, f"grade mismatch: {nm} is not a {grade}-cell (found in {found})")
 
     src: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
     tgt: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
-    refl_maps: dict[tuple[int, int], dict[str, str]] = {}
-    rev_maps: dict[tuple[int, int], dict[str, str]] = {}
-    comp_maps: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
-    any_refl = any_rev = any_comp = False
+    maps: dict[str, dict[tuple[int, int], dict]] = {head: {} for head in _TABLES}
 
-    for lineno, line in deferred:
-        head = line.split()[0]
-        if head in ("src", "tgt"):
-            m = re.match(r"^(src|tgt)\s+([^\s(),:=#]+)\s*=\s*([^\s(),:=#]+)$", line)
-            if not m:
+    for lineno, head, line in deferred:
+        if head in _TABLES:
+            pattern, usage, grades = _TABLES[head]
+            mt = pattern.fullmatch(line)
+            if not mt:
+                raise ParseError(lineno, f"expected: {usage}")
+            i, j, *names = mt.groups()
+            index = int(i), int(j)
+            m, p = index[grades[-1]], index[1 - grades[-1]]
+            if not 0 <= p < m <= max_dim:
+                raise ParseError(lineno, f"{head} indices need 0 <= p < m <= {max_dim}")
+            try:  # the key names share one grade; itemgetter gets the cell of one name, the pair of two
+                key = itemgetter(*names[:-1])(declared[index[grades[0]]])
+                value = declared[m][names[-1]]
+            except KeyError:
+                at = [index[k] for k in grades]
+                nm, grade = next((nm, g) for nm, g in zip(names, at) if nm not in declared.get(g, ()))
+                raise unresolved(nm, grade, lineno) from None
+            table = maps[head].setdefault(index, {})
+            if key in table:
+                raise ParseError(lineno, f"duplicate {head} declaration for {_show(key)}")
+            table[key] = value
+        else:
+            mt = _SRC_TGT.fullmatch(line)
+            if not mt:
                 raise ParseError(lineno, f"expected: {head} <id> = <id>")
-            x, y = m.group(2), m.group(3)
-            candidates = [
-                g for g in range(1, max_dim + 1) if x in grades[g] and y in grades[g - 1]
-            ]
+            x, y = mt.groups()
+            candidates = [g for g in grades_of(x) if y in declared.get(g - 1, ())]
             if not candidates:
-                if not grades_of(x):
-                    raise ParseError(lineno, f"unresolved identifier {x!r}")
-                if not grades_of(y):
-                    raise ParseError(lineno, f"unresolved identifier {y!r}")
+                for nm in (x, y):
+                    if not grades_of(nm):
+                        raise ParseError(lineno, f"unresolved identifier {nm!r}")
                 raise ParseError(lineno, f"grade mismatch: no grade places {head}({x}) = {y}")
             if len(candidates) > 1:
-                raise ParseError(
-                    lineno,
-                    f"ambiguous declaration: {head}({x}) = {y} fits grades {candidates}",
-                )
+                raise ParseError(lineno, f"ambiguous declaration: {head}({x}) = {y} fits grades {candidates}")
             g = candidates[0]
-            table = src[g] if head == "src" else tgt[g]
+            table = (src if head == "src" else tgt)[g]
             if x in table:
                 raise ParseError(lineno, f"duplicate {head} declaration for {x}")
-            table[x] = y
-        elif head == "refl":
-            m = re.match(r"^refl\s+(\d+)\s+(\d+)\s+([^\s(),:=#]+)\s*=\s*([^\s(),:=#]+)$", line)
-            if not m:
-                raise ParseError(lineno, "expected: refl <p> <m> <id> = <id>")
-            p, g = int(m.group(1)), int(m.group(2))
-            if not (0 <= p < g <= max_dim):
-                raise ParseError(lineno, f"refl indices need 0 <= p < m <= {max_dim}")
-            x = resolve(m.group(3), p, lineno)
-            y = resolve(m.group(4), g, lineno)
-            table = refl_maps.setdefault((p, g), {})
-            if x in table:
-                raise ParseError(lineno, f"duplicate refl declaration for {x}")
-            table[x] = y
-            any_refl = True
-        elif head == "rev":
-            m = re.match(r"^rev\s+(\d+)\s+(\d+)\s+([^\s(),:=#]+)\s*=\s*([^\s(),:=#]+)$", line)
-            if not m:
-                raise ParseError(lineno, "expected: rev <m> <p> <id> = <id>")
-            g, p = int(m.group(1)), int(m.group(2))
-            if not (0 <= p < g <= max_dim):
-                raise ParseError(lineno, f"rev indices need 0 <= p < m <= {max_dim}")
-            x = resolve(m.group(3), g, lineno)
-            y = resolve(m.group(4), g, lineno)
-            table = rev_maps.setdefault((g, p), {})
-            if x in table:
-                raise ParseError(lineno, f"duplicate rev declaration for {x}")
-            table[x] = y
-            any_rev = True
-        else:
-            m = _COMP.match(line)
-            if not m:
-                raise ParseError(lineno, "expected: comp <m> <p> (<id>, <id>) = <id>")
-            g, p = int(m.group(1)), int(m.group(2))
-            if not (0 <= p < g <= max_dim):
-                raise ParseError(lineno, f"comp indices need 0 <= p < m <= {max_dim}")
-            y = resolve(m.group(3), g, lineno)
-            x = resolve(m.group(4), g, lineno)
-            z = resolve(m.group(5), g, lineno)
-            table = comp_maps.setdefault((g, p), {})
-            if (y, x) in table:
-                raise ParseError(lineno, f"duplicate comp declaration for ({y}, {x})")
-            table[(y, x)] = z
-            any_comp = True
+            table[declared[g][x]] = declared[g - 1][y]
 
-    gs = globular_set(max_dim, cells, src, tgt)
+    threshold = int(header.get("threshold", "0"))
     return ParsedStructure(
-        name=name,
-        gs=gs,
+        name=header.get("structure", "anonymous"),
+        gs=globular_set(max_dim, declared, src, tgt),
         threshold=threshold,
-        rev=ReversorStructure(threshold, rev_maps) if any_rev else None,
-        refl=ReflexorStructure(refl_maps) if any_refl else None,
-        comp=CompositionStructure(comp_maps) if any_comp else None,
+        rev=ReversorStructure(threshold, maps["rev"]) if maps["rev"] else None,
+        refl=ReflexorStructure(maps["refl"]) if maps["refl"] else None,
+        comp=CompositionStructure(maps["comp"]) if maps["comp"] else None,
     )
 
 
 def emit_structure(parsed: ParsedStructure) -> str:
-    """Serialize a structure back to the presentation language."""
-    out = [f"structure {parsed.name}", f"dim {parsed.gs.max_dim}", f"threshold {parsed.threshold}"]
-    for m in range(parsed.gs.max_dim + 1):
-        if parsed.gs.grade(m):
-            out.append(f"cells {m}: " + " ".join(parsed.gs.grade(m)))
-    for m in range(1, parsed.gs.max_dim + 1):
-        for x in parsed.gs.grade(m):
-            out.append(f"src {x} = {parsed.gs.map('source', m)[x]}")
-            out.append(f"tgt {x} = {parsed.gs.map('target', m)[x]}")
-    if parsed.refl:
-        for (p, g), table in sorted(parsed.refl.maps.items()):
-            for x, y in sorted(table.items()):
-                out.append(f"refl {p} {g} {x} = {y}")
-    if parsed.rev:
-        for (g, p), table in sorted(parsed.rev.maps.items()):
-            for x, y in sorted(table.items()):
-                out.append(f"rev {g} {p} {x} = {y}")
-    if parsed.comp:
-        for (g, p), table in sorted(parsed.comp.maps.items()):
-            for (y, x), z in sorted(table.items()):
-                out.append(f"comp {g} {p} ({y}, {x}) = {z}")
+    """Serialize a structure back to the presentation language; parse_structure inverts it."""
+    gs = parsed.gs
+    out = [f"structure {parsed.name}", f"dim {gs.max_dim}", f"threshold {parsed.threshold}"]
+    out += [f"cells {m}: " + " ".join(gs.grade(m)) for m in range(gs.max_dim + 1) if gs.grade(m)]
+    for m in range(1, gs.max_dim + 1):
+        faces = ("src", gs.map("source", m)), ("tgt", gs.map("target", m))
+        out += [f"{head} {x} = {face[x]}" for x in gs.grade(m) for head, face in faces if x in face]
+    for head in _TABLES:
+        layer = getattr(parsed, head)
+        if layer:
+            for (i, j), table in sorted(layer.maps.items()):
+                out += [f"{head} {i} {j} {_show(key)} = {value}" for key, value in sorted(table.items())]
     return "\n".join(out) + "\n"

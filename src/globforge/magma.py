@@ -243,19 +243,25 @@ def _generators(
     grade: tuple[str, ...], table: Mapping[tuple[str, str], str], src: Mapping[str, str], tgt: Mapping[str, str]
 ) -> list[str]:
     """Walk the grade in order and keep each cell not yet a stored product g o r,
-    g a kept cell and r in the closure so far.  Needs every compatible pair stored."""
+    g a kept cell and r in the closure so far.  Needs every compatible pair stored.
+    The closure is indexed by target and the kept cells by source, so a new
+    cell meets only the partners it composes with."""
     gens: list[str] = []
+    gens_by_src: dict[str, list[str]] = {}
     closure: set[str] = set()
+    closure_by_tgt: dict[str, list[str]] = {}
     for c in grade:
         if c in closure:
             continue
         gens.append(c)
-        todo = [c] + [table[c, r] for r in closure if tgt[r] == src[c]]
+        gens_by_src.setdefault(src[c], []).append(c)
+        todo = [c] + [table[c, r] for r in closure_by_tgt.get(src[c], ())]
         while todo:
             r = todo.pop()
             if r not in closure:
                 closure.add(r)
-                todo += [table[g, r] for g in gens if src[g] == tgt[r]]
+                closure_by_tgt.setdefault(tgt[r], []).append(r)
+                todo += [table[g, r] for g in gens_by_src.get(tgt[r], ())]
     return gens
 
 
@@ -354,9 +360,12 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
                     )
 
     for m in range(1, gs.max_dim + 1):
+        cells = gs.grade(m)
+        if not cells:
+            continue
         for p in range(m):
             table = comp.table(m, p)
-            for x in gs.grade(m):
+            for x in cells:
                 sx = boundary(gs, m, x, p, "source")
                 tx = boundary(gs, m, x, p, "target")
                 if not refl.defined(p, m, sx) or not refl.defined(p, m, tx):
@@ -382,55 +391,66 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
                         f"refl[{p}][{m}]({tx}) o[{m},{p}] {x} = {left}, expected {x}",
                     )
 
-    for m in range(2, gs.max_dim + 1):
-        for p in range(m - 1):
-            table_p = comp.table(m, p)
-            for q in range(p + 1, m):
-                table_q = comp.table(m, q)
-                fibre: dict[str, list[tuple[str, str]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
-                for pair, c in table_q.items():
-                    fibre.setdefault(c, []).append(pair)
-                for (yy, xx), outer in table_p.items():
-                    for y2, y1 in fibre.get(yy, ()):
-                        for x2, x1 in fibre.get(xx, ()):
-                            a = table_p.get((y2, x2))
-                            b = table_p.get((y1, x1))
-                            if a is None or b is None:
-                                continue
-                            other = table_q.get((a, b))
-                            if other is not None and outer != other:
-                                rep.add(
-                                    "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
-                                    f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
-                                    f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
-                                )
-
-    for m in range(2, gs.max_dim + 1):
-        for p in range(1, m):
-            for q in range(p):
-                table = comp.table(p, q)
-                for (y, x), yx in sorted(table.items()):
-                    if not (refl.defined(p, m, y) and refl.defined(p, m, x) and refl.defined(p, m, yx)):
-                        continue
-                    ry, rx, ryx = refl.apply(p, m, y), refl.apply(p, m, x), refl.apply(p, m, yx)
-                    together = comp.get(m, q, ry, rx)
-                    if together is None:
-                        if require_total:
+    # interchange, reflexor functoriality and absorption visit the stored
+    # tables and the grades a chain of one-step reflexors reaches, not every
+    # (m, p, q) below max_dim: cells outside them have nothing to check
+    for (m, p), table_p in comp.maps.items():
+        if p < 0 or m > gs.max_dim:
+            continue
+        for q in range(p + 1, m):
+            table_q = comp.maps.get((m, q))
+            if not table_q:
+                continue
+            fibre: dict[str, list[tuple[str, str]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
+            for pair, c in table_q.items():
+                fibre.setdefault(c, []).append(pair)
+            for (yy, xx), outer in table_p.items():
+                for y2, y1 in fibre.get(yy, ()):
+                    for x2, x1 in fibre.get(xx, ()):
+                        a = table_p.get((y2, x2))
+                        b = table_p.get((y1, x1))
+                        if a is None or b is None:
+                            continue
+                        other = table_q.get((a, b))
+                        if other is not None and outer != other:
                             rep.add(
-                                "refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
-                                f"comp[{m}][{q}] misses (refl({y}), refl({x}))",
+                                "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
+                                f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
+                                f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
                             )
-                        continue
-                    if ryx != together:
+
+    for (p, q), table in comp.maps.items():
+        if not 0 <= q < p:
+            continue
+        for m in range(p + 1, gs.max_dim + 1):
+            if not refl.table(m - 1, m):
+                break  # refl[p][m'] is nowhere defined for m' >= m
+            for (y, x), yx in table.items():
+                if not (refl.defined(p, m, y) and refl.defined(p, m, x) and refl.defined(p, m, yx)):
+                    continue
+                ry, rx, ryx = refl.apply(p, m, y), refl.apply(p, m, x), refl.apply(p, m, yx)
+                together = comp.get(m, q, ry, rx)
+                if together is None:
+                    if require_total:
                         rep.add(
                             "refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
-                            f"refl[{p}][{m}]({y} o[{p},{q}] {x}) = {ryx} "
-                            f"but refl({y}) o[{m},{q}] refl({x}) = {together}",
+                            f"comp[{m}][{q}] misses (refl({y}), refl({x}))",
                         )
+                    continue
+                if ryx != together:
+                    rep.add(
+                        "refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
+                        f"refl[{p}][{m}]({y} o[{p},{q}] {x}) = {ryx} "
+                        f"but refl({y}) o[{m},{q}] refl({x}) = {together}",
+                    )
 
-    for m in range(2, gs.max_dim + 1):
-        for p in range(1, m):
-            for q in range(p):
+    for q, q1 in refl.maps:
+        if q < 0 or q1 != q + 1:
+            continue
+        for m in range(q + 2, gs.max_dim + 1):
+            if not refl.table(m - 1, m):
+                break
+            for p in range(q + 1, m):
                 for a in gs.grade(q):
                     if not refl.defined(q, m, a):
                         continue

@@ -111,6 +111,17 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head", ["dim", "threshold"])
+def test_superscript_digit_is_a_parse_error(head, tmp_path, capsys):
+    # "²" passes str.isdigit but not int(); only decimal digits are numbers
+    path = tmp_path / "digit.glob"
+    path.write_text(f"{head} ²\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: line 1: expected: {head} <natural number>\n"
+
+
 def test_derive_reversors(iso_file, capsys):
     assert main(["derive-reversors", iso_file, "--n", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)

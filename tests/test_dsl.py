@@ -61,6 +61,66 @@ def test_emit_structure_round_trip():
     assert again.comp == parsed.comp
 
 
+# names reused across grades: the 0-cell ob and the 2-cell ob are two cells
+NAMESPACED = """
+structure N
+dim 2
+threshold 1
+cells 0: ob
+cells 1: id
+cells 2: ob
+src id = ob
+tgt id = ob
+src ob = id
+tgt ob = id
+refl 0 1 ob = id
+refl 1 2 id = ob
+comp 1 0 (id, id) = id
+comp 2 0 (ob, ob) = ob
+comp 2 1 (ob, ob) = ob
+rev 2 1 ob = ob
+"""
+
+
+def _table_names(parsed):
+    """(grade, name) for every key and value of the src/tgt/refl/rev/comp tables."""
+    gs = parsed.gs
+    for m in range(1, gs.max_dim + 1):
+        for face in (gs.map("source", m), gs.map("target", m)):
+            for x, y in face.items():
+                yield from ((m, x), (m - 1, y))
+    for (p, m), table in (parsed.refl.maps if parsed.refl else {}).items():
+        for x, y in table.items():
+            yield from ((p, x), (m, y))
+    for (m, _), table in (parsed.rev.maps if parsed.rev else {}).items():
+        for x, y in table.items():
+            yield from ((m, x), (m, y))
+    for (m, _), table in (parsed.comp.maps if parsed.comp else {}).items():
+        for (y, x), z in table.items():
+            yield from ((m, y), (m, x), (m, z))
+
+
+def _dropped_and_shuffled(text):
+    """The presentation's lines in any order, each declaration kept or dropped."""
+    lines = text.strip().splitlines()
+    return st.tuples(st.permutations(lines), st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+
+
+@given(st.sampled_from([WALKING_ISO, NAMESPACED]).flatmap(_dropped_and_shuffled))
+def test_emit_structure_inverts_parse_structure(mutant):
+    order, keep = mutant
+    text = "\n".join(line for line, k in zip(order, keep) if k or line.startswith(("dim", "cells")))
+    parsed = parse_structure(text)
+    assert parse_structure(emit_structure(parsed)) == parsed
+    declared = {m: {x: x for x in parsed.gs.grade(m)} for m in range(parsed.gs.max_dim + 1)}
+    assert all(declared[m][nm] is nm for m, nm in _table_names(parsed))
+
+
+def test_emit_structure_keeps_partial_boundaries():
+    parsed = parse_structure("cells 0: a\ncells 1: f\nsrc f = a\n")
+    assert emit_structure(parsed) == "structure anonymous\ndim 1\nthreshold 0\ncells 0: a\ncells 1: f\nsrc f = a\n"
+
+
 def test_empty_file_is_empty_structure():
     parsed = parse_structure("")
     assert parsed.gs.max_dim == 0
@@ -99,6 +159,56 @@ def test_grade_mismatch_reported():
     with pytest.raises(ParseError) as err:
         parse_structure(text)
     assert "grade mismatch" in err.value.message
+
+
+_GRAPH = "cells 0: a\ncells 1: f i\nsrc f = a\n"  # lines 1-3
+
+# one input per ParseError message kind -> the exact str(err)
+PARSE_ERRORS = {
+    "frob a\n": "line 1: unknown declaration 'frob'",
+    "structure A\nstructure B\n": "line 2: duplicate structure line",
+    "structure\n": "line 1: expected: structure <name>",
+    "dim 1\n\ndim 1\n": "line 3: duplicate dim line",
+    "dim one\n": "line 1: expected: dim <natural number>",
+    "threshold 0\nthreshold 0\n": "line 2: duplicate threshold line",
+    "threshold -1\n": "line 1: expected: threshold <natural number>",
+    "structure a=b\n": "line 1: invalid identifier 'a=b'",
+    "cells 0: a b,c\n": "line 1: invalid identifier 'b,c'",
+    "cells 0 a\n": "line 1: expected: cells <m>: <id> ...",
+    "cells 0: a\ncells 0: b a\n": "line 2: cell a declared twice in grade 0",
+    "dim 0\ncells 0: a\ncells 1: f\n": "line 3: cells declared in grade 1 above dim 0",
+    # every cells line is read before the first src/tgt/refl/rev/comp line
+    "src f\ncells 0: a a\n": "line 2: cell a declared twice in grade 0",
+    _GRAPH + "src f a\n": "line 4: expected: src <id> = <id>",
+    _GRAPH + "tgt f = (a)\n": "line 4: expected: tgt <id> = <id>",
+    _GRAPH + "src f = a\n": "line 4: duplicate src declaration for f",
+    _GRAPH + "tgt f = a\ntgt f = a\n": "line 5: duplicate tgt declaration for f",
+    _GRAPH + "src g = a\n": "line 4: unresolved identifier 'g'",
+    _GRAPH + "tgt f = b\n": "line 4: unresolved identifier 'b'",
+    _GRAPH + "src a = f\n": "line 4: grade mismatch: no grade places src(a) = f",
+    "dim 2\ncells 0: a\ncells 1: a x\ncells 2: x\nsrc x = a\n":
+        "line 5: ambiguous declaration: src(x) = a fits grades [1, 2]",
+    _GRAPH + "refl 0 a = i\n": "line 4: expected: refl <p> <m> <id> = <id>",
+    _GRAPH + "refl 1 1 a = i\n": "line 4: refl indices need 0 <= p < m <= 1",
+    _GRAPH + "refl 0 1 a = i\nrefl 0 1 a = f\n": "line 5: duplicate refl declaration for a",
+    _GRAPH + "rev 1 0 f g\n": "line 4: expected: rev <m> <p> <id> = <id>",
+    _GRAPH + "rev 2 0 f = f\n": "line 4: rev indices need 0 <= p < m <= 1",
+    _GRAPH + "rev 1 0 f = i\nrev 1 0 f = f\n": "line 5: duplicate rev declaration for f",
+    _GRAPH + "comp 1 0 f, i = f\n": "line 4: expected: comp <m> <p> (<id>, <id>) = <id>",
+    _GRAPH + "comp 0 0 (f, i) = f\n": "line 4: comp indices need 0 <= p < m <= 1",
+    _GRAPH + "comp 1 0 (f, i) = f\ncomp 1 0 (f, i) = i\n": "line 5: duplicate comp declaration for (f, i)",
+    _GRAPH + "comp 1 0 (f, i) = x\n": "line 4: unresolved identifier 'x'",
+    _GRAPH + "refl 0 1 f = i\n": "line 4: grade mismatch: f is not a 0-cell (found in [1])",
+    _GRAPH + "comp 1 0 (f, a) = i\n": "line 4: grade mismatch: a is not a 1-cell (found in [0])",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERRORS)
+def test_parse_error_text(text):
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert str(err.value) == PARSE_ERRORS[text]
+    assert str(err.value) == f"line {err.value.line}: {err.value.message}"
 
 
 _names = st.text(alphabet="abcxyz.-", min_size=1, max_size=8)

@@ -4,10 +4,13 @@ validate_strict reads associativity off table columns and interchange off
 the fibres of the q-table; validate_magma reads boundaries from per-grade
 tables.  The oracles below are the direct forms: z over the whole grade for
 every stored (y, x), every pair of q-composites for interchange, and one
-boundary() call per entry.  Reports must be byte-equal under emit_report.
+boundary() call per entry, and the unit and reflexor clauses over every
+0 <= q < p < m <= max_dim.  Reports must be byte-equal under emit_report.
 On total tables validate_strict first tries Light's test over a generating
 set; the spy tests below watch when that fast path passes.
 """
+
+from collections import Counter
 
 import pytest
 from fixtures import (
@@ -16,6 +19,7 @@ from fixtures import (
     pad_to_dim,
     poset_category,
     redirect_comp,
+    redirect_refl,
     square_2cat,
     sym3_category,
     two_edge_graph,
@@ -24,6 +28,7 @@ from fixtures import (
 from hypothesis import given, settings, strategies as st
 
 from globforge import magma
+from globforge.dsl import parse_structure
 from globforge.globular import boundary, globular_set
 from globforge.layers import ReflexorStructure
 from globforge.magma import (
@@ -33,8 +38,12 @@ from globforge.magma import (
     LAW_POSITIONAL_A,
     LAW_POSITIONAL_B,
     LAW_POSITIONAL_C,
+    LAW_REFL_ABSORB,
+    LAW_REFL_FUNCTORIAL,
+    LAW_UNITS,
     CompositionStructure,
     InfinityMagma,
+    product_category,
     validate_magma,
     validate_strict,
 )
@@ -88,6 +97,54 @@ def _assoc_interchange_oracle(mag: InfinityMagma, require_total: bool) -> Valida
                                 f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
                                 f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
                             )
+    return rep
+
+
+def _units_reflexors_oracle(mag: InfinityMagma, require_total: bool) -> ValidationReport:
+    rep = ValidationReport("strict")
+    gs, refl, comp = mag.gs, mag.refl, mag.comp
+    for m in range(1, gs.max_dim + 1):
+        for p in range(m):
+            for x in gs.grade(m):
+                sx, tx = boundary(gs, m, x, p, "source"), boundary(gs, m, x, p, "target")
+                if not refl.defined(p, m, sx) or not refl.defined(p, m, tx):
+                    continue
+                right = comp.get(m, p, x, refl.apply(p, m, sx))
+                left = comp.get(m, p, refl.apply(p, m, tx), x)
+                if right is None or left is None:
+                    if require_total:
+                        rep.add("units.missing", LAW_UNITS, (x,),
+                                f"a unit composite for {x} over comp[{m}][{p}] is missing")
+                    continue
+                if right != x:
+                    rep.add("units.right", LAW_UNITS, (x,),
+                            f"{x} o[{m},{p}] refl[{p}][{m}]({sx}) = {right}, expected {x}")
+                if left != x:
+                    rep.add("units.left", LAW_UNITS, (x,),
+                            f"refl[{p}][{m}]({tx}) o[{m},{p}] {x} = {left}, expected {x}")
+    for m in range(2, gs.max_dim + 1):
+        for p in range(1, m):
+            for q in range(p):
+                for (y, x), yx in sorted(comp.table(p, q).items()):
+                    if not (refl.defined(p, m, y) and refl.defined(p, m, x) and refl.defined(p, m, yx)):
+                        continue
+                    ry, rx, ryx = refl.apply(p, m, y), refl.apply(p, m, x), refl.apply(p, m, yx)
+                    together = comp.get(m, q, ry, rx)
+                    if together is None:
+                        if require_total:
+                            rep.add("refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
+                                    f"comp[{m}][{q}] misses (refl({y}), refl({x}))")
+                    elif ryx != together:
+                        rep.add("refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
+                                f"refl[{p}][{m}]({y} o[{p},{q}] {x}) = {ryx} "
+                                f"but refl({y}) o[{m},{q}] refl({x}) = {together}")
+                for a in gs.grade(q):
+                    if not refl.defined(q, m, a):
+                        continue
+                    via_p, direct = refl.apply(p, m, refl.apply(q, p, a)), refl.apply(q, m, a)
+                    if via_p != direct:
+                        rep.add("refl-absorb.chain", LAW_REFL_ABSORB, (a,),
+                                f"refl[{p}][{m}](refl[{q}][{p}]({a})) = {via_p} but refl[{q}][{m}]({a}) = {direct}")
     return rep
 
 
@@ -185,8 +242,10 @@ def _agree(mag: InfinityMagma) -> bool:
     """Both validators match their oracles in both modes; True if any report has violations."""
     found = False
     for total in (True, False):
-        strict = emit_report(_assoc_interchange(validate_strict(mag, require_total=total)))
-        assert strict == emit_report(_assoc_interchange_oracle(mag, total))
+        strict = emit_report(validate_strict(mag, require_total=total))
+        oracle = _assoc_interchange_oracle(mag, total)
+        oracle.extend(_units_reflexors_oracle(mag, total))
+        assert strict == emit_report(oracle)
         magma = emit_report(validate_magma(mag, require_total=total))
         assert magma == emit_report(_magma_oracle(mag, total))
         found = found or '"valid": false' in strict + magma
@@ -279,6 +338,18 @@ def test_every_redirect_of_square_matches_oracles():
             flagged += _agree(redirect_comp(cat, key, pair, value).magma)
             moved += 1
     assert flagged == moved
+
+
+def test_every_reflexor_redirect_matches_oracles():
+    # each one-step reflexor entry is sent to every other cell of its grade
+    cat = pad_to_dim(walking_iso_category(), 3)
+    flagged = 0
+    for (p, m), table in sorted(cat.magma.refl.maps.items()):
+        for cell, image in sorted(table.items()):
+            for value in cat.gs.grade(m):
+                if value != image:
+                    flagged += _agree(redirect_refl(cat, (p, m), cell, value).magma)
+    assert flagged
 
 
 CELLS = [f"c{i}" for i in range(6)]
@@ -434,3 +505,69 @@ def test_light_test_fails_or_is_not_reached(monkeypatch, name):
     rep = validate_strict(mag, require_total=total)
     assert results == expected
     assert emit_report(_assoc_interchange(rep)) == emit_report(_assoc_interchange_oracle(mag, total))
+
+
+def _generators_reference(grade, table, src, tgt) -> list[str]:
+    """The direct walk: each new cell is tried against the whole closure and every kept cell."""
+    gens: list[str] = []
+    closure: set[str] = set()
+    for c in grade:
+        if c in closure:
+            continue
+        gens.append(c)
+        todo = [c] + [table[c, r] for r in closure if tgt[r] == src[c]]
+        while todo:
+            r = todo.pop()
+            if r not in closure:
+                closure.add(r)
+                todo += [table[g, r] for g in gens if src[g] == tgt[r]]
+    return gens
+
+
+def _discrete(n: int):
+    objects = [f"o{i}" for i in range(n)]
+    ids = {f"id{i}": o for i, o in enumerate(objects)}
+    gs = globular_set(1, {0: objects, 1: list(ids)}, {1: ids}, {1: ids})
+    return InfinityMagma(gs, ReflexorStructure({(0, 1): {o: i for i, o in ids.items()}}),
+                         CompositionStructure({(1, 0): {(i, i): i for i in ids}}))
+
+
+GENERATOR_CASES = {
+    **{name: cat.magma for name, cat in FIXTURES.items()},
+    "iso-x-z3": product_category(walking_iso_category(), cyclic_group_category(3)).magma,
+    "poset3-x-klein": product_category(poset_category(["a", "b", "c"]), klein_four_category()).magma,
+    "square-x-square": product_category(square_2cat(), square_2cat(with_spare=False)).magma,
+    "discrete-50": _discrete(50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generators_match_the_direct_walk(name):
+    mag = GENERATOR_CASES[name]
+    for (m, p), table in mag.comp.maps.items():
+        grade = mag.gs.grade(m)
+        src = {x: boundary(mag.gs, m, x, p, "source") for x in grade}
+        tgt = {x: boundary(mag.gs, m, x, p, "target") for x in grade}
+        assert magma._generators(grade, table, src, tgt) == _generators_reference(grade, table, src, tgt)
+
+
+def _loop_at_dim(dim: int) -> InfinityMagma:
+    """One object with one loop, its unit and its composite, under a dim line of the given height."""
+    text = f"dim {dim}\ncells 0: o\ncells 1: i\nsrc i = o\ntgt i = o\nrefl 0 1 o = i\ncomp 1 0 (i, i) = i\n"
+    return parse_structure(text).magma
+
+
+def test_strict_table_lookups_do_not_grow_with_empty_grades(monkeypatch):
+    lookups = Counter()
+    for cls, name in ((CompositionStructure, "table"), (CompositionStructure, "get"),
+                      (ReflexorStructure, "table"), (ReflexorStructure, "defined"), (ReflexorStructure, "apply")):
+        def counted(*args, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+            lookups[_key] += 1
+            return _method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    per_dim = {}
+    for dim in (2, 60):
+        lookups.clear()
+        assert validate_strict(_loop_at_dim(dim)).valid
+        per_dim[dim] = dict(lookups)
+    assert per_dim[60] == per_dim[2]
