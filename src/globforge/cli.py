@@ -13,6 +13,7 @@ import argparse
 import functools
 import importlib
 import json
+import os
 import sys
 
 # The names cli takes from each layer.  A layer is imported when a command
@@ -64,15 +65,26 @@ SUITE_CHOICES = ("S1", "S2", "S3a", "S3b", "S4", "S5a", "S5b", "S5c", "S6", "S7"
 
 
 def _emit(text: str, path: str | None) -> None:
-    # the report file first: if it cannot be written, stdout stays empty
+    _stream(lambda sink: sink.write(text), path)
+
+
+def _stream(write, path: str | None) -> None:
+    """Write a document, which write(sink) writes whole or in chunks, to the report file
+    first, so that stdout stays empty if it cannot be written, and then to stdout: a copy
+    of the file, or the document written again where the path cannot be read back."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             sys.stderr.write(f"cannot write report {path}: {exc.strerror or exc}\n")
             raise SystemExit(2)
-    sys.stdout.write(text)
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                while chunk := fh.read(1 << 20):
+                    sys.stdout.write(chunk)
+            return
+    write(sys.stdout)
 
 
 def _dump(payload: dict, path: str | None) -> None:
@@ -245,7 +257,7 @@ def _cmd_stretch(args) -> int:
         sys.stderr.write(f"{exc}\n")
         return 2
     rep = validate_stretching(E)
-    _emit(dump_stretching(E), args.report)
+    _stream(lambda sink: dump_stretching(E, sink), args.report)
     if not rep.valid:
         sys.stderr.write(emit_report(rep))
         return 1

@@ -24,11 +24,9 @@ slot picture; Strictifier rejects that configuration up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .globular import TruncatedGlobularSet
 from .terms import IllTypedTermError, StretchTerm, TermContext
-from .words import Step, Word, free_reduce, reduce_word, word_name
+from .words import MalformedWordError, Step, Word, free_reduce, make_word, word_name
 
 Letter = tuple[str, int]  # (2-generator, +1 or -1)
 
@@ -37,56 +35,70 @@ class UnsupportedFreeConstructionError(ValueError):
     """The requested free structure has no normal-form backing here."""
 
 
-@dataclass(frozen=True)
-class NF0:
-    cell: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class NF1:
-    word: Word
+class _NormalForm:
+    """Equality and hashing by grade and name, which are fixed at construction."""
+
+    __slots__ = ("name",)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"normal forms are immutable; cannot set {attr}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r})"
 
 
-@dataclass(frozen=True)
-class NF2:
-    dom: Word
-    cols: tuple[tuple[Letter, ...], ...]
+class NF0(_NormalForm):
+    __slots__ = ("cell",)
+    dim = 0
 
-    @property
-    def degenerate(self) -> bool:
-        return all(not col for col in self.cols)
+    def __init__(self, cell: str):
+        _set(self, "cell", cell)
+        _set(self, "name", cell)
 
 
-@dataclass(frozen=True)
-class NF3:
-    content: NF2
+class NF1(_NormalForm):
+    __slots__ = ("word",)
+    dim = 1
+
+    def __init__(self, word: Word):
+        _set(self, "word", word)
+        _set(self, "name", word_name(word))
+
+
+class NF2(_NormalForm):
+    __slots__ = ("dom", "cols", "degenerate")
+    dim = 2
+    degenerate: bool  # every column is empty
+
+    def __init__(self, dom: Word, cols: tuple[tuple[Letter, ...], ...]):
+        _set(self, "dom", dom)
+        _set(self, "cols", cols)
+        letters = ",".join(
+            f"{k}:" + ".".join([g + ("+" if s > 0 else "-") for g, s in col]) for k, col in enumerate(cols) if col
+        )
+        _set(self, "degenerate", not letters)
+        _set(self, "name", f"2<{word_name(dom)}|{letters}>" if letters else f"1({word_name(dom)})")
+
+
+class NF3(_NormalForm):
+    __slots__ = ("content",)
+    dim = 3
+
+    def __init__(self, content: NF2):
+        _set(self, "content", content)
+        _set(self, "name", f"1({content.name})")
 
 
 NF = NF0 | NF1 | NF2 | NF3
-
-
-def nf_dim(nf: NF) -> int:
-    return {NF0: 0, NF1: 1, NF2: 2, NF3: 3}[type(nf)]
-
-
-def nf_name(nf: NF) -> str:
-    """Canonical, injective cell name per dimension grade."""
-    if isinstance(nf, NF0):
-        return nf.cell
-    if isinstance(nf, NF1):
-        return word_name(nf.word)
-    if isinstance(nf, NF2):
-        if nf.degenerate:
-            return f"1({word_name(nf.dom)})"
-        cols = ",".join(
-            f"{k}:" + ".".join(f"{g}{'+' if s > 0 else '-'}" for g, s in col)
-            for k, col in enumerate(nf.cols)
-            if col
-        )
-        return f"2<{word_name(nf.dom)}|{cols}>"
-    if isinstance(nf, NF3):
-        return f"1({nf_name(nf.content)})"
-    raise TypeError(type(nf))
 
 
 class Strictifier:
@@ -102,6 +114,14 @@ class Strictifier:
                 "threshold 0 with 2-dimensional generators: word reduction "
                 "would merge columns, which the slot normal form cannot decide"
             )
+        src, tgt = g.map("source", 1), g.map("target", 1)
+        # (tail, head) of each signed edge: the ends of words built from valid words
+        self._ends = {(e, 1): (src[e], tgt[e]) for e in g.grade(1)}
+        self._ends.update({(e, -1): (tgt[e], src[e]) for e in g.grade(1)})
+        for gen2 in g.grade(2):  # a letter swaps its faces in a word, which chains only if they are parallel
+            lo, hi = g.map("source", 2)[gen2], g.map("target", 2)[gen2]
+            if self._ends.get((lo, 1)) != self._ends.get((hi, 1)):
+                raise UnsupportedFreeConstructionError(f"the faces {lo} and {hi} of {gen2} are not parallel")
         self.g = g
         self.threshold = threshold
         self.inv1 = threshold == 0
@@ -131,14 +151,25 @@ class Strictifier:
             step = self._apply_letter(step, letter)
         return step
 
-    def _word(self, base: str, steps) -> Word:
-        from .words import make_word
+    def _word(self, steps: tuple[Step, ...], base: str) -> Word:
+        """A word whose steps already chain; base is used only when there are none."""
+        return Word(self._ends[steps[-1]][0], steps) if steps else Word(base, steps)
 
-        return make_word(self.g, base, list(steps))
+    def _join(self, a: Word, b: Word) -> tuple[Step, ...]:
+        """The steps of "a after b" for valid words: only the junction is new."""
+        tail, head = self._word_src(a), self._word_tgt(b)
+        if tail != head:
+            raise MalformedWordError(f"{word_name(a)} cannot follow {word_name(b)}: tail {tail} vs head {head}")
+        return a.steps + b.steps
+
+    def _reverse(self, w: Word) -> Word:
+        """The formal inverse of a valid word: reversed steps, flipped orientations."""
+        return Word(self._word_tgt(w), tuple([(edge, -orient) for edge, orient in reversed(w.steps)]))
 
     def cod2(self, nf: NF2) -> Word:
+        # letters swap parallel edges (checked in __init__), so the ends stay
         steps = tuple(self._slot_end(s, c) for s, c in zip(nf.dom.steps, nf.cols))
-        return self._word(nf.dom.base, steps)
+        return Word(nf.dom.base, steps)
 
     # -- normal-form operations ----------------------------------------
 
@@ -171,22 +202,18 @@ class Strictifier:
         raise ValueError("0-cells have no boundary")
 
     def _word_src(self, w: Word) -> str:
-        from .words import word_source
-
-        return word_source(self.g, w)
+        return self._ends[w.steps[-1]][0] if w.steps else w.base
 
     def _word_tgt(self, w: Word) -> str:
-        from .words import word_target
-
-        return word_target(self.g, w)
+        return self._ends[w.steps[0]][1] if w.steps else w.base
 
     def comp_nf(self, m: int, p: int, a: NF, b: NF) -> NF:
         """Composite "a after b" of two m-dimensional normal forms."""
-        if nf_dim(a) != m or nf_dim(b) != m:
+        if a.dim != m or b.dim != m:
             raise IllTypedTermError("composition of normal forms needs matching dimensions")
         if m == 1:
             assert isinstance(a, NF1) and isinstance(b, NF1)
-            return NF1(reduce_word(self.g, Word(b.word.base, a.word.steps + b.word.steps)))
+            return NF1(self._word(free_reduce(self._join(a.word, b.word)), b.word.base))
         if m == 2:
             assert isinstance(a, NF2) and isinstance(b, NF2)
             if p == 1:
@@ -197,18 +224,18 @@ class Strictifier:
                     for cb, ca in zip(b.cols, a.cols)
                 )
                 return NF2(b.dom, cols)
-            steps = a.dom.steps + b.dom.steps
+            steps = self._join(a.dom, b.dom)
             cols = a.cols + b.cols
             if self.inv1:
                 # only the degenerate case can cancel; columns are empty then
-                reduced = reduce_word(self.g, self._word(b.dom.base, steps))
-                if len(reduced.steps) != len(steps):
+                reduced = free_reduce(steps)
+                if len(reduced) != len(steps):
                     if any(cols):
                         raise UnsupportedFreeConstructionError(
                             "cancellation under a nonempty column"
                         )
-                    return NF2(reduced, tuple(() for _ in reduced.steps))
-            return NF2(self._word(b.dom.base, steps), cols)
+                    return NF2(self._word(reduced, b.dom.base), tuple(() for _ in reduced))
+            return NF2(self._word(steps, b.dom.base), cols)
         if m == 3:
             assert isinstance(a, NF3) and isinstance(b, NF3)
             if p == 2:
@@ -223,9 +250,7 @@ class Strictifier:
             raise IllTypedTermError(f"no reversor below the threshold {self.threshold}")
         if m == 1:
             assert isinstance(nf, NF1)
-            from .words import reverse_word
-
-            return NF1(reverse_word(self.g, nf.word))
+            return NF1(self._reverse(nf.word))
         if m == 2:
             assert isinstance(nf, NF2)
             if p == 1:
@@ -237,9 +262,7 @@ class Strictifier:
                 raise UnsupportedFreeConstructionError(
                     "reversing a non-degenerate 2-cell over dimension 0"
                 )
-            rev1 = self.rev_nf(1, 0, NF1(nf.dom))
-            assert isinstance(rev1, NF1)
-            return NF2(rev1.word, tuple(() for _ in rev1.word.steps))
+            return NF2(self._reverse(nf.dom), nf.cols)  # the columns are all empty
         if m == 3:
             assert isinstance(nf, NF3)
             if p == 2:
@@ -266,10 +289,10 @@ class Strictifier:
             return NF0(t.cell)
         if t.kind == "gen":
             if d == 1:
-                return NF1(self._word("", ((t.cell, 1),)))
+                return NF1(make_word(self.g, "", [(t.cell, 1)]))
             if d == 2:
                 src_edge = self.g.map("source", 2)[t.cell]
-                return NF2(self._word("", ((src_edge, 1),)), (((t.cell, 1),),))
+                return NF2(make_word(self.g, "", [(src_edge, 1)]), (((t.cell, 1),),))
             raise UnsupportedFreeConstructionError("generators above dimension 2")
         if t.kind == "comp":
             m, p = t.dims

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, TextIO
 
 from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
 from .layers import ReflexorStructure, ReversorStructure
 from .magma import CompositionStructure, InfinityMagma, NMagma
-from .normalform import NF, Strictifier, nf_name
+from .normalform import NF, Strictifier
 from .report import ValidationReport
 from .terms import StretchTerm, TermContext
 
@@ -196,7 +196,7 @@ def generate_free_stretching(
     def par_key(t: StretchTerm) -> tuple[int, str, str, str]:
         sname = ctx.src(t).name if t.dim >= 1 else ""
         tname = ctx.tgt(t).name if t.dim >= 1 else ""
-        return (t.dim, sname, tname, nf_name(strict.pi(t)))
+        return (t.dim, sname, tname, strict.pi(t).name)
 
     def admit(t: StretchTerm) -> None:
         d, nm = t.dim, t.name
@@ -204,8 +204,8 @@ def generate_free_stretching(
             return
         terms[d][nm] = t
         by_size.setdefault(t.size, []).append(t)
-        for p in range(d):
-            tgt_bucket.setdefault((d, p, ctx.boundary(t, p, "target").name, t.size), []).append(t)
+        for p, face in enumerate(ctx.boundaries(t, "target")):
+            tgt_bucket.setdefault((d, p, face.name, t.size), []).append(t)
         if d + 1 <= D:
             par_bucket.setdefault(par_key(t) + (t.size,), []).append(t)
 
@@ -230,9 +230,8 @@ def generate_free_stretching(
             s0 = s - 1 - s1
             for t1 in list(by_size.get(s1, [])):
                 d = t1.dim
-                for p in range(d):
-                    key = (d, p, ctx.boundary(t1, p, "source").name, s0)
-                    for t0 in tgt_bucket.get(key, []):
+                for p, face in enumerate(ctx.boundaries(t1, "source")):
+                    for t0 in tgt_bucket.get((d, p, face.name, s0), []):
                         u = ctx.comp(d, p, t1, t0)
                         admit(u)
                         comp_maps[(d, p)][(t1.name, t0.name)] = u.name
@@ -267,29 +266,29 @@ def generate_free_stretching(
         pi_tables[m] = {}
         for nm, t in terms[m].items():
             nf = strict.pi(t)
-            pi_tables[m][nm] = nf_name(nf)
-            nfs[m][nf_name(nf)] = nf
+            pi_tables[m][nm] = nf.name
+            nfs[m][nf.name] = nf
     # close the strict fragment under boundaries
     for m in range(D, 0, -1):
         for nf in list(nfs[m].values()):
             for face in (strict.src_nf(nf), strict.tgt_nf(nf)):
-                nfs[m - 1].setdefault(nf_name(face), face)
+                nfs[m - 1].setdefault(face.name, face)
 
     c_refl: dict[tuple[int, int], dict[str, str]] = {}
     for p in range(D):
         table = {}
         for nm, nf in list(nfs[p].items()):
             lifted = strict.refl_lift(nf)
-            table[nm] = nf_name(lifted)
-            nfs[p + 1].setdefault(nf_name(lifted), lifted)
+            table[nm] = lifted.name
+            nfs[p + 1].setdefault(lifted.name, lifted)
         c_refl[(p, p + 1)] = table
     c_cells = {m: sorted(nfs[m]) for m in range(D + 1)}
     c_src = {
-        m: {nm: nf_name(strict.src_nf(nf)) for nm, nf in nfs[m].items()}
+        m: {nm: strict.src_nf(nf).name for nm, nf in nfs[m].items()}
         for m in range(1, D + 1)
     }
     c_tgt = {
-        m: {nm: nf_name(strict.tgt_nf(nf)) for nm, nf in nfs[m].items()}
+        m: {nm: strict.tgt_nf(nf).name for nm, nf in nfs[m].items()}
         for m in range(1, D + 1)
     }
     c_gs = globular_set(D, c_cells, c_src, c_tgt)
@@ -491,7 +490,65 @@ def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
     return NMagma(InfinityMagma(gs, refl, comp), rev)
 
 
-def dump_stretching(E: Stretching) -> str:
+def write_json(obj, write: Callable[[str], object], batch: int = 1 << 16) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
+
+    obj is a tree of dicts with str keys, lists, strs and ints; any other type
+    raises TypeError.  A list of strs, or a dict of str values, is encoded by one
+    join.  write gets the pieces joined, about `batch` characters at a time.
+    """
+    encode = json.encoder.encode_basestring_ascii  # what json.dumps uses under ensure_ascii
+    parts: list[str] = []
+    pending = 0  # characters in the joins held in parts
+
+    def flush() -> None:
+        nonlocal pending
+        write("".join(parts))
+        parts.clear()
+        pending = 0
+
+    def emit(x, nl: str) -> None:  # nl: newline and indentation of x's line
+        nonlocal pending
+        if isinstance(x, str):
+            parts.append(encode(x))
+        elif isinstance(x, int) and not isinstance(x, bool):
+            parts.append(int.__repr__(x))
+        elif not isinstance(x, (list, dict)):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        elif not x:
+            parts.append("{}" if isinstance(x, dict) else "[]")
+        else:
+            is_dict = isinstance(x, dict)
+            opening, closing = "{}" if is_dict else "[]"
+            items = sorted(x) if is_dict else x  # unique keys: json's order of sorted items
+            inner = nl + "  "
+            sep = "," + inner
+            parts.append(opening + inner)
+            try:
+                body = sep.join([encode(k) + ": " + encode(x[k]) for k in items] if is_dict else map(encode, items))
+            except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
+                for i, item in enumerate(items):
+                    if i:
+                        parts.append(sep)
+                    if is_dict:
+                        parts.append(encode(item) + ": ")
+                        item = x[item]
+                    emit(item, inner)
+                    if pending >= batch or len(parts) >= 1024:
+                        flush()
+            else:
+                parts.append(body)
+                pending += len(body)
+            parts.append(nl + closing)
+
+    emit(obj, "\n")
+    parts.append("\n")
+    flush()
+
+
+def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
+    """The canonical dump, json.dumps(payload, sort_keys=True, indent=2) + "\n":
+    written to sink in chunks when one is given, returned as a str otherwise."""
     payload = {
         "kind": "stretching",
         "threshold": E.threshold,
@@ -502,7 +559,9 @@ def dump_stretching(E: Stretching) -> str:
             [m, c1, c0, B] for (m, c1, c0), B in sorted(E.brackets.items())
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    parts: list[str] = []
+    write_json(payload, parts.append if sink is None else sink.write)
+    return "".join(parts) if sink is None else None
 
 
 def load_stretching(text: str) -> Stretching:

@@ -123,12 +123,12 @@ class TermContext:
         self.g = g
         self.threshold = threshold
         self.strictifier = strictifier
-        self._faces: dict[tuple[StretchTerm, str], StretchTerm] = {}
+        self._faces: dict[str, dict[StretchTerm, StretchTerm]] = {"source": {}, "target": {}}
 
     def _face(self, t: StretchTerm, side: str) -> StretchTerm:
         """One-step boundary term of a term of dimension >= 1."""
-        key = (t, side)
-        hit = self._faces.get(key)
+        memo = self._faces[side]
+        hit = memo.get(t)
         if hit is not None:
             return hit
         m = t.dim
@@ -156,7 +156,7 @@ class TermContext:
             out = t.args[1] if side == "source" else t.args[0]
         else:
             raise ValueError(t.kind)
-        self._faces[key] = out
+        memo[t] = out
         return out
 
     def src(self, t: StretchTerm) -> StretchTerm:
@@ -170,6 +170,13 @@ class TermContext:
         for _ in range(t.dim - q):
             cur = self._face(cur, side)
         return cur
+
+    def boundaries(self, t: StretchTerm, side: str) -> list[StretchTerm]:
+        """[boundary(t, q, side) for q in range(t.dim)], from one walk down the faces."""
+        faces = [t]
+        for _ in range(t.dim):
+            faces.append(self._face(faces[-1], side))
+        return faces[:0:-1]
 
     def parallel(self, t1: StretchTerm, t0: StretchTerm) -> bool:
         if t1.dim != t0.dim:

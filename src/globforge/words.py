@@ -108,7 +108,7 @@ def word_name(w: Word) -> str:
 
 
 def _tokens(w: Word) -> tuple[str, ...]:
-    return tuple(f"{edge}{'+' if orient > 0 else '-'}" for edge, orient in w.steps)
+    return tuple([edge + ("+" if orient > 0 else "-") for edge, orient in w.steps])
 
 
 def parse_word(gs: TruncatedGlobularSet, text: str) -> Word:

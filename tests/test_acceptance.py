@@ -53,7 +53,7 @@ from globforge.magma import (
     validate_magma,
     validate_strict,
 )
-from globforge.normalform import Strictifier, nf_name
+from globforge.normalform import Strictifier
 from globforge.stretching import generate_free_stretching, validate_stretching
 from globforge.terms import TermContext
 from globforge.words import (
@@ -406,12 +406,12 @@ def test_c6_normal_form_matches_axiom_closure():
     universe = enumerate_terms(ctx, 6)
     classes = defaultdict(list)
     for t in universe:
-        classes[nf_name(strict.pi(t))].append(t)
+        classes[strict.pi(t).name].append(t)
     for key, members in classes.items():
         roots, discovered = closure_components(ctx, members, depth=6, cap=12)
         # soundness: no single-axiom move ever changes the normal form
         for t in discovered:
-            assert nf_name(strict.pi(t)) == key
+            assert strict.pi(t).name == key
         # completeness at this depth: the class is one component
         assert len({roots[t] for t in members}) == 1, key
     elapsed = time.time() - started

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -6,7 +7,8 @@ from globforge.cli import main
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
 from globforge.report import ValidationReport, emit_report, parse_report
-from globforge.stretching import load_stretching, validate_stretching
+from globforge.dsl import parse_structure
+from globforge.stretching import dump_stretching, generate_free_stretching, load_stretching, validate_stretching
 
 WALKING_ISO = """
 structure W
@@ -166,6 +168,20 @@ def test_stretch_dump_validates(edge_file, tmp_path, capsys):
     # the dump is accepted by the stretching layer of validate
     assert main(["validate", str(dump_path), "--layer", "stretching"]) == 0
     capsys.readouterr()
+
+
+def test_stretch_streams_the_dump_to_stdout_and_report(edge_file, tmp_path, capsys):
+    want = dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 5))
+    argv = ["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    path = tmp_path / "dump.json"
+    assert main(argv + ["--report", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    assert path.read_text(encoding="utf-8") == want
+    # a device cannot be read back, so stdout gets the dump written again
+    assert main(argv + ["--report", os.devnull]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("text", ["[1, 2, 3]\n", "42\n", "null\n", '"stretching"\n'])
@@ -363,10 +379,14 @@ def test_check_proofs(capsys):
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-@pytest.mark.parametrize("command", ["validate", "check-proofs"])
-def test_unwritable_report_exits_two_with_one_line(command, where, iso_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "check-proofs", "stretch"])
+def test_unwritable_report_exits_two_with_one_line(command, where, iso_file, edge_file, tmp_path, capsys):
     target = tmp_path / "missing" / "report.json" if where == "missing-dir" else tmp_path
-    argv = ["validate", iso_file] if command == "validate" else ["check-proofs", "--suite", "S2"]
+    argv = {
+        "validate": ["validate", iso_file],
+        "check-proofs": ["check-proofs", "--suite", "S2"],
+        "stretch": ["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "3"],
+    }[command]
     assert main(argv + ["--report", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -230,3 +230,52 @@ def test_functor_reversors_boundary_swapper_fails():
     rep = check_functor_reversors(swap, cat, cat)
     assert not rep.valid
     assert "morphism.src" in rep.axiom_ids() or "functor.comp" in rep.axiom_ids()
+
+
+def test_disagreeing_multi_step_reflexor_is_a_reflexor_violation():
+    # validate_strict reads reflexors only through the one-step chain, so a
+    # declared multi-step table that disagrees with it cannot move the strict
+    # report; validate_reflexors is the check that reports it
+    from globforge.layers import ReflexorStructure
+    from globforge.magma import InfinityMagma
+
+    cat = square_2cat(with_spare=False)
+    gs, mag = cat.gs, cat.magma
+    maps = {k: dict(t) for k, t in mag.refl.maps.items()}
+    maps[(0, 2)] = {x: mag.refl.apply(0, 2, x) for x in gs.grade(0)}
+    agreeing = ReflexorStructure(dict(maps))
+    maps[(0, 2)] = dict(maps[(0, 2)], a="al")
+    disagreeing = ReflexorStructure(maps)
+    assert validate_reflexors(gs, agreeing).valid
+    assert validate_reflexors(gs, disagreeing).axiom_ids() == {"reflexor.composite"}
+    strict = [validate_strict(InfinityMagma(gs, refl, mag.comp)) for refl in (agreeing, disagreeing)]
+    assert strict[0].valid and strict[1].violations == strict[0].violations
+
+
+def test_validate_magma_cost_follows_the_cells_not_dim(monkeypatch):
+    # one 0-cell and one 1-cell under "dim 400": the positional and totality
+    # checks visit grade 1 only (160,400 grade reads and 80,201 table reads
+    # when every grade below dim was visited)
+    from globforge.dsl import parse_structure
+    from globforge.globular import TruncatedGlobularSet
+    from globforge.magma import CompositionStructure
+
+    parsed = parse_structure(
+        "structure big\ndim 400\ncells 0: a\ncells 1: f\nsrc f = a\ntgt f = a\n"
+        "refl 0 1 a = f\ncomp 1 0 (f, f) = f\n"
+    )
+    calls = {"grade": 0, "table": 0}
+    grade, table = TruncatedGlobularSet.grade, CompositionStructure.table
+
+    def counted_grade(self, m):
+        calls["grade"] += 1
+        return grade(self, m)
+
+    def counted_table(self, m, p):
+        calls["table"] += 1
+        return table(self, m, p)
+
+    monkeypatch.setattr(TruncatedGlobularSet, "grade", counted_grade)
+    monkeypatch.setattr(CompositionStructure, "table", counted_table)
+    assert validate_magma(parsed.magma).valid
+    assert calls["grade"] <= 2 * 400 and calls["table"] <= 2

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from fixtures import (
     graded_loop_stretching,
@@ -5,6 +8,7 @@ from fixtures import (
     one_edge_graph,
     redirect_bracket,
     redirect_pi,
+    two_edge_graph,
     walking_iso_category,
 )
 
@@ -19,8 +23,10 @@ from globforge.stretching import (
     induced_algebra_magma,
     load_stretching,
     validate_stretching,
+    write_json,
 )
 from globforge.words import free_groupoid_cells
+from hypothesis import given, settings, strategies as st
 
 
 def test_identity_stretching_valid():
@@ -174,6 +180,113 @@ def test_stretching_dump_round_trip():
     assert validate_stretching(back).valid
 
 
+# SHA-256 of dump_stretching, pinned before normal forms carried their names,
+# words were composed without re-validation and the dump was streamed
+DUMP_DIGESTS = {
+    ("edge", 0, 2, 7): "9f2f2e9666e389c0d8fa2a6146960dcbdd83ce8f7df9ee86b01b7466f04b643f",
+    ("edge", 0, 3, 6): "b972293847c5d2a1c848782a7e3e6bb215de597bb2ade8a6b94967fc1ec136ec",
+    ("edge", 1, 2, 7): "a9bf3205e2bcd51b7c59fb324b01ac5454e339fa0eb9af8aec1e6b44aab76ca4",
+    ("path", 0, 2, 6): "f11e6c460ddc31ef179164788fd9c02261abcbddbf222caeb87584136061ff60",
+}
+
+
+@pytest.mark.parametrize("key", list(DUMP_DIGESTS))
+def test_dump_digests(key):
+    graph, n, D, S = key
+    g = one_edge_graph() if graph == "edge" else two_edge_graph()
+    text = dump_stretching(generate_free_stretching(g, n, D, S))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[key]
+
+
+# strings that exercise json's escapes: quotes, backslashes, control
+# characters, newlines, non-ASCII and non-BMP characters
+_TEXT = st.text(st.sampled_from('ab1 "\\/\n\r\t\b\x00\x1f\x7f\u00e9\u2028\uffff\U0001f600'), max_size=6)
+_JSON_TREES = st.recursive(
+    _TEXT | st.integers() | st.lists(_TEXT) | st.dictionaries(_TEXT, _TEXT),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_TREES, st.sampled_from([1, 64, 1 << 16]))
+def test_write_json_is_json_dumps(tree, batch):
+    chunks = []
+    write_json(tree, chunks.append, batch)
+    assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"}])
+def test_write_json_rejects_other_types(tree):
+    with pytest.raises(TypeError):
+        write_json(tree, [].append)
+
+
+def test_dump_streams_what_it_returns(tmp_path):
+    E = generate_free_stretching(one_edge_graph(), 0, 2, 5)
+    with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+        assert dump_stretching(E, fh) is None
+    assert (tmp_path / "dump.json").read_text(encoding="utf-8") == dump_stretching(E)
+
+
+def _sizes(dump: dict) -> dict[str, int]:
+    """Each M-cell's term size, recomputed from the dump alone: a cell made by
+    a refl, rev or comp entry or by a non-diagonal bracket has size 1 plus
+    its arguments' sizes, and every other cell is a generator of size 1."""
+    side = dump["m_side"]
+    args: dict[str, tuple[str, ...]] = {}
+    for tables in (side["refl"], side["rev"]):
+        for table in tables.values():
+            args.update((y, (x,)) for x, y in table.items())
+    for rows in side["comp"].values():
+        args.update((z, (y, x)) for y, x, z in rows)
+    args.update((B, (c1, c0)) for _, c1, c0, B in dump["brackets"] if c1 != c0)
+    sizes: dict[str, int] = {}
+
+    def size(c: str) -> int:
+        if c not in sizes:
+            sizes[c] = 1 + sum(size(a) for a in args.get(c, ()))
+        return sizes[c]
+
+    for cells in side["cells"].values():
+        for c in cells:
+            size(c)
+    return sizes
+
+
+def _restrict(dump: dict, S: int) -> dict:
+    """The m_side, brackets and pi of a dump, cut down to the cells of size <= S."""
+    sizes, side = _sizes(dump), dump["m_side"]
+    keep = lambda c: sizes[c] <= S
+    keys = lambda tables: {k: {x: y for x, y in t.items() if keep(x)} for k, t in tables.items()}
+    values = lambda tables: {k: {x: y for x, y in t.items() if keep(y)} for k, t in tables.items()}
+    return {
+        "m_side": dict(
+            side,
+            cells={k: [c for c in cells if keep(c)] for k, cells in side["cells"].items()},
+            src=keys(side["src"]),
+            tgt=keys(side["tgt"]),
+            refl=values(side["refl"]),
+            rev=values(side["rev"]),
+            comp={k: [row for row in rows if keep(row[2])] for k, rows in side["comp"].items()},
+        ),
+        "brackets": [row for row in dump["brackets"] if keep(row[3])],
+        "pi": keys(dump["pi"]),
+    }
+
+
+@pytest.mark.parametrize("n,D", [(0, 1), (0, 2), (1, 2), (0, 3)])
+def test_smaller_bound_is_a_restriction(n, D):
+    # metamorphic check across bounds: the size-S stretching is the size-(S+1)
+    # one cut down to size S, and its strict side is contained in the larger one
+    g = two_edge_graph()
+    dumps = [json.loads(dump_stretching(generate_free_stretching(g, n, D, S))) for S in range(1, 8)]
+    for S, (small, large) in enumerate(zip(dumps, dumps[1:]), start=1):
+        assert _restrict(large, S) == {key: small[key] for key in ("m_side", "brackets", "pi")}, S
+        for k, cells in small["c_side"]["cells"].items():
+            assert set(cells) <= set(large["c_side"]["cells"][k]), (S, k)
+
+
 def test_induced_algebra_from_free_stretching():
     g = one_edge_graph()
     E = generate_free_stretching(g, 0, 1, 5)
@@ -224,11 +337,11 @@ def test_free_stretching_dimension_three():
 def test_pi_stable_under_renormalization():
     g = one_edge_graph()
     E = generate_free_stretching(g, 0, 2, 6)
-    from globforge.normalform import Strictifier, nf_name
+    from globforge.normalform import Strictifier
     fresh = Strictifier(g, 0)
     for m, table in E.terms.items():
         for nm, t in table.items():
-            assert E.pi_of(m, nm) == nf_name(fresh.pi(t))
+            assert E.pi_of(m, nm) == fresh.pi(t).name
 
 
 def test_derive_reversors_rerun_is_stable():

@@ -11,7 +11,6 @@ from globforge.normalform import (
     NF2,
     Strictifier,
     UnsupportedFreeConstructionError,
-    nf_name,
     normalize2,
 )
 from globforge.stretching import generate_free_stretching
@@ -134,7 +133,7 @@ def test_pi_dimension_one_words():
     assert isinstance(nf, NF1)
     assert nf.word.steps == ()
     assert nf.word.base == "b"
-    assert nf_name(nf) == "id(b)"
+    assert nf.name == "id(b)"
 
 
 def test_pi_degenerate_two_cells():
@@ -154,6 +153,19 @@ def test_threshold_zero_with_two_generators_unsupported():
         Strictifier(two_graph(), 0)
 
 
+def test_two_generator_with_non_parallel_faces_unsupported():
+    # a letter swaps its source edge for its target edge inside a word, which
+    # still chains only when the two edges are parallel
+    g = globular_set(
+        2,
+        {0: ["a", "b", "c"], 1: ["f0", "f1"], 2: ["al"]},
+        src={1: {"f0": "a", "f1": "a"}, 2: {"al": "f0"}},
+        tgt={1: {"f0": "b", "f1": "c"}, 2: {"al": "f1"}},
+    )
+    with pytest.raises(UnsupportedFreeConstructionError, match="not parallel"):
+        Strictifier(g, 1)
+
+
 def test_threshold_one_vertical_inverses():
     g = two_graph()
     strict = Strictifier(g, 1)
@@ -164,6 +176,31 @@ def test_threshold_one_vertical_inverses():
     assert isinstance(nf, NF2)
     assert nf.degenerate  # the column cancels
     assert nf.dom.steps == (("f0", 1),)
+
+
+def test_comp_nf_rejects_words_that_do_not_chain():
+    # composites of valid words are not re-validated, so the junction check
+    # is what still rejects a pair that does not chain
+    from globforge.words import MalformedWordError, Word, make_word
+
+    g = two_graph()
+    strict = Strictifier(g, 2)
+    f0, g0 = (NF1(make_word(g, "", [(e, 1)])) for e in ("f0", "g0"))
+    assert strict.comp_nf(1, 0, g0, f0).name == "g0+.f0+"
+    for a, b in ((f0, g0), (f0, f0), (NF1(Word("a", ())), f0), (f0, NF1(Word("c", ())))):
+        with pytest.raises(MalformedWordError):
+            strict.comp_nf(1, 0, a, b)
+    ctx = TermContext(g, 2, strict)
+    al, be = strict.pi(ctx.gen("al")), strict.pi(ctx.gen("be"))
+    assert strict.comp_nf(2, 0, be, al).name == "2<g0+.f0+|0:be+,1:al+>"
+    with pytest.raises(MalformedWordError):
+        strict.comp_nf(2, 0, al, be)
+    # threshold 0 reduces the horizontal composite, after the same check
+    edge = one_edge_graph()
+    flat = Strictifier(edge, 0)
+    e = flat.refl_lift(NF1(make_word(edge, "", [("e", 1)])))
+    with pytest.raises(MalformedWordError):
+        flat.comp_nf(2, 0, e, e)
 
 
 def test_canonical_term_round_trip():

@@ -38,7 +38,6 @@ from globforge.magma import (
     LAW_POSITIONAL_A,
     LAW_POSITIONAL_B,
     LAW_POSITIONAL_C,
-    LAW_REFL_ABSORB,
     LAW_REFL_FUNCTORIAL,
     LAW_UNITS,
     CompositionStructure,
@@ -138,13 +137,6 @@ def _units_reflexors_oracle(mag: InfinityMagma, require_total: bool) -> Validati
                         rep.add("refl-functorial.pair", LAW_REFL_FUNCTORIAL, (y, x),
                                 f"refl[{p}][{m}]({y} o[{p},{q}] {x}) = {ryx} "
                                 f"but refl({y}) o[{m},{q}] refl({x}) = {together}")
-                for a in gs.grade(q):
-                    if not refl.defined(q, m, a):
-                        continue
-                    via_p, direct = refl.apply(p, m, refl.apply(q, p, a)), refl.apply(q, m, a)
-                    if via_p != direct:
-                        rep.add("refl-absorb.chain", LAW_REFL_ABSORB, (a,),
-                                f"refl[{p}][{m}](refl[{q}][{p}]({a})) = {via_p} but refl[{q}][{m}]({a}) = {direct}")
     return rep
 
 
