@@ -69,9 +69,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _stream(write, path: str | None) -> None:
-    """Write a document, which write(sink) writes whole or in chunks, to the report file
-    first, so that stdout stays empty if it cannot be written, and then to stdout: a copy
-    of the file, or the document written again where the path cannot be read back."""
+    """Write the document that write(sink) writes to the report file first, so stdout stays empty if
+    that fails, then to stdout: a copy of the file, or written again if it cannot be read back."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:

@@ -150,8 +150,7 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
     """
     rep = ValidationReport("magma")
     gs, comp = mag.gs, mag.comp
-    # an empty grade has nothing to check: cost follows the cells, not max_dim
-    grades = [m for m in range(1, gs.max_dim + 1) if gs.grade(m)]
+    grades = [m for m in range(1, gs.max_dim + 1) if gs.grade(m)]  # cost follows cells, not max_dim
     faces = defaultdict(dict, {  # faces[m, q, side][x] = boundary(gs, m, x, q, side), once per cell
         (m, q, side): {x: boundary(gs, m, x, q, side) for x in gs.grade(m)}
         for m in grades

@@ -20,6 +20,11 @@ orientations, the normalize2 case) and free structures with threshold >= 1
 (positive words, groupoidal columns).  Threshold 0 over a graph WITH
 2-generators would let word reduction merge columns, which is outside the
 slot picture; Strictifier rejects that configuration up front.
+
+A normal form computes its canonical name once, when it is built.  Names are
+injective per grade, so normal forms are equal exactly when grade and name
+are, and a normal form hashes as its name.  Words composed from valid words
+are not re-validated: only a composite's junction is new, checked in O(1).
 """
 
 from __future__ import annotations
@@ -163,11 +168,9 @@ class Strictifier:
         return a.steps + b.steps
 
     def _reverse(self, w: Word) -> Word:
-        """The formal inverse of a valid word: reversed steps, flipped orientations."""
         return Word(self._word_tgt(w), tuple([(edge, -orient) for edge, orient in reversed(w.steps)]))
 
     def cod2(self, nf: NF2) -> Word:
-        # letters swap parallel edges (checked in __init__), so the ends stay
         steps = tuple(self._slot_end(s, c) for s, c in zip(nf.dom.steps, nf.cols))
         return Word(nf.dom.base, steps)
 

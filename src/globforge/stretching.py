@@ -490,12 +490,12 @@ def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
     return NMagma(InfinityMagma(gs, refl, comp), rev)
 
 
-def write_json(obj, write: Callable[[str], object], batch: int = 1 << 16) -> None:
+def _write_json(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
 
     obj is a tree of dicts with str keys, lists, strs and ints; any other type
     raises TypeError.  A list of strs, or a dict of str values, is encoded by one
-    join.  write gets the pieces joined, about `batch` characters at a time.
+    join.  write gets the pieces joined, about 64K characters at a time.
     """
     encode = json.encoder.encode_basestring_ascii  # what json.dumps uses under ensure_ascii
     parts: list[str] = []
@@ -534,7 +534,7 @@ def write_json(obj, write: Callable[[str], object], batch: int = 1 << 16) -> Non
                         parts.append(encode(item) + ": ")
                         item = x[item]
                     emit(item, inner)
-                    if pending >= batch or len(parts) >= 1024:
+                    if pending >= 1 << 16 or len(parts) >= 1024:
                         flush()
             else:
                 parts.append(body)
@@ -560,7 +560,7 @@ def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
         ],
     }
     parts: list[str] = []
-    write_json(payload, parts.append if sink is None else sink.write)
+    _write_json(payload, parts.append if sink is None else sink.write)
     return "".join(parts) if sink is None else None
 
 

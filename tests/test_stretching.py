@@ -23,8 +23,8 @@ from globforge.stretching import (
     induced_algebra_magma,
     load_stretching,
     validate_stretching,
-    write_json,
 )
+from globforge.stretching import _write_json as write_json
 from globforge.words import free_groupoid_cells
 from hypothesis import given, settings, strategies as st
 
@@ -209,10 +209,19 @@ _JSON_TREES = st.recursive(
 
 
 @settings(max_examples=100, deadline=None)
-@given(_JSON_TREES, st.sampled_from([1, 64, 1 << 16]))
-def test_write_json_is_json_dumps(tree, batch):
+@given(_JSON_TREES)
+def test_write_json_is_json_dumps(tree):
     chunks = []
-    write_json(tree, chunks.append, batch)
+    write_json(tree, chunks.append)
+    assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_writes_in_batches():
+    # more than 1024 pieces, and a joined list of more than 64K characters
+    tree = {"rows": [[i, "x" * (i % 7), "\u00e9"] for i in range(3000)], "names": ["n" * 100] * 2000}
+    chunks = []
+    write_json(tree, chunks.append)
+    assert len(chunks) > 2
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
