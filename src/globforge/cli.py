@@ -79,9 +79,11 @@ def _stream(write, path: str | None) -> None:
             sys.stderr.write(f"cannot write report {path}: {exc.strerror or exc}\n")
             raise SystemExit(2)
         if os.path.isfile(path):
+            left = os.path.getsize(path)  # documents are ASCII; stdout may append to this very file
             with open(path, encoding="utf-8", newline="") as fh:
-                while chunk := fh.read(1 << 20):
+                while left > 0 and (chunk := fh.read(min(left, 1 << 20))):
                     sys.stdout.write(chunk)
+                    left -= len(chunk)
             return
     write(sys.stdout)
 

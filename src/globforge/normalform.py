@@ -120,9 +120,7 @@ class Strictifier:
                 "would merge columns, which the slot normal form cannot decide"
             )
         src, tgt = g.map("source", 1), g.map("target", 1)
-        # (tail, head) of each signed edge: the ends of words built from valid words
-        self._ends = {(e, 1): (src[e], tgt[e]) for e in g.grade(1)}
-        self._ends.update({(e, -1): (tgt[e], src[e]) for e in g.grade(1)})
+        self._ends = {(e, o): (src[e], tgt[e])[::o] for e in g.grade(1) for o in (1, -1)}  # (tail, head)
         for gen2 in g.grade(2):  # a letter swaps its faces in a word, which chains only if they are parallel
             lo, hi = g.map("source", 2)[gen2], g.map("target", 2)[gen2]
             if self._ends.get((lo, 1)) != self._ends.get((hi, 1)):

@@ -1,13 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from globforge.cli import main
+from globforge.dsl import parse_structure
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
 from globforge.report import ValidationReport, emit_report, parse_report
-from globforge.dsl import parse_structure
 from globforge.stretching import dump_stretching, generate_free_stretching, load_stretching, validate_stretching
 
 WALKING_ISO = """
@@ -182,6 +185,18 @@ def test_stretch_streams_the_dump_to_stdout_and_report(edge_file, tmp_path, caps
     # a device cannot be read back, so stdout gets the dump written again
     assert main(argv + ["--report", os.devnull]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_report_copy_stops_at_the_report_when_stdout_appends_to_it(edge_file, tmp_path):
+    # stdout receives a copy of the report file, so it must copy only what
+    # was written, even when stdout appends to that same file
+    path = tmp_path / "dump.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "globforge.cli", "stretch", edge_file, "--n", "0", "--dim", "2", "--size", "4"]
+    with open(path, "a", encoding="utf-8") as out:
+        assert subprocess.run(argv + ["--report", str(path)], stdout=out, env=env, timeout=60).returncode == 0
+    want = dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 4))
+    assert path.read_text(encoding="utf-8") == want + want
 
 
 @pytest.mark.parametrize("text", ["[1, 2, 3]\n", "42\n", "null\n", '"stretching"\n'])

@@ -11,6 +11,7 @@ from fixtures import (
     two_edge_graph,
     walking_iso_category,
 )
+from hypothesis import given, settings, strategies as st
 
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
@@ -18,15 +19,14 @@ from globforge.normalform import UnsupportedFreeConstructionError
 from globforge.stretching import (
     SectionViolationError,
     UnsupportedDimensionError,
+    _write_json,
     dump_stretching,
     generate_free_stretching,
     induced_algebra_magma,
     load_stretching,
     validate_stretching,
 )
-from globforge.stretching import _write_json as write_json
 from globforge.words import free_groupoid_cells
-from hypothesis import given, settings, strategies as st
 
 
 def test_identity_stretching_valid():
@@ -212,7 +212,7 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_write_json_is_json_dumps(tree):
     chunks = []
-    write_json(tree, chunks.append)
+    _write_json(tree, chunks.append)
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
@@ -220,7 +220,7 @@ def test_write_json_writes_in_batches():
     # more than 1024 pieces, and a joined list of more than 64K characters
     tree = {"rows": [[i, "x" * (i % 7), "\u00e9"] for i in range(3000)], "names": ["n" * 100] * 2000}
     chunks = []
-    write_json(tree, chunks.append)
+    _write_json(tree, chunks.append)
     assert len(chunks) > 2
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -228,7 +228,7 @@ def test_write_json_writes_in_batches():
 @pytest.mark.parametrize("tree", [1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"}])
 def test_write_json_rejects_other_types(tree):
     with pytest.raises(TypeError):
-        write_json(tree, [].append)
+        _write_json(tree, [].append)
 
 
 def test_dump_streams_what_it_returns(tmp_path):
