@@ -69,8 +69,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _stream(write, path: str | None) -> None:
-    """Write the document that write(sink) writes to the report file first, so stdout stays empty if
-    that fails, then to stdout: a copy of the file, or written again if it cannot be read back."""
+    """Write what write(sink) writes to the report file, if any, so stdout stays empty if that fails,
+    then to stdout: a copy of the file, or written again when the path cannot be read back."""
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
