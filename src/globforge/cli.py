@@ -33,8 +33,8 @@ _LAYER_NAMES = {
     ),
     "report": ("ValidationReport", "emit_report"),
     "stretching": (
-        "UnsupportedDimensionError", "dump_stretching", "generate_free_stretching", "load_stretching",
-        "validate_stretching",
+        "InvalidGraphError", "UnsupportedDimensionError", "dump_stretching", "generate_free_stretching",
+        "load_stretching", "validate_stretching",
     ),
     "words": ("MalformedWordError", "free_groupoid_cells", "parse_word", "reduce_word", "word_name"),
     "engine": ("builtin_suites", "check_suite"),
@@ -254,6 +254,9 @@ def _cmd_stretch(args) -> int:
     _import("stretching", "report")
     try:
         E = generate_free_stretching(parsed.gs, args.n, args.dim, args.size)
+    except InvalidGraphError as exc:
+        _emit(emit_report(exc.report), args.report)
+        return 1
     except (UnsupportedDimensionError, ValueError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

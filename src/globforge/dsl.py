@@ -27,9 +27,9 @@ parse_structure reads to an equal structure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set
 from .layers import ReflexorStructure, ReversorStructure
 from .magma import CompositionStructure, InfinityMagma, StrictNCategory
@@ -64,14 +64,11 @@ _TABLES = {
 }
 
 
-@dataclass
-class ParsedStructure:
-    name: str
-    gs: TruncatedGlobularSet
-    threshold: int
-    rev: ReversorStructure | None
-    refl: ReflexorStructure | None
-    comp: CompositionStructure | None
+class ParsedStructure(Record):
+    """A presentation file: name, carrier gs, threshold, and the rev, refl and comp layers (None if undeclared)."""
+
+    __slots__ = _fields = ("name", "gs", "threshold", "rev", "refl", "comp")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     @property
     def magma(self) -> InfinityMagma:

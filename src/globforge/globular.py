@@ -16,9 +16,9 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping
 
+from ._record import Record
 from .report import ValidationReport
 
 Side = Literal["source", "target"]
@@ -50,19 +50,22 @@ def _freeze_cells(cells: Mapping[int, Iterable[str]], max_dim: int) -> dict[int,
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedGlobularSet:
+class TruncatedGlobularSet(Record):
     """Graded cells with src/tgt tables, truncated at max_dim."""
 
-    max_dim: int
-    cells: Mapping[int, tuple[str, ...]]
-    src: Mapping[int, Mapping[str, str]]
-    tgt: Mapping[int, Mapping[str, str]]
-    # membership index derived from cells, so it takes no part in equality
-    cell_sets: Mapping[int, frozenset[str]] = field(init=False, compare=False, repr=False)
+    _fields = ("max_dim", "cells", "src", "tgt")
+    # cell_sets: a membership index derived from cells, so it takes no part in equality
+    __slots__ = (*_fields, "cell_sets")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cell_sets", {m: frozenset(cs) for m, cs in self.cells.items()})
+    def __init__(
+        self,
+        max_dim: int,
+        cells: Mapping[int, tuple[str, ...]],
+        src: Mapping[int, Mapping[str, str]],
+        tgt: Mapping[int, Mapping[str, str]],
+    ) -> None:
+        super().__init__(max_dim, cells, src, tgt)
+        object.__setattr__(self, "cell_sets", {m: frozenset(cs) for m, cs in cells.items()})
 
     def grade(self, m: int) -> tuple[str, ...]:
         return self.cells.get(m, ())
@@ -171,30 +174,13 @@ def parallel(gs: TruncatedGlobularSet, m: int, x: str, y: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GlobularMorphism:
+class GlobularMorphism(Record):
     """Graded map between globular sets; components indexed by dimension."""
 
-    source: TruncatedGlobularSet
-    target: TruncatedGlobularSet
-    maps: Mapping[int, Mapping[str, str]]
+    __slots__ = _fields = ("source", "target", "maps")
 
     def apply(self, m: int, x: str) -> str:
         return self.maps[m][x]
-
-
-def identity_morphism(gs: TruncatedGlobularSet) -> GlobularMorphism:
-    return GlobularMorphism(gs, gs, {m: {x: x for x in gs.grade(m)} for m in range(gs.max_dim + 1)})
-
-
-def compose_morphisms(second: GlobularMorphism, first: GlobularMorphism) -> GlobularMorphism:
-    if second.source is not first.target and second.source != first.target:
-        raise ValueError("morphisms are not composable")
-    maps = {
-        m: {x: second.maps[m][first.maps[m][x]] for x in first.source.grade(m)}
-        for m in range(first.source.max_dim + 1)
-    }
-    return GlobularMorphism(first.source, second.target, maps)
 
 
 def validate_morphism(phi: GlobularMorphism) -> ValidationReport:

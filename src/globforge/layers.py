@@ -21,9 +21,9 @@ implicit identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import Record
 from .globular import TruncatedGlobularSet
 from .report import ValidationReport
 
@@ -38,12 +38,10 @@ LAW_COMPAT_FIX = "a reversor fixes cells degenerate at or below its base dimensi
 LAW_COMPAT_PUSH = "a reversor moves through a higher reflexor to the core cell"
 
 
-@dataclass(frozen=True)
-class ReversorStructure:
+class ReversorStructure(Record):
     """Tables j[(m, p)] : X_m -> X_m for threshold <= p < m <= D."""
 
-    threshold: int
-    maps: Mapping[tuple[int, int], Mapping[str, str]]
+    __slots__ = _fields = ("threshold", "maps")
 
     def pairs(self, max_dim: int) -> list[tuple[int, int]]:
         return [
@@ -59,11 +57,10 @@ class ReversorStructure:
         return self.maps[(m, p)][x]
 
 
-@dataclass(frozen=True)
-class ReflexorStructure:
+class ReflexorStructure(Record):
     """Tables refl[(p, m)] : X_p -> X_m, generated by the one-step maps."""
 
-    maps: Mapping[tuple[int, int], Mapping[str, str]]
+    __slots__ = _fields = ("maps",)
 
     def table(self, p: int, m: int) -> Mapping[str, str]:
         return self.maps.get((p, m), {})

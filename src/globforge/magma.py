@@ -57,11 +57,11 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
+from ._record import Record
 from .globular import GlobularMorphism, TruncatedGlobularSet, boundary, validate_morphism
 from .layers import ReflexorStructure, ReversorStructure
 from .report import ValidationReport
@@ -94,11 +94,10 @@ class AmbiguousInverseError(Exception):
         self.cell, self.m, self.p, self.candidates = cell, m, p, candidates
 
 
-@dataclass(frozen=True)
-class CompositionStructure:
+class CompositionStructure(Record):
     """Tables comp[(m, p)] : {(y, x) -> y o_p x} for 0 <= p < m <= D."""
 
-    maps: Mapping[tuple[int, int], Mapping[tuple[str, str], str]]
+    __slots__ = _fields = ("maps",)
 
     def table(self, m: int, p: int) -> Mapping[tuple[str, str], str]:
         return self.maps.get((m, p), {})
@@ -110,31 +109,26 @@ class CompositionStructure:
         return self.maps[(m, p)][(y, x)]
 
 
-@dataclass(frozen=True)
-class InfinityMagma:
-    gs: TruncatedGlobularSet
-    refl: ReflexorStructure
-    comp: CompositionStructure
+class InfinityMagma(Record):
+    """A globular set gs with reflexor tables refl and composition tables comp."""
+
+    __slots__ = _fields = ("gs", "refl", "comp")
 
 
-@dataclass(frozen=True)
-class NMagma:
+class NMagma(Record):
     """A magma with an unconstrained reversor layer on top."""
 
-    magma: InfinityMagma
-    rev: ReversorStructure
+    __slots__ = _fields = ("magma", "rev")
 
     @property
     def threshold(self) -> int:
         return self.rev.threshold
 
 
-@dataclass(frozen=True)
-class StrictNCategory:
+class StrictNCategory(Record):
     """A strict structure whose cells are invertible down to the threshold."""
 
-    magma: InfinityMagma
-    threshold: int
+    __slots__ = _fields = ("magma", "threshold")
 
     @property
     def gs(self) -> TruncatedGlobularSet:
@@ -566,53 +560,3 @@ def check_functor_reversors(
                     f"F(j[{m}][{p}]({alpha})) = {lhs} but j[{m}][{p}](F({alpha})) = {rhs}",
                 )
     return rep
-
-
-def product_category(cat: StrictNCategory, cat2: StrictNCategory, sep: str = "|") -> StrictNCategory:
-    """Componentwise product; useful for generating fixture families."""
-    gs, gs2 = cat.gs, cat2.gs
-    if gs.max_dim != gs2.max_dim:
-        raise ValueError("product requires equal truncation bounds")
-    D = gs.max_dim
-    name = lambda a, b: f"{a}{sep}{b}"
-    cells = {m: [name(a, b) for a in gs.grade(m) for b in gs2.grade(m)] for m in range(D + 1)}
-    src = {
-        m: {
-            name(a, b): name(gs.map("source", m)[a], gs2.map("source", m)[b])
-            for a in gs.grade(m)
-            for b in gs2.grade(m)
-        }
-        for m in range(1, D + 1)
-    }
-    tgt = {
-        m: {
-            name(a, b): name(gs.map("target", m)[a], gs2.map("target", m)[b])
-            for a in gs.grade(m)
-            for b in gs2.grade(m)
-        }
-        for m in range(1, D + 1)
-    }
-    from .globular import globular_set
-
-    prod_gs = globular_set(D, cells, src, tgt)
-    refl = ReflexorStructure(
-        {
-            (p, p + 1): {
-                name(a, b): name(cat.magma.refl.apply(p, p + 1, a), cat2.magma.refl.apply(p, p + 1, b))
-                for a in gs.grade(p)
-                for b in gs2.grade(p)
-            }
-            for p in range(D)
-        }
-    )
-    comp_maps: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
-    for m in range(1, D + 1):
-        for p in range(m):
-            t1, t2 = cat.magma.comp.table(m, p), cat2.magma.comp.table(m, p)
-            table: dict[tuple[str, str], str] = {}
-            for (y1, x1), z1 in t1.items():
-                for (y2, x2), z2 in t2.items():
-                    table[(name(y1, y2), name(x1, x2))] = name(z1, z2)
-            comp_maps[(m, p)] = table
-    comp = CompositionStructure(comp_maps)
-    return StrictNCategory(InfinityMagma(prod_gs, refl, comp), max(cat.threshold, cat2.threshold))

@@ -16,25 +16,32 @@ tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    law: str
-    cells: tuple[str, ...]
-    detail: str
+class Violation(Record):
+    __slots__ = _fields = ("axiom", "law", "cells", "detail")
+
+    def __init__(self, axiom: str, law: str, cells: tuple[str, ...], detail: str) -> None:
+        put = object.__setattr__
+        put(self, "axiom", axiom)
+        put(self, "law", law)
+        put(self, "cells", cells)
+        put(self, "detail", detail)
 
     def sort_key(self) -> tuple:
         # all fields participate, so canonical ordering never ties
         return (self.axiom, self.cells, self.detail, self.law)
 
 
-@dataclass
-class ValidationReport:
-    subject: str
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = _fields = ("subject", "violations")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, subject: str, violations: list[Violation] | None = None) -> None:
+        self.subject = subject
+        self.violations = [] if violations is None else violations
 
     @property
     def valid(self) -> bool:
@@ -47,9 +54,7 @@ class ValidationReport:
         self.violations.extend(other.violations)
 
     def sorted(self) -> "ValidationReport":
-        rep = ValidationReport(self.subject)
-        rep.violations = sorted(set(self.violations), key=Violation.sort_key)
-        return rep
+        return ValidationReport(self.subject, sorted(set(self.violations), key=Violation.sort_key))
 
     def axiom_ids(self) -> set[str]:
         return {v.axiom for v in self.violations}

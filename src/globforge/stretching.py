@@ -20,9 +20,9 @@ on the pieces should run with require_total=False.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, TextIO
 
+from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
 from .layers import ReflexorStructure, ReversorStructure
 from .magma import CompositionStructure, InfinityMagma, NMagma
@@ -41,18 +41,32 @@ class UnsupportedDimensionError(ValueError):
     """The requested truncation exceeds what free generation supports."""
 
 
+class InvalidGraphError(ValueError):
+    """The generating graph is not a well-formed globular set; .report says why."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__("the generating graph is not a well-formed globular set")
+        self.report = report
+
+
 class SectionViolationError(ValueError):
     """v o lam is not the identity, or v does not commute with boundaries."""
 
 
-@dataclass
-class Stretching:
-    m_side: NMagma
-    c_side: NMagma
-    threshold: int
-    pi: Mapping[int, Mapping[str, str]]
-    brackets: Mapping[tuple[int, str, str], str]
-    terms: Mapping[int, Mapping[str, StretchTerm]] = field(default_factory=dict)
+class Stretching(Record):
+    __slots__ = _fields = ("m_side", "c_side", "threshold", "pi", "brackets", "terms")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self,
+        m_side: NMagma,
+        c_side: NMagma,
+        threshold: int,
+        pi: Mapping[int, Mapping[str, str]],
+        brackets: Mapping[tuple[int, str, str], str],
+        terms: Mapping[int, Mapping[str, StretchTerm]] | None = None,
+    ) -> None:
+        super().__init__(m_side, c_side, threshold, pi, brackets, {} if terms is None else terms)
 
     def pi_of(self, m: int, x: str) -> str | None:
         return self.pi.get(m, {}).get(x)
@@ -167,12 +181,16 @@ def generate_free_stretching(
     """All terms of size <= S and dimension <= D over g, with brackets.
 
     Deterministic: grades are sorted by (size, name), brackets are stored
-    once per unordered pair with the larger term as target.
+    once per unordered pair with the larger term as target.  A graph that
+    is not a well-formed globular set raises InvalidGraphError.
     """
     if min(n, D, S) < 0:
         raise ValueError(f"the bounds n, D, S must be >= 0, got n={n}, D={D}, S={S}")
     if D > 3:
         raise UnsupportedDimensionError(f"free stretching generation supports dimension <= 3, got {D}")
+    rep = validate_globular(g)
+    if not rep.valid:
+        raise InvalidGraphError(rep)
     strict = Strictifier(g, n)
     ctx = TermContext(g, n, strict)
 

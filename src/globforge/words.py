@@ -24,8 +24,7 @@ require_total=False.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set
 from .layers import ReflexorStructure
 from .magma import CompositionStructure, InfinityMagma, StrictNCategory
@@ -37,10 +36,12 @@ class MalformedWordError(ValueError):
     """Consecutive steps of a word do not chain, or a step names no edge."""
 
 
-@dataclass(frozen=True)
-class Word:
-    base: str  # source 0-cell; the whole word for the empty sequence
-    steps: tuple[Step, ...]
+class Word(Record):
+    __slots__ = _fields = ("base", "steps")  # base: the source 0-cell; the whole word for the empty sequence
+
+    def __init__(self, base: str, steps: tuple[Step, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from globforge.globular import TruncatedGlobularSet, globular_set
+from globforge.globular import GlobularMorphism, TruncatedGlobularSet, globular_set
 from globforge.layers import ReflexorStructure, ReversorStructure
 from globforge.magma import CompositionStructure, InfinityMagma, StrictNCategory
 
@@ -133,6 +133,54 @@ def sym3_category() -> StrictNCategory:
         return "".join(y[int(x[i])] for i in range(3))
 
     return group_category(perms, mult, "012")
+
+
+def product_category(cat: StrictNCategory, cat2: StrictNCategory, sep: str = "|") -> StrictNCategory:
+    """Componentwise product, for generating fixture families."""
+    gs, gs2 = cat.gs, cat2.gs
+    if gs.max_dim != gs2.max_dim:
+        raise ValueError("product requires equal truncation bounds")
+    D = gs.max_dim
+    name = lambda a, b: f"{a}{sep}{b}"
+    cells = {m: [name(a, b) for a in gs.grade(m) for b in gs2.grade(m)] for m in range(D + 1)}
+    src = {
+        m: {
+            name(a, b): name(gs.map("source", m)[a], gs2.map("source", m)[b])
+            for a in gs.grade(m)
+            for b in gs2.grade(m)
+        }
+        for m in range(1, D + 1)
+    }
+    tgt = {
+        m: {
+            name(a, b): name(gs.map("target", m)[a], gs2.map("target", m)[b])
+            for a in gs.grade(m)
+            for b in gs2.grade(m)
+        }
+        for m in range(1, D + 1)
+    }
+    prod_gs = globular_set(D, cells, src, tgt)
+    refl = ReflexorStructure(
+        {
+            (p, p + 1): {
+                name(a, b): name(cat.magma.refl.apply(p, p + 1, a), cat2.magma.refl.apply(p, p + 1, b))
+                for a in gs.grade(p)
+                for b in gs2.grade(p)
+            }
+            for p in range(D)
+        }
+    )
+    comp_maps: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
+    for m in range(1, D + 1):
+        for p in range(m):
+            t1, t2 = cat.magma.comp.table(m, p), cat2.magma.comp.table(m, p)
+            table: dict[tuple[str, str], str] = {}
+            for (y1, x1), z1 in t1.items():
+                for (y2, x2), z2 in t2.items():
+                    table[(name(y1, y2), name(x1, x2))] = name(z1, z2)
+            comp_maps[(m, p)] = table
+    comp = CompositionStructure(comp_maps)
+    return StrictNCategory(InfinityMagma(prod_gs, refl, comp), max(cat.threshold, cat2.threshold))
 
 
 def pad_to_dim(cat: StrictNCategory, target_dim: int) -> StrictNCategory:
@@ -310,6 +358,20 @@ def redirect_rev(rev: ReversorStructure, key: tuple[int, int], cell: str, value:
     maps[key] = dict(maps[key])
     maps[key][cell] = value
     return ReversorStructure(rev.threshold, maps)
+
+
+def identity_morphism(gs: TruncatedGlobularSet) -> GlobularMorphism:
+    return GlobularMorphism(gs, gs, {m: {x: x for x in gs.grade(m)} for m in range(gs.max_dim + 1)})
+
+
+def compose_morphisms(second: GlobularMorphism, first: GlobularMorphism) -> GlobularMorphism:
+    if second.source is not first.target and second.source != first.target:
+        raise ValueError("morphisms are not composable")
+    maps = {
+        m: {x: second.maps[m][first.maps[m][x]] for x in first.source.grade(m)}
+        for m in range(first.source.max_dim + 1)
+    }
+    return GlobularMorphism(first.source, second.target, maps)
 
 
 def one_edge_graph() -> TruncatedGlobularSet:

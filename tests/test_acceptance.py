@@ -17,6 +17,7 @@ from fixtures import (
     one_edge_graph,
     pad_to_dim,
     poset_category,
+    product_category,
     redirect_bracket,
     redirect_comp,
     redirect_rev,
@@ -49,7 +50,6 @@ from globforge.layers import (
 )
 from globforge.magma import (
     derive_canonical_reversors,
-    product_category,
     validate_magma,
     validate_strict,
 )

@@ -187,6 +187,23 @@ def test_stretch_streams_the_dump_to_stdout_and_report(edge_file, tmp_path, caps
     assert capsys.readouterr().out == want
 
 
+def test_stretch_reports_a_malformed_graph(tmp_path, capsys):
+    # an edge without a target: the globular report, not a KeyError from the generator
+    path = tmp_path / "no-tgt.glob"
+    path.write_text("cells 0: a b\ncells 1: e\nsrc e = a\n")
+    argv = ["stretch", str(path), "--n", "0", "--dim", "1", "--size", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = parse_report(out)
+    assert rep.subject == "globular"
+    assert rep.axiom_ids() == {"globular.map"} and rep.violations[0].cells == ("e",)
+    report = tmp_path / "report.json"
+    assert main(argv + ["--report", str(report)]) == 1
+    assert capsys.readouterr() == (out, "")
+    assert report.read_text(encoding="utf-8") == out
+
+
 def test_report_copy_stops_at_the_report_when_stdout_appends_to_it(edge_file, tmp_path):
     # stdout receives a copy of the report file, so it must copy only what
     # was written, even when stdout appends to that same file

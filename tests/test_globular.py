@@ -1,16 +1,14 @@
 import itertools
 
 import pytest
-from fixtures import three_globe, two_cell_globe, walking_iso_graph
+from fixtures import compose_morphisms, identity_morphism, three_globe, two_cell_globe, walking_iso_graph
 
 from globforge.globular import (
     DimensionError,
     GlobularMorphism,
     GradeMismatchError,
     boundary,
-    compose_morphisms,
     globular_set,
-    identity_morphism,
     parallel,
     validate_globular,
     validate_morphism,

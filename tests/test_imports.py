@@ -1,5 +1,6 @@
-"""Import footprint: each command imports only the layers it runs, and the
-lazy package exports resolve to the defining modules' objects."""
+"""Import footprint: each command imports only the layers it runs, the data
+commands import no dataclasses, and the lazy package exports resolve to the
+defining modules' objects."""
 
 import importlib
 import json
@@ -11,22 +12,24 @@ from pathlib import Path
 import pytest
 
 import globforge
-from test_cli import WALKING_ISO
+from globforge.dsl import parse_structure
+from globforge.stretching import dump_stretching, generate_free_stretching
+from test_cli import EDGE, WALKING_ISO
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _loaded(code: str) -> set[str]:
-    """globforge modules loaded once `code` has run in a fresh interpreter."""
-    probe = f"{code}\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('globforge'))))"
+def _loaded(code: str, prefix: str = "globforge") -> set[str]:
+    """Modules named with `prefix` loaded once `code` has run in a fresh interpreter."""
+    probe = f"{code}\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _after_command(argv: list[str]) -> set[str]:
-    return _loaded(f"import globforge.cli\nassert globforge.cli.main({argv!r}) == 0")
+def _after_command(argv: list[str], prefix: str = "globforge") -> set[str]:
+    return _loaded(f"import globforge.cli\nassert globforge.cli.main({argv!r}) == 0", prefix)
 
 
 def test_importing_cli_loads_no_layer():
@@ -48,6 +51,29 @@ def test_validate_loads_no_engine_and_no_free_construction(tmp_path):
     assert not any(m.startswith("globforge.engine") for m in loaded)
     for layer in ("stretching", "normalform", "terms", "words"):
         assert f"globforge.{layer}" not in loaded
+
+
+# check-proofs is exempt: the engine keeps its dataclasses, because the
+# benchmark's replay and the acceptance tests mutate its proof steps with
+# dataclasses.replace
+DATA_COMMANDS = [
+    ["validate", "{iso}"],
+    ["validate", "{dump}", "--layer", "stretching"],
+    ["stretch", "{edge}", "--n", "0", "--dim", "2", "--size", "3"],
+    ["free-groupoid", "{edge}", "--max-len", "2"],
+    ["derive-reversors", "{iso}"],
+    ["index", "{iso}"],
+]
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS, ids=[" ".join(argv) for argv in DATA_COMMANDS])
+def test_data_commands_import_neither_dataclasses_nor_inspect(argv, tmp_path):
+    files = {"iso": tmp_path / "iso.glob", "edge": tmp_path / "edge.glob", "dump": tmp_path / "dump.json"}
+    files["iso"].write_text(WALKING_ISO)
+    files["edge"].write_text(EDGE)
+    files["dump"].write_text(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 3)))
+    loaded = _after_command([arg.format(**files) for arg in argv], prefix="")
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_package_exports_are_the_defining_modules_objects():

@@ -1,16 +1,18 @@
 import pytest
 from fixtures import (
     cyclic_group_category,
+    identity_morphism,
     klein_four_category,
     pad_to_dim,
     poset_category,
+    product_category,
     redirect_comp,
     square_2cat,
     sym3_category,
     walking_iso_category,
 )
 
-from globforge.globular import GlobularMorphism, identity_morphism, validate_globular
+from globforge.globular import GlobularMorphism, validate_globular
 from globforge.layers import validate_involutive, validate_reflexive_compat, validate_reflexors
 from globforge.magma import (
     AmbiguousInverseError,
@@ -18,7 +20,6 @@ from globforge.magma import (
     check_functor_reversors,
     compute_index,
     derive_canonical_reversors,
-    product_category,
     validate_magma,
     validate_strict,
 )

@@ -17,6 +17,7 @@ from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
 from globforge.normalform import UnsupportedFreeConstructionError
 from globforge.stretching import (
+    InvalidGraphError,
     SectionViolationError,
     UnsupportedDimensionError,
     _write_json,
@@ -32,6 +33,14 @@ from globforge.words import free_groupoid_cells
 def test_identity_stretching_valid():
     E = identity_stretching(walking_iso_category())
     assert validate_stretching(E).valid
+
+
+def test_generation_rejects_a_malformed_graph():
+    g = globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "a"}})
+    with pytest.raises(InvalidGraphError) as info:
+        generate_free_stretching(g, 0, 1, 2)
+    assert info.value.report == validate_globular(g)
+    assert info.value.report.axiom_ids() == {"globular.map"}
 
 
 def test_graded_loop_stretching_valid():

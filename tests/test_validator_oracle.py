@@ -18,6 +18,7 @@ from fixtures import (
     klein_four_category,
     pad_to_dim,
     poset_category,
+    product_category,
     redirect_comp,
     redirect_refl,
     square_2cat,
@@ -42,7 +43,6 @@ from globforge.magma import (
     LAW_UNITS,
     CompositionStructure,
     InfinityMagma,
-    product_category,
     validate_magma,
     validate_strict,
 )

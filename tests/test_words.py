@@ -262,3 +262,39 @@ def _small_graphs(draw):
 @given(_small_graphs(), st.integers(0, 3))
 def test_free_groupoid_table_on_random_graphs(graph, max_len):
     _assert_table_matches_reduced_concatenation(graph, max_len)
+
+
+def _hashimoto_counts(g, max_len: int) -> list[int]:
+    """Reduced words of each length 0..max_len, counted without globforge.words.
+
+    A reduced word of length k >= 1 is a non-backtracking walk of k signed
+    edges, so their number is the sum of the entries of B^(k-1), where B is
+    the non-backtracking (Hashimoto) matrix on the 2|E| signed edges: B[s][t]
+    is 1 when s ends where t starts and t does not undo s.  Length 0 is one
+    identity per point.
+    """
+    signed = [(e, o) for e in g.grade(1) for o in (1, -1)]
+    src, tgt = g.map("source", 1), g.map("target", 1)
+    ends = {(e, o): (src[e], tgt[e]) if o > 0 else (tgt[e], src[e]) for e, o in signed}
+    B = [[int(ends[s][1] == ends[t][0] and t != (s[0], -s[1])) for t in signed] for s in signed]
+    counts, row = [len(g.grade(0))], [1] * len(signed)  # row = 1^T B^(k-1)
+    for _ in range(max_len):
+        counts.append(sum(row))
+        row = [sum(row[i] * B[i][j] for i in range(len(signed))) for j in range(len(signed))]
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.integers(0, 2))
+def test_free_groupoid_counts_match_hashimoto_and_restrict_across_bounds(graph, max_len):
+    small, big = free_groupoid_cells(graph, max_len), free_groupoid_cells(graph, max_len + 1)
+    assert len(small.gs.grade(1)) == sum(_hashimoto_counts(graph, max_len))
+    assert len(big.gs.grade(1)) == sum(_hashimoto_counts(graph, max_len + 1))
+    # the bound-L groupoid is the bound-(L+1) one restricted to words of length <= L
+    keep = {c for c in big.gs.grade(1) if len(parse_word(graph, c)) <= max_len}
+    assert set(small.gs.grade(1)) == keep and small.gs.grade(0) == big.gs.grade(0)
+    for side in ("source", "target"):
+        assert small.gs.map(side, 1) == {c: x for c, x in big.gs.map(side, 1).items() if c in keep}
+    assert small.magma.refl == big.magma.refl
+    table = big.magma.comp.table(1, 0)
+    assert small.magma.comp.table(1, 0) == {k: z for k, z in table.items() if {*k, z} <= keep}
