@@ -36,7 +36,9 @@ _LAYER_NAMES = {
         "InvalidGraphError", "UnsupportedDimensionError", "dump_stretching", "generate_free_stretching",
         "load_stretching", "validate_stretching",
     ),
-    "words": ("MalformedWordError", "free_groupoid_cells", "parse_word", "reduce_word", "word_name"),
+    "words": (
+        "MalformedWordError", "free_groupoid_cells", "parse_word", "reduce_word", "reduced_words_by_name", "word_name",
+    ),
     "engine": ("builtin_suites", "check_suite"),
 }
 _OWNER = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
@@ -229,19 +231,19 @@ def _cmd_free_groupoid(args) -> int:
         _emit(emit_report(rep), args.report)
         return 1
     word = None
-    if args.reduce is not None:  # before the groupoid is built, so a bad word fails fast
+    if args.reduce is not None:  # before the words are enumerated, so a bad word fails fast
         try:
             word = parse_word(parsed.gs, args.reduce)
         except MalformedWordError as exc:
             sys.stderr.write(f"malformed word: {exc}\n")
             return 2
-    cat = free_groupoid_cells(parsed.gs, args.max_len)
+    # the cells are the reduced words; no composite is formed
     payload = {
         "kind": "free-groupoid",
         "subject": parsed.name,
         "max_len": args.max_len,
-        "points": list(cat.gs.grade(0)),
-        "cells": list(cat.gs.grade(1)),
+        "points": list(parsed.gs.grade(0)),
+        "cells": list(reduced_words_by_name(parsed.gs, args.max_len)),
     }
     if word is not None:
         payload["reduced"] = word_name(reduce_word(parsed.gs, word))

@@ -11,9 +11,10 @@ until none remain.  The rewrite is confluent, so the reduced word is unique
 regardless of deletion order; free_reduce does it in one stack scan, for
 words and for the columns of 2-generator letters in normalform alike.
 
-free_groupoid_cells materializes the 1-truncated free groupoid on a graph
-as a strict structure whose 1-cells are the reduced words up to a length
-bound.  The composite of reduced words y after x is y[:len(y)-c] + x[c:],
+The 1-cells of the 1-truncated free groupoid on a graph are the reduced
+words up to a length bound; reduced_words_by_name keys them by cell name.
+free_groupoid_cells materializes the groupoid as a strict structure over
+them.  The composite of reduced words y after x is y[:len(y)-c] + x[c:],
 where c is the length of the overlap in which y's last steps cancel x's
 first steps.  This is exactly the reduced concatenation: each factor is
 reduced, so the only cancellable pairs are at the junction, and once the
@@ -156,6 +157,12 @@ def enumerate_reduced_words(gs: TruncatedGlobularSet, max_len: int) -> list[Word
     return out
 
 
+def reduced_words_by_name(gs: TruncatedGlobularSet, max_len: int) -> dict[str, Word]:
+    """The reduced words of length <= max_len keyed by their cell names, in sorted name order."""
+    names = {word_name(w): w for w in enumerate_reduced_words(gs, max_len)}
+    return {nm: names[nm] for nm in sorted(names)}
+
+
 def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategory:
     """The 1-truncated free groupoid on a graph, cells bounded by word length.
 
@@ -167,12 +174,10 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
         raise ValueError("free groupoid generation expects a graph of dimension <= 1")
     if max_len < 0:
         raise ValueError(f"the word-length bound must be >= 0, got {max_len}")
-    words = enumerate_reduced_words(g, max_len)
-    names = {word_name(w): w for w in words}
-    cells1 = tuple(sorted(names))
+    names = reduced_words_by_name(g, max_len)
     src = {1: {nm: word_source(g, w) for nm, w in names.items()}}
     tgt = {1: {nm: word_target(g, w) for nm, w in names.items()}}
-    gs = globular_set(1, {0: g.grade(0), 1: cells1}, src, tgt)
+    gs = globular_set(1, {0: g.grade(0), 1: tuple(names)}, src, tgt)
 
     refl = ReflexorStructure({(0, 1): {a: word_name(Word(a, ())) for a in g.grade(0)}})
 

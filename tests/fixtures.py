@@ -387,6 +387,21 @@ def two_edge_graph() -> TruncatedGlobularSet:
     )
 
 
+def bouquet(k: int) -> TruncatedGlobularSet:
+    """k loops x1..xk on one point o: its reduced words form the free group on k letters."""
+    loops = [f"x{i}" for i in range(1, k + 1)]
+    return globular_set(1, {0: ["o"], 1: loops}, src={1: {e: "o" for e in loops}}, tgt={1: {e: "o" for e in loops}})
+
+
+def graph_file(path, name: str, g: TruncatedGlobularSet) -> str:
+    """Write a graph to path as a presentation file; return the path as a string."""
+    from globforge.dsl import ParsedStructure, emit_structure
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_structure(ParsedStructure(name, g, 0, None, None, None)))
+    return str(path)
+
+
 def identity_stretching(cat: StrictNCategory):
     """pi = identity; brackets only on the diagonal, where they are reflexors."""
     from globforge.magma import NMagma, derive_canonical_reversors

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from fixtures import bouquet, graph_file, two_edge_graph
 
 from globforge.cli import main
 from globforge.dsl import parse_structure
@@ -363,15 +365,17 @@ def test_derive_reversors_negative_threshold_on_invalid_file_exit_two(tmp_path, 
     assert err == "the reversor threshold must be >= 0, got -1\n"
 
 
-def _no_groupoid(monkeypatch):
-    def spy(g, max_len):
-        raise AssertionError("the free groupoid was built")
+def _refuse(monkeypatch, *names):
+    """Make each cli.<name> fail the test when called."""
+    for name in names:
+        def spy(g, max_len, name=name):
+            raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr("globforge.cli.free_groupoid_cells", spy)
+        monkeypatch.setattr(f"globforge.cli.{name}", spy)
 
 
 def test_free_groupoid_malformed_word_exits_before_building(edge_file, capsys, monkeypatch):
-    _no_groupoid(monkeypatch)
+    _refuse(monkeypatch, "free_groupoid_cells", "reduced_words_by_name")
     assert main(["free-groupoid", edge_file, "--max-len", "5", "--reduce", "e+.zz+"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -379,11 +383,46 @@ def test_free_groupoid_malformed_word_exits_before_building(edge_file, capsys, m
 
 
 def test_free_groupoid_negative_bound_wins_over_malformed_word(edge_file, capsys, monkeypatch):
-    _no_groupoid(monkeypatch)
+    _refuse(monkeypatch, "free_groupoid_cells", "reduced_words_by_name")
     assert main(["free-groupoid", edge_file, "--max-len", "-1", "--reduce", "e+.zz+"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "the word-length bound must be >= 0, got -1\n"
+
+
+def test_free_groupoid_forms_no_composites(edge_file, capsys, monkeypatch):
+    _refuse(monkeypatch, "free_groupoid_cells")
+    assert main(["free-groupoid", edge_file, "--max-len", "3", "--reduce", "e+.e-.e+"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cells"] == ["e+", "e-", "id(a)", "id(b)"] and payload["reduced"] == "e+"
+
+
+# SHA-256 of free-groupoid stdout, pinned while the command still built the
+# whole composite table
+FREE_GROUPOID_DIGESTS = {
+    ("bouquet2", "--max-len", "5", "--reduce", "x1+.x2+.x2-.x1-.x2-.x1+"):
+        "47e4b6fe1fcb5a20149d8bf5af9eeb64f4985d20112a9dc6e64bc0232905c1bd",
+    ("bouquet2", "--max-len", "6"): "54566dada246907d6a13c87fc28124d89866526c20480784d38931806f07cd78",
+    ("path2", "--max-len", "3"): "2321cf7b3df4b462fc5a958ab4fccb80b733b6d344e9ad15f2f36515418e4803",
+}
+
+
+@pytest.mark.parametrize("key", list(FREE_GROUPOID_DIGESTS))
+def test_free_groupoid_digests(key, tmp_path, capsys):
+    name, *args = key
+    g = bouquet(2) if name == "bouquet2" else two_edge_graph()
+    assert main(["free-groupoid", graph_file(tmp_path / f"{name}.glob", name, g), *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FREE_GROUPOID_DIGESTS[key]
+
+
+def test_free_group_at_length_eight(tmp_path, capsys):
+    # 1 + sum over i = 1..8 of 4 * 3^(i-1) reduced words; the composite table would hold over a million
+    path = graph_file(tmp_path / "bouquet2.glob", "bouquet2", bouquet(2))
+    assert main(["free-groupoid", path, "--max-len", "8"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert len(cells) == 1 + 4 * (3**8 - 1) // 2 == 13121
+    assert cells == sorted(set(cells))
 
 
 def test_internal_error_exits_two_with_one_line(iso_file, capsys, monkeypatch):

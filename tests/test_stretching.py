@@ -293,7 +293,7 @@ def _restrict(dump: dict, S: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("n,D", [(0, 1), (0, 2), (1, 2), (0, 3)])
+@pytest.mark.parametrize("n,D", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
 def test_smaller_bound_is_a_restriction(n, D):
     # metamorphic check across bounds: the size-S stretching is the size-(S+1)
     # one cut down to size S, and its strict side is contained in the larger one

@@ -53,8 +53,8 @@ TRACED = {
          "stretching.brackets": 1, "stretching.cells": 83, "terms.built": 83},
     ),
     ("cli", "free-groupoid", "{edge}", "--max-len", "3", "--reduce", "e+.e-.e+"): (
-        {"cli.import": 1, "dsl.parse": 1, "globular.build": 2, "globular.validate": 1, "words.free_groupoid": 1},
-        {"dsl.lines": 7, "words.cells": 4, "words.entries": 8, "words.reduce_calls": 1},
+        {"cli.import": 1, "dsl.parse": 1, "globular.build": 1, "globular.validate": 1},
+        {"dsl.lines": 7, "words.reduce_calls": 1},
     ),
 }
 

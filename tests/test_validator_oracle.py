@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 from fixtures import (
+    bouquet,
     cyclic_group_category,
     klein_four_category,
     pad_to_dim,
@@ -244,11 +245,6 @@ def _agree(mag: InfinityMagma) -> bool:
     return found
 
 
-def _bouquet(k: int):
-    loops = [f"x{i}" for i in range(1, k + 1)]
-    return globular_set(1, {0: ["o"], 1: loops}, src={1: {e: "o" for e in loops}}, tgt={1: {e: "o" for e in loops}})
-
-
 def _free_stretching_strict_side():
     g = globular_set(
         2,
@@ -290,7 +286,7 @@ def test_strict_fixtures_match_oracles(name):
 
 @pytest.mark.parametrize("max_len", range(5))
 def test_free_groupoid_bouquet_matches_oracles(max_len):
-    _agree(free_groupoid_cells(_bouquet(2), max_len).magma)
+    _agree(free_groupoid_cells(bouquet(2), max_len).magma)
 
 
 @pytest.mark.parametrize("max_len", range(5))

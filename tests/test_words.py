@@ -1,7 +1,14 @@
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import pytest
-from fixtures import one_edge_graph, two_edge_graph
+from fixtures import bouquet, graph_file, one_edge_graph, two_edge_graph
 from hypothesis import given, settings, strategies as st
 
+from globforge.cli import main
 from globforge.layers import validate_reflexors
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
@@ -211,11 +218,6 @@ def test_enumerate_reduced_words_deterministic():
     assert a == b
 
 
-def _bouquet(k):
-    loops = [f"x{i}" for i in range(1, k + 1)]
-    return globular_set(1, {0: ["o"], 1: loops}, src={1: {e: "o" for e in loops}}, tgt={1: {e: "o" for e in loops}})
-
-
 def _two_cycle():
     return globular_set(1, {0: ["a", "b"], 1: ["f", "g"]}, src={1: {"f": "a", "g": "b"}}, tgt={1: {"f": "b", "g": "a"}})
 
@@ -236,7 +238,7 @@ def _assert_table_matches_reduced_concatenation(g, max_len):
     assert maps == {(1, 0): expected}
 
 
-ORACLE_GRAPHS = {"bouquet1": _bouquet(1), "bouquet2": _bouquet(2), "path2": two_edge_graph(), "cycle2": _two_cycle()}
+ORACLE_GRAPHS = {"bouquet1": bouquet(1), "bouquet2": bouquet(2), "path2": two_edge_graph(), "cycle2": _two_cycle()}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -262,6 +264,20 @@ def _small_graphs(draw):
 @given(_small_graphs(), st.integers(0, 3))
 def test_free_groupoid_table_on_random_graphs(graph, max_len):
     _assert_table_matches_reduced_concatenation(graph, max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.integers(0, 3))
+def test_free_groupoid_command_prints_the_library_cells(graph, max_len):
+    # a file per example: function-scoped fixtures would be shared across examples
+    with tempfile.TemporaryDirectory() as tmp:
+        path = graph_file(os.path.join(tmp, "graph.glob"), "graph", graph)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["free-groupoid", path, "--max-len", str(max_len)]) == 0
+    payload = json.loads(out.getvalue())
+    gs = free_groupoid_cells(graph, max_len).gs
+    assert payload["points"] == list(gs.grade(0)) and payload["cells"] == list(gs.grade(1))
 
 
 def _hashimoto_counts(g, max_len: int) -> list[int]:
