@@ -43,12 +43,12 @@ class ReversorStructure(Record):
 
     __slots__ = _fields = ("threshold", "maps")
 
-    def pairs(self, max_dim: int) -> list[tuple[int, int]]:
-        return [
-            (m, p)
-            for m in range(self.threshold + 1, max_dim + 1)
-            for p in range(self.threshold, m)
-        ]
+    def pairs(self, gs: TruncatedGlobularSet) -> list[tuple[int, int]]:
+        """The pairs threshold <= p < m <= gs.max_dim, in order, for the grades m
+        that hold cells or a non-empty table: the other pairs have nothing to check."""
+        tabled = {m for (m, _), table in self.maps.items() if table}
+        n = self.threshold
+        return [(m, p) for m in range(n + 1, gs.max_dim + 1) if gs.grade(m) or m in tabled for p in range(n, m)]
 
     def table(self, m: int, p: int) -> Mapping[str, str]:
         return self.maps.get((m, p), {})
@@ -86,7 +86,7 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
     """Totality, level preservation, and the (a)/(b) boundary axioms."""
     rep = ValidationReport("reversors")
     n = rev.threshold
-    for (m, p) in rev.pairs(gs.max_dim):
+    for (m, p) in rev.pairs(gs):
         table = rev.table(m, p)
         grade = gs.cell_sets[m]
         for x in gs.grade(m):
@@ -110,7 +110,7 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
         return rep
 
     src, tgt = gs.map, gs.map
-    for (m, p) in rev.pairs(gs.max_dim):
+    for (m, p) in rev.pairs(gs):
         table = rev.table(m, p)
         for x in gs.grade(m):
             jx = table[x]
@@ -196,7 +196,7 @@ def validate_reflexors(gs: TruncatedGlobularSet, refl: ReflexorStructure) -> Val
 def validate_involutive(gs: TruncatedGlobularSet, rev: ReversorStructure) -> ValidationReport:
     """j[m][p] o j[m][p] = id on every applicable grade."""
     rep = ValidationReport("involutive")
-    for (m, p) in rev.pairs(gs.max_dim):
+    for (m, p) in rev.pairs(gs):
         table = rev.table(m, p)
         for x in gs.grade(m):
             back = table[table[x]]

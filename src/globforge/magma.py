@@ -550,7 +550,7 @@ def check_functor_reversors(
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep.add("functor.reversor", LAW_UNIQUE_INVERSE, (), f"canonical reversors unavailable: {exc}")
         return rep
-    for (m, p) in rev.pairs(gs.max_dim):
+    for (m, p) in rev.pairs(gs):
         for alpha in gs.grade(m):
             lhs = F.apply(m, rev.apply(m, p, alpha))
             rhs = rev2.apply(m, p, F.apply(m, alpha))

@@ -23,15 +23,15 @@ slot picture; Strictifier rejects that configuration up front.
 
 A normal form computes its canonical name once, when it is built.  Names are
 injective per grade, so normal forms are equal exactly when grade and name
-are, and a normal form hashes as its name.  Words composed from valid words
-are not re-validated: only a composite's junction is new, checked in O(1).
+are, and a normal form hashes as its name.  Words are composed and inverted
+by the shared operations of words, which check only a composite's junction.
 """
 
 from __future__ import annotations
 
 from .globular import TruncatedGlobularSet
 from .terms import IllTypedTermError, StretchTerm, TermContext
-from .words import MalformedWordError, Step, Word, free_reduce, make_word, word_name
+from .words import Step, Word, compose_words, free_reduce, inverse_word, signed_edges, word_name, word_target
 
 Letter = tuple[str, int]  # (2-generator, +1 or -1)
 
@@ -119,15 +119,13 @@ class Strictifier:
                 "threshold 0 with 2-dimensional generators: word reduction "
                 "would merge columns, which the slot normal form cannot decide"
             )
-        src, tgt = g.map("source", 1), g.map("target", 1)
-        self._ends = {(e, o): (src[e], tgt[e])[::o] for e in g.grade(1) for o in (1, -1)}  # (tail, head)
+        self._ends = signed_edges(g)
         for gen2 in g.grade(2):  # a letter swaps its faces in a word, which chains only if they are parallel
             lo, hi = g.map("source", 2)[gen2], g.map("target", 2)[gen2]
             if self._ends.get((lo, 1)) != self._ends.get((hi, 1)):
                 raise UnsupportedFreeConstructionError(f"the faces {lo} and {hi} of {gen2} are not parallel")
         self.g = g
         self.threshold = threshold
-        self.inv1 = threshold == 0
         self.inv2 = threshold <= 1
         self._ctx = TermContext(g, threshold)
         self._memo: dict[StretchTerm, NF] = {}
@@ -154,20 +152,6 @@ class Strictifier:
             step = self._apply_letter(step, letter)
         return step
 
-    def _word(self, steps: tuple[Step, ...], base: str) -> Word:
-        """A word whose steps already chain; base is used only when there are none."""
-        return Word(self._ends[steps[-1]][0], steps) if steps else Word(base, steps)
-
-    def _join(self, a: Word, b: Word) -> tuple[Step, ...]:
-        """The steps of "a after b" for valid words: only the junction is new."""
-        tail, head = self._word_src(a), self._word_tgt(b)
-        if tail != head:
-            raise MalformedWordError(f"{word_name(a)} cannot follow {word_name(b)}: tail {tail} vs head {head}")
-        return a.steps + b.steps
-
-    def _reverse(self, w: Word) -> Word:
-        return Word(self._word_tgt(w), tuple([(edge, -orient) for edge, orient in reversed(w.steps)]))
-
     def cod2(self, nf: NF2) -> Word:
         steps = tuple(self._slot_end(s, c) for s, c in zip(nf.dom.steps, nf.cols))
         return Word(nf.dom.base, steps)
@@ -186,7 +170,7 @@ class Strictifier:
 
     def src_nf(self, nf: NF) -> NF:
         if isinstance(nf, NF1):
-            return NF0(self._word_src(nf.word))
+            return NF0(nf.word.base)
         if isinstance(nf, NF2):
             return NF1(nf.dom)
         if isinstance(nf, NF3):
@@ -195,18 +179,12 @@ class Strictifier:
 
     def tgt_nf(self, nf: NF) -> NF:
         if isinstance(nf, NF1):
-            return NF0(self._word_tgt(nf.word))
+            return NF0(word_target(self._ends, nf.word))
         if isinstance(nf, NF2):
             return NF1(self.cod2(nf))
         if isinstance(nf, NF3):
             return nf.content
         raise ValueError("0-cells have no boundary")
-
-    def _word_src(self, w: Word) -> str:
-        return self._ends[w.steps[-1]][0] if w.steps else w.base
-
-    def _word_tgt(self, w: Word) -> str:
-        return self._ends[w.steps[0]][1] if w.steps else w.base
 
     def comp_nf(self, m: int, p: int, a: NF, b: NF) -> NF:
         """Composite "a after b" of two m-dimensional normal forms."""
@@ -214,7 +192,7 @@ class Strictifier:
             raise IllTypedTermError("composition of normal forms needs matching dimensions")
         if m == 1:
             assert isinstance(a, NF1) and isinstance(b, NF1)
-            return NF1(self._word(free_reduce(self._join(a.word, b.word)), b.word.base))
+            return NF1(compose_words(self._ends, a.word, b.word))
         if m == 2:
             assert isinstance(a, NF2) and isinstance(b, NF2)
             if p == 1:
@@ -225,18 +203,14 @@ class Strictifier:
                     for cb, ca in zip(b.cols, a.cols)
                 )
                 return NF2(b.dom, cols)
-            steps = self._join(a.dom, b.dom)
+            dom = compose_words(self._ends, a.dom, b.dom)
             cols = a.cols + b.cols
-            if self.inv1:
-                # only the degenerate case can cancel; columns are empty then
-                reduced = free_reduce(steps)
-                if len(reduced) != len(steps):
-                    if any(cols):
-                        raise UnsupportedFreeConstructionError(
-                            "cancellation under a nonempty column"
-                        )
-                    return NF2(self._word(reduced, b.dom.base), tuple(() for _ in reduced))
-            return NF2(self._word(steps, b.dom.base), cols)
+            if len(dom) != len(cols):
+                # words cancel only at threshold 0, where every column is empty
+                if any(cols):
+                    raise UnsupportedFreeConstructionError("cancellation under a nonempty column")
+                cols = ((),) * len(dom)
+            return NF2(dom, cols)
         if m == 3:
             assert isinstance(a, NF3) and isinstance(b, NF3)
             if p == 2:
@@ -251,7 +225,7 @@ class Strictifier:
             raise IllTypedTermError(f"no reversor below the threshold {self.threshold}")
         if m == 1:
             assert isinstance(nf, NF1)
-            return NF1(self._reverse(nf.word))
+            return NF1(inverse_word(self._ends, nf.word))
         if m == 2:
             assert isinstance(nf, NF2)
             if p == 1:
@@ -263,7 +237,7 @@ class Strictifier:
                 raise UnsupportedFreeConstructionError(
                     "reversing a non-degenerate 2-cell over dimension 0"
                 )
-            return NF2(self._reverse(nf.dom), nf.cols)  # the columns are all empty
+            return NF2(inverse_word(self._ends, nf.dom), nf.cols)  # the columns are all empty
         if m == 3:
             assert isinstance(nf, NF3)
             if p == 2:
@@ -290,10 +264,10 @@ class Strictifier:
             return NF0(t.cell)
         if t.kind == "gen":
             if d == 1:
-                return NF1(make_word(self.g, "", [(t.cell, 1)]))
+                return NF1(Word(self._ends[(t.cell, 1)][0], ((t.cell, 1),)))
             if d == 2:
                 src_edge = self.g.map("source", 2)[t.cell]
-                return NF2(make_word(self.g, "", [(src_edge, 1)]), (((t.cell, 1),),))
+                return NF2(Word(self._ends[(src_edge, 1)][0], ((src_edge, 1),)), (((t.cell, 1),),))
             raise UnsupportedFreeConstructionError("generators above dimension 2")
         if t.kind == "comp":
             m, p = t.dims

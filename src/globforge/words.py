@@ -2,9 +2,14 @@
 
 A word is a base 0-cell together with a sequence of signed edges.  The
 sequence is read right to left as composition: the last step is applied
-first, so consecutive steps must chain head-to-tail, the word's source is
-the tail of its last step, and its target is the head of its first step.
-The empty word at a point is that point's identity.
+first, so consecutive steps must chain head-to-tail, the word's source (its
+base) is the tail of its last step, and its target is the head of its first
+step.  The empty word at a point is that point's identity.
+
+Only this module knows how signed edges chain: signed_edges builds a graph's
+(tail, head) table, make_word validates outside input against it, and
+word_target, inverse_word and compose_words read it to operate on valid words
+without re-validating them, here and in normalform.
 
 Reduction deletes adjacent inverse pairs e+e- or e-e+ of the same edge
 until none remain.  The rewrite is confluent, so the reduced word is unique
@@ -34,11 +39,14 @@ Step = tuple[str, int]  # (edge name, +1 or -1)
 
 
 class MalformedWordError(ValueError):
-    """Consecutive steps of a word do not chain, or a step names no edge."""
+    """Consecutive steps of a word do not chain, or a step names no edge or has an orientation other than +1 or -1."""
 
 
 class Word(Record):
-    __slots__ = _fields = ("base", "steps")  # base: the source 0-cell; the whole word for the empty sequence
+    """A base 0-cell and signed steps.  In a valid word the base is the word's
+    source: the tail of its last step, or its only point when it has none."""
+
+    __slots__ = _fields = ("base", "steps")
 
     def __init__(self, base: str, steps: tuple[Step, ...]) -> None:
         object.__setattr__(self, "base", base)
@@ -48,35 +56,48 @@ class Word(Record):
         return len(self.steps)
 
 
-def _ends(gs: TruncatedGlobularSet, step: Step) -> tuple[str, str]:
-    """(tail, head) of a signed edge."""
-    edge, orient = step
-    if not gs.has_cell(1, edge):
-        raise MalformedWordError(f"unknown edge {edge}")
-    s, t = gs.map("source", 1)[edge], gs.map("target", 1)[edge]
-    return (s, t) if orient > 0 else (t, s)
+Ends = dict[Step, tuple[str, str]]
 
 
-def word_source(gs: TruncatedGlobularSet, w: Word) -> str:
-    return _ends(gs, w.steps[-1])[0] if w.steps else w.base
+def signed_edges(gs: TruncatedGlobularSet) -> Ends:
+    """The (tail, head) of every signed edge (e, +1) and (e, -1) of a graph."""
+    src, tgt = gs.map("source", 1), gs.map("target", 1)
+    return {(e, o): (src[e], tgt[e])[::o] for e in gs.grade(1) for o in (1, -1)}
 
 
-def word_target(gs: TruncatedGlobularSet, w: Word) -> str:
-    return _ends(gs, w.steps[0])[1] if w.steps else w.base
+def word_target(ends: Ends, w: Word) -> str:
+    """The head of a valid word's first step, or its only point."""
+    return ends[w.steps[0]][1] if w.steps else w.base
+
+
+def inverse_word(ends: Ends, w: Word) -> Word:
+    """Formal inverse of a valid word: reversed steps with flipped orientations."""
+    return Word(word_target(ends, w), tuple([(edge, -orient) for edge, orient in reversed(w.steps)]))
+
+
+def compose_words(ends: Ends, a: Word, b: Word) -> Word:
+    """The reduced composite "a after b" of valid words; only the junction is checked, in O(1)."""
+    head = word_target(ends, b)
+    if a.base != head:
+        raise MalformedWordError(f"{word_name(a)} cannot follow {word_name(b)}: tail {a.base} vs head {head}")
+    return Word(b.base, free_reduce(a.steps + b.steps))
 
 
 def make_word(gs: TruncatedGlobularSet, base: str, steps: list[Step] | tuple[Step, ...]) -> Word:
-    """Validate chaining and endpoints, then freeze."""
-    steps = tuple(steps)
+    """Validate outside input against the signed-edge table, then freeze."""
+    steps, ends = tuple(steps), signed_edges(gs)
     for step in steps:
-        _ends(gs, step)
+        if step not in ends:
+            edge, orient = step
+            if (edge, 1) not in ends:
+                raise MalformedWordError(f"unknown edge {edge}")
+            raise MalformedWordError(f"step {step} has orientation {orient}, expected 1 or -1")
     for first, second in zip(steps, steps[1:]):
-        if _ends(gs, first)[0] != _ends(gs, second)[1]:
-            raise MalformedWordError(
-                f"steps {first} and {second} do not chain: tail {_ends(gs, first)[0]} vs head {_ends(gs, second)[1]}"
-            )
+        tail, head = ends[first][0], ends[second][1]
+        if tail != head:
+            raise MalformedWordError(f"steps {first} and {second} do not chain: tail {tail} vs head {head}")
     if steps:
-        base = _ends(gs, steps[-1])[0]
+        base = ends[steps[-1]][0]
     elif not gs.has_cell(0, base):
         raise MalformedWordError(f"unknown 0-cell {base}")
     return Word(base, steps)
@@ -133,34 +154,29 @@ def parse_word(gs: TruncatedGlobularSet, text: str) -> Word:
 
 
 def enumerate_reduced_words(gs: TruncatedGlobularSet, max_len: int) -> list[Word]:
-    """All reduced words of length <= max_len, in a deterministic order."""
-    edges = gs.grade(1)
+    """All reduced words of length <= max_len, shortest first, in a deterministic order."""
+    ends = signed_edges(gs)
+    leaving: dict[str, list[Step]] = {}
+    for step, (tail, _) in ends.items():
+        leaving.setdefault(tail, []).append(step)
     frontier: list[Word] = [Word(a, ()) for a in gs.grade(0)]
     out: list[Word] = list(frontier)
     for _ in range(max_len):
         nxt: list[Word] = []
         for w in frontier:
-            head = word_target(gs, w)
-            for edge in edges:
-                for orient in (1, -1):
-                    step = (edge, orient)
-                    tail, _ = _ends(gs, step)
-                    # extend on the outside; reject immediate cancellation
-                    if tail != head:
-                        continue
-                    if w.steps and _cancels(step, w.steps[0]):
-                        continue
+            # extend on the outside; reject immediate cancellation
+            back = (w.steps[0][0], -w.steps[0][1]) if w.steps else None
+            for step in leaving.get(word_target(ends, w), ()):
+                if step != back:
                     nxt.append(Word(w.base, (step,) + w.steps))
         frontier = nxt
         out.extend(frontier)
-    out.sort(key=lambda w: (len(w.steps), word_name(w)))
     return out
 
 
 def reduced_words_by_name(gs: TruncatedGlobularSet, max_len: int) -> dict[str, Word]:
     """The reduced words of length <= max_len keyed by their cell names, in sorted name order."""
-    names = {word_name(w): w for w in enumerate_reduced_words(gs, max_len)}
-    return {nm: names[nm] for nm in sorted(names)}
+    return dict(sorted([(word_name(w), w) for w in enumerate_reduced_words(gs, max_len)]))
 
 
 def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategory:
@@ -174,22 +190,21 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
         raise ValueError("free groupoid generation expects a graph of dimension <= 1")
     if max_len < 0:
         raise ValueError(f"the word-length bound must be >= 0, got {max_len}")
-    names = reduced_words_by_name(g, max_len)
-    src = {1: {nm: word_source(g, w) for nm, w in names.items()}}
-    tgt = {1: {nm: word_target(g, w) for nm, w in names.items()}}
+    names, ends = reduced_words_by_name(g, max_len), signed_edges(g)
+    src = {1: {nm: w.base for nm, w in names.items()}}
+    tgt = {1: {nm: word_target(ends, w) for nm, w in names.items()}}
     gs = globular_set(1, {0: g.grade(0), 1: tuple(names)}, src, tgt)
 
     refl = ReflexorStructure({(0, 1): {a: word_name(Word(a, ())) for a in g.grade(0)}})
 
-    ends = {(e, o): _ends(g, (e, o)) for e in g.grade(1) for o in (1, -1)}
     tokens = {nm: _tokens(w) for nm, w in names.items()}
     by_target: dict[str, list[str]] = {a: [] for a in g.grade(0)}
     for nm in names:
         by_target[tgt[1][nm]].append(nm)
 
     # y o x exists only when x ends where y starts: scan that bucket alone.
-    # Both words are valid and reduced, so the overlap c gives the composite
-    # and only the new junction ys[ly-1-c] | xs[c] has not been chained yet.
+    # Both words are valid and reduced, so the overlap c gives the composite;
+    # the new junction chains because the cancelled overlap retraces one path.
     table: dict[tuple[str, str], str] = {}
     for ny, wy in names.items():
         ys, ly, ty = wy.steps, len(wy.steps), tokens[ny]
@@ -202,15 +217,7 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
                 c += 1
             if ly + lx - 2 * c > max_len:
                 continue
-            if c < ly and c < lx and ends[ys[ly - 1 - c]][0] != ends[xs[c]][1]:
-                raise MalformedWordError(f"steps {ys[ly - 1 - c]} and {xs[c]} do not chain")
             kept = ty[: ly - c] + tokens[nx][c:]
             table[(ny, nx)] = ".".join(kept) if kept else f"id({wx.base})"
     comp = CompositionStructure({(1, 0): table})
     return StrictNCategory(InfinityMagma(gs, refl, comp), threshold=0)
-
-
-def reverse_word(gs: TruncatedGlobularSet, w: Word) -> Word:
-    """Formal inverse: reversed steps with flipped orientations."""
-    steps = tuple((edge, -orient) for edge, orient in reversed(w.steps))
-    return make_word(gs, word_target(gs, w), list(steps))

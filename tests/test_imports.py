@@ -53,6 +53,22 @@ def test_validate_loads_no_engine_and_no_free_construction(tmp_path):
         assert f"globforge.{layer}" not in loaded
 
 
+def test_free_groupoid_loads_words_and_no_free_stretching(tmp_path):
+    path = tmp_path / "edge.glob"
+    path.write_text(EDGE)
+    loaded = _after_command(["free-groupoid", str(path), "--max-len", "2", "--reduce", "e+.e-"])
+    assert "globforge.words" in loaded
+    assert not any(m.startswith("globforge.engine") for m in loaded)
+    for layer in ("normalform", "terms", "stretching"):
+        assert f"globforge.{layer}" not in loaded
+
+
+def test_words_sits_below_normalform():
+    loaded = _loaded("import globforge.words")
+    assert "globforge.words" in loaded
+    assert not {"globforge.normalform", "globforge.terms", "globforge.stretching"} & loaded
+
+
 # check-proofs is exempt: the engine keeps its dataclasses, because the
 # benchmark's replay and the acceptance tests mutate its proof steps with
 # dataclasses.replace

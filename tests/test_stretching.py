@@ -12,6 +12,7 @@ from fixtures import (
     walking_iso_category,
 )
 from hypothesis import given, settings, strategies as st
+from test_words import _small_graphs
 
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
@@ -293,16 +294,26 @@ def _restrict(dump: dict, S: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("n,D", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
-def test_smaller_bound_is_a_restriction(n, D):
-    # metamorphic check across bounds: the size-S stretching is the size-(S+1)
-    # one cut down to size S, and its strict side is contained in the larger one
-    g = two_edge_graph()
-    dumps = [json.loads(dump_stretching(generate_free_stretching(g, n, D, S))) for S in range(1, 8)]
+def _assert_restrictions(g, n: int, D: int, max_S: int) -> None:
+    """Metamorphic check across bounds: for S < max_S the size-S stretching is
+    the size-(S+1) one cut down to size S, and its strict side is contained in
+    the larger one."""
+    dumps = [json.loads(dump_stretching(generate_free_stretching(g, n, D, S))) for S in range(1, max_S + 1)]
     for S, (small, large) in enumerate(zip(dumps, dumps[1:]), start=1):
         assert _restrict(large, S) == {key: small[key] for key in ("m_side", "brackets", "pi")}, S
         for k, cells in small["c_side"]["cells"].items():
             assert set(cells) <= set(large["c_side"]["cells"][k]), (S, k)
+
+
+@pytest.mark.parametrize("n,D", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+def test_smaller_bound_is_a_restriction(n, D):
+    _assert_restrictions(two_edge_graph(), n, D, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.sampled_from([1, 2]))
+def test_smaller_bound_is_a_restriction_on_small_graphs(graph, D):
+    _assert_restrictions(graph, 0, D, 4)
 
 
 def test_induced_algebra_from_free_stretching():

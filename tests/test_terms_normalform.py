@@ -245,14 +245,15 @@ def _all_nf2(strict, g, max_word=2, max_col=2):
     from itertools import product
 
     from globforge.normalform import NF2
-    from globforge.words import make_word, word_target
+    from globforge.words import make_word, signed_edges, word_target
 
+    ends = signed_edges(g)
     words = [make_word(g, a, []) for a in g.grade(0)]
     frontier = list(words)
     for _ in range(max_word):
         longer = []
         for w in frontier:
-            head = word_target(g, w)
+            head = word_target(ends, w)
             for e in g.grade(1):
                 if g.map("source", 1)[e] == head:
                     longer.append(make_word(g, w.base, ((e, 1),) + w.steps))
@@ -325,9 +326,10 @@ def test_threshold_one_nf_ops_satisfy_strict_axioms():
 
 
 def test_threshold_one_interchange_on_nf():
-    from globforge.words import word_source, word_target
+    from globforge.words import signed_edges, word_target
 
     g = grid_graph()
+    ends = signed_edges(g)
     strict = Strictifier(g, 1)
     cells = _all_nf2(strict, g, max_word=1, max_col=1)
     checked = 0
@@ -336,7 +338,7 @@ def test_threshold_one_interchange_on_nf():
             if strict.cod2(y1) != y2.dom:
                 continue
             for x1 in cells:
-                if word_source(g, y1.dom) != word_target(g, x1.dom):
+                if y1.dom.base != word_target(ends, x1.dom):
                     continue
                 for x2 in cells:
                     if strict.cod2(x1) != x2.dom:

@@ -21,6 +21,7 @@ from fixtures import (
     poset_category,
     product_category,
     redirect_comp,
+    identity_morphism,
     redirect_refl,
     square_2cat,
     sym3_category,
@@ -32,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from globforge import magma
 from globforge.dsl import parse_structure
 from globforge.globular import boundary, globular_set
-from globforge.layers import ReflexorStructure
+from globforge.layers import ReflexorStructure, ReversorStructure, validate_involutive, validate_reversors
 from globforge.magma import (
     LAW_ASSOC,
     LAW_COMP_TOTAL,
@@ -44,6 +45,8 @@ from globforge.magma import (
     LAW_UNITS,
     CompositionStructure,
     InfinityMagma,
+    StrictNCategory,
+    check_functor_reversors,
     validate_magma,
     validate_strict,
 )
@@ -559,3 +562,30 @@ def test_strict_table_lookups_do_not_grow_with_empty_grades(monkeypatch):
         assert validate_strict(_loop_at_dim(dim)).valid
         per_dim[dim] = dict(lookups)
     assert per_dim[60] == per_dim[2]
+
+
+def test_reversor_lookups_do_not_grow_with_empty_grades(monkeypatch):
+    lookups = Counter()
+    for name in ("table", "apply"):
+        def counted(*args, _method=getattr(ReversorStructure, name), _key=name):
+            lookups[_key] += 1
+            return _method(*args)
+        monkeypatch.setattr(ReversorStructure, name, counted)
+    per_dim = {}
+    for dim in (2, 60):
+        parsed = parse_structure(
+            f"dim {dim}\ncells 0: o\ncells 1: i\nsrc i = o\ntgt i = o\n"
+            "refl 0 1 o = i\ncomp 1 0 (i, i) = i\nrev 1 0 i = i\n"
+        )
+        lookups.clear()
+        assert validate_reversors(parsed.gs, parsed.rev).valid
+        assert validate_involutive(parsed.gs, parsed.rev).valid
+        cat = StrictNCategory(parsed.magma, 0)
+        assert check_functor_reversors(identity_morphism(parsed.gs), cat, cat).valid
+        per_dim[dim] = dict(lookups)
+    assert per_dim[60] == per_dim[2] and per_dim[2]["table"] > 0 and per_dim[2]["apply"] > 0
+    # a table on an empty grade is still visited, and reported
+    stray = ReversorStructure(0, {**parsed.rev.maps, (40, 3): {"ghost": "ghost"}})
+    assert [v.detail for v in validate_reversors(parsed.gs, stray).violations] == [
+        "j[40][3] mentions undeclared cell ghost"
+    ]

@@ -12,17 +12,19 @@ from globforge.cli import main
 from globforge.layers import validate_reflexors
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
+from globforge.normalform import NF1, Strictifier
 from globforge.words import (
     MalformedWordError,
     Word,
+    compose_words,
     enumerate_reduced_words,
     free_groupoid_cells,
+    inverse_word,
     make_word,
     parse_word,
     reduce_word,
-    reverse_word,
+    signed_edges,
     word_name,
-    word_source,
     word_target,
 )
 from word_oracle import reduce_word_any_order
@@ -31,10 +33,19 @@ from word_oracle import reduce_word_any_order
 def test_make_word_validates_chaining():
     g = two_edge_graph()
     w = make_word(g, "", [("f", 1), ("e", 1)])  # f after e : a -> c
-    assert word_source(g, w) == "a"
-    assert word_target(g, w) == "c"
+    assert w.base == "a"
+    assert word_target(signed_edges(g), w) == "c"
     with pytest.raises(MalformedWordError):
         make_word(g, "", [("e", 1), ("f", 1)])
+
+
+@pytest.mark.parametrize("orient", [0, 2, -2])
+def test_make_word_rejects_an_orientation_other_than_one(orient):
+    g = two_edge_graph()
+    with pytest.raises(MalformedWordError, match=rf"step \('e', {orient}\) has orientation {orient}, expected 1 or -1"):
+        make_word(g, "", [("e", orient)])
+    with pytest.raises(MalformedWordError, match="unknown edge z"):
+        make_word(g, "", [("e", 1), ("z", orient)])
 
 
 def test_reduce_cancels_inverse_pair():
@@ -195,9 +206,9 @@ def test_free_groupoid_partial_at_bound():
 def test_reverse_word():
     g = two_edge_graph()
     w = make_word(g, "", [("f", 1), ("e", 1)])
-    r = reverse_word(g, w)
+    r = inverse_word(signed_edges(g), w)
     assert r.steps == (("e", -1), ("f", -1))
-    assert word_source(g, r) == "c"
+    assert r.base == "c"
 
 
 def test_parse_word_forms():
@@ -216,6 +227,8 @@ def test_enumerate_reduced_words_deterministic():
     a = [word_name(w) for w in enumerate_reduced_words(g, 3)]
     b = [word_name(w) for w in enumerate_reduced_words(g, 3)]
     assert a == b
+    lengths = [len(w) for w in enumerate_reduced_words(g, 3)]
+    assert lengths == sorted(lengths)  # shortest first
 
 
 def _two_cycle():
@@ -226,11 +239,11 @@ def _assert_table_matches_reduced_concatenation(g, max_len):
     """Every composable (y, x): the entry is the reduced concatenation when it
     fits within the bound and absent otherwise; no other entry exists."""
     maps = free_groupoid_cells(g, max_len).magma.comp.maps
-    words = enumerate_reduced_words(g, max_len)
+    words, ends = enumerate_reduced_words(g, max_len), signed_edges(g)
     expected = {}
     for wy in words:
         for wx in words:
-            if word_source(g, wy) != word_target(g, wx):
+            if wy.base != word_target(ends, wx):
                 continue
             z = reduce_word(g, Word(wx.base, wy.steps + wx.steps))
             if len(z) <= max_len:
@@ -314,3 +327,55 @@ def test_free_groupoid_counts_match_hashimoto_and_restrict_across_bounds(graph, 
     assert small.magma.refl == big.magma.refl
     table = big.magma.comp.table(1, 0)
     assert small.magma.comp.table(1, 0) == {k: z for k, z in table.items() if {*k, z} <= keep}
+
+
+def _oracle_head(g, w):
+    """A word's target read straight off the graph's maps."""
+    if not w.steps:
+        return w.base
+    edge, orient = w.steps[0]
+    return g.map("target" if orient > 0 else "source", 1)[edge]
+
+
+@st.composite
+def _reduced_words(draw, g, start=None):
+    """A valid reduced word, walked outward from start (a drawn point by default)
+    over the graph's maps, never stepping straight back along the last edge."""
+    src, tgt = g.map("source", 1), g.map("target", 1)
+    base = draw(st.sampled_from(g.grade(0))) if start is None else start
+    head, steps = base, []
+    for _ in range(draw(st.integers(0, 4))):
+        options = [
+            (e, o) for e in g.grade(1) for o in (1, -1)
+            if (src[e] if o > 0 else tgt[e]) == head and not (steps and steps[0] == (e, -o))
+        ]
+        if not options:
+            break
+        edge, orient = draw(st.sampled_from(options))
+        steps.insert(0, (edge, orient))
+        head = tgt[edge] if orient > 0 else src[edge]
+    return make_word(g, base, steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shared_word_operations_match_the_validating_oracle(data):
+    g = data.draw(_small_graphs())
+    ends, strict = signed_edges(g), Strictifier(g, 0)
+    b = data.draw(_reduced_words(g))
+    a = data.draw(_reduced_words(g, start=_oracle_head(g, b)))
+    composite = compose_words(ends, a, b)
+    assert composite == reduce_word(g, make_word(g, b.base, a.steps + b.steps))
+    inverse = inverse_word(ends, a)
+    assert inverse == make_word(g, _oracle_head(g, a), [(e, -o) for e, o in reversed(a.steps)])
+    assert word_target(ends, a) == _oracle_head(g, a)
+    assert strict.comp_nf(1, 0, NF1(a), NF1(b)).word == composite
+    assert strict.rev_nf(1, 0, NF1(a)).word == inverse
+    degenerate = strict.comp_nf(2, 0, strict.refl_lift(NF1(a)), strict.refl_lift(NF1(b)))
+    assert degenerate == strict.refl_lift(NF1(composite)) and degenerate.dom == composite
+    c = data.draw(_reduced_words(g))
+    if c.base != _oracle_head(g, b):
+        with pytest.raises(MalformedWordError):
+            compose_words(ends, c, b)
+        with pytest.raises(MalformedWordError):
+            strict.comp_nf(1, 0, NF1(c), NF1(b))
