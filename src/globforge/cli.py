@@ -24,12 +24,12 @@ _LAYER_NAMES = {
     "dsl": ("ParseError", "ParsedStructure", "parse_structure"),
     "globular": ("validate_globular",),
     "layers": (
-        "ReflexorStructure", "validate_involutive", "validate_reflexive_compat", "validate_reflexors",
-        "validate_reversors",
+        "LAW_REFLEXOR_TOTAL", "LAW_REVERSOR_TOTAL", "ReflexorStructure", "validate_involutive",
+        "validate_reflexive_compat", "validate_reflexors", "validate_reversors",
     ),
     "magma": (
-        "AmbiguousInverseError", "NoInverseError", "compute_index", "derive_canonical_reversors",
-        "validate_magma", "validate_strict",
+        "LAW_COMP_TOTAL", "LAW_UNIQUE_INVERSE", "AmbiguousInverseError", "NoInverseError", "compute_index",
+        "derive_canonical_reversors", "validate_magma", "validate_strict",
     ),
     "report": ("ValidationReport", "emit_report"),
     "stretching": (
@@ -133,8 +133,7 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
     if want("reversors", parsed.rev is not None):
         rev = parsed.rev
         if rev is None:
-            rep.add("reversor.total", "reversor tables are total level-preserving maps", (),
-                    "no reversor layer declared")
+            rep.add("reversor.total", LAW_REVERSOR_TOTAL, (), "no reversor layer declared")
         else:
             rep.extend(validate_reversors(gs, rev))
             if rep.valid:
@@ -147,14 +146,12 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
                     rep.extend(compat)
     if want("reflexors", parsed.refl is not None):
         if parsed.refl is None:
-            rep.add("reflexor.total", "one-step reflexor tables are total", (),
-                    "no reflexor layer declared")
+            rep.add("reflexor.total", LAW_REFLEXOR_TOTAL, (), "no reflexor layer declared")
         else:
             rep.extend(reflexors())
     if want("magma", parsed.comp is not None) or want("strict", parsed.comp is not None):
         if parsed.comp is None:
-            rep.add("positional.total", "composition is defined exactly on boundary-compatible pairs",
-                    (), "no composition layer declared")
+            rep.add("positional.total", LAW_COMP_TOTAL, (), "no composition layer declared")
         else:
             rep.extend(reflexors())
             magma_rep = validate_magma(parsed.magma)
@@ -193,7 +190,7 @@ def _cmd_derive(args) -> int:
         rev = derive_canonical_reversors(cat, args.n)
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep = ValidationReport(parsed.name)
-        rep.add("derive.inverse", "inverses in a strict structure are unique", (exc.cell,), str(exc))
+        rep.add("derive.inverse", LAW_UNIQUE_INVERSE, (exc.cell,), str(exc))
         _emit(emit_report(rep), args.report)
         return 1
     payload = {

@@ -20,8 +20,10 @@ plus `refl <p> <m> <x> = <y>` and `comp <m> <p> (<y>, <x>) = <z>` lines;
 ( ) , : = #, and numbers are decimal digits.  Grades of src/tgt lines are
 inferred from the declared cells and must be unambiguous; everything
 unknown, duplicated, or ill-graded is a parse-time error carrying its line
-number.  emit_structure writes a parsed structure back as text that
-parse_structure reads to an equal structure.
+number.  dim, and the grade of a cells line, are at most MAX_DIM (10,000),
+since the carrier holds a table for every grade up to dim.  emit_structure
+writes a parsed structure back as text that parse_structure reads to an
+equal structure.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _IDENT = re.compile(_ID)
 _CELLS = re.compile(r"cells\s+(\d+)\s*:\s*(.*)")
 _SRC_TGT = re.compile(rf"(?:src|tgt)\s+{_ID}\s*=\s*{_ID}")
 _HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
+MAX_DIM = 10_000  # the largest grade a file may declare: the carrier allocates every grade up to dim
 
 
 def _table_line(head: str, args: str) -> re.Pattern[str]:
@@ -88,6 +91,13 @@ def _ident(token: str, lineno: int) -> str:
     return token
 
 
+def _grade(token: str, lineno: int, what: str) -> int:
+    """A decimal token as a grade of at most MAX_DIM; one too long for int() is above it."""
+    if len(token) > 4300 or int(token) > MAX_DIM:
+        raise ParseError(lineno, f"{what} {token} is above the cap {MAX_DIM}")
+    return int(token)
+
+
 def _show(key: str | tuple[str, ...]) -> str:
     return f"({', '.join(key)})" if isinstance(key, tuple) else key
 
@@ -110,11 +120,13 @@ def parse_structure(text: str) -> ParsedStructure:
             if len(parts) != 2 or not (head == "structure" or parts[1].isdecimal()):
                 raise ParseError(lineno, f"expected: {head} {_HEADERS[head]}")
             header[head] = _ident(parts[1], lineno)
+            if head == "dim":
+                _grade(parts[1], lineno, "dim")
         elif head == "cells":
             mt = _CELLS.fullmatch(line)
             if not mt:
                 raise ParseError(lineno, "expected: cells <m>: <id> ...")
-            grade = int(mt[1])
+            grade = _grade(mt[1], lineno, "cells grade")
             bucket = declared.setdefault(grade, {})
             cells_line.setdefault(grade, lineno)
             for nm in mt[2].split():

@@ -109,7 +109,6 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
     if not rep.valid:
         return rep
 
-    src, tgt = gs.map, gs.map
     for (m, p) in rev.pairs(gs):
         table = rev.table(m, p)
         for x in gs.grade(m):

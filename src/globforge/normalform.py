@@ -357,5 +357,5 @@ def normalize2(g: TruncatedGlobularSet, t: StretchTerm) -> StretchTerm:
     check(t)
     if t.dim > 2:
         raise IllTypedTermError("normalize2 handles terms of dimension <= 2")
-    strict = Strictifier(g, threshold=max(2, 0))
+    strict = Strictifier(g, threshold=2)
     return strict.canonical_term(strict.pi(t))

@@ -12,9 +12,19 @@ and the diagonal bracket [c, c]_m is the degenerate cell refl[m][m+1](c).
 generate_free_stretching builds the free bounded instance on a generating
 graph: M holds every term of size <= S and dimension <= D, closed under the
 constructors, with a bracket admitted exactly when its arguments are
-parallel and strictify equally; C is the normal-form fragment the stored
-cells project onto.  Tables are partial at the size boundary, so validators
-on the pieces should run with require_total=False.
+parallel and strictify equally.  C is the normal-form fragment the stored
+cells project onto, and its comp and rev tables are the image of M's along
+pi; its refl tables lift every C-cell, so that degenerate cells exist on the
+faces too.  Tables are partial at the size boundary, so validators on the
+pieces should run with require_total=False.
+
+induced_algebra_magma reads an algebra off the free side the same way: its
+tables are the image along the structure map v of the free entries whose
+names are images of the unit lam.
+
+The three table kinds of an n-magma (refl, rev, comp) are declared once, in
+_KINDS, and every job on tables (the images above and the checks of
+validate_stretching) reads them from there.
 """
 
 from __future__ import annotations
@@ -26,11 +36,12 @@ from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
 from .layers import ReflexorStructure, ReversorStructure
 from .magma import CompositionStructure, InfinityMagma, NMagma
-from .normalform import NF, Strictifier
+from .normalform import Strictifier
 from .report import ValidationReport
 from .terms import StretchTerm, TermContext
 
 LAW_PI_MORPHISM = "the projection onto the strict side preserves all structure"
+LAW_TABLE_DOMAIN = "a table entry names cells of the grades its table is keyed by"
 LAW_BRACKET_FACES = "a bracket cell has its first argument as target and its second as source"
 LAW_BRACKET_PROJ = "a bracket cell projects to the degenerate cell on its target's image"
 LAW_BRACKET_DIAG = "the diagonal bracket is the degenerate cell"
@@ -53,6 +64,50 @@ class SectionViolationError(ValueError):
     """v o lam is not the identity, or v does not commute with boundaries."""
 
 
+class _Kind(Record):
+    """One kind of n-magma table.  tables(nm) is the kind's {(i, j): table} in
+    the NMagma nm; key[names] is the grade of an entry's names (arity of them:
+    a cell, or a pair (y, x) of cells) and key[value] the grade of its value;
+    term.format(i, j, *names) writes an entry as an expression, and noun names
+    what the strict side stores for it."""
+
+    __slots__ = _fields = ("name", "tables", "names", "value", "arity", "term", "noun")
+
+
+_KINDS = (
+    _Kind("refl", lambda nm: nm.magma.refl.maps, 0, 1, 1, "refl[{}][{}]({})", "degenerate cell"),
+    _Kind("rev", lambda nm: nm.rev.maps, 0, 0, 1, "j[{}][{}]({})", "reverse"),
+    _Kind("comp", lambda nm: nm.magma.comp.maps, 0, 0, 2, "{2} o[{0},{1}] {3}", "composite"),
+)
+
+
+def _image(kind: _Kind, maps: Mapping, names: Mapping[int, Mapping], values: Mapping[int, Mapping]) -> dict:
+    """The tables maps of kind carried along graded maps: each entry's names
+    along names and its value along values.  A table is carried where both maps
+    have its grades, and an entry where names has all its names."""
+    out = {}
+    for key, table in maps.items():
+        g, h = key[kind.names], key[kind.value]
+        if g in names and h in values:
+            f, fv = names[g], values[h]
+            if kind.arity == 1:
+                out[key] = {f[x]: fv[z] for x, z in table.items() if x in f}
+            else:
+                out[key] = {(f[y], f[x]): fv[z] for (y, x), z in table.items() if y in f and x in f}
+    return out
+
+
+def _nmagma(
+    D: int, n: int, objects: Mapping[int, Mapping[str, object]], faces: tuple[Callable, Callable],
+    refl: Mapping, comp: Mapping, rev: Mapping,
+) -> NMagma:
+    """The n-magma whose m-cells are the names of objects[m], with the faces
+    faces[0](o).name and faces[1](o).name, carrying the given tables."""
+    src, tgt = ({m: {nm: face(o).name for nm, o in objects[m].items()} for m in range(1, D + 1)} for face in faces)
+    gs = globular_set(D, objects, src, tgt)
+    return NMagma(InfinityMagma(gs, ReflexorStructure(refl), CompositionStructure(comp)), ReversorStructure(n, rev))
+
+
 class Stretching(Record):
     __slots__ = _fields = ("m_side", "c_side", "threshold", "pi", "brackets", "terms")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
@@ -73,7 +128,11 @@ class Stretching(Record):
 
 
 def validate_stretching(E: Stretching) -> ValidationReport:
-    """Bracket axioms plus pi being a magma-and-reversor morphism on stored cells."""
+    """Bracket axioms plus pi being a magma-and-reversor morphism on stored cells.
+
+    A table entry on either side whose names or value are not cells of the
+    grades its key gives is a table-domain violation, and pi is not checked on it.
+    """
     rep = ValidationReport("stretching")
     mgs, cgs = E.m_side.magma.gs, E.c_side.magma.gs
 
@@ -102,35 +161,29 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                         f"pi({side}({x})) = {want} but {side}(pi({x})) = {got}",
                     )
 
-    for (m, p), table in sorted(E.m_side.magma.comp.maps.items()):
-        ctable = E.c_side.magma.comp.table(m, p)
-        for (y, x), z in sorted(table.items()):
-            got = ctable.get((E.pi_of(m, y), E.pi_of(m, x)))
-            if got != E.pi_of(m, z):
-                rep.add(
-                    "stretching.pi-comp", LAW_PI_MORPHISM, (y, x),
-                    f"pi({y} o[{m},{p}] {x}) = {E.pi_of(m, z)} but the strict composite is {got}",
-                )
-
-    for (p, m), table in sorted(E.m_side.magma.refl.maps.items()):
-        ctable = E.c_side.magma.refl.table(p, m)
-        for x, ix in sorted(table.items()):
-            got = ctable.get(E.pi_of(p, x))
-            if got != E.pi_of(m, ix):
-                rep.add(
-                    "stretching.pi-refl", LAW_PI_MORPHISM, (x,),
-                    f"pi(refl[{p}][{m}]({x})) = {E.pi_of(m, ix)} but the strict degenerate cell is {got}",
-                )
-
-    for (m, p), table in sorted(E.m_side.rev.maps.items()):
-        ctable = E.c_side.rev.table(m, p)
-        for x, jx in sorted(table.items()):
-            got = ctable.get(E.pi_of(m, x))
-            if got != E.pi_of(m, jx):
-                rep.add(
-                    "stretching.pi-rev", LAW_PI_MORPHISM, (x,),
-                    f"pi(j[{m}][{p}]({x})) = {E.pi_of(m, jx)} but the strict reverse is {got}",
-                )
+    for kind in _KINDS:
+        c_tables, binary = kind.tables(E.c_side), kind.arity == 2
+        for side, nm in (("m_side", E.m_side), ("c_side", E.c_side)):
+            cells = nm.magma.gs.cell_sets
+            for key, table in sorted(kind.tables(nm).items()):
+                g, h = key[kind.names], key[kind.value]
+                names, values, ctable = cells.get(g, frozenset()), cells.get(h, ()), c_tables.get(key, {})
+                pg, ph = E.pi.get(g, {}), E.pi.get(h, {})
+                for entry, z in sorted(table.items()):
+                    args = entry if binary else (entry,)
+                    if z not in values or not names.issuperset(args):
+                        rep.add(
+                            "stretching.table-domain", LAW_TABLE_DOMAIN, (*args, z),
+                            f"{side}: {kind.term.format(*key, *args)} = {z} names a cell outside grade {g} "
+                            f"(arguments) or {h} (value)",
+                        )
+                    elif side == "m_side":
+                        got = ctable.get((pg[entry[0]], pg[entry[1]]) if binary else pg[entry])
+                        if got != ph[z]:
+                            rep.add(
+                                f"stretching.pi-{kind.name}", LAW_PI_MORPHISM, args,
+                                f"pi({kind.term.format(*key, *args)}) = {ph[z]} but the strict {kind.noun} is {got}",
+                            )
 
     for (m, c1, c0), B in sorted(E.brackets.items()):
         if not (mgs.has_cell(m, c1) and mgs.has_cell(m, c0) and mgs.has_cell(m + 1, B)):
@@ -175,9 +228,7 @@ def validate_stretching(E: Stretching) -> ValidationReport:
     return rep
 
 
-def generate_free_stretching(
-    g: TruncatedGlobularSet, n: int, D: int, S: int
-) -> Stretching:
+def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) -> Stretching:
     """All terms of size <= S and dimension <= D over g, with brackets.
 
     Deterministic: grades are sorted by (size, name), brackets are stored
@@ -203,9 +254,7 @@ def generate_free_stretching(
     par_bucket: dict[tuple[int, str, str, str, int], list[StretchTerm]] = {}
 
     refl_maps: dict[tuple[int, int], dict[str, str]] = {(p, p + 1): {} for p in range(D)}
-    rev_maps: dict[tuple[int, int], dict[str, str]] = {
-        (m, p): {} for m in range(n + 1, D + 1) for p in range(n, m)
-    }
+    rev_maps: dict[tuple[int, int], dict[str, str]] = {(m, p): {} for m in range(n + 1, D + 1) for p in range(n, m)}
     comp_maps: dict[tuple[int, int], dict[tuple[str, str], str]] = {
         (m, p): {} for m in range(1, D + 1) for p in range(m)
     }
@@ -261,81 +310,27 @@ def generate_free_stretching(
                         admit(B)
                         bracket_pairs[(d, t1.name, t0.name)] = B
 
-    # materialize the magma side
-    cells = {m: sorted(terms[m]) for m in range(D + 1)}
-    src = {
-        m: {nm: ctx.src(t).name for nm, t in terms[m].items()}
-        for m in range(1, D + 1)
-    }
-    tgt = {
-        m: {nm: ctx.tgt(t).name for nm, t in terms[m].items()}
-        for m in range(1, D + 1)
-    }
-    gs = globular_set(D, cells, src, tgt)
-
-    m_side = NMagma(
-        InfinityMagma(gs, ReflexorStructure(refl_maps), CompositionStructure(comp_maps)),
-        ReversorStructure(n, rev_maps),
-    )
-
-    pi_tables: dict[int, dict[str, str]] = {}
-    nfs: dict[int, dict[str, NF]] = {m: {} for m in range(D + 2)}
-    for m in range(D + 1):
-        pi_tables[m] = {}
-        for nm, t in terms[m].items():
-            nf = strict.pi(t)
-            pi_tables[m][nm] = nf.name
-            nfs[m][nf.name] = nf
-    # close the strict fragment under boundaries
+    # the magma side, then the strict fragment its cells project onto, closed
+    # under faces and degenerate cells; comp and rev there are images along pi
+    m_side = _nmagma(D, n, terms, (ctx.src, ctx.tgt), refl_maps, comp_maps, rev_maps)
+    images = {m: {nm: strict.pi(t) for nm, t in terms[m].items()} for m in range(D + 1)}
+    pi_tables = {m: {nm: nf.name for nm, nf in images[m].items()} for m in images}
+    nfs = {m: {nf.name: nf for nf in images[m].values()} for m in images}
     for m in range(D, 0, -1):
-        for nf in list(nfs[m].values()):
+        for nf in nfs[m].values():
             for face in (strict.src_nf(nf), strict.tgt_nf(nf)):
                 nfs[m - 1].setdefault(face.name, face)
-
     c_refl: dict[tuple[int, int], dict[str, str]] = {}
     for p in range(D):
-        table = {}
-        for nm, nf in list(nfs[p].items()):
+        c_refl[(p, p + 1)] = table = {}
+        for nm, nf in nfs[p].items():
             lifted = strict.refl_lift(nf)
             table[nm] = lifted.name
             nfs[p + 1].setdefault(lifted.name, lifted)
-        c_refl[(p, p + 1)] = table
-    c_cells = {m: sorted(nfs[m]) for m in range(D + 1)}
-    c_src = {
-        m: {nm: strict.src_nf(nf).name for nm, nf in nfs[m].items()}
-        for m in range(1, D + 1)
-    }
-    c_tgt = {
-        m: {nm: strict.tgt_nf(nf).name for nm, nf in nfs[m].items()}
-        for m in range(1, D + 1)
-    }
-    c_gs = globular_set(D, c_cells, c_src, c_tgt)
-
-    c_comp: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
-    for (m, p), table in comp_maps.items():
-        ctable = {}
-        for (n1, n0), nz in table.items():
-            ctable[(pi_tables[m][n1], pi_tables[m][n0])] = pi_tables[m][nz]
-        c_comp[(m, p)] = ctable
-    c_rev: dict[tuple[int, int], dict[str, str]] = {}
-    for (m, p), table in rev_maps.items():
-        ctable = {}
-        for nx, nj in table.items():
-            ctable[pi_tables[m][nx]] = pi_tables[m][nj]
-        c_rev[(m, p)] = ctable
-
-    c_side = NMagma(
-        InfinityMagma(c_gs, ReflexorStructure(c_refl), CompositionStructure(c_comp)),
-        ReversorStructure(n, c_rev),
-    )
-
+    c_rev, c_comp = (_image(kind, kind.tables(m_side), pi_tables, pi_tables) for kind in _KINDS[1:])
+    c_side = _nmagma(D, n, nfs, (strict.src_nf, strict.tgt_nf), c_refl, c_comp, c_rev)
     brackets = {key: B.name for key, B in bracket_pairs.items()}
-    for m in range(D):
-        for nm in terms[m]:
-            refl_nm = refl_maps[(m, m + 1)].get(nm)
-            if refl_nm is not None:
-                brackets[(m, nm, nm)] = refl_nm
-
+    brackets.update(((p, x, x), ix) for (p, _), table in refl_maps.items() for x, ix in table.items())
     return Stretching(m_side, c_side, n, pi_tables, brackets, terms)
 
 
@@ -349,7 +344,8 @@ def induced_algebra_magma(
 
     comp(a, b) = v(comp(lam a, lam b)), refl(a) = v(refl(lam a)), and
     rev(a) = v(rev(lam a)); entries exist where the free side stores the
-    needed operation.
+    needed operation.  As v o lam = id, these tables are the image along v
+    of the free entries whose names are lam-images.
     """
     mgs = E.m_side.magma.gs
     for m in range(G.max_dim + 1):
@@ -368,41 +364,13 @@ def induced_algebra_magma(
                 if v[m - 1][mgs.map(side, m)[x]] != G.map(side, m).get(vx):
                     raise SectionViolationError(f"v does not commute with {side} at {x}")
 
-    comp_maps: dict[tuple[int, int], dict[tuple[str, str], str]] = {}
-    for (m, p), table in E.m_side.magma.comp.maps.items():
-        if m > G.max_dim:
-            continue
-        out: dict[tuple[str, str], str] = {}
-        for a in G.grade(m):
-            for b in G.grade(m):
-                z = table.get((lam[m][a], lam[m][b]))
-                if z is not None:
-                    out[(a, b)] = v[m][z]
-        comp_maps[(m, p)] = out
-    refl_maps: dict[tuple[int, int], dict[str, str]] = {}
-    for (p, m), table in E.m_side.magma.refl.maps.items():
-        if m > G.max_dim:
-            continue
-        out2: dict[str, str] = {}
-        for a in G.grade(p):
-            ia = table.get(lam[p][a])
-            if ia is not None:
-                out2[a] = v[m][ia]
-        refl_maps[(p, m)] = out2
-    rev_maps: dict[tuple[int, int], dict[str, str]] = {}
-    for (m, p), table in E.m_side.rev.maps.items():
-        if m > G.max_dim:
-            continue
-        out2 = {}
-        for a in G.grade(m):
-            ja = table.get(lam[m][a])
-            if ja is not None:
-                out2[a] = v[m][ja]
-        rev_maps[(m, p)] = out2
-
+    grades = range(G.max_dim + 1)
+    names = {m: {lam[m][a]: a for a in G.grade(m)} for m in grades}  # v on the lam-images
+    values = {m: v.get(m, {}) for m in grades}
+    refl, rev, comp = (_image(kind, kind.tables(E.m_side), names, values) for kind in _KINDS)
     return NMagma(
-        InfinityMagma(G, ReflexorStructure(refl_maps), CompositionStructure(comp_maps)),
-        ReversorStructure(E.threshold, rev_maps),
+        InfinityMagma(G, ReflexorStructure(refl), CompositionStructure(comp)),
+        ReversorStructure(E.threshold, rev),
     )
 
 

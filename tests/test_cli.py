@@ -129,6 +129,15 @@ def test_superscript_digit_is_a_parse_error(head, tmp_path, capsys):
     assert err == f"{path}: line 1: expected: {head} <natural number>\n"
 
 
+def test_dim_above_the_cap_exits_two_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.glob"
+    path.write_text("dim 100000\n")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: line 1: dim 100000 is above the cap 10000\n"
+
+
 def test_derive_reversors(iso_file, capsys):
     assert main(["derive-reversors", iso_file, "--n", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -314,6 +323,27 @@ def test_validate_stretching_malformed_parts_exit_two(edge_file, tmp_path, capsy
         parent = parent[key]
     parent[where[-1]] = value
     _validate_dump_err(payload, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("side", ["m_side", "c_side"])
+@pytest.mark.parametrize("table, key, entry", [
+    ("comp", "1.0", ["zz", "zz", "zz"]),
+    ("rev", "1.0", {"zz": "zz"}),
+    ("refl", "0.1", {"zz": "ww"}),
+])
+def test_validate_stretching_reports_entries_on_undeclared_cells(edge_file, tmp_path, capsys, side, table, key, entry):
+    # pi is undefined on both sides of such an entry, so only the domain check can see it
+    payload = _stretch_dump(edge_file, tmp_path, capsys)
+    if table == "comp":
+        payload[side][table][key].append(entry)
+    else:
+        payload[side][table][key].update(entry)
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path), "--layer", "stretching"]) == 1
+    rep = parse_report(capsys.readouterr().out)
+    assert rep.axiom_ids() == {"stretching.table-domain"}
+    assert rep.violations[0].detail.startswith(f"{side}: ")
 
 
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):

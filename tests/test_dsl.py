@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from globforge.dsl import ParseError, emit_structure, parse_structure
+from globforge.dsl import MAX_DIM, ParseError, emit_structure, parse_structure
 from globforge.globular import validate_globular
 from globforge.layers import validate_reflexors, validate_reversors
 from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
@@ -200,6 +200,8 @@ PARSE_ERRORS = {
     _GRAPH + "comp 1 0 (f, i) = x\n": "line 4: unresolved identifier 'x'",
     _GRAPH + "refl 0 1 f = i\n": "line 4: grade mismatch: f is not a 0-cell (found in [1])",
     _GRAPH + "comp 1 0 (f, a) = i\n": "line 4: grade mismatch: a is not a 1-cell (found in [0])",
+    "structure big\ndim 10001\n": "line 2: dim 10001 is above the cap 10000",
+    "cells 0: a\ncells 100000: f\n": "line 2: cells grade 100000 is above the cap 10000",
 }
 
 
@@ -209,6 +211,20 @@ def test_parse_error_text(text):
         parse_structure(text)
     assert str(err.value) == PARSE_ERRORS[text]
     assert str(err.value) == f"line {err.value.line}: {err.value.message}"
+
+
+def test_dim_at_the_cap_parses():
+    assert MAX_DIM == 10_000
+    parsed = parse_structure(f"dim {MAX_DIM}\ncells {MAX_DIM}: top\n")
+    assert parsed.gs.max_dim == MAX_DIM
+    assert parsed.gs.grade(MAX_DIM) == ("top",)
+
+
+def test_a_number_too_long_to_convert_is_above_the_cap():
+    for head in ("dim ", "cells "):
+        with pytest.raises(ParseError) as err:
+            parse_structure(head + "9" * 5000 + (": a\n" if head == "cells " else "\n"))
+        assert err.value.message.endswith("is above the cap 10000")
 
 
 _names = st.text(alphabet="abcxyz.-", min_size=1, max_size=8)

@@ -197,6 +197,11 @@ DUMP_DIGESTS = {
     ("edge", 0, 3, 6): "b972293847c5d2a1c848782a7e3e6bb215de597bb2ade8a6b94967fc1ec136ec",
     ("edge", 1, 2, 7): "a9bf3205e2bcd51b7c59fb324b01ac5454e339fa0eb9af8aec1e6b44aab76ca4",
     ("path", 0, 2, 6): "f11e6c460ddc31ef179164788fd9c02261abcbddbf222caeb87584136061ff60",
+    # the bounds of perfbench's stretch workload, pinned before the strict side was built as an image
+    ("edge", 0, 2, 9): "adde85b5758e55bdc211ae3ffdc04e1336049f114137861aac47b105d71719e0",
+    ("edge", 0, 3, 8): "a4d3a1ac16512db10cad8a2389e49976a80c2661d53fe2eff7fb59a418a57998",
+    ("edge", 1, 2, 9): "bf0ddb0676921c7a1ae472f32339af29824549331ebf84737a81686f2abd347b",
+    ("path", 0, 2, 8): "2b5a5fe835c00239aad5e11d58ec7f71b64326c8e71f78e848b72c50e490fd19",
 }
 
 
@@ -316,23 +321,40 @@ def test_smaller_bound_is_a_restriction_on_small_graphs(graph, D):
     _assert_restrictions(graph, 0, D, 4)
 
 
-def test_induced_algebra_from_free_stretching():
-    g = one_edge_graph()
-    E = generate_free_stretching(g, 0, 1, 5)
-    G = free_groupoid_cells(g, 1)
-    # v: evaluation of a term to its reduced word; lam: canonical inclusion
+def _free_groupoid_section(D: int, S: int):
+    """The free stretching on one edge, the carrier of the free groupoid on
+    it, v the evaluation of a term to its reduced word and lam the canonical
+    inclusion."""
     from globforge.normalform import NF1, Strictifier
     from globforge.words import parse_word
 
+    g = one_edge_graph()
+    E = generate_free_stretching(g, 0, D, S)
+    G = free_groupoid_cells(g, 1)
     strict = Strictifier(g, 0)
     v = {m: dict(E.pi[m]) for m in E.pi}
     lam = {0: {a: a for a in G.gs.grade(0)}, 1: {}}
     for nm in G.gs.grade(1):
         w = parse_word(g, nm)
         lam[1][nm] = strict.canonical_term(NF1(w)).name
-    induced = induced_algebra_magma(E, G.gs, v, lam)
+    return E, G.gs, v, lam
+
+
+def _single_point_section(D: int, S: int):
+    """The free stretching on a single point, collapsed onto the point with its degenerate loop."""
+    g = globular_set(1, {0: ["a"], 1: []})
+    E = generate_free_stretching(g, 0, D, S)
+    G = globular_set(1, {0: ["a"], 1: ["ida"]}, src={1: {"ida": "a"}}, tgt={1: {"ida": "a"}})
+    v = {0: {"a": "a"}, 1: {nm: "ida" for nm in E.m_side.magma.gs.grade(1)}}
+    lam = {0: {"a": "a"}, 1: {"ida": "1[0.1](a)"}}
+    return E, G, v, lam
+
+
+def test_induced_algebra_from_free_stretching():
+    E, G, v, lam = _free_groupoid_section(1, 5)
+    induced = induced_algebra_magma(E, G, v, lam)
     # induced composition is concatenate-then-reduce
-    want = G.magma.comp.table(1, 0)
+    want = free_groupoid_cells(one_edge_graph(), 1).magma.comp.table(1, 0)
     got = induced.magma.comp.table(1, 0)
     for pair, z in want.items():
         assert got.get(pair) == z, pair
@@ -384,15 +406,49 @@ def test_derive_reversors_rerun_is_stable():
 
 def test_induced_algebra_single_point():
     # a single point with its degenerate loop: everything collapses
-    g = globular_set(1, {0: ["a"], 1: []})
-    E = generate_free_stretching(g, 0, 1, 5)
-    G = globular_set(1, {0: ["a"], 1: ["ida"]}, src={1: {"ida": "a"}}, tgt={1: {"ida": "a"}})
-    ida_term = "1[0.1](a)"
-    v = {0: {"a": "a"}, 1: {nm: "ida" for nm in E.m_side.magma.gs.grade(1)}}
-    lam = {0: {"a": "a"}, 1: {"ida": ida_term}}
+    E, G, v, lam = _single_point_section(1, 5)
     induced = induced_algebra_magma(E, G, v, lam)
     assert induced.magma.comp.table(1, 0) == {("ida", "ida"): "ida"}
     assert induced.magma.refl.table(0, 1) == {"a": "ida"}
+
+
+def _pull_back(E, G, v, lam):
+    """The induced refl, rev and comp tables by definition: for each free
+    table whose cells lie in G's dimensions, op(a, ...) = v(op(lam a, ...))
+    on every tuple of G-cells whose lam-images the free table stores."""
+    free = E.m_side
+    return (
+        {
+            (p, m): {a: v[m][t[lam[p][a]]] for a in G.grade(p) if lam[p][a] in t}
+            for (p, m), t in free.magma.refl.maps.items() if m <= G.max_dim
+        },
+        {
+            (m, p): {a: v[m][t[lam[m][a]]] for a in G.grade(m) if lam[m][a] in t}
+            for (m, p), t in free.rev.maps.items() if m <= G.max_dim
+        },
+        {
+            (m, p): {
+                (a, b): v[m][t[(lam[m][a], lam[m][b])]]
+                for a in G.grade(m) for b in G.grade(m) if (lam[m][a], lam[m][b]) in t
+            }
+            for (m, p), t in free.magma.comp.maps.items() if m <= G.max_dim
+        },
+    )
+
+
+@pytest.mark.parametrize("section", [_free_groupoid_section, _single_point_section])
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("S", [4, 5, 6])
+def test_induced_algebra_is_the_pull_back(section, D, S):
+    E, G, v, lam = section(D, S)
+    induced = induced_algebra_magma(E, G, v, lam)
+    refl, rev, comp = _pull_back(E, G, v, lam)
+    assert induced.magma.gs is G
+    assert induced.threshold == E.threshold
+    assert induced.magma.refl.maps == refl
+    assert induced.rev.maps == rev
+    assert induced.magma.comp.maps == comp
+    assert any(refl.values()) and (S < 5 or any(comp.values()))  # lam(a) o lam(b) has size >= 5
 
 
 def test_free_strict_two_category_side_validates():
