@@ -20,8 +20,9 @@ plus `refl <p> <m> <x> = <y>` and `comp <m> <p> (<y>, <x>) = <z>` lines;
 ( ) , : = #, and numbers are decimal digits.  Grades of src/tgt lines are
 inferred from the declared cells and must be unambiguous; everything
 unknown, duplicated, or ill-graded is a parse-time error carrying its line
-number.  dim, and the grade of a cells line, are at most MAX_DIM (10,000),
-since the carrier holds a table for every grade up to dim.  emit_structure
+number.  dim, threshold and the grade of a cells line are at most MAX_DIM
+(10,000), since the carrier holds a table for every grade up to dim; a
+table index too long to convert is out of range.  emit_structure
 writes a parsed structure back as text that parse_structure reads to an
 equal structure.
 """
@@ -120,8 +121,8 @@ def parse_structure(text: str) -> ParsedStructure:
             if len(parts) != 2 or not (head == "structure" or parts[1].isdecimal()):
                 raise ParseError(lineno, f"expected: {head} {_HEADERS[head]}")
             header[head] = _ident(parts[1], lineno)
-            if head == "dim":
-                _grade(parts[1], lineno, "dim")
+            if head != "structure":
+                _grade(parts[1], lineno, head)
         elif head == "cells":
             mt = _CELLS.fullmatch(line)
             if not mt:
@@ -163,7 +164,7 @@ def parse_structure(text: str) -> ParsedStructure:
             if not mt:
                 raise ParseError(lineno, f"expected: {usage}")
             i, j, *names = mt.groups()
-            index = int(i), int(j)
+            index = (int(i), int(j)) if len(i) + len(j) <= 4300 else (0, 0)  # too long for int(): out of range
             m, p = index[grades[-1]], index[1 - grades[-1]]
             if not 0 <= p < m <= max_dim:
                 raise ParseError(lineno, f"{head} indices need 0 <= p < m <= {max_dim}")

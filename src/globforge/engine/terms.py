@@ -14,15 +14,16 @@ The unary endomaps the built-in suites cite (F, mu, Tv, lamT) are fixed
 symbols in the same table.
 
 Terms are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006), as StretchTerm is.  app(), var() and const() are the
-only constructors: each returns the one live term with its fields, so
-equal terms are the same object, and equality and hashing are by identity
-and cost O(1) whatever the term's depth.  The intern tables hold terms
-weakly, so a term lives only while something else uses it.  A term's
-grade, carrier and the bracket subterms of its arguments are computed once,
-when it is built; brackets_in reads them instead of walking the term.  A
-bracket's stored set leaves the bracket itself out, so no term refers to
-itself and reference counting alone frees an unused term.
+hash-consing", 2006), in process-wide tables; StretchTerm is interned per
+TermContext instead.  app(), var() and const() are the only constructors:
+each returns the one live term with its fields, so equal terms are the
+same object, and equality and hashing are by identity and cost O(1)
+whatever the term's depth.  The intern tables hold terms weakly, so a term
+lives only while something else uses it.  A term's grade, carrier and the
+bracket subterms of its arguments are computed once, when it is built;
+brackets_in reads them instead of walking the term.  A bracket's stored set
+leaves the bracket itself out, so no term refers to itself and reference
+counting alone frees an unused term.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ A normal form computes its canonical name once, when it is built.  Names are
 injective per grade, so normal forms are equal exactly when grade and name
 are, and a normal form hashes as its name.  Words are composed and inverted
 by the shared operations of words, which check only a composite's junction.
+
+Strictifier.pi memoizes per term and applies each normal-form operation
+(comp_nf, rev_nf, refl_lift) once per distinct input, keyed by the argument
+names: the strict side is small, so most terms reuse an earlier result.
 """
 
 from __future__ import annotations
@@ -129,6 +133,7 @@ class Strictifier:
         self.inv2 = threshold <= 1
         self._ctx = TermContext(g, threshold)
         self._memo: dict[StretchTerm, NF] = {}
+        self._ops: dict[tuple, NF] = {}  # (operation, dims, argument grade and names) -> its result
 
     # -- column bookkeeping --------------------------------------------
 
@@ -270,17 +275,21 @@ class Strictifier:
                 return NF2(Word(self._ends[(src_edge, 1)][0], ((src_edge, 1),)), (((t.cell, 1),),))
             raise UnsupportedFreeConstructionError("generators above dimension 2")
         if t.kind == "comp":
-            m, p = t.dims
-            return self.comp_nf(m, p, self.pi(t.args[0]), self.pi(t.args[1]))
-        if t.kind == "refl":
-            return self.refl_lift(self.pi(t.args[0]))
+            return self._op("comp_nf", t.dims, self.pi(t.args[0]), self.pi(t.args[1]))
         if t.kind == "rev":
-            m, p = t.dims
-            return self.rev_nf(m, p, self.pi(t.args[0]))
-        if t.kind == "bracket":
-            # the bracket projects to the degenerate cell on its target's image
-            return self.refl_lift(self.pi(t.args[0]))
+            return self._op("rev_nf", t.dims, self.pi(t.args[0]))
+        if t.kind in ("refl", "bracket"):
+            # a bracket projects to the degenerate cell on its target's image
+            return self._op("refl_lift", (), self.pi(t.args[0]))
         raise ValueError(t.kind)
+
+    def _op(self, op: str, dims: tuple[int, ...], *args: NF) -> NF:
+        """The normal-form operation op on (*dims, *args), computed once per distinct input."""
+        key = (op, dims, args[0].dim, args[0].name, args[-1].name)  # a unary op repeats its argument
+        nf = self._ops.get(key)
+        if nf is None:
+            nf = self._ops[key] = getattr(self, op)(*dims, *args)
+        return nf
 
     # -- canonical representative terms --------------------------------
 

@@ -30,6 +30,7 @@ validate_stretching) reads them from there.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Mapping, TextIO
 
 from ._record import Record
@@ -261,9 +262,9 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
     bracket_pairs: dict[tuple[int, str, str], StretchTerm] = {}
 
     def par_key(t: StretchTerm) -> tuple[int, str, str, str]:
-        sname = ctx.src(t).name if t.dim >= 1 else ""
-        tname = ctx.tgt(t).name if t.dim >= 1 else ""
-        return (t.dim, sname, tname, strict.pi(t).name)
+        if t.dim == 0:
+            return (0, "", "", strict.pi(t).name)
+        return (t.dim, t.src.name, t.tgt.name, strict.pi(t).name)
 
     def admit(t: StretchTerm) -> None:
         d, nm = t.dim, t.name
@@ -271,7 +272,9 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
             return
         terms[d][nm] = t
         by_size.setdefault(t.size, []).append(t)
-        for p, face in enumerate(ctx.boundaries(t, "target")):
+        face = t
+        for p in range(d - 1, -1, -1):
+            face = face.tgt
             tgt_bucket.setdefault((d, p, face.name, t.size), []).append(t)
         if d + 1 <= D:
             par_bucket.setdefault(par_key(t) + (t.size,), []).append(t)
@@ -312,7 +315,7 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
 
     # the magma side, then the strict fragment its cells project onto, closed
     # under faces and degenerate cells; comp and rev there are images along pi
-    m_side = _nmagma(D, n, terms, (ctx.src, ctx.tgt), refl_maps, comp_maps, rev_maps)
+    m_side = _nmagma(D, n, terms, (attrgetter("src"), attrgetter("tgt")), refl_maps, comp_maps, rev_maps)
     images = {m: {nm: strict.pi(t) for nm, t in terms[m].items()} for m in range(D + 1)}
     pi_tables = {m: {nm: nf.name for nm, nf in images[m].items()} for m in images}
     nfs = {m: {nf.name: nf for nf in images[m].values()} for m in images}

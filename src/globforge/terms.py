@@ -22,18 +22,18 @@ Multi-step reflexors are represented by nested one-step constructors, so
 refl-tower absorption is definitional.  Term size counts constructor nodes
 of this canonical representation.
 
-Terms are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006).  StretchTerm(kind, dims, args, cell) returns the one
-live term with those fields, so equal terms are the same object: equality
-and hashing are by identity and cost O(1) whatever the term's depth.  A
-term's dimension, size and name are computed once, when it is built, and
-never change.  The intern table holds terms weakly, so a term lives only
-while something else uses it; dropping a stretching frees its terms.
+Terms are hash-consed inside their owner (Filliâtre and Conchon,
+"Type-safe modular hash-consing", 2006): a TermContext builds every term it
+hands out and interns it in its own table, so within one context equal terms
+are the same object.  Terms from different contexts are equal when their
+dimension and name are, and a term hashes as its name.  A term's dimension,
+size, name and one-step faces (src and tgt, None on 0-terms) are set when it
+is built and never change.  Nothing is held process-wide: terms live as long
+as their context or whatever else uses them, so dropping a stretching frees
+its terms.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .globular import TruncatedGlobularSet
 
@@ -68,13 +68,30 @@ def _name(kind: str, dims: tuple[int, ...], args: tuple["StretchTerm", ...], cel
     return f"[{args[0].name};{args[1].name}]{m}"
 
 
-_INTERNED: weakref.WeakValueDictionary[tuple, "StretchTerm"] = weakref.WeakValueDictionary()
+class _Fields:
+    """A term under construction: TermContext fills its slots with plain
+    stores, several times cheaper than object.__setattr__, and then makes it
+    a StretchTerm, which refuses assignment."""
+
+    __slots__ = ("kind", "dims", "args", "cell", "dim", "size", "name", "src", "tgt", "__weakref__")
+
+    def __init__(self, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str,
+                 src: StretchTerm | None, tgt: StretchTerm | None):
+        self.dim = _dim(kind, dims)  # first: rejects an unknown kind
+        self.kind = kind
+        self.dims = dims
+        self.args = args
+        self.cell = cell
+        self.size = 1 + sum([a.size for a in args])
+        self.name = _name(kind, dims, args, cell)
+        self.src = src
+        self.tgt = tgt
 
 
-class StretchTerm:
-    """An interned term; equal fields give the identical object."""
+class StretchTerm(_Fields):
+    """An immutable term with its one-step faces, built only by a TermContext."""
 
-    __slots__ = ("kind", "dims", "args", "cell", "dim", "size", "name", "__weakref__")
+    __slots__ = ()
 
     kind: str  # gen | comp | refl | rev | bracket
     dims: tuple[int, ...]
@@ -83,24 +100,17 @@ class StretchTerm:
     dim: int
     size: int
     name: str
+    src: StretchTerm | None  # None on 0-terms
+    tgt: StretchTerm | None
 
-    def __new__(cls, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str = ""):
-        key = (kind, dims, args, cell)
-        t = _INTERNED.get(key)
-        if t is None:
-            t = object.__new__(cls)
-            init = object.__setattr__
-            init(t, "dim", _dim(kind, dims))  # first: rejects an unknown kind
-            init(t, "kind", kind)
-            init(t, "dims", dims)
-            init(t, "args", args)
-            init(t, "cell", cell)
-            init(t, "size", 1 + sum(a.size for a in args))
-            init(t, "name", _name(kind, dims, args, cell))
-            _INTERNED[key] = t
-        return t
+    def __init__(self, *args) -> None:
+        raise TypeError("StretchTerm is built by a TermContext")
 
-    # __eq__ and __hash__ stay object identity: interning makes that structural
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is StretchTerm and other.dim == self.dim and other.name == self.name)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __setattr__(self, attr: str, value) -> None:
         raise AttributeError(f"StretchTerm is immutable; cannot set {attr}")
@@ -110,6 +120,9 @@ class StretchTerm:
 
     def __repr__(self) -> str:
         return f"StretchTerm({self.name!r})"
+
+
+_FACE = {"source": "src", "target": "tgt"}
 
 
 class TermContext:
@@ -123,59 +136,61 @@ class TermContext:
         self.g = g
         self.threshold = threshold
         self.strictifier = strictifier
-        self._faces: dict[str, dict[StretchTerm, StretchTerm]] = {"source": {}, "target": {}}
+        self._terms: dict[tuple, StretchTerm] = {}
 
-    def _face(self, t: StretchTerm, side: str) -> StretchTerm:
-        """One-step boundary term of a term of dimension >= 1."""
-        memo = self._faces[side]
-        hit = memo.get(t)
-        if hit is not None:
-            return hit
-        m = t.dim
-        assert m >= 1
-        if t.kind == "gen":
-            out = StretchTerm("gen", (m - 1,), (), self.g.map(side, m)[t.cell])
-        elif t.kind == "comp":
-            _, p = t.dims
-            t1, t0 = t.args
+    def _make(self, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str = "") -> StretchTerm:
+        """The context's one term with these fields, built with its faces on first use."""
+        key = (kind, dims, args, cell)
+        t = self._terms.get(key)
+        if t is not None:
+            return t
+        m = dims[0]  # the dimension of a gen, comp or rev term
+        if kind == "refl":
+            src = tgt = args[0]  # one-step reflexor: both faces are the core
+        elif kind == "bracket":
+            tgt, src = args
+        elif m == 0:  # a generating 0-cell
+            src = tgt = None
+        elif kind == "gen":
+            src = self._make(kind, (m - 1,), (), self.g.map("source", m)[cell])
+            tgt = self._make(kind, (m - 1,), (), self.g.map("target", m)[cell])
+        elif kind == "comp":
+            p = dims[1]
+            t1, t0 = args
             if p == m - 1:
-                out = self._face(t0, side) if side == "source" else self._face(t1, side)
+                src, tgt = t0.src, t1.tgt
             else:
-                out = StretchTerm("comp", (m - 1, p), (self._face(t1, side), self._face(t0, side)))
-        elif t.kind == "refl":
-            out = t.args[0]  # one-step reflexor: both faces are the core
-        elif t.kind == "rev":
-            _, p = t.dims
-            inner = t.args[0]
+                src = self._make(kind, (m - 1, p), (t1.src, t0.src))
+                tgt = self._make(kind, (m - 1, p), (t1.tgt, t0.tgt))
+        else:  # rev
+            p = dims[1]
+            (u,) = args
             if m == p + 1:
-                other = "target" if side == "source" else "source"
-                out = self._face(inner, other)
+                src, tgt = u.tgt, u.src
             else:
-                out = StretchTerm("rev", (m - 1, p), (self._face(inner, side),))
-        elif t.kind == "bracket":
-            out = t.args[1] if side == "source" else t.args[0]
-        else:
-            raise ValueError(t.kind)
-        memo[t] = out
-        return out
+                src, tgt = self._make(kind, (m - 1, p), (u.src,)), self._make(kind, (m - 1, p), (u.tgt,))
+        t = self._terms[key] = _Fields(kind, dims, args, cell, src, tgt)
+        t.__class__ = StretchTerm
+        return t
 
     def src(self, t: StretchTerm) -> StretchTerm:
-        return self._face(t, "source")
+        return t.src
 
     def tgt(self, t: StretchTerm) -> StretchTerm:
-        return self._face(t, "target")
+        return t.tgt
 
     def boundary(self, t: StretchTerm, q: int, side: str) -> StretchTerm:
-        cur = t
+        face = _FACE[side]
         for _ in range(t.dim - q):
-            cur = self._face(cur, side)
-        return cur
+            t = getattr(t, face)
+        return t
 
     def boundaries(self, t: StretchTerm, side: str) -> list[StretchTerm]:
         """[boundary(t, q, side) for q in range(t.dim)], from one walk down the faces."""
+        face = _FACE[side]
         faces = [t]
         for _ in range(t.dim):
-            faces.append(self._face(faces[-1], side))
+            faces.append(getattr(faces[-1], face))
         return faces[:0:-1]
 
     def parallel(self, t1: StretchTerm, t0: StretchTerm) -> bool:
@@ -183,12 +198,12 @@ class TermContext:
             return False
         if t1.dim == 0:
             return True
-        return self.src(t1) == self.src(t0) and self.tgt(t1) == self.tgt(t0)
+        return t1.src == t0.src and t1.tgt == t0.tgt
 
     def gen(self, name: str) -> StretchTerm:
         for m in range(self.g.max_dim + 1):
             if self.g.has_cell(m, name):
-                return StretchTerm("gen", (m,), (), name)
+                return self._make("gen", (m,), (), name)
         raise IllTypedTermError(f"no generating cell named {name}")
 
     def comp(self, m: int, p: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
@@ -203,7 +218,7 @@ class TermContext:
             raise IllTypedTermError(
                 f"terms are not {p}-compatible: {t1.name} after {t0.name}"
             )
-        return StretchTerm("comp", (m, p), (t1, t0))
+        return self._make("comp", (m, p), (t1, t0))
 
     def refl(self, p: int, m: int, t: StretchTerm) -> StretchTerm:
         if not 0 <= p < m:
@@ -212,7 +227,7 @@ class TermContext:
             raise IllTypedTermError(f"reflexor over ({p}, {m}) needs a {p}-term")
         cur = t
         for k in range(p, m):
-            cur = StretchTerm("refl", (k, k + 1), (cur,))
+            cur = self._make("refl", (k, k + 1), (cur,))
         return cur
 
     def rev(self, m: int, p: int, t: StretchTerm) -> StretchTerm:
@@ -222,7 +237,7 @@ class TermContext:
             )
         if t.dim != m:
             raise IllTypedTermError(f"reversor over ({m}, {p}) needs an {m}-term")
-        return StretchTerm("rev", (m, p), (t,))
+        return self._make("rev", (m, p), (t,))
 
     def bracket(self, m: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
         if t1.dim != m or t0.dim != m:
@@ -240,4 +255,4 @@ class TermContext:
             raise IllTypedTermError(
                 f"bracket arguments strictify differently: {t1.name} vs {t0.name}"
             )
-        return StretchTerm("bracket", (m,), (t1, t0))
+        return self._make("bracket", (m,), (t1, t0))

@@ -141,7 +141,7 @@ def neighbors(ctx: TermContext, t: StretchTerm, cap: int) -> list[StretchTerm]:
                     if t.kind == "comp":
                         out.append(ctx.comp(t.dims[0], t.dims[1], args[0], args[1]))
                     else:
-                        out.append(StretchTerm("refl", t.dims, tuple(args)))
+                        out.append(ctx.refl(t.dims[0], t.dims[1], args[0]))
                 except IllTypedTermError:
                     # the rewrite changed a syntactic boundary the parent needs
                     pass

@@ -202,6 +202,11 @@ PARSE_ERRORS = {
     _GRAPH + "comp 1 0 (f, a) = i\n": "line 4: grade mismatch: a is not a 1-cell (found in [0])",
     "structure big\ndim 10001\n": "line 2: dim 10001 is above the cap 10000",
     "cells 0: a\ncells 100000: f\n": "line 2: cells grade 100000 is above the cap 10000",
+    # numbers too long for int() (more than 4,300 digits)
+    _GRAPH + "refl " + "1" * 5000 + " 1 a = i\n": "line 4: refl indices need 0 <= p < m <= 1",
+    _GRAPH + "rev 1 " + "1" * 5000 + " f = f\n": "line 4: rev indices need 0 <= p < m <= 1",
+    _GRAPH + "comp " + "1" * 5000 + " 0 (f, i) = f\n": "line 4: comp indices need 0 <= p < m <= 1",
+    "structure big\nthreshold " + "9" * 5000 + "\n": "line 2: threshold " + "9" * 5000 + " is above the cap 10000",
 }
 
 

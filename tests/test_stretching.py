@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from fixtures import (
@@ -8,6 +9,7 @@ from fixtures import (
     one_edge_graph,
     redirect_bracket,
     redirect_pi,
+    two_cell_globe,
     two_edge_graph,
     walking_iso_category,
 )
@@ -202,15 +204,35 @@ DUMP_DIGESTS = {
     ("edge", 0, 3, 8): "a4d3a1ac16512db10cad8a2389e49976a80c2661d53fe2eff7fb59a418a57998",
     ("edge", 1, 2, 9): "bf0ddb0676921c7a1ae472f32339af29824549331ebf84737a81686f2abd347b",
     ("path", 0, 2, 8): "2b5a5fe835c00239aad5e11d58ec7f71b64326c8e71f78e848b72c50e490fd19",
+    # a 2-generator: NF2 columns, comp at p=1 and rev(2, 1), which the edge and path rows do not reach
+    ("globe", 1, 2, 9): "aaf7051a2e5eb149fa65bf8f3424d266999074dcb93ed849955fdf988126fd6e",
+    ("globe", 1, 3, 7): "21381a4d9e6c83cd331b2333e2dd5931afdb0d1b4210ee777aad6f0c0b91220f",
+    ("globe", 2, 3, 8): "cbed7b3083550eadf4a2755588881169596b315ec11347e4da4b293a3403268b",
 }
 
 
 @pytest.mark.parametrize("key", list(DUMP_DIGESTS))
 def test_dump_digests(key):
     graph, n, D, S = key
-    g = one_edge_graph() if graph == "edge" else two_edge_graph()
+    g = {"edge": one_edge_graph, "path": two_edge_graph, "globe": two_cell_globe}[graph]()
     text = dump_stretching(generate_free_stretching(g, n, D, S))
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[key]
+
+
+def test_each_normal_form_operation_runs_once_per_input(monkeypatch):
+    # the strict side is tiny: 3,886 terms at these bounds have 10 normal forms
+    from globforge.normalform import Strictifier
+
+    calls = Counter()
+    for attr in ("comp_nf", "rev_nf", "refl_lift"):
+        def counted(self, *args, _attr=attr, _fn=getattr(Strictifier, attr)):
+            calls[_attr] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(Strictifier, attr, counted)
+    text = dump_stretching(generate_free_stretching(one_edge_graph(), 0, 2, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[("edge", 0, 2, 9)]
+    assert 0 < sum(calls.values()) <= 100, calls
 
 
 # strings that exercise json's escapes: quotes, backslashes, control

@@ -358,14 +358,33 @@ def test_threshold_one_interchange_on_nf():
 
 
 def test_equal_constructions_are_identical():
+    # one context builds one object per term; terms of two contexts are equal by name
     g = two_graph()
-    ctx = TermContext(g, 2)
+    ctx, other = TermContext(g, 2), TermContext(g, 2)
     a = ctx.comp(2, 1, ctx.gen("al"), ctx.refl(1, 2, ctx.src(ctx.gen("al"))))
-    other = TermContext(g, 2)
+    assert ctx.comp(2, 1, ctx.gen("al"), ctx.refl(1, 2, ctx.gen("f0"))) is a
+    assert ctx.refl(0, 2, ctx.gen("a")) is ctx.refl(1, 2, ctx.refl(0, 1, ctx.gen("a")))
+    assert ctx.src(a) is ctx.gen("f0") and ctx.tgt(a) is ctx.gen("f1")
     b = other.comp(2, 1, other.gen("al"), other.refl(1, 2, other.gen("f0")))
-    assert a is b
-    assert StretchTerm("comp", (2, 1), (ctx.gen("al"), ctx.refl(1, 2, ctx.gen("f0")))) is a
-    assert ctx.refl(0, 2, ctx.gen("a")) is other.refl(1, 2, other.refl(0, 1, other.gen("a")))
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert ctx.refl(0, 2, ctx.gen("a")) == other.refl(1, 2, other.refl(0, 1, other.gen("a")))
+    assert a != other.gen("al") and ctx.gen("a") != ctx.refl(0, 1, ctx.gen("a"))
+    with pytest.raises(TypeError):
+        StretchTerm("gen", (0,), (), "a")  # only a context builds terms
+    with pytest.raises(AttributeError):
+        a.name = "b"
+
+
+def test_each_context_reads_faces_from_its_own_graph():
+    # two graphs with an edge of the same name between different points
+    g1 = globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "a"}}, tgt={1: {"e": "b"}})
+    g2 = globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "b"}}, tgt={1: {"e": "a"}})
+    c1, c2 = TermContext(g1, 0), TermContext(g2, 0)
+    e1, e2 = c1.gen("e"), c2.gen("e")
+    assert (c1.src(e1).name, c1.tgt(e1).name) == ("a", "b")
+    assert (c2.src(e2).name, c2.tgt(e2).name) == ("b", "a")
+    assert c1.tgt(c1.rev(1, 0, e1)).name == "a" and c2.tgt(c2.rev(1, 0, e2)).name == "b"
 
 
 def _recomputed(t: StretchTerm) -> tuple[str, int, int]:
