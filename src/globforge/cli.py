@@ -10,7 +10,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import json
 import os
@@ -121,8 +120,15 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
     rep = ValidationReport(parsed.name)
     gs = parsed.gs
     refl = parsed.refl if parsed.refl else ReflexorStructure({})
-    # three layers depend on the reflexors; check them once
-    reflexors = functools.cache(lambda: validate_reflexors(gs, refl))
+    reflexor_rep: ValidationReport | None = None
+
+    def reflexors() -> bool:
+        """Three layers depend on the reflexors: check them and merge their report once."""
+        nonlocal reflexor_rep
+        if reflexor_rep is None:
+            reflexor_rep = validate_reflexors(gs, refl)
+            rep.extend(reflexor_rep)
+        return reflexor_rep.valid
 
     def want(name: str, declared: bool) -> bool:
         return layer == name or (layer == "auto" and declared)
@@ -138,22 +144,19 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
             rep.extend(validate_reversors(gs, rev))
             if rep.valid:
                 rep.extend(validate_involutive(gs, rev))
-                if parsed.refl:
-                    # compat applies the reflexor tables, so they must be valid first
-                    compat = reflexors()
-                    if compat.valid:
-                        compat = validate_reflexive_compat(gs, parsed.refl, rev)
-                    rep.extend(compat)
+                # compat applies the reflexor tables, so they must be valid first
+                if parsed.refl and reflexors():
+                    rep.extend(validate_reflexive_compat(gs, parsed.refl, rev))
     if want("reflexors", parsed.refl is not None):
         if parsed.refl is None:
             rep.add("reflexor.total", LAW_REFLEXOR_TOTAL, (), "no reflexor layer declared")
         else:
-            rep.extend(reflexors())
+            reflexors()
     if want("magma", parsed.comp is not None) or want("strict", parsed.comp is not None):
         if parsed.comp is None:
             rep.add("positional.total", LAW_COMP_TOTAL, (), "no composition layer declared")
         else:
-            rep.extend(reflexors())
+            reflexors()
             magma_rep = validate_magma(parsed.magma)
             rep.extend(magma_rep)
             if layer in ("auto", "strict") and magma_rep.valid:

@@ -25,6 +25,11 @@ number.  dim, threshold and the grade of a cells line are at most MAX_DIM
 table index too long to convert is out of range.  emit_structure
 writes a parsed structure back as text that parse_structure reads to an
 equal structure.
+
+parse_structure reads every comp line in one pass: one regex split of the
+whole text cuts them out, and the line parser reads the few other lines.
+On any doubt the pass gives up and the line parser reads the whole text,
+so every ParseError comes from the line parser.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ _ID = r"([^\s(),:=#]+)"
 _IDENT = re.compile(_ID)
 _CELLS = re.compile(r"cells\s+(\d+)\s*:\s*(.*)")
 _SRC_TGT = re.compile(rf"(?:src|tgt)\s+{_ID}\s*=\s*{_ID}")
+# A whole comp line and its \n, or one up to its \r or comment, its blanks spaces and tabs.
+_COMP_LINES = re.compile(
+    rf"(?m)^[ \t]*comp[ \t]+(\d+)[ \t]+(\d+)[ \t]+\([ \t]*{_ID}[ \t]*,[ \t]*{_ID}[ \t]*\)"
+    rf"[ \t]*=[ \t]*{_ID}[ \t]*(?:\n|\Z|(?=[\r#]))"
+)
 _HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
 MAX_DIM = 10_000  # the largest grade a file may declare: the carrier allocates every grade up to dim
 
@@ -103,13 +113,42 @@ def _show(key: str | tuple[str, ...]) -> str:
     return f"({', '.join(key)})" if isinstance(key, tuple) else key
 
 
+def _comp_tables(cut: list[str], declared: dict[int, dict[str, str]]) -> dict:
+    """The tables of the cut-out comp lines as the line parser builds them, keys in file order."""
+    ms, ps, *rows = (cut[k::6] for k in range(1, 6))  # each line's m and p as written, and its y, x, z
+    tables = {(ms[0], ps[0]): rows}  # (m, p) as written -> the y, x, z of its lines, in file order
+    if ms.count(ms[0]) != len(ms) or ps.count(ps[0]) != len(ps):
+        at: dict[tuple[str, str], list[int]] = {}
+        for r, key in enumerate(zip(ms, ps)):
+            at.setdefault(key, []).append(r)
+        tables = {key: [[column[r] for r in rs] for column in rows] for key, rs in at.items()}
+    maps = {}
+    for (i, j), (y, x, z) in tables.items():
+        get = declared[int(i)].__getitem__  # ValueError beyond 4,300 digits, KeyError above max_dim
+        maps[int(i), int(j)] = dict(zip(zip(map(get, y), map(get, x)), map(get, z)))  # KeyError: unresolved
+    if any(p >= m for m, p in maps) or sum(map(len, maps.values())) != len(ms):
+        raise ValueError  # an index out of range, a repeated key, or one index spelt two ways
+    return maps
+
+
 def parse_structure(text: str) -> ParsedStructure:
+    cut = _COMP_LINES.split(text)  # [other text, m, p, y, x, z, other text, ...]
+    try:
+        return _parse("".join(cut[::6]), cut)
+    except (ValueError, KeyError):  # a doubt, a ParseError too: the line parser reads the whole text and words each error
+        del cut
+    return _parse(text)
+
+
+def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
+    """The line parser, reading in one pass the comp lines cut out of text; a comp line left in text is unknown."""
+    heads = ("src", "tgt", "refl", "rev") if cut else ("src", "tgt", *_TABLES)
     header: dict[str, str] = {}
     declared: dict[int, dict[str, str]] = {}  # grade -> {name: the name object every table holds}
     cells_line: dict[int, int] = {}  # grade -> its first cells line
     deferred: list[tuple[int, str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in filter(itemgetter(1), enumerate(text.splitlines(), start=1)):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -134,7 +173,7 @@ def parse_structure(text: str) -> ParsedStructure:
                 if _ident(nm, lineno) in bucket:
                     raise ParseError(lineno, f"cell {nm} declared twice in grade {grade}")
                 bucket[nm] = nm
-        elif head in _TABLES or head in ("src", "tgt"):
+        elif head in heads:
             deferred.append((lineno, head, line))
         else:
             raise ParseError(lineno, f"unknown declaration {head!r}")
@@ -156,6 +195,7 @@ def parse_structure(text: str) -> ParsedStructure:
     src: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
     tgt: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
     maps: dict[str, dict[tuple[int, int], dict]] = {head: {} for head in _TABLES}
+    maps["comp"] = _comp_tables(cut, declared) if cut[1:] else {}
 
     for lineno, head, line in deferred:
         if head in _TABLES:

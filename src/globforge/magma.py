@@ -32,9 +32,16 @@ KeyError, and only such rows and unequal ones are read triple by triple,
 where an absent composite is skipped on fragments and reported under
 require_total.  Columns are dicts, not lists over all cells, so they take
 memory in proportion to the table even when the table is sparse.
-Interchange inverts the q-table into fibres, fibre[c] = the pairs with
-q-composite c, and visits fibre[yy] x fibre[xx] for each stored p-composite
-of (yy, xx): exactly the squares whose outer composite exists.
+Interchange numbers the cells of a p-table and a q-table pair once, as
+associativity does, and visits exactly the squares whose outer composite
+(y2 o_q y1) o_p (x2 o_q x1) is stored, as the q-pairs over xx against the
+q-pairs over the yy in the column of xx.  It reads them in blocks: the xx
+whose columns hold the same yy share three itemgetters, which for a q-pair
+(x2, x1) gather y2 o_p x2, y1 o_p x1 and the outer composite over those
+(y2, y1), and the block holds when every gathered triple is a stored
+q-composite.  A block that fails names its failing squares (an absent
+composite gathers as None), and only those are read square by square, which
+skips a square missing an inner composite and reports the rest.
 validate_magma computes each cell's iterated boundaries once per grade.
 
 Under require_total, Light's associativity test (Clifford & Preston, The
@@ -57,8 +64,8 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, not_
 from typing import Iterable, Iterator, Mapping
 
 from ._record import Record
@@ -259,9 +266,13 @@ def _generators(
     return gens
 
 
-def _columns(table: Mapping[tuple[str, str], str]) -> tuple[list[str], dict[str, int], list[dict[int, int]]]:
-    """Number the cells of a table: names[i] is cell i, num[names[i]] = i, and cols[b][a] = a o b."""
-    names = list(dict.fromkeys(chain(chain.from_iterable(table), table.values())))
+def _columns(
+    table: Mapping[tuple[str, str], str], *also: Mapping[tuple[str, str], str]
+) -> tuple[list[str], dict[str, int], list[dict[int, int]]]:
+    """Number the cells of a table and of the tables also: names[i] is cell i, num[names[i]] = i,
+    and cols[b][a] = a o b in the first table."""
+    cells = chain.from_iterable(chain(chain.from_iterable(t), t.values()) for t in (table, *also))
+    names = list(dict.fromkeys(cells))
     num = {c: i for i, c in enumerate(names)}
     cols: list[dict[int, int]] = [{} for _ in names]
     for (a, b), ab in table.items():
@@ -292,6 +303,54 @@ def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[t
             except KeyError:
                 pass
             yield y, x, yx
+
+
+def _differing_squares(
+    table_p: Mapping[tuple[str, str], str], table_q: Mapping[tuple[str, str], str]
+) -> Iterator[tuple[str, str, str, str]]:
+    """The squares (y2, y1), (x2, x1) of stored q-pairs whose outer composite
+    (y2 o_q y1) o_p (x2 o_q x1) is stored but whose inner ones are not all stored
+    and interchanging.
+
+    The squares with a stored outer composite are those the q-pairs over xx make
+    with the q-pairs over the yy in the column of xx.  The xx whose columns hold
+    the same yy form a class, and a block is one (x2, x1) of the class against
+    the (y2, y1) over those yy: three itemgetters built once per class gather
+    y2 o_p x2, y1 o_p x1 and the outer composite off the columns of x2, x1 and
+    xx, and the block holds iff each gathered triple (a, b, c) has a o_q b = c
+    stored.  A block that fails yields the squares whose triple is not stored; a
+    missing p-composite raises KeyError, and the block is then gathered again
+    with None for what is missing.
+    """
+    names, num, cols = _columns(table_p, table_q)
+    q = {(num[a], num[b]): num[ab] for (a, b), ab in table_q.items()}
+    graph = {(a, b, ab) for (a, b), ab in q.items()}
+    fibre: dict[int, list[tuple[int, int]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
+    for pair, c in q.items():
+        fibre.setdefault(c, []).append(pair)
+    classes: dict[tuple[int, ...], list[int]] = {}  # the yy of a column -> the xx with that column
+    for xx in fibre:
+        yys = tuple(sorted(yy for yy in cols[xx] if yy in fibre))
+        if yys:
+            classes.setdefault(yys, []).append(xx)
+    for yys, xxs in classes.items():
+        ys = [(y2, y1, yy) for yy in yys for y2, y1 in fibre[yy]]
+        y2s, y1s, yyc = zip(*ys)
+        # the first key repeated, so that each itemgetter has two keys and returns a tuple
+        g2, g1, gyy = (itemgetter(*column, column[0]) for column in (y2s, y1s, yyc))
+        for xx in xxs:
+            col = cols[xx]
+            for x2, x1 in fibre[xx]:
+                col2, col1 = cols[x2], cols[x1]
+                try:
+                    gathered = g2(col2), g1(col1), gyy(col)
+                except KeyError:
+                    gathered = map(col2.get, y2s), map(col1.get, y1s), map(col.get, yyc)
+                else:
+                    if graph.issuperset(zip(*gathered)):
+                        continue
+                for y2, y1, _ in compress(ys, map(not_, map(graph.__contains__, zip(*gathered)))):
+                    yield names[y2], names[y1], names[x2], names[x1]
 
 
 def _light_test(
@@ -399,23 +458,19 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
             table_q = comp.maps.get((m, q))
             if not table_q:
                 continue
-            fibre: dict[str, list[tuple[str, str]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
-            for pair, c in table_q.items():
-                fibre.setdefault(c, []).append(pair)
-            for (yy, xx), outer in table_p.items():
-                for y2, y1 in fibre.get(yy, ()):
-                    for x2, x1 in fibre.get(xx, ()):
-                        a = table_p.get((y2, x2))
-                        b = table_p.get((y1, x1))
-                        if a is None or b is None:
-                            continue
-                        other = table_q.get((a, b))
-                        if other is not None and outer != other:
-                            rep.add(
-                                "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
-                                f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
-                                f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
-                            )
+            for y2, y1, x2, x1 in _differing_squares(table_p, table_q):
+                outer = table_p[table_q[y2, y1], table_q[x2, x1]]
+                a = table_p.get((y2, x2))
+                b = table_p.get((y1, x1))
+                if a is None or b is None:
+                    continue
+                other = table_q.get((a, b))
+                if other is not None and outer != other:
+                    rep.add(
+                        "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
+                        f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
+                        f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
+                    )
 
     for (p, q), table in comp.maps.items():
         if not 0 <= q < p:
@@ -453,13 +508,8 @@ def _inverse_candidates(
     t_a = boundary(gs, m, alpha, p, "target")
     if not (refl.defined(p, m, s_a) and refl.defined(p, m, t_a)):
         return []
-    unit_t = refl.apply(p, m, t_a)
-    unit_s = refl.apply(p, m, s_a)
-    found = []
-    for beta in cells:
-        if comp.get(m, p, alpha, beta) == unit_t and comp.get(m, p, beta, alpha) == unit_s:
-            found.append(beta)
-    return found
+    unit_t, unit_s, get = refl.apply(p, m, t_a), refl.apply(p, m, s_a), comp.table(m, p).get
+    return [beta for beta in cells if get((alpha, beta)) == unit_t and get((beta, alpha)) == unit_s]
 
 
 def derive_canonical_reversors(cat: StrictNCategory, n: int) -> ReversorStructure:

@@ -402,6 +402,16 @@ def graph_file(path, name: str, g: TruncatedGlobularSet) -> str:
     return str(path)
 
 
+def abelian_2cat_lines(n: int) -> list[str]:
+    """Z_n as a strict 2-category on one object o and one arrow i, as presentation lines:
+    both compositions of the 2-cells a0..a(n-1) are addition mod n (Eckmann-Hilton)."""
+    a = [f"a{i}" for i in range(n)]
+    lines = ["dim 2", "threshold 1", "cells 0: o", "cells 1: i", "cells 2: " + " ".join(a), "src i = o", "tgt i = o"]
+    lines += [f"{face} {x} = i" for x in a for face in ("src", "tgt")]
+    lines += ["refl 0 1 o = i", "refl 1 2 i = a0", "comp 1 0 (i, i) = i", "rev 2 1 a1 = a1"]
+    return lines + [f"comp 2 {p} ({a[i]}, {a[j]}) = {a[(i + j) % n]}" for p in (0, 1) for i in range(n) for j in range(n)]
+
+
 def identity_stretching(cat: StrictNCategory):
     """pi = identity; brackets only on the diagonal, where they are reflexors."""
     from globforge.magma import NMagma, derive_canonical_reversors

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from fixtures import bouquet, graph_file, two_edge_graph
 
-from globforge.cli import main
+from globforge.cli import _validate, main
 from globforge.dsl import parse_structure
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
@@ -265,6 +265,20 @@ def test_validate_reversors_over_incomplete_reflexors_reports(tmp_path, capsys):
         rep = parse_report(out)
         assert rep.axiom_ids() == {"reflexor.total"}
         assert rep.violations[0].cells == ("b",)
+
+
+# reflexors and a composition table, and one 0-cell without its reflexor
+HALF_REFLEXIVE = "cells 0: a b\ncells 1: ia\nsrc ia = a\ntgt ia = a\nrefl 0 1 a = ia\ncomp 1 0 (ia, ia) = ia\n"
+
+
+@pytest.mark.parametrize("layer", ["auto", "reversors", "reflexors", "magma", "strict"])
+@pytest.mark.parametrize("text", [HALF_REFLEXIVE, WALKING_ISO.replace("refl 0 1 b = idb\n", "")])
+def test_validate_merges_the_reflexor_report_once(text, layer):
+    rep = _validate(parse_structure(text), layer)
+    assert len(rep.violations) == len(set(rep.violations))
+    reflexor = [(v.axiom, v.cells) for v in rep.violations if v.axiom.startswith("reflexor")]
+    # without a reversor layer, the reversors layer reports that and checks no reflexors
+    assert reflexor == ([] if layer == "reversors" and text == HALF_REFLEXIVE else [("reflexor.total", ("b",))])
 
 
 def _stretch_dump(edge_file, tmp_path, capsys) -> dict:

@@ -1,6 +1,10 @@
+import random
+
 import pytest
+from fixtures import abelian_2cat_lines, bouquet, two_edge_graph
 from hypothesis import given, strategies as st
 
+from globforge import dsl
 from globforge.dsl import MAX_DIM, ParseError, emit_structure, parse_structure
 from globforge.globular import validate_globular
 from globforge.layers import validate_reflexors, validate_reversors
@@ -230,6 +234,124 @@ def test_a_number_too_long_to_convert_is_above_the_cap():
         with pytest.raises(ParseError) as err:
             parse_structure(head + "9" * 5000 + (": a\n" if head == "cells " else "\n"))
         assert err.value.message.endswith("is above the cap 10000")
+
+
+# -- the one-pass comp reading against the line parser ----------------------
+
+
+def _group_text(n: int) -> list[str]:
+    """Z_n as a one-object category: n^2 comp lines."""
+    g = [f"g{i}" for i in range(n)]
+    lines = ["structure Z", "dim 1", "cells 0: o", "cells 1: " + " ".join(g)]
+    lines += [f"{face} {x} = o" for x in g for face in ("src", "tgt")]
+    lines += ["refl 0 1 o = g0"]
+    return lines + [f"comp 1 0 ({g[i]}, {g[j]}) = {g[(i + j) % n]}" for i in range(n) for j in range(n)]
+
+
+def _graph_lines(name: str, g) -> list[str]:
+    return emit_structure(dsl.ParsedStructure(name, g, 0, None, None, None)).splitlines()
+
+
+_TOKENS = ["comp", "src", "refl", "rev", "cells", "(", ")", ",", "=", "#", "0", "1", "2", "9",
+           "\u0661", "\U0001d7d9", "1" * 5000, "0" * 3000 + "1", "undeclared", "g1", "a1", "o", "i", ""]
+# blanks and line breaks: str.split and strip take them all as blanks, str.splitlines
+# breaks at \r \x0b \x0c \x1c \x85 \u2028 as well as \n, and re's ^ and $ only at \n
+_BLANKS = [" ", "\t", "  ", "\u3000", "\x0c", "\x0b", "\x85", "\r", "\u2028", "\x1c", "\x1f"]
+
+
+def _mutant(lines: list[str], rng: random.Random) -> str:
+    """A seeded mutant: lines dropped, repeated, swapped, merged or edited token by token,
+    comments and blanks around comp lines, odd digits, repeated keys, unresolved names
+    and odd line breaks."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randrange(len(lines))
+        kind = rng.randrange(10)
+        if kind == 0:
+            del lines[k]
+        elif kind == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+        elif kind == 2:
+            j = rng.randrange(len(lines))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif kind == 3:
+            tokens = lines[k].replace("(", "( ").replace(",", " , ").replace(")", " )").split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(_TOKENS)
+            lines[k] = " ".join(tokens)
+        elif kind == 4:
+            lines[k] += rng.choice([" # note", "#x", "\t# comp 1 0 (a, b) = c", " #"])
+        elif kind == 5:
+            lines[k] = rng.choice(_BLANKS) + lines[k]
+        elif kind == 6:
+            at = rng.randrange(len(lines[k]) + 1)
+            lines[k] = lines[k][:at] + rng.choice(_BLANKS + _TOKENS[:12]) + lines[k][at:]
+        elif kind == 7:  # a repeated key with another value
+            lines.insert(rng.randrange(len(lines) + 1), lines[k].rsplit("=", 1)[0] + "= " + rng.choice(["g2", "a2", "o"]))
+        elif kind == 8 and len(lines) > 1:  # two lines on one, maybe a break after a comment
+            j = rng.choice([i for i in range(len(lines)) if i != k])
+            lines[k] += rng.choice(["", "", " #", "# c"]) + rng.choice(_BLANKS) + lines[j]
+            del lines[j]
+        else:
+            lines[k] = lines[k].replace(rng.choice(["g1", "a1", "e1", "x1", "o"]), rng.choice(["undeclared", "g1", "a0"]))
+    if rng.random() < 0.3:
+        return "".join(line + rng.choice(["\n"] * 8 + _BLANKS[4:10] + ["\r\n"]) for line in lines)
+    return rng.choice(["\n", "\r\n", "\n\n"]).join(lines) + rng.choice(["\n", "", "\r\n"])
+
+
+def _outcome(parse, text: str):
+    try:
+        parsed = parse(text)
+    except Exception as exc:  # the comparison covers every exception, not only ParseError
+        return type(exc), str(exc)
+    tables = [(head, [(k, list(t.items())) for k, t in getattr(parsed, head).maps.items()])
+              for head in ("rev", "refl", "comp") if getattr(parsed, head)]
+    declared = {m: {x: x for x in parsed.gs.grade(m)} for m in range(parsed.gs.max_dim + 1)}
+    assert all(declared[m][nm] is nm for m, nm in _table_names(parsed))
+    return parsed, tables
+
+
+def test_one_pass_agrees_with_the_line_parser_on_mutants():
+    rng = random.Random(20121803)
+    bases = [_group_text(5), abelian_2cat_lines(3), _graph_lines("P", two_edge_graph()), _graph_lines("B", bouquet(3))]
+    outcomes = {"parsed": 0, "error": 0}
+    for n in range(4800):
+        text = _mutant(bases[n % len(bases)], rng)
+        fast, line = _outcome(parse_structure, text), _outcome(dsl._parse, text)
+        assert fast == line, text
+        outcomes["parsed" if isinstance(fast[0], dsl.ParsedStructure) else "error"] += 1
+    assert min(outcomes.values()) > 800  # both kinds of outcome are common
+
+
+class _CountingPattern:
+    """A stand-in for the comp line pattern that counts the lines the line parser matches."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, line):
+        self.calls += 1
+        return self.pattern.fullmatch(line)
+
+
+def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
+    text = "\n".join(_group_text(100)) + "\n"
+    line = dsl._parse(text)
+    pattern, usage, grades = dsl._TABLES["comp"]
+    spy = _CountingPattern(pattern)
+    monkeypatch.setitem(dsl._TABLES, "comp", (spy, usage, grades))
+    parsed = parse_structure(text)
+    assert spy.calls == 0  # the per-line table code never ran: no fallback
+    assert _outcome(lambda _: parsed, text) == _outcome(lambda _: line, text)
+    assert len(parsed.comp.table(1, 0)) == 10_000
+
+
+def test_an_unresolved_name_on_the_last_of_10k_comp_lines():
+    lines = _group_text(100)
+    lines[-1] = lines[-1].rsplit("=", 1)[0] + "= undeclared"
+    with pytest.raises(ParseError) as err:
+        parse_structure("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {len(lines)}: unresolved identifier 'undeclared'"
+    assert err.value.line == len(lines) == 10_205
 
 
 _names = st.text(alphabet="abcxyz.-", min_size=1, max_size=8)

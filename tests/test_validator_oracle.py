@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 from fixtures import (
+    abelian_2cat_lines,
     bouquet,
     cyclic_group_category,
     klein_four_category,
@@ -451,6 +452,29 @@ def test_column_edge_cases_match_oracles(name):
     _agree(mag)
     assert validate_strict(mag, require_total=True).valid == valid_total
     assert validate_strict(mag, require_total=False).valid == valid_fragment
+
+
+def _eckmann_hilton(n: int, without: str = "") -> InfinityMagma:
+    """Z_n as a strict 2-category on one object and one arrow, optionally without one comp line."""
+    return parse_structure("\n".join(line for line in abelian_2cat_lines(n) if line != without)).magma
+
+
+def test_interchange_blocks_without_a_composite_are_read_square_by_square():
+    assert not _agree(_eckmann_hilton(3))
+    assert not list(magma._differing_squares(*(_eckmann_hilton(3).comp.maps[key] for key in ((2, 0), (2, 1)))))
+    mag = _eckmann_hilton(3, without="comp 2 0 (a1, a2) = a0")
+    squares = list(magma._differing_squares(mag.comp.maps[2, 0], mag.comp.maps[2, 1]))
+    # the squares that need a1 o_0 a2 as y2 o_0 x2 or y1 o_0 x1; those that need it
+    # as (y2 o_1 y1) o_0 (x2 o_1 x1) have no outer composite and are not visited
+    z3 = range(3)
+    assert sorted(squares) == sorted(
+        (f"a{y2}", f"a{y1}", f"a{x2}", f"a{x1}")
+        for y2 in z3 for y1 in z3 for x2 in z3 for x1 in z3
+        if (1, 2) in ((y2, x2), (y1, x1)) and ((y2 + y1) % 3, (x2 + x1) % 3) != (1, 2)
+    )
+    assert validate_strict(mag, require_total=False).valid  # those squares are skipped, not reported
+    assert not validate_strict(mag, require_total=True).valid  # associativity and units miss the composite
+    assert _agree(mag)
 
 
 def _spy(monkeypatch):
