@@ -24,7 +24,8 @@ number.  dim, threshold and the grade of a cells line are at most MAX_DIM
 (10,000), since the carrier holds a table for every grade up to dim; a
 table index too long to convert is out of range.  emit_structure
 writes a parsed structure back as text that parse_structure reads to an
-equal structure.
+equal structure.  The pattern, usage text, grades and index
+range of each table line (refl, rev, comp) come from magma.KINDS.
 
 parse_structure reads every comp line in one pass: one regex split of the
 whole text cuts them out, and the line parser reads the few other lines.
@@ -39,8 +40,8 @@ from operator import itemgetter
 
 from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set
-from .layers import ReflexorStructure, ReversorStructure
-from .magma import CompositionStructure, InfinityMagma, StrictNCategory
+from .layers import ReflexorStructure
+from .magma import KINDS, CompositionStructure, InfinityMagma, NMagma, StrictNCategory
 
 
 class ParseError(ValueError):
@@ -61,20 +62,15 @@ _COMP_LINES = re.compile(
 )
 _HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
 MAX_DIM = 10_000  # the largest grade a file may declare: the carrier allocates every grade up to dim
-
-
-def _table_line(head: str, args: str) -> re.Pattern[str]:
-    return re.compile(rf"{head}\s+(\d+)\s+(\d+)\s+{args}\s*=\s*{_ID}")
-
-
-# The table-line kinds, in emit order: head -> (pattern, usage, grades), where
-# grades[i] says which of the line's two indices is the grade of its i-th
-# name.  The last name, the value, is an m-cell, so grades[-1] points at m;
-# the other index is p.  A table is keyed by its two indices as written.
+_NAMES = {1: (_ID, "<id>"), 2: (rf"\(\s*{_ID}\s*,\s*{_ID}\s*\)", "(<id>, <id>)")}  # by arity: pattern, usage
+# head -> (pattern, usage, kind) of each kind's `<head> <i> <j> <names> = <id>`; index kind.value is <m>
 _TABLES = {
-    "refl": (_table_line("refl", _ID), "refl <p> <m> <id> = <id>", (0, 1)),
-    "rev": (_table_line("rev", _ID), "rev <m> <p> <id> = <id>", (0, 0)),
-    "comp": (_table_line("comp", rf"\(\s*{_ID}\s*,\s*{_ID}\s*\)"), "comp <m> <p> (<id>, <id>) = <id>", (0, 0, 0)),
+    kind.name: (
+        re.compile(rf"{kind.name}\s+(\d+)\s+(\d+)\s+{_NAMES[kind.arity][0]}\s*=\s*{_ID}"),
+        f"{kind.name} {' '.join('<m>' if k == kind.value else '<p>' for k in (0, 1))} {_NAMES[kind.arity][1]} = <id>",
+        kind,
+    )
+    for kind in KINDS
 }
 
 
@@ -142,7 +138,7 @@ def parse_structure(text: str) -> ParsedStructure:
 
 def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
     """The line parser, reading in one pass the comp lines cut out of text; a comp line left in text is unknown."""
-    heads = ("src", "tgt", "refl", "rev") if cut else ("src", "tgt", *_TABLES)
+    heads = {"src", "tgt", *_TABLES} - ({"comp"} if cut else set())  # a comp line left in cut text is unknown
     header: dict[str, str] = {}
     declared: dict[int, dict[str, str]] = {}  # grade -> {name: the name object every table holds}
     cells_line: dict[int, int] = {}  # grade -> its first cells line
@@ -199,21 +195,21 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
 
     for lineno, head, line in deferred:
         if head in _TABLES:
-            pattern, usage, grades = _TABLES[head]
+            pattern, usage, kind = _TABLES[head]
             mt = pattern.fullmatch(line)
             if not mt:
                 raise ParseError(lineno, f"expected: {usage}")
             i, j, *names = mt.groups()
             index = (int(i), int(j)) if len(i) + len(j) <= 4300 else (0, 0)  # too long for int(): out of range
-            m, p = index[grades[-1]], index[1 - grades[-1]]
-            if not 0 <= p < m <= max_dim:
-                raise ParseError(lineno, f"{head} indices need 0 <= p < m <= {max_dim}")
+            if not kind.fits(index, max_dim):
+                raise ParseError(lineno, f"{head} indices need {kind.span(max_dim)}")
+            g, m = index[kind.names], index[kind.value]
             try:  # the key names share one grade; itemgetter gets the cell of one name, the pair of two
-                key = itemgetter(*names[:-1])(declared[index[grades[0]]])
+                key = itemgetter(*names[:-1])(declared[g])
                 value = declared[m][names[-1]]
             except KeyError:
-                at = [index[k] for k in grades]
-                nm, grade = next((nm, g) for nm, g in zip(names, at) if nm not in declared.get(g, ()))
+                at = [g] * kind.arity + [m]
+                nm, grade = next((nm, k) for nm, k in zip(names, at) if nm not in declared.get(k, ()))
                 raise unresolved(nm, grade, lineno) from None
             table = maps[head].setdefault(index, {})
             if key in table:
@@ -239,14 +235,10 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
             table[declared[g][x]] = declared[g - 1][y]
 
     threshold = int(header.get("threshold", "0"))
-    return ParsedStructure(
-        name=header.get("structure", "anonymous"),
-        gs=globular_set(max_dim, declared, src, tgt),
-        threshold=threshold,
-        rev=ReversorStructure(threshold, maps["rev"]) if maps["rev"] else None,
-        refl=ReflexorStructure(maps["refl"]) if maps["refl"] else None,
-        comp=CompositionStructure(maps["comp"]) if maps["comp"] else None,
-    )
+    gs = globular_set(max_dim, declared, src, tgt)
+    nm = NMagma.of(gs, threshold, *(maps[kind.name] for kind in KINDS))
+    layers = {kind.name: kind.layer(nm) if maps[kind.name] else None for kind in KINDS}
+    return ParsedStructure(header.get("structure", "anonymous"), gs, threshold, **layers)
 
 
 def emit_structure(parsed: ParsedStructure) -> str:
@@ -257,9 +249,9 @@ def emit_structure(parsed: ParsedStructure) -> str:
     for m in range(1, gs.max_dim + 1):
         faces = ("src", gs.map("source", m)), ("tgt", gs.map("target", m))
         out += [f"{head} {x} = {face[x]}" for x in gs.grade(m) for head, face in faces if x in face]
-    for head in _TABLES:
-        layer = getattr(parsed, head)
+    for kind in KINDS:
+        layer = getattr(parsed, kind.name)
         if layer:
             for (i, j), table in sorted(layer.maps.items()):
-                out += [f"{head} {i} {j} {_show(key)} = {value}" for key, value in sorted(table.items())]
+                out += [f"{kind.name} {i} {j} {_show(key)} = {value}" for key, value in sorted(table.items())]
     return "\n".join(out) + "\n"

@@ -84,6 +84,7 @@ class ReflexorStructure(Record):
 
 def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> ValidationReport:
     """Totality, level preservation, and the (a)/(b) boundary axioms."""
+    from .magma import REV  # magma builds on this module
     rep = ValidationReport("reversors")
     n = rev.threshold
     for (m, p) in rev.pairs(gs):
@@ -101,10 +102,10 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
             if x not in grade:
                 rep.add("reversor.total", LAW_REVERSOR_TOTAL, (x,), f"j[{m}][{p}] mentions undeclared cell {x}")
     for (m, p) in rev.maps:
-        if not (n <= p < m <= gs.max_dim):
+        if not REV.fits((m, p), gs.max_dim, n):
             rep.add(
                 "reversor.total", LAW_REVERSOR_TOTAL, (),
-                f"table j[{m}][{p}] is outside the range {n} <= p < m <= {gs.max_dim}",
+                f"table j[{m}][{p}] is outside the range {REV.span(gs.max_dim, n)}",
             )
     if not rep.valid:
         return rep
@@ -141,6 +142,7 @@ def validate_reversors(gs: TruncatedGlobularSet, rev: ReversorStructure) -> Vali
 
 def validate_reflexors(gs: TruncatedGlobularSet, refl: ReflexorStructure) -> ValidationReport:
     """One-step totality, the unit axiom, and composite agreement of multi-step tables."""
+    from .magma import REFL  # magma builds on this module
     rep = ValidationReport("reflexors")
     for p in range(gs.max_dim):
         table = refl.table(p, p + 1)
@@ -154,10 +156,10 @@ def validate_reflexors(gs: TruncatedGlobularSet, refl: ReflexorStructure) -> Val
                     f"refl[{p}][{p + 1}]({x}) = {table[x]} is not a {p + 1}-cell",
                 )
     for (p, m) in refl.maps:
-        if not (0 <= p < m <= gs.max_dim):
+        if not REFL.fits((p, m), gs.max_dim):
             rep.add(
                 "reflexor.total", LAW_REFLEXOR_TOTAL, (),
-                f"table refl[{p}][{m}] is outside the range 0 <= p < m <= {gs.max_dim}",
+                f"table refl[{p}][{m}] is outside the range {REFL.span(gs.max_dim)}",
             )
     if not rep.valid:
         return rep

@@ -17,6 +17,14 @@ and functoriality of reflexors over lower compositions.  In a strict
 structure every invertible cell has a unique inverse, which is what
 derive_canonical_reversors extracts by brute-force search.
 
+An n-magma holds three kinds of table, each keyed by its two indices as a
+presentation writes them: reflexors refl[p][m], reversors j[m][p] and
+compositions comp[m][p].  KINDS declares them once: which index grades an
+entry's names and which its value, the arity, how an entry reads, and the
+range a key must lie in.  The parser and emitter, the stretching dump and
+its checks, and the range checks of the validators all read it, and
+NMagma.of is the one constructor of an n-magma from its tables.
+
 Validators take `require_total=False` to check size- or length-bounded
 fragments, where composites may fall outside the stored carrier; axioms are
 then checked on the stored entries only.
@@ -127,9 +135,43 @@ class NMagma(Record):
 
     __slots__ = _fields = ("magma", "rev")
 
+    @classmethod
+    def of(cls, gs: TruncatedGlobularSet, n: int, refl: Mapping, rev: Mapping, comp: Mapping) -> NMagma:
+        """The n-magma on gs with reversor threshold n and the tables of each kind, in KINDS order."""
+        return cls(InfinityMagma(gs, ReflexorStructure(refl), CompositionStructure(comp)), ReversorStructure(n, rev))
+
     @property
     def threshold(self) -> int:
         return self.rev.threshold
+
+
+class Kind(Record):
+    """One kind of n-magma table; name is its presentation head and its dump key.  A table is
+    keyed (i, j) as written: key[names] grades the entry's names (arity of them: a cell, or a pair
+    (y, x)), and key[value] grades its value and is m; the other index is p.  term.format(i, j,
+    *names) writes an entry, and noun says what a strict structure stores for one.  A thresholded
+    kind (the reversors) sits on the NMagma, not on its magma, and needs threshold <= p."""
+
+    __slots__ = _fields = ("name", "names", "value", "arity", "term", "noun", "thresholded")
+
+    def layer(self, nm: NMagma) -> ReflexorStructure | ReversorStructure | CompositionStructure:
+        """The kind's structure in nm; its .maps are the tables {(i, j): table}."""
+        return getattr(nm if self.thresholded else nm.magma, self.name)
+
+    def fits(self, key: tuple[int, int], max_dim: int, threshold: int = 0) -> bool:
+        """Whether a table keyed key lies in the range that span(max_dim, threshold) writes out."""
+        m, p = key[self.value], key[1 - self.value]
+        return 0 <= p < m <= max_dim and (threshold <= p or not self.thresholded)
+
+    def span(self, max_dim: int, threshold: int = 0) -> str:
+        return f"{threshold if self.thresholded else 0} <= p < m <= {max_dim}"
+
+
+REFL, REV, COMP = KINDS = (
+    Kind("refl", 0, 1, 1, "refl[{}][{}]({})", "degenerate cell", False),
+    Kind("rev", 0, 0, 1, "j[{}][{}]({})", "reverse", True),
+    Kind("comp", 0, 0, 2, "{2} o[{0},{1}] {3}", "composite", False),
+)
 
 
 class StrictNCategory(Record):
@@ -160,10 +202,10 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
     })
 
     for (m, p), table in comp.maps.items():
-        if not (0 <= p < m <= gs.max_dim):
+        if not COMP.fits((m, p), gs.max_dim):
             rep.add(
                 "positional.domain", LAW_COMP_TOTAL, (),
-                f"table comp[{m}][{p}] is outside the range 0 <= p < m <= {gs.max_dim}",
+                f"table comp[{m}][{p}] is outside the range {COMP.span(gs.max_dim)}",
             )
             continue
         grade = gs.cell_sets[m]
@@ -358,7 +400,7 @@ def _light_test(
     table: Mapping[tuple[str, str], str], num: Mapping[str, int], cols: list[dict[int, int]],
 ) -> bool:
     """Light's test (see the module docstring): True means the column scan would report nothing."""
-    if not 0 <= p < m <= gs.max_dim:
+    if not COMP.fits((m, p), gs.max_dim):
         return False
     grade = gs.grade(m)
     try:
@@ -452,7 +494,7 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
     # grades a chain of one-step reflexors reaches, not every (m, p, q) below
     # max_dim: cells outside them have nothing to check
     for (m, p), table_p in comp.maps.items():
-        if p < 0 or m > gs.max_dim:
+        if not COMP.fits((m, p), gs.max_dim):
             continue
         for q in range(p + 1, m):
             table_q = comp.maps.get((m, q))

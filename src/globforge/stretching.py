@@ -22,21 +22,25 @@ induced_algebra_magma reads an algebra off the free side the same way: its
 tables are the image along the structure map v of the free entries whose
 names are images of the unit lam.
 
-The three table kinds of an n-magma (refl, rev, comp) are declared once, in
-_KINDS, and every job on tables (the images above and the checks of
-validate_stretching) reads them from there.
+Every job on tables (the images above, the checks of validate_stretching,
+and the dump writer and reader) loops over magma.KINDS, which declares the
+three table kinds of an n-magma once.
+
+A dump spells each grade as the writer does, in ASCII digits without a
+leading zero, and holds one row per pair; load_stretching rejects any
+other spelling and any repeated row, so no entry can shadow another.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from operator import attrgetter
 from typing import Callable, Mapping, TextIO
 
 from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
-from .layers import ReflexorStructure, ReversorStructure
-from .magma import CompositionStructure, InfinityMagma, NMagma
+from .magma import KINDS, Kind, NMagma
 from .normalform import Strictifier
 from .report import ValidationReport
 from .terms import StretchTerm, TermContext
@@ -65,24 +69,7 @@ class SectionViolationError(ValueError):
     """v o lam is not the identity, or v does not commute with boundaries."""
 
 
-class _Kind(Record):
-    """One kind of n-magma table.  tables(nm) is the kind's {(i, j): table} in
-    the NMagma nm; key[names] is the grade of an entry's names (arity of them:
-    a cell, or a pair (y, x) of cells) and key[value] the grade of its value;
-    term.format(i, j, *names) writes an entry as an expression, and noun names
-    what the strict side stores for it."""
-
-    __slots__ = _fields = ("name", "tables", "names", "value", "arity", "term", "noun")
-
-
-_KINDS = (
-    _Kind("refl", lambda nm: nm.magma.refl.maps, 0, 1, 1, "refl[{}][{}]({})", "degenerate cell"),
-    _Kind("rev", lambda nm: nm.rev.maps, 0, 0, 1, "j[{}][{}]({})", "reverse"),
-    _Kind("comp", lambda nm: nm.magma.comp.maps, 0, 0, 2, "{2} o[{0},{1}] {3}", "composite"),
-)
-
-
-def _image(kind: _Kind, maps: Mapping, names: Mapping[int, Mapping], values: Mapping[int, Mapping]) -> dict:
+def _image(kind: Kind, maps: Mapping, names: Mapping[int, Mapping], values: Mapping[int, Mapping]) -> dict:
     """The tables maps of kind carried along graded maps: each entry's names
     along names and its value along values.  A table is carried where both maps
     have its grades, and an entry where names has all its names."""
@@ -99,14 +86,12 @@ def _image(kind: _Kind, maps: Mapping, names: Mapping[int, Mapping], values: Map
 
 
 def _nmagma(
-    D: int, n: int, objects: Mapping[int, Mapping[str, object]], faces: tuple[Callable, Callable],
-    refl: Mapping, comp: Mapping, rev: Mapping,
+    D: int, n: int, objects: Mapping[int, Mapping[str, object]], faces: tuple[Callable, Callable], *tables: Mapping
 ) -> NMagma:
     """The n-magma whose m-cells are the names of objects[m], with the faces
-    faces[0](o).name and faces[1](o).name, carrying the given tables."""
+    faces[0](o).name and faces[1](o).name, carrying the tables of each kind."""
     src, tgt = ({m: {nm: face(o).name for nm, o in objects[m].items()} for m in range(1, D + 1)} for face in faces)
-    gs = globular_set(D, objects, src, tgt)
-    return NMagma(InfinityMagma(gs, ReflexorStructure(refl), CompositionStructure(comp)), ReversorStructure(n, rev))
+    return NMagma.of(globular_set(D, objects, src, tgt), n, *tables)
 
 
 class Stretching(Record):
@@ -162,11 +147,18 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                         f"pi({side}({x})) = {want} but {side}(pi({x})) = {got}",
                     )
 
-    for kind in _KINDS:
-        c_tables, binary = kind.tables(E.c_side), kind.arity == 2
+    for kind in KINDS:
+        c_tables, binary = kind.layer(E.c_side).maps, kind.arity == 2
         for side, nm in (("m_side", E.m_side), ("c_side", E.c_side)):
-            cells = nm.magma.gs.cell_sets
-            for key, table in sorted(kind.tables(nm).items()):
+            cells, max_dim = nm.magma.gs.cell_sets, nm.magma.gs.max_dim
+            for key, table in sorted(kind.layer(nm).maps.items()):
+                if not kind.fits(key, max_dim, nm.threshold):
+                    rep.add(
+                        "stretching.table-domain", LAW_TABLE_DOMAIN, (),
+                        f"{side}: {kind.name} table {key[0]}.{key[1]} is outside the range "
+                        f"{kind.span(max_dim, nm.threshold)}",
+                    )
+                    continue
                 g, h = key[kind.names], key[kind.value]
                 names, values, ctable = cells.get(g, frozenset()), cells.get(h, ()), c_tables.get(key, {})
                 pg, ph = E.pi.get(g, {}), E.pi.get(h, {})
@@ -315,7 +307,7 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
 
     # the magma side, then the strict fragment its cells project onto, closed
     # under faces and degenerate cells; comp and rev there are images along pi
-    m_side = _nmagma(D, n, terms, (attrgetter("src"), attrgetter("tgt")), refl_maps, comp_maps, rev_maps)
+    m_side = _nmagma(D, n, terms, (attrgetter("src"), attrgetter("tgt")), refl_maps, rev_maps, comp_maps)
     images = {m: {nm: strict.pi(t) for nm, t in terms[m].items()} for m in range(D + 1)}
     pi_tables = {m: {nm: nf.name for nm, nf in images[m].items()} for m in images}
     nfs = {m: {nf.name: nf for nf in images[m].values()} for m in images}
@@ -330,8 +322,8 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
             lifted = strict.refl_lift(nf)
             table[nm] = lifted.name
             nfs[p + 1].setdefault(lifted.name, lifted)
-    c_rev, c_comp = (_image(kind, kind.tables(m_side), pi_tables, pi_tables) for kind in _KINDS[1:])
-    c_side = _nmagma(D, n, nfs, (strict.src_nf, strict.tgt_nf), c_refl, c_comp, c_rev)
+    c_rev, c_comp = (_image(kind, kind.layer(m_side).maps, pi_tables, pi_tables) for kind in KINDS[1:])
+    c_side = _nmagma(D, n, nfs, (strict.src_nf, strict.tgt_nf), c_refl, c_rev, c_comp)
     brackets = {key: B.name for key, B in bracket_pairs.items()}
     brackets.update(((p, x, x), ix) for (p, _), table in refl_maps.items() for x, ix in table.items())
     return Stretching(m_side, c_side, n, pi_tables, brackets, terms)
@@ -370,11 +362,7 @@ def induced_algebra_magma(
     grades = range(G.max_dim + 1)
     names = {m: {lam[m][a]: a for a in G.grade(m)} for m in grades}  # v on the lam-images
     values = {m: v.get(m, {}) for m in grades}
-    refl, rev, comp = (_image(kind, kind.tables(E.m_side), names, values) for kind in _KINDS)
-    return NMagma(
-        InfinityMagma(G, ReflexorStructure(refl), CompositionStructure(comp)),
-        ReversorStructure(E.threshold, rev),
-    )
+    return NMagma.of(G, E.threshold, *(_image(kind, kind.layer(E.m_side).maps, names, values) for kind in KINDS))
 
 
 # -- serialization ------------------------------------------------------
@@ -388,12 +376,10 @@ def _nmagma_payload(nm: NMagma) -> dict:
         "cells": {str(m): list(gs.grade(m)) for m in range(gs.max_dim + 1)},
         "src": {str(m): dict(gs.map("source", m)) for m in range(1, gs.max_dim + 1)},
         "tgt": {str(m): dict(gs.map("target", m)) for m in range(1, gs.max_dim + 1)},
-        "refl": {f"{p}.{m}": dict(t) for (p, m), t in sorted(nm.magma.refl.maps.items())},
-        "rev": {f"{m}.{p}": dict(t) for (m, p), t in sorted(nm.rev.maps.items())},
-        "comp": {
-            f"{m}.{p}": [[y, x, z] for (y, x), z in sorted(t.items())]
-            for (m, p), t in sorted(nm.magma.comp.maps.items())
-        },
+        **{kind.name: {  # a table of pairs as [y, x, z] rows
+            f"{i}.{j}": dict(t) if kind.arity == 1 else [[y, x, z] for (y, x), z in sorted(t.items())]
+            for (i, j), t in sorted(kind.layer(nm).maps.items())
+        } for kind in KINDS},
     }
 
 
@@ -441,17 +427,36 @@ def _rows(value, kinds: tuple[type, ...], where: str) -> list[list]:
     return value
 
 
+def _unique(table: dict, rows: list[list], where: str) -> dict:
+    """table, built from rows keyed by all their items but the last, unless two rows
+    share a key: then a one-line ValueError naming the first key repeated."""
+    if len(table) != len(rows):
+        seen = set()
+        for key in (tuple(row[:-1]) for row in rows):
+            if key in seen:
+                raise ValueError(f"{where}: repeated row for {key!r}")
+            seen.add(key)
+    return table
+
+
 def _comp_rows(value, where: str) -> dict[tuple[str, str], str]:
-    return {(y, x): z for y, x, z in _rows(value, (str, str, str), where)}
+    rows = _rows(value, (str, str, str), where)
+    return _unique({(y, x): z for y, x, z in rows}, rows, where)
+
+
+_GRADE = r"(0|[1-9][0-9]*)"  # a grade as the writer spells it: ASCII digits, no leading zero
+_GRADES = {1: re.compile(_GRADE), 2: re.compile(rf"{_GRADE}\.{_GRADE}")}
 
 
 def _graded(obj: dict, key: str, parts: int, where: str, entry) -> dict:
-    """obj[key] re-keyed by its dotted integer grades ("m" or "m.p"), each value read by entry."""
+    """obj[key] re-keyed by its dotted grades ("m" or "m.p", spelt as the writer
+    spells them), each value read by entry."""
     out = {}
     for k, v in _key(obj, key, dict, where).items():
+        mt = _GRADES[parts].fullmatch(k)
         try:
-            grades = tuple(int(g) for g in k.split("."))
-        except ValueError:
+            grades = tuple(map(int, mt.groups())) if mt else ()
+        except ValueError:  # too long for int()
             grades = ()
         if len(grades) != parts:
             raise ValueError(f"{where}.{key}: key {k!r} is not of the form {'m' if parts == 1 else 'm.p'}")
@@ -473,10 +478,8 @@ def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
         _graded(payload, "src", 1, where, _name_map),
         _graded(payload, "tgt", 1, where, _name_map),
     )
-    refl = ReflexorStructure(_graded(payload, "refl", 2, where, _name_map))
-    rev = ReversorStructure(_key(payload, "threshold", int, where), _graded(payload, "rev", 2, where, _name_map))
-    comp = CompositionStructure(_graded(payload, "comp", 2, where, _comp_rows))
-    return NMagma(InfinityMagma(gs, refl, comp), rev)
+    tables = [_graded(payload, kind.name, 2, where, _name_map if kind.arity == 1 else _comp_rows) for kind in KINDS]
+    return NMagma.of(gs, _key(payload, "threshold", int, where), *tables)
 
 
 def _write_json(obj, write: Callable[[str], object]) -> None:
@@ -577,5 +580,5 @@ def load_stretching(text: str) -> Stretching:
         c_side=sides["c_side"],
         threshold=_key(payload, "threshold", int, "$"),
         pi=_graded(payload, "pi", 1, "$", _name_map),
-        brackets={(m, c1, c0): B for m, c1, c0, B in rows},
+        brackets=_unique({(m, c1, c0): B for m, c1, c0, B in rows}, rows, "$.brackets"),
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,100 @@ def test_validate_stretching_reports_entries_on_undeclared_cells(edge_file, tmp_
     rep = parse_report(capsys.readouterr().out)
     assert rep.axiom_ids() == {"stretching.table-domain"}
     assert rep.violations[0].detail.startswith(f"{side}: ")
+
+
+def _set_threshold(payload: dict) -> None:
+    payload["m_side"]["threshold"] = payload["c_side"]["threshold"] = 1
+
+
+@pytest.mark.parametrize("edit, details", [
+    (lambda d: d["c_side"]["rev"].update({"0.1": {"a": "b"}}),
+     ["c_side: rev table 0.1 is outside the range 0 <= p < m <= 2"]),
+    (lambda d: d["c_side"]["refl"].update({"1.0": {"e+": "a"}}),
+     ["c_side: refl table 1.0 is outside the range 0 <= p < m <= 2"]),
+    (lambda d: d["c_side"]["comp"].update({"1.1": [["e+", "e+", "e+"]]}),
+     ["c_side: comp table 1.1 is outside the range 0 <= p < m <= 2"]),
+    # the rev tables at p=0 stay below the raised thresholds, on both sides
+    (_set_threshold, [f"{side}: rev table {key} is outside the range 1 <= p < m <= 2"
+                      for side in ("c_side", "m_side") for key in ("1.0", "2.0")]),
+])
+def test_validate_stretching_reports_tables_out_of_range(edge_file, tmp_path, capsys, edit, details):
+    payload = _stretch_dump(edge_file, tmp_path, capsys)
+    edit(payload)
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(payload))
+    assert main(["validate", str(path), "--layer", "stretching"]) == 1
+    rep = parse_report(capsys.readouterr().out)
+    assert rep.axiom_ids() == {"stretching.table-domain"}
+    assert sorted(v.detail for v in rep.violations) == details
+
+
+def _nodes(tree, parent=None, key=None):
+    """Every (parent, key) under which a value of tree sits, tree's own slot first."""
+    yield parent, key
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for k, value in items:
+        yield from _nodes(value, tree, k)
+
+
+_RESPELL = [
+    lambda k: "+" + k, lambda k: "0" + k, lambda k: " " + k, lambda k: k + " ", lambda k: k.replace(".", ". "),
+    lambda k: k.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+    lambda k: "1_" + k, lambda k: k + ".0", lambda k: k.split(".")[0], lambda k: "-" + k, lambda k: k + "0",
+    lambda k: "9" * 5000 + k, lambda k: "",
+]
+_SWAPS = [0, -1, 7, True, None, 1.5, "", "a", "e", [], {}, [["a", "a", "a"]], {"a": "b"}, [0, "a", "a", "a"]]
+
+
+def _dump_mutant(payload: dict, rng: random.Random) -> dict:
+    """payload with one to three random edits (mostly one): a key respelt, a row repeated, a value of
+    another type, or a name for another name of the dump."""
+    payload = json.loads(json.dumps(payload))
+    # the slots of payload; an edit may detach or rename some, which then read as None or change nothing
+    nodes = list(_nodes(payload))[1:]
+    at = lambda p, k: p.get(k) if isinstance(p, dict) else p[k]  # noqa: E731
+    names = sorted({at(p, k) for p, k in nodes if isinstance(at(p, k), str)})
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        op = rng.randrange(4)
+        if op == 0:  # respell a key: a grade, or a cell name
+            parent = rng.choice([p for p, _ in nodes if isinstance(p, dict) and p and p is not payload])
+            key = rng.choice(sorted(parent))
+            parent[rng.choice(_RESPELL)(key)] = parent.pop(key)
+        elif op == 1:  # repeat a row, as it is or with another value
+            rows = [v for p, k in nodes if isinstance(v := at(p, k), list) and v and isinstance(v[0], list) and v[0]]
+            if rows:
+                table = rng.choice(rows)
+                whole = [r for r in table if isinstance(r, list) and r]  # swaps may have broken some rows
+                row = list(rng.choice(whole))
+                if rng.random() < 0.5:
+                    row[-1] = rng.choice(whole)[-1]
+                table.insert(rng.randrange(len(table) + 1), row)
+        elif op == 2:  # swap a value for one of another type
+            parent, key = rng.choice(nodes)
+            parent[key] = rng.choice(_SWAPS)
+        else:  # swap a name for another
+            parent, key = rng.choice([(p, k) for p, k in nodes if isinstance(at(p, k), str)])
+            parent[key] = rng.choice(names)
+    return payload
+
+
+def test_validate_stretching_on_mutated_dumps_keeps_the_contract(tmp_path, capsys):
+    # exit 0 or 1 with a report, or exit 2 with one stderr line; never a crash
+    payload = json.loads(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 1, 4)))
+    rng = random.Random(20121804)
+    path = tmp_path / "mutant.json"
+    codes = []
+    for _ in range(200):
+        path.write_text(json.dumps(_dump_mutant(payload, rng)))
+        codes.append(main(["validate", str(path), "--layer", "stretching"]))
+        out, err = capsys.readouterr()
+        assert "internal error:" not in err
+        if codes[-1] == 2:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert codes[-1] in (0, 1) and err == ""
+            assert parse_report(out).valid is (codes[-1] == 0)
+    assert min(codes.count(code) for code in (1, 2)) >= 30  # reports and load errors are common
 
 
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):

@@ -336,9 +336,9 @@ class _CountingPattern:
 def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
     text = "\n".join(_group_text(100)) + "\n"
     line = dsl._parse(text)
-    pattern, usage, grades = dsl._TABLES["comp"]
+    pattern, usage, kind = dsl._TABLES["comp"]
     spy = _CountingPattern(pattern)
-    monkeypatch.setitem(dsl._TABLES, "comp", (spy, usage, grades))
+    monkeypatch.setitem(dsl._TABLES, "comp", (spy, usage, kind))
     parsed = parse_structure(text)
     assert spy.calls == 0  # the per-line table code never ran: no fallback
     assert _outcome(lambda _: parsed, text) == _outcome(lambda _: line, text)

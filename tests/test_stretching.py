@@ -219,6 +219,100 @@ def test_dump_digests(key):
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[key]
 
 
+_DROP = object()  # an edit value that deletes the key
+
+
+def _edited(*edits) -> str:
+    """The dump of the edge at n=0 D=1 S=4 with each edit (key, ..., value) applied;
+    a callable value maps the old value to the new one."""
+    payload = json.loads(dump_stretching(generate_free_stretching(one_edge_graph(), 0, 1, 4)))
+    for *path, key, value in edits:
+        parent = payload
+        for step in path:
+            parent = parent[step]
+        if value is _DROP:
+            del parent[key]
+        else:
+            parent[key] = value(parent[key]) if callable(value) else value
+    return json.dumps(payload)
+
+
+# load_stretching's ValueError texts: a raw text, or edits of the edge dump
+DUMP_ERRORS = [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("[" * 100_000 + "]" * 100_000, "$: JSON nested too deeply"),
+    ("[]", "$: expected a JSON object, got array"),
+    ('{"kind": "report"}', "$.kind is 'report', expected 'stretching'"),
+    ('{"kind": "stretching"}', "$: missing key 'm_side'"),
+    ((("m_side", []),), "$.m_side: expected a JSON object, got array"),
+    ((("m_side", "max_dim", _DROP),), "$.m_side: missing key 'max_dim'"),
+    ((("c_side", "max_dim", True),), "$.c_side.max_dim: expected a JSON integer, got boolean"),
+    ((("m_side", "max_dim", 1.5),), "$.m_side.max_dim: expected a JSON integer, got number"),
+    ((("m_side", "max_dim", None),), "$.m_side.max_dim: expected a JSON integer, got null"),
+    ((("m_side", "max_dim", -1),), "$.m_side.max_dim: -1 is negative"),
+    ((("m_side", "max_dim", 3),), "$.m_side.max_dim: 3 names grade 2, which $.m_side.cells lacks"),
+    ((("m_side", "cells", "x", []),), "$.m_side.cells: key 'x' is not of the form m"),
+    ((("m_side", "cells", "0", "a"),), "$.m_side.cells.0: expected a JSON array, got string"),
+    ((("m_side", "cells", "0", ["a", 1]),), "$.m_side.cells.0: expected a JSON string, got integer"),
+    ((("m_side", "cells", "0", ["a", "a", "b"]),), "duplicate cell names in grade 0: ['a']"),
+    ((("c_side", "cells", "2", ["x"]),), "cells declared above the truncation bound 1: grades [2]"),
+    ((("m_side", "src", "1", []),), "$.m_side.src.1: expected a JSON object, got array"),
+    ((("m_side", "tgt", "1", "e", 1),), "$.m_side.tgt.1.e: expected a JSON string, got integer"),
+    ((("m_side", "tgt", "1", "e\nf", 1),), "$.m_side.tgt.1.e f: expected a JSON string, got integer"),
+    ((("m_side", "refl", "0", {}),), "$.m_side.refl: key '0' is not of the form m.p"),
+    ((("m_side", "refl", "0.1", []),), "$.m_side.refl.0.1: expected a JSON object, got array"),
+    ((("c_side", "rev", "1.0", "e+", ["e-"]),), "$.c_side.rev.1.0.e+: expected a JSON string, got array"),
+    ((("m_side", "comp", "1.0", {}),), "$.m_side.comp.1.0: expected a JSON array, got object"),
+    ((("m_side", "comp", "1.0", ["e"]),), "$.m_side.comp.1.0: expected a JSON array, got string"),
+    ((("m_side", "comp", "1.0", [["e", "e"]]),), "$.m_side.comp.1.0: expected rows of 3 items, got 2"),
+    ((("m_side", "comp", "1.0", [["e", 0, "e"]]),), "$.m_side.comp.1.0: expected a JSON string, got integer"),
+    ((("c_side", "threshold", _DROP),), "$.c_side: missing key 'threshold'"),
+    ((("m_side", "src", "1", "e", _DROP),), "m_side: globular.map: source of 1-cell e is not declared"),
+    (
+        (("c_side", "cells", "1", ["e+", "e-", "id(a)", "id(b)", "x\ny"]),),
+        "c_side: globular.map: source of 1-cell x y is not declared",
+    ),
+    ((("brackets", _DROP),), "$: missing key 'brackets'"),
+    ((("brackets", [[0, "a", "a"]]),), "$.brackets: expected rows of 4 items, got 3"),
+    ((("brackets", [["0", "a", "a", "1[0.1](a)"]]),), "$.brackets: expected a JSON integer, got string"),
+    ((("threshold", "0"),), "$.threshold: expected a JSON integer, got string"),
+    ((("pi", "1", []),), "$.pi.1: expected a JSON object, got array"),
+    ((("pi", "1.0", {}),), "$.pi: key '1.0' is not of the form m"),
+    # two faults: the side's refl tables are read before its threshold
+    (
+        (("m_side", "refl", "0.1", []), ("m_side", "threshold", _DROP)),
+        "$.m_side.refl.0.1: expected a JSON object, got array",
+    ),
+    # a grade is spelt as the writer spells it: ASCII digits, no sign, blank or leading zero
+    *(
+        ((("m_side", "comp", key, []),), f"$.m_side.comp: key {key!r} is not of the form m.p")
+        for key in ("+1.0", " 1. 0", "01.0", "1.00", "\u0661.\u0660", "1_0.0", "1.0 ", "1" * 5000 + ".0")
+    ),
+    ((("c_side", "cells", "01", []),), "$.c_side.cells: key '01' is not of the form m"),
+    ((("pi", "-0", {}),), "$.pi: key '-0' is not of the form m"),
+    # a row that repeats a pair, whichever comes first
+    (
+        (("m_side", "comp", "1.0", lambda rows: [["e", "1[0.1](a)", "e"], *rows]),),
+        "$.m_side.comp.1.0: repeated row for ('e', '1[0.1](a)')",
+    ),
+    (
+        (("c_side", "comp", "1.0", lambda rows: [*rows, rows[0]]),),
+        "$.c_side.comp.1.0: repeated row for ('e+', 'e-')",
+    ),
+    (
+        (("brackets", lambda rows: [[0, "a", "a", "bogus"], *rows]),),
+        "$.brackets: repeated row for (0, 'a', 'a')",
+    ),
+]
+
+
+@pytest.mark.parametrize("dump, message", DUMP_ERRORS)
+def test_dump_error_text(dump, message):
+    with pytest.raises(ValueError) as err:
+        load_stretching(dump if isinstance(dump, str) else _edited(*dump))
+    assert str(err.value) == message
+
+
 def test_each_normal_form_operation_runs_once_per_input(monkeypatch):
     # the strict side is tiny: 3,886 terms at these bounds have 10 normal forms
     from globforge.normalform import Strictifier
