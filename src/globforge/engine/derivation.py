@@ -2,8 +2,10 @@
 
 A derivation claims start = end and justifies it by a list of steps.  A
 rewrite step cites a rule, a position, an explicit substitution, and a
-direction, and the checker re-instantiates the rule and compares
-syntactically.  Two inference steps extend pure rewriting:
+direction; the checker matches the cited side in place, building nothing
+(one-sided matching, Baader and Nipkow 1998), and builds the other side; a
+failing step is redone by instantiation, which names the failure.  Two
+inference steps extend pure rewriting:
 
   - inverse uniqueness concludes beta = rev(alpha) once both unit
     equations for beta are in the established-equality context;
@@ -22,9 +24,10 @@ report does not depend on hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
+from .._record import Record
 from ..report import ValidationReport
 from .rules import ALL, RewriteRule, rule_library
 from .terms import (
@@ -32,7 +35,6 @@ from .terms import (
     DimCond,
     DimExpr,
     DimSolver,
-    MatchError,
     Position,
     Subst,
     Term,
@@ -58,6 +60,8 @@ LAW_UNIQUE = "inverses in a strict structure are unique"
 LAW_CONTRACT = "parallel cells with equal projection are joined by a coherence cell"
 
 
+# The three step classes stay dataclasses: the benchmark's mutant replay and
+# the tests rebuild steps with dataclasses.replace.
 @dataclass(frozen=True)
 class RewriteStep:
     rule: str
@@ -89,22 +93,12 @@ class BracketIntroStep:
 Step = Union[RewriteStep, InverseUniquenessStep, BracketIntroStep]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    name: str
-    start: Term
-    steps: tuple[Step, ...]
-    end: Term
+class Derivation(Record):
+    __slots__ = _fields = ("name", "start", "steps", "end")
 
 
-@dataclass(frozen=True)
-class Suite:
-    name: str
-    title: str
-    assumptions: tuple[DimCond, ...]
-    local_rules: tuple[RewriteRule, ...]
-    facts: tuple[tuple[Term, Term], ...]
-    derivations: tuple[Derivation, ...]
+class Suite(Record):
+    __slots__ = _fields = ("name", "title", "assumptions", "local_rules", "facts", "derivations")
 
 
 class _UnionFind:
@@ -127,12 +121,10 @@ class _UnionFind:
         return self.find(a) == self.find(b)
 
 
-@dataclass
-class DerivationContext:
-    solver: DimSolver
-    rules: dict[str, RewriteRule]
-    established: _UnionFind = field(default_factory=_UnionFind)
-    introduced: set[App] = field(default_factory=set)
+class DerivationContext(Record):
+    __slots__ = _fields = ("solver", "rules", "established", "introduced")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _defaults = {"established": _UnionFind, "introduced": set}
 
     @classmethod
     def for_suite(cls, suite: Suite) -> "DerivationContext":
@@ -176,6 +168,27 @@ def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> No
 
 
 def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
+    """Match the cited side in place and build only the other; on any failure
+    _rewrite_by_instantiation redoes the step and names the failure."""
+    rule, subst = ctx.rules.get(step.rule), step.subst
+    if rule is not None:
+        pattern, replacement = (rule.lhs, rule.rhs) if step.direction == "fwd" else (rule.rhs, rule.lhs)
+        try:
+            sub = subterm(current, step.position)
+            if subst.instantiates(pattern, sub) and sub.carrier in rule.carriers and all(
+                ctx.solver.holds(subst.dim(c.lhs), subst.dim(c.rhs), c.strict) for c in rule.conds
+            ):
+                out = replace(current, step.position, subst.term(replacement))
+                _check_new_brackets(current, out, ctx)
+                return out
+        except TermError:
+            pass
+    return _rewrite_by_instantiation(current, step, ctx)
+
+
+def _rewrite_by_instantiation(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
+    """Instantiate both sides and compare; a failure is named in the order
+    substitution, side condition, position, match, carrier."""
     rule = ctx.rules.get(step.rule)
     if rule is None:
         raise StepFailure(f"unknown rule {step.rule}")
@@ -210,6 +223,16 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
     return out
 
 
+def _swap(current: Term, step: Step, old: Term, new: Term, what: str) -> Term:
+    """current with old at the step's position replaced by new; the other way round for a backward step."""
+    if step.direction != "fwd":
+        old, new = new, old
+    sub = subterm(current, step.position)
+    if sub != old:
+        raise StepFailure(f"{what} expected {render(old)} at {step.position}, found {render(sub)}")
+    return replace(current, step.position, new)
+
+
 def _apply_inverse_uniqueness(
     current: Term, step: InverseUniquenessStep, ctx: DerivationContext
 ) -> Term:
@@ -227,15 +250,7 @@ def _apply_inverse_uniqueness(
                 f"inverse uniqueness needs the established equality "
                 f"{render(got)} = {render(want)}"
             )
-    old, new = beta, revT(m, p, alpha)
-    if step.direction != "fwd":
-        old, new = new, old
-    sub = subterm(current, step.position)
-    if sub != old:
-        raise StepFailure(
-            f"inverse uniqueness expected {render(old)} at {step.position}, found {render(sub)}"
-        )
-    out = replace(current, step.position, new)
+    out = _swap(current, step, beta, revT(m, p, alpha), "inverse uniqueness")
     _check_new_brackets(current, out, ctx)
     ctx.established.union(beta, revT(m, p, alpha))
     return out
@@ -260,18 +275,8 @@ def _apply_bracket_intro(
                 f"bracket introduction needs the established equality {render(a)} = {render(b)}"
             )
     bracket = bracketT(m, c1, c0)
-    if step.face == "tgt":
-        old, new = c1, tgtT(m.shift(1), m, bracket)
-    else:
-        old, new = c0, srcT(m.shift(1), m, bracket)
-    if step.direction != "fwd":
-        old, new = new, old
-    sub = subterm(current, step.position)
-    if sub != old:
-        raise StepFailure(
-            f"bracket introduction expected {render(old)} at {step.position}, found {render(sub)}"
-        )
-    out = replace(current, step.position, new)
+    old, face = (c1, tgtT) if step.face == "tgt" else (c0, srcT)
+    out = _swap(current, step, old, face(m.shift(1), m, bracket), "bracket introduction")
     ctx.introduced.add(bracket)
     ctx.established.union(tgtT(m.shift(1), m, bracket), c1)
     ctx.established.union(srcT(m.shift(1), m, bracket), c0)

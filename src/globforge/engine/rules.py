@@ -12,13 +12,11 @@ carriers through pi, v, and lam.  Each rule names the law it encodes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from .._record import Record
 from .terms import (
-    DimCond,
-    Term,
     bracketT,
     compT,
     dim,
@@ -38,14 +36,8 @@ ALL = frozenset({"M", "C", "G"})
 STRICT = frozenset({"C"})
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    lhs: Term
-    rhs: Term
-    conds: tuple[DimCond, ...]
-    carriers: frozenset[str]
-    law: str
+class RewriteRule(Record):
+    __slots__ = _fields = ("name", "lhs", "rhs", "conds", "carriers", "law")
 
 
 def _rule(name, lhs, rhs, conds, carriers, law) -> RewriteRule:

@@ -24,8 +24,8 @@ suite, and check_suite replays the finished suites again.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
 
+from .._record import Record
 from .derivation import (
     BracketIntroStep,
     Derivation,
@@ -118,17 +118,14 @@ class _Chain:
         return Derivation(self.name, self.start, tuple(self.steps), end)
 
 
-@dataclass
-class _SuiteBuilder:
-    key: str
-    title: str
-    assumptions: tuple = ()
-    local_rules: tuple[RewriteRule, ...] = ()
-    facts: tuple[tuple[Term, Term], ...] = ()
-    defaults: dict[str, DimExpr] = field(default_factory=dict)
-    derivations: list[Derivation] = field(default_factory=list)
+class _SuiteBuilder(Record):
+    _fields = ("key", "title", "assumptions", "local_rules", "facts", "defaults", "derivations")
+    __slots__ = (*_fields, "ctx")  # ctx: the context the chains step through, not a field
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _defaults = {"assumptions": (), "local_rules": (), "facts": (), "defaults": dict, "derivations": list}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.ctx = DerivationContext.for_suite(self.build())
 
     def chain(self, name: str, start: Term) -> _Chain:

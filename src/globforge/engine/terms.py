@@ -18,21 +18,24 @@ hash-consing", 2006), in process-wide tables; StretchTerm is interned per
 TermContext instead.  app(), var() and const() are the only constructors:
 each returns the one live term with its fields, so equal terms are the
 same object, and equality and hashing are by identity and cost O(1)
-whatever the term's depth.  The intern tables hold terms weakly, so a term
-lives only while something else uses it.  A term's grade, carrier and the
-bracket subterms of its arguments are computed once, when it is built;
-brackets_in reads them instead of walking the term.  A bracket's stored set
-leaves the bracket itself out, so no term refers to itself and reference
-counting alone frees an unused term.
+whatever the term's depth.  Dimensions are interned too, in a table that
+keeps them, and terms, dimensions and substitutions are slotted Records.
+The intern tables hold terms weakly, so a term lives only while something
+else uses it.  A term's grade, carrier and the bracket subterms of its
+arguments are computed once, when it is built; brackets_in reads them
+instead of walking the term.  A bracket's stored set leaves the bracket
+itself out, so no term refers to itself and reference counting alone frees
+an unused term.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
+
+from .._record import Record
 
 Position = tuple[int, ...]
 
@@ -41,10 +44,22 @@ class TermError(ValueError):
     """Ill-formed term: grade or carrier mismatch."""
 
 
-@dataclass(frozen=True)
-class DimExpr:
-    var: str | None
-    off: int
+class DimExpr(Record):
+    """var + off, or the constant off when var is None.  Interned: equal
+    dimensions are one object, so equality and hashing are by identity."""
+
+    __slots__ = _fields = ("var", "off")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __new__(cls, var: str | None, off: int) -> "DimExpr":
+        d = _DIMS.get((var, off))
+        if d is None:
+            d = _DIMS[var, off] = object.__new__(cls)
+            object.__setattr__(d, "var", var)
+            object.__setattr__(d, "off", off)
+        return d
+
+    __init__ = object.__init__  # __new__ binds the fields, once
 
     def shift(self, k: int) -> "DimExpr":
         return self if k == 0 else DimExpr(self.var, self.off + k)
@@ -57,6 +72,9 @@ class DimExpr:
         return f"{self.var}{'+' if self.off > 0 else ''}{self.off}"
 
 
+_DIMS: dict[tuple[str | None, int], DimExpr] = {}
+
+
 def dim(value: Union[int, str, DimExpr], off: int = 0) -> DimExpr:
     if isinstance(value, DimExpr):
         return value.shift(off)
@@ -65,13 +83,11 @@ def dim(value: Union[int, str, DimExpr], off: int = 0) -> DimExpr:
     return DimExpr(value, off)
 
 
-@dataclass(frozen=True)
-class DimCond:
+class DimCond(Record):
     """lhs <= rhs, strictly when strict is set."""
 
-    lhs: DimExpr
-    rhs: DimExpr
-    strict: bool = False
+    __slots__ = _fields = ("lhs", "rhs", "strict")
+    _defaults = {"strict": False}
 
     def __str__(self) -> str:
         return f"{self.lhs} {'<' if self.strict else '<='} {self.rhs}"
@@ -133,9 +149,12 @@ class DimSolver:
         self.dist = dist
 
     def entails(self, cond: DimCond) -> bool:
-        a, b = cond.lhs, cond.rhs
+        return self.holds(cond.lhs, cond.rhs, cond.strict)
+
+    def holds(self, a: DimExpr, b: DimExpr, strict: bool) -> bool:
+        """Whether a <= b, or a < b when strict, is entailed."""
         va, vb = a.var or "0", b.var or "0"
-        need = b.off - a.off - (1 if cond.strict else 0)
+        need = b.off - a.off - (1 if strict else 0)
         if va == vb:
             return 0 <= need
         if (vb, va) not in self.dist or self.dist.get((vb, va)) is None:
@@ -166,25 +185,25 @@ DISPLAY = {
 }
 
 
-# eq=False keeps object identity as equality and hash: interning makes that structural
-@dataclass(frozen=True, eq=False)
-class Atom:
-    name: str
-    grade: DimExpr
-    carrier: str
-    const: bool = False
+# object identity is equality and hash, which interning makes structural;
+# __weakref__ lets the intern tables hold terms weakly
+class Atom(Record):
+    _fields = ("name", "grade", "carrier", "const")
+    __slots__ = (*_fields, "__weakref__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    _defaults = {"const": False}
 
     brackets = frozenset()  # not a field: an atom has no subterms
 
 
-@dataclass(frozen=True, eq=False)
-class App:
-    sym: str
-    dims: tuple[DimExpr, ...]
-    args: tuple["Term", ...]
-    grade: DimExpr
-    carrier: str
-    brackets: frozenset["App"] = field(repr=False)  # the arguments' bracket subterms
+class App(Record):
+    _fields = ("sym", "dims", "args", "grade", "carrier")
+    __slots__ = (*_fields, "brackets", "__weakref__")  # brackets: the arguments' bracket subterms, not in repr
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...], grade, carrier, brackets) -> None:
+        super().__init__(sym, dims, args, grade, carrier)
+        object.__setattr__(self, "brackets", brackets)
 
 
 Term = Union[Atom, App]
@@ -371,17 +390,16 @@ def render(t: Term) -> str:
 # -- substitution and matching -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subst:
-    cells: Mapping[str, Term]
-    dims: Mapping[str, DimExpr]
+class Subst(Record):
+    __slots__ = _fields = ("cells", "dims")
 
     def dim(self, d: DimExpr) -> DimExpr:
         if d.var is None:
             return d
-        if d.var not in self.dims:
+        bound = self.dims.get(d.var)
+        if bound is None:
             raise TermError(f"unbound dimension variable {d.var}")
-        return self.dims[d.var].shift(d.off)
+        return bound.shift(d.off) if d.off else bound
 
     def term(self, t: Term) -> Term:
         if isinstance(t, Atom):
@@ -400,7 +418,19 @@ class Subst:
                     f"variable {t.name} expects carrier {t.carrier}, got {out.carrier}"
                 )
             return out
-        return app(t.sym, tuple(self.dim(d) for d in t.dims), tuple(self.term(a) for a in t.args))
+        return app(t.sym, tuple(map(self.dim, t.dims)), tuple(map(self.term, t.args)))
+
+    def instantiates(self, pattern: Term, t: Term) -> bool:
+        """Whether self.term(pattern) is t, found without building a term and
+        with term()'s grade and carrier checks; an unbound name may raise TermError."""
+        if pattern.__class__ is Atom:
+            if pattern.const:
+                return pattern is t
+            return (self.cells.get(pattern.name) is t and t.grade is self.dim(pattern.grade)
+                    and pattern.carrier in ("?", t.carrier))
+        return (t.__class__ is App and t.sym == pattern.sym
+                and tuple(map(self.dim, pattern.dims)) == t.dims
+                and all(map(self.instantiates, pattern.args, t.args)))
 
 
 class MatchError(ValueError):

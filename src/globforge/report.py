@@ -38,10 +38,7 @@ class Violation(Record):
 class ValidationReport(Record):
     __slots__ = _fields = ("subject", "violations")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, subject: str, violations: list[Violation] | None = None) -> None:
-        self.subject = subject
-        self.violations = [] if violations is None else violations
+    _defaults = {"violations": list}
 
     @property
     def valid(self) -> bool:

@@ -51,6 +51,7 @@ LAW_BRACKET_FACES = "a bracket cell has its first argument as target and its sec
 LAW_BRACKET_PROJ = "a bracket cell projects to the degenerate cell on its target's image"
 LAW_BRACKET_DIAG = "the diagonal bracket is the degenerate cell"
 LAW_BRACKET_DOMAIN = "brackets pair parallel cells with equal strictification"
+LAW_THRESHOLD = "both sides are n-magmas for the stretching's threshold n"
 
 
 class UnsupportedDimensionError(ValueError):
@@ -97,17 +98,7 @@ def _nmagma(
 class Stretching(Record):
     __slots__ = _fields = ("m_side", "c_side", "threshold", "pi", "brackets", "terms")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(
-        self,
-        m_side: NMagma,
-        c_side: NMagma,
-        threshold: int,
-        pi: Mapping[int, Mapping[str, str]],
-        brackets: Mapping[tuple[int, str, str], str],
-        terms: Mapping[int, Mapping[str, StretchTerm]] | None = None,
-    ) -> None:
-        super().__init__(m_side, c_side, threshold, pi, brackets, {} if terms is None else terms)
+    _defaults = {"terms": dict}
 
     def pi_of(self, m: int, x: str) -> str | None:
         return self.pi.get(m, {}).get(x)
@@ -134,6 +125,11 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                 )
     if not rep.valid:
         return rep
+
+    for side, nm in (("m_side", E.m_side), ("c_side", E.c_side)):
+        if nm.threshold != E.threshold:
+            rep.add("stretching.threshold", LAW_THRESHOLD, (),
+                    f"{side}: threshold {nm.threshold} differs from the stretching's threshold {E.threshold}")
 
     for m in range(1, mgs.max_dim + 1):
         for x in mgs.grade(m):
@@ -556,12 +552,22 @@ def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
     return "".join(parts) if sink is None else None
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a ValueError if it repeats a key, which json.loads would let shadow the first."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"a JSON object repeats the key {key!r}")
+    return obj
+
+
 def load_stretching(text: str) -> Stretching:
     """Parse a dump; ValueError (one line) if it is not a stretching whose
     parts have their JSON types and whose sides are well-formed globular
     sets, which validate_stretching assumes."""
     try:
-        payload = _typed(json.loads(text), dict, "$")
+        payload = _typed(json.loads(text, object_pairs_hook=_object), dict, "$")
     except RecursionError:
         raise ValueError("$: JSON nested too deeply") from None
     if payload.get("kind") != "stretching":

@@ -362,7 +362,7 @@ def test_validate_stretching_reports_entries_on_undeclared_cells(edge_file, tmp_
 
 
 def _set_threshold(payload: dict) -> None:
-    payload["m_side"]["threshold"] = payload["c_side"]["threshold"] = 1
+    payload["threshold"] = payload["m_side"]["threshold"] = payload["c_side"]["threshold"] = 1
 
 
 @pytest.mark.parametrize("edit, details", [

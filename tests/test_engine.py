@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_acceptance import _mutate_suite
 
+from globforge import cli
 from globforge.engine import (
     Derivation,
     DerivationContext,
     InverseUniquenessStep,
+    RewriteRule,
     RewriteStep,
     apply_step,
     builtin_suites,
@@ -18,13 +21,15 @@ from globforge.engine import (
     check_suite,
     rule_library,
 )
-from globforge.engine import suites as suites_module
+from globforge.engine import derivation, suites as suites_module
 from globforge.engine.derivation import BracketIntroStep, StepFailure
+from globforge.engine.rules import ALL
 from globforge.engine.suites import _SuiteBuilder
 from globforge.engine.terms import (
     App,
     DimSolver,
     Subst,
+    TermError,
     app,
     brackets_in,
     bracketT,
@@ -43,6 +48,7 @@ from globforge.engine.terms import (
     var,
     vT,
 )
+from globforge.report import emit_report
 
 
 def test_dim_solver():
@@ -237,6 +243,152 @@ def test_suites_pinned_step_for_step():
     S = builtin_suites()
     pinned = repr([(k, [(d.name, d.start, d.steps, d.end) for d in S[k].derivations]) for k in sorted(S)])
     assert hashlib.sha256(pinned.encode()).hexdigest() == SUITES_DIGEST
+
+
+# check-proofs stdout for each suite and for all
+CHECK_PROOFS_DIGEST = "9a9b5d85be39c49c39c48c14f385f082929cb400574963c17126fb0626ae3e11"
+
+# per suite, the emit_report bytes of each single-step mutant (test_acceptance._mutate_suite), in order
+MUTANT_REPORT_DIGESTS = {
+    "S1": "fc995fd2b9b92d85017467bb58448849cd4d55abd83301bd6bf44f2c6f1d671c",
+    "S2": "d4b2bc38369afb67e2c890a70aaa62a1453f3d1eb19e4bb065549b99ef6f4b5d",
+    "S3a": "6671dec0b1675d35d43e3b9c1f2452dd3018df6035e76822359988575b5d2c0d",
+    "S3b": "dbcf7c82aefb5879d569d2d426fe64576c8ca74d5f1f53021917e9634099763c",
+    "S4": "b4d7a8ab3010b14d4623716145ae81ee00a8a1c7d180294fdf223786da02c701",
+    "S5a": "e6d7267f2b6aa1e3b02180c7cd1049be117fd31748c50a719df5a0a902a08c32",
+    "S5b": "7571c2e02ce66bbdda68d5d6ad065bc3759b71d7adc8e9d3a67c6e78328ab7eb",
+    "S5c": "84f19ab55af375a1f925b26e1f0a0ec33f322ccd3f9ecfa4d5dd0d75420d0703",
+    "S6": "458edf05306d22f2a8fbd7992d14bb403ff59c84c865e6e412d96e6a22a73db7",
+    "S7": "66801dab6ac5d2010a216c1b3c944556c39b7cc3d0bb36147f2706f32e5eddc3",
+}
+
+
+def _single_step_mutants(suite):
+    for di, d in enumerate(suite.derivations):
+        for si in range(len(d.steps)):
+            yield _mutate_suite(suite, di, si)
+
+
+@pytest.mark.parametrize("key", [*MUTANT_REPORT_DIGESTS, "all"])
+def test_check_proofs_stdout_is_pinned(key, capsys):
+    assert cli.main(["check-proofs", "--suite", key]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_PROOFS_DIGEST
+
+
+def test_every_single_step_mutant_report_is_pinned():
+    # pins each StepFailure text and which failure wins when several apply
+    digests, mutants = {}, 0
+    for key, suite in builtin_suites().items():
+        h = hashlib.sha256()
+        for mutant in _single_step_mutants(suite):
+            h.update(emit_report(check_suite(mutant)).encode())
+            mutants += 1
+        digests[key] = h.hexdigest()
+    assert mutants == 241
+    assert digests == MUTANT_REPORT_DIGESTS
+
+
+def _outcome(rewrite, current, step, ctx):
+    try:
+        return rewrite(current, step, ctx)
+    except Exception as exc:  # noqa: BLE001 - the type and text are the outcome
+        return type(exc), str(exc)
+
+
+def _compare_rewrites(suite) -> tuple[int, int]:
+    """Replay suite as check_suite does, and at each rewrite step compare the
+    checker's matching path with the instantiating fallback called directly;
+    returns the steps compared and how many of them fail."""
+    ctx = DerivationContext.for_suite(suite)
+    compared = failed = 0
+    for d in suite.derivations:
+        if brackets_in(d.start) - ctx.introduced:
+            continue
+        cur = d.start
+        for step in d.steps:
+            if isinstance(step, RewriteStep):
+                fast = _outcome(derivation._apply_rewrite, cur, step, ctx)
+                assert fast == _outcome(derivation._rewrite_by_instantiation, cur, step, ctx), (suite.name, d.name)
+                compared += 1
+                failed += isinstance(fast, tuple)
+            try:
+                cur = apply_step(cur, step, ctx)
+            except (StepFailure, TermError):
+                break
+        else:
+            if cur == d.end:
+                ctx.establish(d)
+    return compared, failed
+
+
+def test_matching_and_instantiating_rewrites_agree_on_suites_and_mutants():
+    compared = failed = 0
+    for suite in builtin_suites().values():
+        for s in (suite, *_single_step_mutants(suite)):
+            c, f = _compare_rewrites(s)
+            compared, failed = compared + c, failed + f
+    assert (compared, failed) == (8570, 294)
+
+
+def _instantiated(subst, pattern, t):
+    try:
+        return subst.term(pattern) is t
+    except TermError:
+        return False
+
+
+def test_matching_checks_what_instantiation_checks():
+    # grades, carriers and constants that the suites never get wrong at a matched position
+    m, p = dim("m"), dim("p")
+    a, a2, aM = const("a", 1, "C"), const("a", 2, "C"), const("a", 1, "M")
+    x, xM = var("x", m), var("x", m, "M")
+    one = {"m": dim(1), "p": dim(0)}
+    cases = [
+        (x, Subst({"x": a}, one), a),
+        (x, Subst({"x": a}, {"m": dim(2)}), a),  # the image has another grade
+        (xM, Subst({"x": a}, one), a),  # the image lives on another carrier
+        (x, Subst({}, one), a),  # unbound variable
+        (x, Subst({"y": a}, one), a),
+        (a, Subst({}, {}), a), (a, Subst({}, {}), a2), (a, Subst({}, {}), aM),  # constants are themselves
+        (revT(m, p, x), Subst({"x": a}, one), revT(1, 0, a)),
+        (revT(m, p, x), Subst({"x": a}, {"m": dim(1), "p": dim(1, -1)}), revT(1, 0, a)),  # p is dim(0) itself
+        (revT(m, p, x), Subst({"x": a}, one), srcT(1, 0, a)),
+        (revT(m, p, x), Subst({"x": a}, one), a),
+        (revT(m, p, xM), Subst({"x": a}, one), revT(1, 0, a)),
+    ]
+    assert [s.instantiates(pat, t) for pat, s, t in cases] == [_instantiated(s, pat, t) for pat, s, t in cases]
+    assert sum(_instantiated(s, pat, t) for pat, s, t in cases) == 4
+    # an unbound dimension raises, as term() does
+    with pytest.raises(TermError):
+        Subst({"x": a}, {"m": dim(1)}).instantiates(revT(m, p, x), revT(1, 0, a))
+    # rewrites that fail only on a check the suites' mutants never reach: a bare
+    # variable's grade or carrier, a side condition, the rule's carriers, a fresh bracket
+    ctx = _ctx()
+    ctx.rules["bare"] = RewriteRule("bare", xM, revT(m, p, revT(m, p, xM)), (), frozenset("MC"), "a bare side")
+    e = const("e", 2, "M")
+    ctx.rules["two"] = RewriteRule("two", e, compT(2, 1, bracketT(1, aM, aM), bracketT(1, aM, aM)), (), ALL, "two brackets")
+    al, g = const("alpha", 1, "C"), const("g", 1, "G")
+    rewrites = [
+        (t, RewriteStep("bare", (), subst, direction))
+        for subst, t in ((Subst({"x": aM}, one), aM), (Subst({"x": a}, one), a), (Subst({"x": aM}, {"m": dim(2)}), aM))
+        for direction in ("fwd", "rev")
+    ] + [
+        (compT(1, 0, al, revT(1, 0, al)), RewriteStep("inverse-right", (), Subst({"x": al}, {**one, "n": dim(1)}))),
+        (compT(1, 0, g, revT(1, 0, g)), RewriteStep("inverse-right", (), Subst({"x": g}, {**one, "n": dim(0)}))),
+        (e, RewriteStep("two", (), Subst({}, {}))),
+    ]
+    outcomes = [_outcome(derivation._apply_rewrite, t, step, ctx) for t, step in rewrites]
+    assert outcomes == [_outcome(derivation._rewrite_by_instantiation, t, step, ctx) for t, step in rewrites]
+    assert [type(o) for o in outcomes].count(tuple) == len(rewrites) - 1
+
+
+def test_clean_suites_never_reach_the_fallback(monkeypatch):
+    def fallback(*args):
+        raise AssertionError("the matching path fell back")
+
+    monkeypatch.setattr(derivation, "_rewrite_by_instantiation", fallback)
+    for key, suite in builtin_suites().items():
+        assert check_suite(suite).valid, key
 
 
 def test_suite_symbols_need_no_suite():

@@ -69,9 +69,9 @@ def test_words_sits_below_normalform():
     assert not {"globforge.normalform", "globforge.terms", "globforge.stretching"} & loaded
 
 
-# check-proofs is exempt: the engine keeps its dataclasses, because the
-# benchmark's replay and the acceptance tests mutate its proof steps with
-# dataclasses.replace
+# check-proofs is exempt: the engine's three proof-step classes stay
+# dataclasses (its other classes are records), because the benchmark's replay
+# and the acceptance tests rebuild steps with dataclasses.replace
 DATA_COMMANDS = [
     ["validate", "{iso}"],
     ["validate", "{dump}", "--layer", "stretching"],

@@ -1,25 +1,36 @@
-"""The data layers' slotted records behave as the dataclasses they replaced.
+"""The slotted records of the data layers and of the engine behave as the
+dataclasses they replaced.
 
 Each record is checked against a dataclass declared here with the old
 fields, defaults and flags (dataclasses is fine in tests): construction,
-defaults, equality, hashing, repr and whether assignment raises.
+defaults, equality, hashing, repr and whether assignment raises.  The
+engine's terms (Atom, App) and dimensions (DimExpr) are interned, so equality
+and hashing are by identity; only its three proof-step classes are still
+dataclasses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
 import pytest
 
 import globforge.dsl as dsl
+import globforge.engine.derivation as derivation
+import globforge.engine.rules as rules
+import globforge.engine.suites as suites
+import globforge.engine.terms as terms
 import globforge.globular as globular
 import globforge.layers as layers
 import globforge.magma as magma
 import globforge.report as report
 import globforge.stretching as stretching
 import globforge.words as words
+from globforge._record import Record
 
 
 # the old declarations, under the same names so that their reprs match
@@ -117,12 +128,103 @@ class Stretching:
     terms: Any = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class DimExpr:
+    var: Any
+    off: Any
+
+
+@dataclass(frozen=True)
+class DimCond:
+    lhs: Any
+    rhs: Any
+    strict: Any = False
+
+
+@dataclass(frozen=True, eq=False)
+class Atom:
+    name: Any
+    grade: Any
+    carrier: Any
+    const: Any = False
+
+
+@dataclass(frozen=True, eq=False)
+class App:
+    sym: Any
+    dims: Any
+    args: Any
+    grade: Any
+    carrier: Any
+    brackets: Any = field(repr=False)
+
+
+@dataclass(frozen=True)
+class Subst:
+    cells: Any
+    dims: Any
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    name: Any
+    lhs: Any
+    rhs: Any
+    conds: Any
+    carriers: Any
+    law: Any
+
+
+@dataclass(frozen=True)
+class Derivation:
+    name: Any
+    start: Any
+    steps: Any
+    end: Any
+
+
+@dataclass(frozen=True)
+class Suite:
+    name: Any
+    title: Any
+    assumptions: Any
+    local_rules: Any
+    facts: Any
+    derivations: Any
+
+
+@dataclass
+class DerivationContext:
+    solver: Any
+    rules: Any
+    established: Any = field(default_factory=derivation._UnionFind)
+    introduced: Any = field(default_factory=set)
+
+
+@dataclass
+class _SuiteBuilder:  # its __post_init__ also built a context, which is no field
+    key: Any
+    title: Any
+    assumptions: Any = ()
+    local_rules: Any = ()
+    facts: Any = ()
+    defaults: Any = field(default_factory=dict)
+    derivations: Any = field(default_factory=list)
+
+
 GS = globular.globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "a"}}, tgt={1: {"e": "b"}})
 REFL = layers.ReflexorStructure({(0, 1): {"a": "a", "b": "b"}})
 COMP = magma.CompositionStructure({(1, 0): {("e", "e"): "e"}})
 REV = layers.ReversorStructure(0, {(1, 0): {"e": "e"}})
 MAG = magma.InfinityMagma(GS, REFL, COMP)
 NM = magma.NMagma(MAG, REV)
+
+M, P = terms.dim("m"), terms.dim("p")
+X = terms.var("x", M, "C")
+LT = terms.lt(P, M)
+RULE = rules.rule_library()["inverse-left"]
+STEP = derivation.RewriteStep("inverse-left", (), terms.Subst({"x": X}, {"m": M, "p": P}))
+DERIV = derivation.Derivation("d", terms.compT(M, P, terms.revT(M, P, X), X), (STEP,), terms.oneT(P, M, terms.srcT(M, P, X)))
 
 # record, old dataclass, arguments with table-shaped values
 CASES = [
@@ -139,6 +241,13 @@ CASES = [
     (words.Word, Word, ("a", (("e", 1), ("e", -1)))),
     (dsl.ParsedStructure, ParsedStructure, ("W", GS, 0, None, REFL, COMP)),
     (stretching.Stretching, Stretching, (NM, NM, 0, {1: {"e": "e"}}, {(0, "a", "a"): "a"}, {})),
+    (terms.DimCond, DimCond, (P, M, True)),
+    (terms.Subst, Subst, ({"x": X}, {"m": M, "p": P})),
+    (rules.RewriteRule, RewriteRule, (RULE.name, RULE.lhs, RULE.rhs, RULE.conds, RULE.carriers, RULE.law)),
+    (derivation.Derivation, Derivation, (DERIV.name, DERIV.start, DERIV.steps, DERIV.end)),
+    (derivation.Suite, Suite, ("S", "a suite", (LT,), (RULE,), ((X, X),), (DERIV,))),
+    (derivation.DerivationContext, DerivationContext,
+     (terms.DimSolver((LT,)), {RULE.name: RULE}, derivation._UnionFind(), {X})),
 ]
 IDS = [new.__name__ for new, _, _ in CASES]
 
@@ -198,12 +307,88 @@ def test_frozen_records_refuse_assignment_and_deletion():
 @pytest.mark.parametrize("new, old, args", [
     (report.ValidationReport, ValidationReport, ("s",)),
     (stretching.Stretching, Stretching, (NM, NM, 0, {}, {})),
-], ids=["ValidationReport", "Stretching"])
+    (derivation.DerivationContext, DerivationContext, (None, {})),
+    (suites._SuiteBuilder, _SuiteBuilder, ("S", "a suite")),
+], ids=["ValidationReport", "Stretching", "DerivationContext", "_SuiteBuilder"])
 def test_defaults_are_fresh_per_instance(new, old, args):
     a, b = new(*args), new(*args)
-    assert repr(a) == repr(old(*args))
-    last = new._fields[-1]
-    assert getattr(a, last) == getattr(b, last) and getattr(a, last) is not getattr(b, last)
+    # a default union-find has object's repr, which shows its address
+    assert re.sub(" at 0x[0-9a-f]+", "", repr(a)) == re.sub(" at 0x[0-9a-f]+", "", repr(old(*args)))
+    for name in new._fields[len(args):]:
+        value = getattr(a, name)
+        assert type(value) is type(getattr(old(*args), name))
+        assert value is not getattr(b, name) or value == ()  # a mutable default is made per instance
+        assert value == getattr(b, name) or isinstance(value, derivation._UnionFind)  # which compares by identity
+
+
+def test_the_suite_builder_matches_its_dataclass():
+    values = ("S", "a suite", (LT,), (RULE,), ((X, X),), {"n": terms.dim("n")}, [DERIV])
+    a, b = suites._SuiteBuilder(*values), _SuiteBuilder(*values)
+    keywords = dict(zip(suites._SuiteBuilder._fields, values))
+    assert suites._SuiteBuilder._fields == tuple(f.name for f in dataclasses.fields(_SuiteBuilder))
+    assert repr(a) == repr(b) == repr(suites._SuiteBuilder(**keywords))
+    assert a == suites._SuiteBuilder(*values) and a != suites._SuiteBuilder(*values[:-1], [])
+    assert a.__eq__(b) is NotImplemented
+    assert _outcome(lambda: hash(a)) == _outcome(lambda: hash(b)) == ("raises", TypeError)
+    assert a.ctx.rules[RULE.name] is RULE  # the builder's context, which is no field
+    a.title = b.title = "renamed"
+    assert repr(a) == repr(b)
+    for bad_args, bad_keywords in ((("S",), {}), (values, {"bogus": 1}), (values, {"key": "S"})):
+        got, want = (_outcome(lambda: cls(*bad_args, **bad_keywords)) for cls in (suites._SuiteBuilder, _SuiteBuilder))
+        assert got == want == ("raises", TypeError)
+
+
+# record, old dataclass, arguments of one term: equality and hashing are by identity
+IDENTITY_CASES = [
+    (terms.Atom, Atom, ("x", M, "C", False)),
+    (terms.App, App, ("rev", (M, P), (X,), M, "C", frozenset())),
+]
+
+
+@pytest.mark.parametrize("new, old, args", IDENTITY_CASES, ids=[new.__name__ for new, _, _ in IDENTITY_CASES])
+def test_terms_keep_identity_equality(new, old, args):
+    a, b = new(*args), old(*args)
+    assert new._fields == tuple(f.name for f in dataclasses.fields(old) if f.repr)
+    assert repr(a) == repr(b)
+    again = new(*args)
+    assert a == a and a != again and hash(a) == object.__hash__(a) != hash(again)
+    assert (a == again) is (b == old(*args)) is False
+    assert [getattr(a, f.name) for f in dataclasses.fields(old)] == [getattr(b, f.name) for f in dataclasses.fields(old)]
+    for name in (*new._fields, "brackets"):
+        assert _outcome(lambda: setattr(a, name, 1)) == _outcome(lambda: setattr(b, name, 1)) == ("raises", AttributeError)
+    # the intern tables hold terms weakly
+    assert weakref.ref(a)() is a
+
+
+def test_atom_default_and_interned_terms():
+    assert repr(terms.Atom("x", M, "C")) == repr(Atom("x", M, "C"))
+    assert terms.var("x", M, "C") is X and terms.revT(M, P, X) is terms.app("rev", (M, P), (X,))
+
+
+def test_dimensions_are_interned_with_the_old_value_equality():
+    values = [(None, 0), (None, 1), ("m", 0), ("m", 1), ("m", -1), ("p", 0)]
+    for u in values:
+        d = terms.DimExpr(*u)
+        assert d is terms.DimExpr(*u) is terms.DimExpr(var=u[0], off=u[1]) and hash(d) == object.__hash__(d)
+        assert repr(d) == repr(DimExpr(*u))
+        assert (d.var, d.off) == u
+        for v in values:
+            assert (d == terms.DimExpr(*v)) is (DimExpr(*u) == DimExpr(*v)) is (u == v)
+        for name in ("var", "off"):
+            assert _outcome(lambda: setattr(d, name, 1)) == _outcome(lambda: setattr(DimExpr(*u), name, 1))
+    assert terms.dim("m", 2) is terms.dim("m").shift(1).shift(1) is terms.Subst({}, {"q": M}).dim(terms.dim("q", 2))
+
+
+def test_only_the_step_classes_are_dataclasses():
+    modules = (terms, rules, derivation, suites)
+    classes = {v for mod in modules for v in vars(mod).values() if isinstance(v, type) and v.__module__ == mod.__name__}
+    assert {c.__name__ for c in classes if "__dataclass_fields__" in vars(c)} == {
+        "RewriteStep", "InverseUniquenessStep", "BracketIntroStep",
+    }
+    assert {c.__name__ for c in classes if issubclass(c, Record)} == {
+        "DimExpr", "DimCond", "Atom", "App", "Subst", "RewriteRule", "Derivation", "Suite",
+        "DerivationContext", "_SuiteBuilder",
+    }
 
 
 def test_derived_cell_sets_take_no_part_in_equality_or_repr():

@@ -16,9 +16,11 @@ from fixtures import (
 from hypothesis import given, settings, strategies as st
 from test_words import _small_graphs
 
+from globforge.cli import main
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
 from globforge.normalform import UnsupportedFreeConstructionError
+from globforge.report import parse_report
 from globforge.stretching import (
     InvalidGraphError,
     SectionViolationError,
@@ -237,7 +239,23 @@ def _edited(*edits) -> str:
     return json.dumps(payload)
 
 
-# load_stretching's ValueError texts: a raw text, or edits of the edge dump
+def _repeating(*path, key: str, first: str):
+    """A thunk for the edge dump's text in which the object at path lists key
+    twice, first with the value first and then with its own value."""
+    def text() -> str:
+        payload = json.loads(_edited())
+        parent = payload
+        for step in path[:-1]:
+            parent = parent[step]
+        obj = parent[path[-1]]
+        parent[path[-1]] = "@repeated@"
+        assert key in obj
+        return json.dumps(payload).replace('"@repeated@"', json.dumps({key: first})[:-1] + ", " + json.dumps(obj)[1:])
+
+    return text
+
+
+# load_stretching's ValueError texts: a raw text, a thunk for one, or edits of the edge dump
 DUMP_ERRORS = [
     ("", "Expecting value: line 1 column 1 (char 0)"),
     ("[" * 100_000 + "]" * 100_000, "$: JSON nested too deeply"),
@@ -303,14 +321,42 @@ DUMP_ERRORS = [
         (("brackets", lambda rows: [[0, "a", "a", "bogus"], *rows]),),
         "$.brackets: repeated row for (0, 'a', 'a')",
     ),
+    # a repeated key of a JSON object, which json.loads would let shadow the first
+    (_repeating("m_side", "rev", "1.0", key="e", first="e"), "a JSON object repeats the key 'e'"),
+    (_repeating("pi", "1", key="j[1.0](e)", first="e+"), "a JSON object repeats the key 'j[1.0](e)'"),
 ]
 
 
 @pytest.mark.parametrize("dump, message", DUMP_ERRORS)
 def test_dump_error_text(dump, message):
+    text = dump if isinstance(dump, str) else dump() if callable(dump) else _edited(*dump)
     with pytest.raises(ValueError) as err:
-        load_stretching(dump if isinstance(dump, str) else _edited(*dump))
+        load_stretching(text)
     assert str(err.value) == message
+
+
+def test_a_repeated_key_is_all_that_fails_its_dump():
+    # json.loads alone keeps the last value of a repeated key, and reads the edge dump itself
+    thunks = [dump for dump, _ in DUMP_ERRORS if callable(dump)]
+    assert len(thunks) == 2
+    for dump in thunks:
+        assert json.loads(dump()) == json.loads(_edited())
+
+
+def test_a_threshold_apart_from_the_sides_is_a_verdict(tmp_path, capsys):
+    rep = validate_stretching(load_stretching(_edited(("threshold", 7))))
+    assert [(v.axiom, v.detail) for v in rep.violations] == [
+        ("stretching.threshold", f"{side}: threshold 0 differs from the stretching's threshold 7")
+        for side in ("m_side", "c_side")
+    ]
+    path = tmp_path / "dump.json"
+    path.write_text(_edited(("threshold", 7)))
+    assert main(["validate", str(path), "--layer", "stretching"]) == 1
+    assert parse_report(capsys.readouterr().out).axiom_ids() == {"stretching.threshold"}
+    rep = validate_stretching(load_stretching(_edited(("threshold", 1), ("m_side", "threshold", 1))))
+    assert [v.detail for v in rep.violations if v.axiom == "stretching.threshold"] == [
+        "c_side: threshold 0 differs from the stretching's threshold 1"
+    ]
 
 
 def test_each_normal_form_operation_runs_once_per_input(monkeypatch):
