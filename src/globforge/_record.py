@@ -7,13 +7,35 @@ instance per record, as a dataclass's default_factory; it writes its own
 `__init__` only for derived slots or speed.  Records are frozen;
 an assignable one sets `__setattr__`, `__delattr__` and `__hash__` to
 object's and None, as a non-frozen dataclass.
+
+A record class also answers `__dataclass_fields__`, so `dataclasses.replace`,
+`fields`, `is_dataclass` and `asdict` take a record as the dataclass it stands
+for: replace rebuilds it through its own `__init__`.  The answer comes from a
+dataclass made from the field names (no types or defaults) the first time a
+caller asks, and is kept on the class.  It is built on first use so that a
+process that never asks (every command) never imports dataclasses, which
+pulls in inspect, ast, dis and tokenize.
 """
 
 from operator import attrgetter
 
 
+class _DataclassView:
+    """Record.__dataclass_fields__: on first read through a record class, the fields of a dataclass made from
+    its field names, kept on the class with that dataclass's params (which pprint reads)."""
+
+    def __get__(self, record, cls: type):
+        if cls is Record:  # the base has no fields, and storing on it would hide every subclass's view
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import make_dataclass
+        view = make_dataclass(cls.__name__, cls._fields)
+        cls.__dataclass_fields__, cls.__dataclass_params__ = view.__dataclass_fields__, view.__dataclass_params__
+        return view.__dataclass_fields__
+
+
 class Record:
     __slots__ = ()
+    __dataclass_fields__ = _DataclassView()
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 

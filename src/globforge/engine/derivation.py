@@ -24,7 +24,6 @@ report does not depend on hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .._record import Record
@@ -35,8 +34,6 @@ from .terms import (
     DimCond,
     DimExpr,
     DimSolver,
-    Position,
-    Subst,
     Term,
     TermError,
     brackets_in,
@@ -60,34 +57,19 @@ LAW_UNIQUE = "inverses in a strict structure are unique"
 LAW_CONTRACT = "parallel cells with equal projection are joined by a coherence cell"
 
 
-# The three step classes stay dataclasses: the benchmark's mutant replay and
-# the tests rebuild steps with dataclasses.replace.
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    position: Position
-    subst: Subst
-    direction: str = "fwd"  # fwd applies lhs -> rhs
+class RewriteStep(Record):
+    __slots__ = _fields = ("rule", "position", "subst", "direction")
+    _defaults = {"direction": "fwd"}  # fwd applies lhs -> rhs
 
 
-@dataclass(frozen=True)
-class InverseUniquenessStep:
-    position: Position
-    m: DimExpr
-    p: DimExpr
-    alpha: Term
-    beta: Term
-    direction: str = "fwd"  # fwd rewrites beta into rev(alpha)
+class InverseUniquenessStep(Record):
+    __slots__ = _fields = ("position", "m", "p", "alpha", "beta", "direction")
+    _defaults = {"direction": "fwd"}  # fwd rewrites beta into rev(alpha)
 
 
-@dataclass(frozen=True)
-class BracketIntroStep:
-    position: Position
-    m: DimExpr
-    c1: Term
-    c0: Term
-    face: str = "tgt"  # which face of the bracket replaces the cell
-    direction: str = "fwd"
+class BracketIntroStep(Record):
+    __slots__ = _fields = ("position", "m", "c1", "c0", "face", "direction")
+    _defaults = {"face": "tgt", "direction": "fwd"}  # face: which face of the bracket replaces the cell
 
 
 Step = Union[RewriteStep, InverseUniquenessStep, BracketIntroStep]

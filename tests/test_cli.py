@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from fixtures import bouquet, graph_file, two_edge_graph
 
-from globforge.cli import _validate, main
+from globforge.cli import LAYERS, _validate, main
 from globforge.dsl import parse_structure
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
@@ -447,12 +448,86 @@ def test_validate_stretching_on_mutated_dumps_keeps_the_contract(tmp_path, capsy
         codes.append(main(["validate", str(path), "--layer", "stretching"]))
         out, err = capsys.readouterr()
         assert "internal error:" not in err
+        assert (main(["validate", str(path), "--layer", "stretching"]), *capsys.readouterr()) == (codes[-1], out, err)
         if codes[-1] == 2:
             assert out == "" and err.count("\n") == 1 and err.endswith("\n")
         else:
             assert codes[-1] in (0, 1) and err == ""
             assert parse_report(out).valid is (codes[-1] == 0)
     assert min(codes.count(code) for code in (1, 2)) >= 30  # reports and load errors are common
+
+
+Z3 = "\n".join([
+    "structure Z3", "dim 1", "threshold 0", "cells 0: o", "cells 1: r0 r1 r2",
+    *(f"{face} r{k} = o" for k in range(3) for face in ("src", "tgt")),
+    "refl 0 1 o = r0",
+    *(f"comp 1 0 (r{j}, r{k}) = r{(j + k) % 3}" for j in range(3) for k in range(3)),
+    *(f"rev 1 0 r{k} = r{-k % 3}" for k in range(3)),
+]) + "\n"
+_DIGITS = [str.maketrans("0123456789", digits) for digits in ("٠١٢٣٤٥٦٧٨٩", "⁰¹²³⁴⁵⁶⁷⁸⁹", "０１２３４５６７８９")]
+_NUMERALS = ["0", "1", "2", "3", "-1", "+1", "01", "10001", "9" * 4300, "9" * 5000]
+_TOKENS = [*_NUMERALS, "(", ")", ",", "=", ":", "#", "x\x07y", " ", "\x0b", "\t", "cells", "src", "tgt", "refl",
+           "comp", "rev", "dim", "threshold", "structure"]
+_TEXT_COMMANDS = [
+    *(["validate", "--layer", layer] for layer in LAYERS),
+    ["derive-reversors"],
+    ["index"],
+    ["free-groupoid", "--max-len", "2"],
+    ["stretch", "--n", "0", "--dim", "1", "--size", "3"],
+]
+
+
+def _text_mutant(text: str, rng: random.Random) -> str:
+    """text with one to three random edits (mostly one): a line dropped, repeated or swapped, a token edited
+    or inserted, a line's digits made Unicode digits, or a numeral made huge."""
+    lines = text.splitlines()
+    names = sorted(set(re.findall(r"[^\s(),:=#]+", text)))
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        op = rng.randrange(7)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(j, lines[i])
+        elif op == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in (3, 4):  # edit or insert a token, from the text's own or the pool
+            pieces = re.split(r"(\s+|[(),:=#])", lines[i])
+            k = rng.randrange(len(pieces))
+            token = rng.choice(names if rng.random() < 0.7 else _TOKENS)
+            pieces[k:k + 1] = [token] if op == 3 else [pieces[k], rng.choice(("", " ")), token]
+            lines[i] = "".join(pieces)
+        elif op == 5:
+            lines[i] = lines[i].translate(rng.choice(_DIGITS))
+        else:
+            lines[i] = re.sub(r"\d+", lambda _: rng.choice(_NUMERALS), lines[i], count=1)
+    return "\n".join(lines) + "\n"
+
+
+def test_every_command_on_mutated_presentations_keeps_the_contract(tmp_path, capsys):
+    # exit 0 or 1 with a document, or exit 2 with one stderr line; never a crash, and the same bytes twice
+    rng = random.Random(20121805)
+    path = tmp_path / "mutant.glob"
+    codes = []
+    for _ in range(40):
+        path.write_text(_text_mutant(rng.choice((WALKING_ISO, POSET2, EDGE, Z3)), rng), encoding="utf-8")
+        for command in _TEXT_COMMANDS:
+            argv = [command[0], str(path), *command[1:]]
+            codes.append(main(argv))
+            out, err = capsys.readouterr()
+            assert "internal error:" not in err, (argv, path.read_text(encoding="utf-8"))
+            assert (main(argv), *capsys.readouterr()) == (codes[-1], out, err)
+            if codes[-1] == 2:
+                assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            elif command[0] == "stretch":  # the dump, then any violations on stderr
+                assert codes[-1] in (0, 1) and out
+            else:
+                assert codes[-1] in (0, 1) and err == ""
+                if command[0] == "validate" or codes[-1] == 1:
+                    assert parse_report(out).valid is (codes[-1] == 0)
+                else:
+                    assert json.loads(out)["subject"]
+    assert min(codes.count(code) for code in (0, 1, 2)) >= 20  # documents, reports and errors are all common
 
 
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Import footprint: each command imports only the layers it runs, the data
-commands import no dataclasses, and the lazy package exports resolve to the
-defining modules' objects."""
+"""Import footprint: each command imports only the layers it runs, no command
+imports dataclasses, and the lazy package exports resolve to the defining
+modules' objects."""
 
 import importlib
 import json
@@ -69,9 +69,6 @@ def test_words_sits_below_normalform():
     assert not {"globforge.normalform", "globforge.terms", "globforge.stretching"} & loaded
 
 
-# check-proofs is exempt: the engine's three proof-step classes stay
-# dataclasses (its other classes are records), because the benchmark's replay
-# and the acceptance tests rebuild steps with dataclasses.replace
 DATA_COMMANDS = [
     ["validate", "{iso}"],
     ["validate", "{dump}", "--layer", "stretching"],
@@ -79,6 +76,8 @@ DATA_COMMANDS = [
     ["free-groupoid", "{edge}", "--max-len", "2"],
     ["derive-reversors", "{iso}"],
     ["index", "{iso}"],
+    ["check-proofs", "--suite", "S2"],
+    ["check-proofs"],
 ]
 
 
@@ -90,6 +89,10 @@ def test_data_commands_import_neither_dataclasses_nor_inspect(argv, tmp_path):
     files["dump"].write_text(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 3)))
     loaded = _after_command([arg.format(**files) for arg in argv], prefix="")
     assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
+    assert not {"dataclasses", "inspect"} & _loaded("import globforge.engine", prefix="")
 
 
 def test_package_exports_are_the_defining_modules_objects():

@@ -12,6 +12,7 @@ dataclasses.
 from __future__ import annotations
 
 import dataclasses
+import pprint
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -176,6 +177,34 @@ class RewriteRule:
 
 
 @dataclass(frozen=True)
+class RewriteStep:
+    rule: Any
+    position: Any
+    subst: Any
+    direction: Any = "fwd"
+
+
+@dataclass(frozen=True)
+class InverseUniquenessStep:
+    position: Any
+    m: Any
+    p: Any
+    alpha: Any
+    beta: Any
+    direction: Any = "fwd"
+
+
+@dataclass(frozen=True)
+class BracketIntroStep:
+    position: Any
+    m: Any
+    c1: Any
+    c0: Any
+    face: Any = "tgt"
+    direction: Any = "fwd"
+
+
+@dataclass(frozen=True)
 class Derivation:
     name: Any
     start: Any
@@ -244,6 +273,9 @@ CASES = [
     (terms.DimCond, DimCond, (P, M, True)),
     (terms.Subst, Subst, ({"x": X}, {"m": M, "p": P})),
     (rules.RewriteRule, RewriteRule, (RULE.name, RULE.lhs, RULE.rhs, RULE.conds, RULE.carriers, RULE.law)),
+    (derivation.RewriteStep, RewriteStep, (STEP.rule, (1,), STEP.subst, "bwd")),
+    (derivation.InverseUniquenessStep, InverseUniquenessStep, ((0,), M, P, X, terms.revT(M, P, X), "bwd")),
+    (derivation.BracketIntroStep, BracketIntroStep, ((1,), M, X, terms.revT(M, P, X), "src", "bwd")),
     (derivation.Derivation, Derivation, (DERIV.name, DERIV.start, DERIV.steps, DERIV.end)),
     (derivation.Suite, Suite, ("S", "a suite", (LT,), (RULE,), ((X, X),), (DERIV,))),
     (derivation.DerivationContext, DerivationContext,
@@ -274,6 +306,7 @@ def test_record_matches_its_dataclass(new, old, args):
     assert new._fields == tuple(f.name for f in dataclasses.fields(old) if f.compare)
     for values in _variants(new, args):
         a, b = new(*values), old(*values)
+        assert tuple(f.name for f in dataclasses.fields(a)) == new._fields and dataclasses.replace(a) == a
         keywords = dict(zip(new._fields, values))
         assert new(**keywords) == a and old(**keywords) == b
         assert repr(a) == repr(b) == repr(new(**keywords))
@@ -379,16 +412,43 @@ def test_dimensions_are_interned_with_the_old_value_equality():
     assert terms.dim("m", 2) is terms.dim("m").shift(1).shift(1) is terms.Subst({}, {"q": M}).dim(terms.dim("q", 2))
 
 
-def test_only_the_step_classes_are_dataclasses():
+def test_engine_classes_are_records_and_none_is_a_generated_dataclass():
     modules = (terms, rules, derivation, suites)
     classes = {v for mod in modules for v in vars(mod).values() if isinstance(v, type) and v.__module__ == mod.__name__}
-    assert {c.__name__ for c in classes if "__dataclass_fields__" in vars(c)} == {
-        "RewriteStep", "InverseUniquenessStep", "BracketIntroStep",
-    }
     assert {c.__name__ for c in classes if issubclass(c, Record)} == {
-        "DimExpr", "DimCond", "Atom", "App", "Subst", "RewriteRule", "Derivation", "Suite",
-        "DerivationContext", "_SuiteBuilder",
+        "DimExpr", "DimCond", "Atom", "App", "Subst", "RewriteRule", "RewriteStep", "InverseUniquenessStep",
+        "BracketIntroStep", "Derivation", "Suite", "DerivationContext", "_SuiteBuilder",
     }
+    # @dataclass execs the methods it generates, so their code comes from no file
+    generated = {c.__name__ for c in classes for f in vars(c).values() if getattr(f, "__code__", None)
+                 and f.__code__.co_filename == "<string>"}
+    assert generated == set()
+
+
+STEP_CASES = [case for case in CASES if case[0].__name__.endswith("Step")]
+
+
+@pytest.mark.parametrize("new, old, args", STEP_CASES, ids=[new.__name__ for new, _, _ in STEP_CASES])
+def test_dataclasses_functions_take_a_step_as_its_old_dataclass(new, old, args):
+    step = new(*args)
+    assert dataclasses.is_dataclass(step) and dataclasses.is_dataclass(new)
+    assert tuple(f.name for f in dataclasses.fields(step)) == step._fields
+    assert dataclasses.replace(step) == step
+    for i, name in enumerate(new._fields):
+        changed = dataclasses.replace(step, **{name: "changed"})
+        assert type(changed) is new and changed == new(*args[:i], "changed", *args[i + 1:]) != step
+    assert _outcome(lambda: dataclasses.replace(step, bogus=1)) == ("raises", TypeError)
+    # the defaults are the old ones, and pprint, which reads __dataclass_params__, prints a long step as its repr
+    required = args[:len(args) - len(new._defaults)]
+    assert repr(new(*required)) == repr(old(*required))
+    assert pprint.pformat(step, width=20) == repr(step)
+
+
+def test_the_base_record_is_no_dataclass():
+    # a subclass's view is kept on the subclass, so asking the base first or last hides no subclass's view
+    assert not dataclasses.is_dataclass(Record)
+    assert [f.name for f in dataclasses.fields(derivation.Suite)] == list(derivation.Suite._fields)
+    assert not dataclasses.is_dataclass(Record)
 
 
 def test_derived_cell_sets_take_no_part_in_equality_or_repr():
