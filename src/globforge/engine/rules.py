@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .._record import Record
 from .terms import (
+    TermTable,
     bracketT,
     compT,
     dim,
@@ -28,7 +29,6 @@ from .terms import (
     revT,
     srcT,
     tgtT,
-    var,
     vT,
 )
 
@@ -46,8 +46,9 @@ def _rule(name, lhs, rhs, conds, carriers, law) -> RewriteRule:
 
 @functools.cache
 def rule_library() -> Mapping[str, RewriteRule]:
-    """The catalogue by rule name, built once per process and read-only;
-    a caller that adds rules copies it first."""
+    """The catalogue by rule name, built once per process in a term table
+    of its own, and read-only; a caller that adds rules copies it first."""
+    var = TermTable().var
     m, p, q, n = dim("m"), dim("p"), dim("q"), dim("n")
     x = var("x", m)
     rules: list[RewriteRule] = []

@@ -15,10 +15,11 @@ Each suite replays one family of equational arguments:
   S7  in an algebra of dimension 2 the candidate inverse composites are
       joined to degenerate cells by coherence, making 1-cells equivalences
 
-Chains are built by matching the cited rule against the current term, so
-each stored step carries its full substitution.  Every step is checked by
-the checker's apply_step while the chain is built, on one context per
-suite, and check_suite replays the finished suites again.
+Each suite builds its terms in a fresh TermTable.  Chains are built by
+matching the cited rule against the current term, so each stored step
+carries its full substitution.  Every step is checked by apply_step while
+the chain is built, on one context per suite; check_suite replays a
+finished suite in its own table, where it finds every term the chains built.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .terms import (
     Subst,
     Term,
     TermError,
+    TermTable,
     bracketT,
     compT,
-    const,
     dim,
     lamT,
     le,
@@ -63,7 +64,6 @@ from .terms import (
     subterm,
     tgtT,
     unary,
-    var,
     vT,
 )
 
@@ -148,9 +148,10 @@ def _rule(name, lhs, rhs, conds, law) -> RewriteRule:
 
 
 def _suite_s1() -> Suite:
+    table = TermTable()
     m, p, q, n = dim("m"), dim("p"), dim("q"), dim("n")
-    x, y = var("x", m), var("y", m)
-    xp = var("xp", p)
+    x, y = table.var("x", m), table.var("y", m)
+    xp = table.var("xp", p)
     local = (
         _rule("F-comp", unary("F", compT(m, p, y, x)), compT(m, p, unary("F", y), unary("F", x)),
               (lt(p, m),), "the morphism preserves composition"),
@@ -166,7 +167,7 @@ def _suite_s1() -> Suite:
         assumptions=(le(n, p), lt(p, m)), local_rules=local,
         defaults={"n": n},
     )
-    al = const("alpha", m, "C")
+    al = table.const("alpha", m, "C")
     F = lambda t: unary("F", t)
     j_al = revT(m, p, al)
 
@@ -200,7 +201,7 @@ def _suite_s2() -> Suite:
         "S2", "canonical reversors are involutions",
         assumptions=(le(n, p), lt(p, m)), defaults={"n": n},
     )
-    al = const("alpha", m, "C")
+    al = TermTable().const("alpha", m, "C")
     J = revT(m, p, al)
     sb.add(
         sb.chain("reverse-then-cell", compT(m, p, J, al))
@@ -223,12 +224,13 @@ def _suite_s2() -> Suite:
 
 
 def _suite_s3a() -> Suite:
+    table = TermTable()
     m, p, q, n = dim("m"), dim("p"), dim("q"), dim("n")
     sb = _SuiteBuilder(
         "S3a", "reversors fix degenerate cells",
         assumptions=(le(n, q), lt(q, m), lt(p, q)), defaults={"n": n},
     )
-    al = const("alpha", p, "C")
+    al = table.const("alpha", p, "C")
     X = oneT(p, m, al)
 
     sb.add(
@@ -256,7 +258,7 @@ def _suite_s3a() -> Suite:
     )
 
     # the base-dimension case: the degenerate cell sits exactly at the level
-    alq = const("alphaq", q, "C")
+    alq = table.const("alphaq", q, "C")
     Xq = oneT(q, m, alq)
     sb.add(
         sb.chain("base-self-composite-is-target-unit", compT(m, q, Xq, Xq))
@@ -286,7 +288,7 @@ def _suite_s3b() -> Suite:
         "S3b", "reversors move through higher reflexors",
         assumptions=(le(n, q), lt(q, p), lt(p, m)), defaults={"n": n},
     )
-    al = const("alpha", p, "C")
+    al = TermTable().const("alpha", p, "C")
     X = oneT(p, m, al)
     beta = oneT(p, m, revT(p, q, al))
 
@@ -315,9 +317,10 @@ def _suite_s3b() -> Suite:
 
 
 def _suite_s4() -> Suite:
+    table = TermTable()
     m, p, n = dim("m"), dim("p"), dim("n")
-    xM, yM = var("x", m, "M"), var("y", m, "M")
-    xMp = var("x", p, "M")
+    xM, yM = table.var("x", m, "M"), table.var("y", m, "M")
+    xMp = table.var("x", p, "M")
     U = lambda s, t: unary(s, t)
     local = (
         _rule("mu-rev", U("mu", revT(m, p, xM)), revT(m, p, U("mu", xM)),
@@ -343,9 +346,9 @@ def _suite_s4() -> Suite:
         "S4", "the structure map preserves the induced operations",
         assumptions=(le(n, p), lt(p, m)), local_rules=local, defaults={"n": n},
     )
-    x = var("x", m, "M")
-    xp = var("x", p, "M")
-    y = var("y", m, "M")
+    x = table.var("x", m, "M")
+    xp = table.var("x", p, "M")
+    y = table.var("y", m, "M")
 
     sb.add(
         sb.chain("free-reversor", U("mu", revT(m, p, U("lamT", x))))
@@ -420,7 +423,7 @@ def _suite_s5a() -> Suite:
         "S5a", "the double reverse is parallel to the cell",
         assumptions=(le(n, m),), defaults={"n": n},
     )
-    al = const("alpha", m.shift(1), "G")
+    al = TermTable().const("alpha", m.shift(1), "G")
     m1 = m.shift(1)
     sb.add(
         sb.chain(
@@ -445,7 +448,7 @@ def _suite_s5b() -> Suite:
         "S5b", "reversing a degenerate cell, away from its level",
         assumptions=(le(n, q), lt(q, m.shift(-1))), defaults={"n": n},
     )
-    al = const("alpha", m.shift(-1), "G")
+    al = TermTable().const("alpha", m.shift(-1), "G")
     m_1 = m.shift(-1)
     sb.add(
         sb.chain(
@@ -493,7 +496,7 @@ def _suite_s5c() -> Suite:
         "S5c", "reversing a degenerate cell at its own level",
         assumptions=(le(n, m_1),), defaults={"n": n},
     )
-    al = const("alpha", m_1, "G")
+    al = TermTable().const("alpha", m_1, "G")
     sb.add(
         sb.chain(
             "source-comparison",
@@ -526,10 +529,8 @@ def _suite_s5c() -> Suite:
 
 
 def _dim1_constants():
-    f = const("f", 1, "G")
-    a0 = const("a", 0, "G")
-    b0 = const("b", 0, "G")
-    return f, a0, b0
+    const = TermTable().const
+    return const("f", 1, "G"), const("a", 0, "G"), const("b", 0, "G")
 
 
 def _dim_facts(f, a0, b0):
@@ -539,8 +540,8 @@ def _dim_facts(f, a0, b0):
     )
 
 
-def _collapse_rule(name: str, level: int) -> RewriteRule:
-    z = var("z", level + 1, "G")
+def _collapse_rule(table: TermTable, name: str, level: int) -> RewriteRule:
+    z = table.var("z", level + 1, "G")
     return _rule(
         name,
         srcT(level + 1, level, z),
@@ -589,7 +590,7 @@ def _composite_meets_unit(sb: _SuiteBuilder, f: Term, b0: Term) -> tuple[Term, T
 
 def _suite_s6() -> Suite:
     f, a0, b0 = _dim1_constants()
-    local = _dim_facts(f, a0, b0) + (_collapse_rule("dim1-collapse", 1),)
+    local = _dim_facts(f, a0, b0) + (_collapse_rule(f.table, "dim1-collapse", 1),)
     sb = _SuiteBuilder(
         "S6", "in an algebra of dimension 1, 1-cells are invertible",
         local_rules=local, defaults={"n": dim(0)},
@@ -667,7 +668,7 @@ def _suite_s6() -> Suite:
 def _suite_s7() -> Suite:
     f, a0, b0 = _dim1_constants()
     local = _dim_facts(f, a0, b0) + (
-        _collapse_rule("dim2-collapse", 2),
+        _collapse_rule(f.table, "dim2-collapse", 2),
     )
     sb = _SuiteBuilder(
         "S7", "in an algebra of dimension 2, 1-cells are equivalences",

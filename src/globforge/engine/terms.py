@@ -14,24 +14,22 @@ The unary endomaps the built-in suites cite (F, mu, Tv, lamT) are fixed
 symbols in the same table.
 
 Terms are hash-consed (Filliâtre and Conchon, "Type-safe modular
-hash-consing", 2006), in process-wide tables; StretchTerm is interned per
-TermContext instead.  app(), var() and const() are the only constructors:
-each returns the one live term with its fields, so equal terms are the
-same object, and equality and hashing are by identity and cost O(1)
-whatever the term's depth.  Dimensions are interned too, in a table that
-keeps them, and terms, dimensions and substitutions are slotted Records.
-The intern tables hold terms weakly, so a term lives only while something
-else uses it.  A term's grade, carrier and the bracket subterms of its
-arguments are computed once, when it is built; brackets_in reads them
-instead of walking the term.  A bracket's stored set leaves the bracket
-itself out, so no term refers to itself and reference counting alone frees
-an unused term.
+hash-consing", 2006) in TermTables: the rule catalogue has one, and each
+built-in suite its own.  A table's var() and const() make atoms; app()
+interns sym[dims](args) in the one table its arguments share, so a later
+check of a suite finds the terms its build made.  Within a table equal terms
+are one object, so equality and hashing are by identity and cost O(1)
+whatever the term's depth.  Terms and their table refer to each other, and
+the garbage collector frees a dropped table with its terms.  Dimensions are
+interned in _DIMS, which keeps them: one per (variable, offset) met, a
+bounded set.  Terms, dimensions and substitutions are slotted Records.  A
+term's grade, carrier and the bracket subterms of its arguments are
+computed once, when it is built; brackets_in reads them.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -185,20 +183,25 @@ DISPLAY = {
 }
 
 
-# object identity is equality and hash, which interning makes structural;
-# __weakref__ lets the intern tables hold terms weakly
+# object identity is equality and hash, which interning makes structural
 class Atom(Record):
     _fields = ("name", "grade", "carrier", "const")
-    __slots__ = (*_fields, "__weakref__")
+    __slots__ = (*_fields, "table")  # table: the TermTable that made the atom, not a field
     __eq__, __hash__ = object.__eq__, object.__hash__
     _defaults = {"const": False}
 
     brackets = frozenset()  # not a field: an atom has no subterms
 
 
-class App(Record):
-    _fields = ("sym", "dims", "args", "grade", "carrier")
-    __slots__ = (*_fields, "brackets", "__weakref__")  # brackets: the arguments' bracket subterms, not in repr
+class _AppSlots:
+    """An App being built: app() fills its slots by plain stores, cheaper than object.__setattr__, then re-classes it."""
+
+    __slots__ = ("sym", "dims", "args", "grade", "carrier", "brackets", "table")
+
+
+class App(_AppSlots, Record):
+    __slots__ = ()
+    _fields = ("sym", "dims", "args", "grade", "carrier")  # not brackets (the arguments' bracket subterms) or table
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...], grade, carrier, brackets) -> None:
@@ -208,8 +211,28 @@ class App(Record):
 
 Term = Union[Atom, App]
 
-_ATOMS: weakref.WeakValueDictionary[tuple, Atom] = weakref.WeakValueDictionary()
-_APPS: weakref.WeakValueDictionary[tuple, App] = weakref.WeakValueDictionary()
+
+class TermTable:
+    """The hash-consing tables of a family of terms: atoms by their fields, the others by (sym, dims, args)."""
+
+    __slots__ = ("atoms", "apps")
+
+    def __init__(self) -> None:
+        self.atoms: dict[tuple, Atom] = {}
+        self.apps: dict[tuple, App] = {}
+
+    def _atom(self, *key) -> Atom:
+        t = self.atoms.get(key)
+        if t is None:
+            t = self.atoms[key] = Atom(*key)
+            object.__setattr__(t, "table", self)
+        return t
+
+    def var(self, name: str, grade, carrier: str = "?") -> Atom:
+        return self._atom(name, dim(grade), carrier, False)
+
+    def const(self, name: str, grade, carrier: str) -> Atom:
+        return self._atom(name, dim(grade), carrier, True)
 
 
 def _check_grade(t: Term, want: DimExpr, what: str) -> None:
@@ -218,15 +241,21 @@ def _check_grade(t: Term, want: DimExpr, what: str) -> None:
 
 
 def app(sym: str, dims: tuple[DimExpr, ...], args: tuple[Term, ...]) -> App:
-    """The one live term sym[dims](args): checks grades and carriers the
-    first time, and fills in the result's."""
+    """The one term sym[dims](args) in the table of its arguments: checks
+    grades and carriers the first time, and fills in the result's."""
+    table = args[0].table
+    if args[-1].table is not table:  # every symbol takes one or two arguments
+        raise TermError(f"{sym} combines terms of two term tables")
     key = (sym, dims, args)
-    t = _APPS.get(key)
+    t = table.apps.get(key)
     if t is None:
-        grade, carrier = _result_type(sym, dims, args)
+        t = _AppSlots()
+        t.grade, t.carrier = _result_type(sym, dims, args)
         parts = [b for b in map(brackets_in, args) if b]
-        brackets = parts[0] if len(parts) == 1 else frozenset().union(*parts)
-        t = _APPS[key] = App(sym, dims, args, grade, carrier, brackets)
+        t.brackets = parts[0] if len(parts) == 1 else frozenset().union(*parts)
+        t.sym, t.dims, t.args, t.table = sym, dims, args, table
+        t.__class__ = App
+        table.apps[key] = t
     return t
 
 
@@ -315,22 +344,6 @@ def lamT(x) -> App:
 
 def unary(sym: str, x: Term) -> App:
     return app(sym, (), (x,))
-
-
-def _atom(name: str, grade: DimExpr, carrier: str, is_const: bool) -> Atom:
-    key = (name, grade, carrier, is_const)
-    t = _ATOMS.get(key)
-    if t is None:
-        t = _ATOMS[key] = Atom(*key)
-    return t
-
-
-def var(name: str, grade, carrier: str = "?") -> Atom:
-    return _atom(name, dim(grade), carrier, False)
-
-
-def const(name: str, grade, carrier: str) -> Atom:
-    return _atom(name, dim(grade), carrier, True)
 
 
 # -- traversal -----------------------------------------------------------

@@ -1,6 +1,6 @@
+import gc
 import hashlib
 import os
-import weakref
 import subprocess
 import sys
 from pathlib import Path
@@ -27,28 +27,34 @@ from globforge.engine.rules import ALL
 from globforge.engine.suites import _SuiteBuilder
 from globforge.engine.terms import (
     App,
+    Atom,
     DimSolver,
     Subst,
     TermError,
+    TermTable,
     app,
     brackets_in,
     bracketT,
     compT,
-    const,
     dim,
     lamT,
     le,
     lt,
     oneT,
     piT,
+    preorder,
     render,
+    replace,
     revT,
     srcT,
     tgtT,
-    var,
     vT,
 )
 from globforge.report import emit_report
+
+# the terms these tests build share one table; the rule catalogue and each suite have their own
+TABLE = TermTable()
+var, const = TABLE.var, TABLE.const
 
 
 def test_dim_solver():
@@ -67,6 +73,7 @@ def test_dim_solver():
 def test_library_contains_cited_rules():
     lib = rule_library()
     inv = lib["inverse-right"]
+    var = inv.lhs.table.var  # the catalogue's patterns share one table
     m, p = dim("m"), dim("p")
     x = var("x", m)
     assert inv.lhs == compT(m, p, x, revT(m, p, x))
@@ -180,7 +187,7 @@ def test_s5a_end_term():
     suite = builtin_suites()["S5a"]
     (deriv,) = suite.derivations
     m = dim("m")
-    assert deriv.end == srcT(m.shift(1), m, const("alpha", m.shift(1), "G"))
+    assert deriv.end == srcT(m.shift(1), m, deriv.end.table.const("alpha", m.shift(1), "G"))
 
 
 def test_mutated_step_named():
@@ -396,8 +403,8 @@ def test_suite_symbols_need_no_suite():
     # before (and without) building any suite
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "from globforge.engine.terms import dim, unary, var\n"
-        "unary('mu', var('x', dim('m'), 'M'))\n"
+        "from globforge.engine.terms import TermTable, dim, unary\n"
+        "unary('mu', TermTable().var('x', dim('m'), 'M'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
@@ -438,8 +445,9 @@ _TWO_FRESH_BRACKETS = """
 from globforge.engine import Derivation, RewriteRule, RewriteStep, check_derivation
 from globforge.engine.derivation import DerivationContext
 from globforge.engine.rules import ALL, rule_library
-from globforge.engine.terms import DimSolver, Subst, bracketT, compT, const
+from globforge.engine.terms import DimSolver, Subst, TermTable, bracketT, compT
 
+const = TermTable().const
 a, b, c, d = (const(name, 1, "M") for name in "abcd")
 e = const("e", 2, "M")
 two = compT(2, 1, bracketT(1, a, b), bracketT(1, c, d))
@@ -468,6 +476,8 @@ def test_unintroduced_bracket_report_is_the_leftmost_under_any_hash_seed():
 
 
 def test_equal_constructions_are_one_object():
+    table = TermTable()
+    var, const = table.var, table.const
     m, p = dim("m"), dim("p")
     assert var("x", m) is var("x", dim("m"))
     assert var("x", m) is not var("x", m, "M")
@@ -479,6 +489,38 @@ def test_equal_constructions_are_one_object():
     c1, c0 = const("c1", 1, "M"), const("c0", 1, "M")
     assert bracketT(1, c1, c0) is bracketT(1, c1, c0)
     assert bracketT(1, c1, c0) is not bracketT(1, c0, c1)
+    assert {t.table for t in (x, c1, revT(m, p, x), bracketT(1, c1, c0))} == {table}
+
+
+def test_equal_fields_in_two_tables_are_two_terms():
+    one, two = TermTable(), TermTable()
+    pairs = [(one.var("x", "m"), two.var("x", "m")), (one.const("f", 1, "G"), two.const("f", 1, "G"))]
+    pairs += [(revT("m", "p", x), revT("m", "p", y)) for x, y in pairs[:1]]
+    pairs += [(compT(1, 0, f, revT(1, 0, f)), compT(1, 0, g, revT(1, 0, g))) for f, g in pairs[1:2]]
+    for a, b in pairs:
+        assert a is not b and a != b and repr(a) == repr(b)
+        assert (a.table, b.table) == (one, two)
+
+
+def test_combining_terms_of_two_tables_raises():
+    one, two = TermTable(), TermTable()
+    f, g = one.const("f", 1, "M"), two.const("g", 1, "M")
+    ff = compT(1, 0, f, f)
+    for build in (lambda: compT(1, 0, f, g), lambda: bracketT(1, g, f), lambda: app("comp", (dim(1), dim(0)), (f, g)),
+                  lambda: replace(ff, (1,), g)):
+        with pytest.raises(TermError, match="two term tables"):
+            build()
+    assert list(one.apps.values()) == [ff] and two.apps == {}
+
+
+@pytest.mark.parametrize("key", list(suites_module._BUILDERS))
+def test_a_check_finds_every_term_in_its_suite_table(key):
+    suite = builtin_suites()[key]
+    table = suite.derivations[0].start.table
+    assert all(t.table is table for d in suite.derivations for t in (d.start, d.end))
+    size = len(table.atoms), len(table.apps)
+    assert check_suite(suite).valid
+    assert (len(table.atoms), len(table.apps)) == size
 
 
 def _brackets_by_recursion(t) -> frozenset:
@@ -510,15 +552,32 @@ def test_stored_brackets_match_a_recursive_walk():
 
 
 def test_terms_are_freed_when_unused():
-    # freed by reference counting alone: terms hold no reference cycles
-    f, g = const("freed-f", 1, "M"), const("freed-g", 1, "M")
-    t = piT(tgtT(2, 1, bracketT(1, f, g)))
-    refs = [weakref.ref(u) for u in (t, t.args[0].args[0], f)]
-    del f, g, t
-    assert [r() for r in refs] == [None, None, None]
+    # terms and their table refer to each other, so the garbage collector frees
+    # them, not reference counting; terms take no weak references, so the test
+    # looks for them among the objects the collector tracks
+    suite = builtin_suites()["S6"]
+    d = suite.derivations[0]
+    chain_term = apply_step(d.start, d.steps[0], DerivationContext.for_suite(suite))
+    atom = next(t for t in preorder(d.start) if isinstance(t, Atom))
+    watched = {id(o) for o in (d.start.table, d.start, chain_term, atom)}
+
+    def live() -> set[int]:
+        return {id(o) for o in gc.get_objects() if type(o) in (TermTable, App, Atom)} & watched
+
+    assert live() == watched and len(watched) == 4
+    del suite, d, chain_term, atom
+    gc.collect()
+    assert live() == set()
     # a fresh construction builds a new term with the same fields
-    again = const("freed-f", 1, "M")
-    assert (again.name, again.grade, again.carrier, again.const) == ("freed-f", dim(1), "M", True)
+    again = TermTable().const("f", 1, "G")
+    assert (again.name, again.grade, again.carrier, again.const) == ("f", dim(1), "G", True)
+
+
+def test_terms_module_holds_no_terms():
+    from globforge.engine import terms
+
+    assert not {"_ATOMS", "_APPS"} & set(vars(terms))
+    assert "weakref" not in Path(terms.__file__).read_text()
 
 
 def test_suites_are_built_when_read(monkeypatch):

@@ -4,9 +4,8 @@ dataclasses they replaced.
 Each record is checked against a dataclass declared here with the old
 fields, defaults and flags (dataclasses is fine in tests): construction,
 defaults, equality, hashing, repr and whether assignment raises.  The
-engine's terms (Atom, App) and dimensions (DimExpr) are interned, so equality
-and hashing are by identity; only its three proof-step classes are still
-dataclasses.
+engine's terms (Atom, App) are interned in term tables and its dimensions
+(DimExpr) in a module table, so equality and hashing are by identity.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ MAG = magma.InfinityMagma(GS, REFL, COMP)
 NM = magma.NMagma(MAG, REV)
 
 M, P = terms.dim("m"), terms.dim("p")
-X = terms.var("x", M, "C")
+X = terms.TermTable().var("x", M, "C")
 LT = terms.lt(P, M)
 RULE = rules.rule_library()["inverse-left"]
 STEP = derivation.RewriteStep("inverse-left", (), terms.Subst({"x": X}, {"m": M, "p": P}))
@@ -387,15 +386,16 @@ def test_terms_keep_identity_equality(new, old, args):
     assert a == a and a != again and hash(a) == object.__hash__(a) != hash(again)
     assert (a == again) is (b == old(*args)) is False
     assert [getattr(a, f.name) for f in dataclasses.fields(old)] == [getattr(b, f.name) for f in dataclasses.fields(old)]
-    for name in (*new._fields, "brackets"):
+    for name in (*new._fields, "brackets", "table"):
         assert _outcome(lambda: setattr(a, name, 1)) == _outcome(lambda: setattr(b, name, 1)) == ("raises", AttributeError)
-    # the intern tables hold terms weakly
-    assert weakref.ref(a)() is a
+    # a term's table, which is no field, keeps it: terms take no weak references
+    assert "table" not in new._fields
+    assert _outcome(lambda: weakref.ref(a)) == ("raises", TypeError)
 
 
 def test_atom_default_and_interned_terms():
     assert repr(terms.Atom("x", M, "C")) == repr(Atom("x", M, "C"))
-    assert terms.var("x", M, "C") is X and terms.revT(M, P, X) is terms.app("rev", (M, P), (X,))
+    assert X.table.var("x", M, "C") is X and terms.revT(M, P, X) is terms.app("rev", (M, P), (X,))
 
 
 def test_dimensions_are_interned_with_the_old_value_equality():

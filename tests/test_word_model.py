@@ -1,0 +1,82 @@
+"""An independent model of pi and of bracket completeness at threshold 0.
+
+Over a 1-graph at threshold 0 the strict side of a free stretching is the
+free strict groupoid on the graph: a 1-cell is a reduced word of signed
+edges (words.free_reduce), read from its source point, and every 2-cell is
+an identity.  The model evaluates each stored term by its constructors
+alone: gen is one step, rev the inverse word, comp(t1, t0) the word of t0
+followed by the word of t1, and refl the empty word.  It never calls the
+strictifier, so a fault in pi cannot reach both sides of a comparison.
+
+Against the model, over every stored term of a generated stretching:
+  - pi partitions the d-cells as (source, model value) does;
+  - both faces of every 2-term have one model value;
+  - the 1-dimensional brackets are exactly the parallel, model-equal pairs
+    (t1, t0) with size(t1) + size(t0) + 1 <= S, the larger in (size, name)
+    order as target, and the diagonal ones on terms of size below S.
+"""
+
+from __future__ import annotations
+
+import pytest
+from fixtures import bouquet, two_edge_graph
+
+from globforge.stretching import generate_free_stretching
+from globforge.words import free_reduce
+
+
+def _model(t):
+    """A 0-term's point; a 1-term's (source point, reduced word); a 2-term's
+    model is the 1-cell it is an identity on, checked on both faces."""
+    if t.dim == 0:
+        return t.name
+    if t.dim == 2:
+        face = _model(t.src)
+        assert _model(t.tgt) == face, (t.name, "faces disagree in the model")
+        return face
+    return t.src.name, _word(t)
+
+
+def _word(t) -> tuple:
+    if t.kind == "gen":
+        return ((t.cell, 1),)
+    if t.kind == "refl":
+        return ()
+    if t.kind == "rev":
+        return tuple((e, -o) for e, o in reversed(_word(t.args[0])))
+    t1, t0 = t.args  # comp: t1 after t0
+    return free_reduce(_word(t0) + _word(t1))
+
+
+def _classes(names, key) -> set[frozenset]:
+    by: dict = {}
+    for nm in names:
+        by.setdefault(key(nm), set()).add(nm)
+    return {frozenset(c) for c in by.values()}
+
+
+CASES = {
+    "two-edge path S=8": (two_edge_graph, 8, 9, 77),
+    "bouquet(1) S=7": (lambda: bouquet(1), 7, 8, 11),
+    "bouquet(2) S=6": (lambda: bouquet(2), 6, 51, 7),
+}
+
+
+@pytest.mark.parametrize("graph, S, classes1, brackets1", CASES.values(), ids=CASES)
+def test_pi_and_brackets_match_the_free_groupoid_model(graph, S, classes1, brackets1):
+    E = generate_free_stretching(graph(), 0, 2, S)
+    model = {d: {nm: _model(t) for nm, t in E.terms[d].items()} for d in range(3)}
+    for d in range(3):
+        assert _classes(E.terms[d], E.pi[d].__getitem__) == _classes(E.terms[d], model[d].__getitem__), d
+    assert len(set(E.pi[1].values())) == classes1
+
+    ones = sorted(E.terms[1].values(), key=lambda t: (t.size, t.name))
+    want = {
+        (1, t1.name, t0.name)
+        for i, t0 in enumerate(ones) for t1 in ones[i:]
+        if model[1][t1.name] == model[1][t0.name] and t1.src is t0.src and t1.tgt is t0.tgt
+        and (t1.size + t0.size + 1 if t1 is not t0 else t1.size + 1) <= S
+    }
+    got = {key for key in E.brackets if key[0] == 1}
+    assert got == want
+    assert sum(t1 != t0 for _, t1, t0 in got) == brackets1
