@@ -26,6 +26,11 @@ Every job on tables (the images above, the checks of validate_stretching,
 and the dump writer and reader) loops over magma.KINDS, which declares the
 three table kinds of an n-magma once.
 
+validate_stretching reads each table once, in whatever order it holds its
+rows: emit_report sorts the violations, so no such order reaches a report.
+dump_stretching writes the stretching's own tables, a bounded chunk at a
+time, without a copy of them.
+
 A dump spells each grade as the writer does, in ASCII digits without a
 leading zero, and holds one row per pair; load_stretching rejects any
 other spelling and any repeated row, so no entry can shadow another.
@@ -39,7 +44,7 @@ from operator import attrgetter
 from typing import Callable, Mapping, TextIO
 
 from ._record import Record
-from .globular import TruncatedGlobularSet, globular_set, parallel, validate_globular
+from .globular import TruncatedGlobularSet, globular_set, validate_globular
 from .magma import KINDS, Kind, NMagma
 from .normalform import Strictifier
 from .report import ValidationReport
@@ -112,13 +117,15 @@ def validate_stretching(E: Stretching) -> ValidationReport:
     """
     rep = ValidationReport("stretching")
     mgs, cgs = E.m_side.magma.gs, E.c_side.magma.gs
+    pi = {m: E.pi.get(m, {}) for m in range(mgs.max_dim + 1)}
 
-    for m in range(mgs.max_dim + 1):
+    for m, pm in pi.items():
+        strict_cells = cgs.cell_sets.get(m, ())
         for x in mgs.grade(m):
-            px = E.pi_of(m, x)
+            px = pm.get(x)
             if px is None:
                 rep.add("stretching.pi-total", LAW_PI_MORPHISM, (x,), f"pi misses the {m}-cell {x}")
-            elif not cgs.has_cell(m, px):
+            elif px not in strict_cells:
                 rep.add(
                     "stretching.pi-total", LAW_PI_MORPHISM, (x, px),
                     f"pi({x}) = {px} is not an {m}-cell of the strict side",
@@ -132,11 +139,11 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                     f"{side}: threshold {nm.threshold} differs from the stretching's threshold {E.threshold}")
 
     for m in range(1, mgs.max_dim + 1):
-        for x in mgs.grade(m):
-            px = E.pi_of(m, x)
-            for side, axiom in (("source", "stretching.pi-src"), ("target", "stretching.pi-tgt")):
-                want = E.pi_of(m - 1, mgs.map(side, m)[x])
-                got = cgs.map(side, m).get(px)
+        pm, low = pi[m], pi[m - 1]
+        for side, axiom in (("source", "stretching.pi-src"), ("target", "stretching.pi-tgt")):
+            face, strict_face = mgs.map(side, m), cgs.map(side, m)
+            for x in mgs.grade(m):
+                want, got = low[face[x]], strict_face.get(pm[x])
                 if got != want:
                     rep.add(
                         axiom, LAW_PI_MORPHISM, (x,),
@@ -147,7 +154,7 @@ def validate_stretching(E: Stretching) -> ValidationReport:
         c_tables, binary = kind.layer(E.c_side).maps, kind.arity == 2
         for side, nm in (("m_side", E.m_side), ("c_side", E.c_side)):
             cells, max_dim = nm.magma.gs.cell_sets, nm.magma.gs.max_dim
-            for key, table in sorted(kind.layer(nm).maps.items()):
+            for key, table in kind.layer(nm).maps.items():
                 if not kind.fits(key, max_dim, nm.threshold):
                     rep.add(
                         "stretching.table-domain", LAW_TABLE_DOMAIN, (),
@@ -158,7 +165,7 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                 g, h = key[kind.names], key[kind.value]
                 names, values, ctable = cells.get(g, frozenset()), cells.get(h, ()), c_tables.get(key, {})
                 pg, ph = E.pi.get(g, {}), E.pi.get(h, {})
-                for entry, z in sorted(table.items()):
+                for entry, z in table.items():
                     args = entry if binary else (entry,)
                     if z not in values or not names.issuperset(args):
                         rep.add(
@@ -174,46 +181,48 @@ def validate_stretching(E: Stretching) -> ValidationReport:
                                 f"pi({kind.term.format(*key, *args)}) = {ph[z]} but the strict {kind.noun} is {got}",
                             )
 
-    for (m, c1, c0), B in sorted(E.brackets.items()):
-        if not (mgs.has_cell(m, c1) and mgs.has_cell(m, c0) and mgs.has_cell(m + 1, B)):
+    c_refl, m_refl = E.c_side.magma.refl, E.m_side.magma.refl
+    for (m, c1, c0), B in E.brackets.items():
+        cells = mgs.cell_sets.get(m, ())
+        if not (c1 in cells and c0 in cells and B in mgs.cell_sets.get(m + 1, ())):
             rep.add(
                 "stretching.bracket-domain", LAW_BRACKET_DOMAIN, (c1, c0, B),
                 f"bracket ({m}, {c1}, {c0}) -> {B} mentions undeclared cells",
             )
             continue
-        if m >= 1 and not parallel(mgs, m, c1, c0):
+        pm, p_up = pi[m], pi[m + 1]
+        if m >= 1 and (mgs.src[m][c1] != mgs.src[m][c0] or mgs.tgt[m][c1] != mgs.tgt[m][c0]):
             rep.add(
                 "stretching.bracket-domain", LAW_BRACKET_DOMAIN, (c1, c0),
                 f"bracket arguments {c1}, {c0} are not parallel",
             )
-        if E.pi_of(m, c1) != E.pi_of(m, c0):
+        if pm[c1] != pm[c0]:
             rep.add(
                 "stretching.bracket-domain", LAW_BRACKET_DOMAIN, (c1, c0),
-                f"bracket arguments project differently: {E.pi_of(m, c1)} vs {E.pi_of(m, c0)}",
+                f"bracket arguments project differently: {pm[c1]} vs {pm[c0]}",
             )
-        if mgs.map("target", m + 1)[B] != c1:
+        tgt_B, src_B = mgs.tgt[m + 1][B], mgs.src[m + 1][B]
+        if tgt_B != c1:
             rep.add(
                 "stretching.bracket-target", LAW_BRACKET_FACES, (B, c1),
-                f"tgt({B}) = {mgs.map('target', m + 1)[B]}, expected {c1}",
+                f"tgt({B}) = {tgt_B}, expected {c1}",
             )
-        if mgs.map("source", m + 1)[B] != c0:
+        if src_B != c0:
             rep.add(
                 "stretching.bracket-source", LAW_BRACKET_FACES, (B, c0),
-                f"src({B}) = {mgs.map('source', m + 1)[B]}, expected {c0}",
+                f"src({B}) = {src_B}, expected {c0}",
             )
-        want = E.c_side.magma.refl.table(m, m + 1).get(E.pi_of(m, c1))
-        if want is None or E.pi_of(m + 1, B) != want:
+        want = c_refl.table(m, m + 1).get(pm[c1])
+        if want is None or p_up[B] != want:
             rep.add(
                 "stretching.bracket-proj", LAW_BRACKET_PROJ, (B,),
-                f"pi({B}) = {E.pi_of(m + 1, B)}, expected the degenerate cell {want}",
+                f"pi({B}) = {p_up[B]}, expected the degenerate cell {want}",
             )
-        if c1 == c0:
-            refl_c = E.m_side.magma.refl.table(m, m + 1).get(c1)
-            if B != refl_c:
-                rep.add(
-                    "stretching.bracket-diagonal", LAW_BRACKET_DIAG, (B, c1),
-                    f"[{c1},{c1}] = {B}, expected the degenerate cell {refl_c}",
-                )
+        if c1 == c0 and B != m_refl.table(m, m + 1).get(c1):
+            rep.add(
+                "stretching.bracket-diagonal", LAW_BRACKET_DIAG, (B, c1),
+                f"[{c1},{c1}] = {B}, expected the degenerate cell {m_refl.table(m, m + 1).get(c1)}",
+            )
     return rep
 
 
@@ -365,16 +374,16 @@ def induced_algebra_magma(
 
 
 def _nmagma_payload(nm: NMagma) -> dict:
+    """nm's dump, holding nm's own tables: _write_json writes a pair-keyed comp table as rows [y, x, z]."""
     gs = nm.magma.gs
     return {
         "max_dim": gs.max_dim,
         "threshold": nm.threshold,
         "cells": {str(m): list(gs.grade(m)) for m in range(gs.max_dim + 1)},
-        "src": {str(m): dict(gs.map("source", m)) for m in range(1, gs.max_dim + 1)},
-        "tgt": {str(m): dict(gs.map("target", m)) for m in range(1, gs.max_dim + 1)},
-        **{kind.name: {  # a table of pairs as [y, x, z] rows
-            f"{i}.{j}": dict(t) if kind.arity == 1 else [[y, x, z] for (y, x), z in sorted(t.items())]
-            for (i, j), t in sorted(kind.layer(nm).maps.items())
+        "src": {str(m): gs.map("source", m) for m in range(1, gs.max_dim + 1)},
+        "tgt": {str(m): gs.map("target", m) for m in range(1, gs.max_dim + 1)},
+        **{kind.name: {
+            f"{i}.{j}": t if t or kind.arity == 1 else [] for (i, j), t in kind.layer(nm).maps.items()
         } for kind in KINDS},
     }
 
@@ -478,12 +487,17 @@ def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
     return NMagma.of(gs, _key(payload, "threshold", int, where), *tables)
 
 
+_CHUNK = 512  # items per join: at S=10, about 70K characters of a cell table
+
+
 def _write_json(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
 
     obj is a tree of dicts with str keys, lists, strs and ints; any other type
-    raises TypeError.  A list of strs, or a dict of str values, is encoded by one
-    join.  write gets the pieces joined, about 64K characters at a time.
+    raises TypeError.  A dict keyed by tuples stands for the list of its rows
+    [*key, value] in key order, so a table is written without a copy.  Items
+    are encoded _CHUNK at a time, a chunk of strs by one join, and write gets
+    the pieces joined, at most about 64K characters or one chunk at a time.
     """
     encode = json.encoder.encode_basestring_ascii  # what json.dumps uses under ensure_ascii
     parts: list[str] = []
@@ -494,6 +508,9 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
         write("".join(parts))
         parts.clear()
         pending = 0
+
+    def row(key: tuple, value) -> list[str]:  # a row's items: strs, or ints such as a bracket's grade
+        return [encode(a) if type(a) is not int else repr(a) for a in (*key, value)]
 
     def emit(x, nl: str) -> None:  # nl: newline and indentation of x's line
         nonlocal pending
@@ -507,26 +524,41 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
             parts.append("{}" if isinstance(x, dict) else "[]")
         else:
             is_dict = isinstance(x, dict)
-            opening, closing = "{}" if is_dict else "[]"
             items = sorted(x) if is_dict else x  # unique keys: json's order of sorted items
+            rows = is_dict and isinstance(items[0], tuple)
+            opening, closing = "{}" if is_dict and not rows else "[]"
             inner = nl + "  "
             sep = "," + inner
             parts.append(opening + inner)
-            try:
-                body = sep.join([encode(k) + ": " + encode(x[k]) for k in items] if is_dict else map(encode, items))
-            except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
-                for i, item in enumerate(items):
-                    if i:
-                        parts.append(sep)
-                    if is_dict:
-                        parts.append(encode(item) + ": ")
-                        item = x[item]
-                    emit(item, inner)
-                    if pending >= 1 << 16 or len(parts) >= 1024:
+            for start in range(0, len(items), _CHUNK):
+                chunk = items[start:start + _CHUNK]
+                if start:
+                    parts.append(sep)
+                try:
+                    if rows:  # each row [*key, value] with its items a level deeper
+                        deeper = sep + "  "
+                        body = sep.join(["[" + deeper[1:] + deeper.join(row(k, x[k])) + inner + "]" for k in chunk])
+                    elif is_dict:
+                        body = sep.join([encode(k) + ": " + encode(x[k]) for k in chunk])
+                    else:
+                        body = sep.join(map(encode, chunk))
+                except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
+                    for i, item in enumerate(chunk):
+                        if i:
+                            parts.append(sep)
+                        if rows:
+                            item = [*item, x[item]]
+                        elif is_dict:
+                            parts.append(encode(item) + ": ")
+                            item = x[item]
+                        emit(item, inner)
+                        if pending >= 1 << 16 or len(parts) >= 1024:
+                            flush()
+                else:
+                    if pending and pending + len(body) > 1 << 16:
                         flush()
-            else:
-                parts.append(body)
-                pending += len(body)
+                    parts.append(body)
+                    pending += len(body)
             parts.append(nl + closing)
 
     emit(obj, "\n")
@@ -536,16 +568,15 @@ def _write_json(obj, write: Callable[[str], object]) -> None:
 
 def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
     """The canonical dump, json.dumps(payload, sort_keys=True, indent=2) + "\n":
-    written to sink in chunks when one is given, returned as a str otherwise."""
+    streamed to sink a chunk at a time from E's own tables when a sink is
+    given, returned as a str otherwise."""
     payload = {
         "kind": "stretching",
         "threshold": E.threshold,
         "m_side": _nmagma_payload(E.m_side),
         "c_side": _nmagma_payload(E.c_side),
-        "pi": {str(m): dict(t) for m, t in sorted(E.pi.items())},
-        "brackets": [
-            [m, c1, c0, B] for (m, c1, c0), B in sorted(E.brackets.items())
-        ],
+        "pi": {str(m): t for m, t in E.pi.items()},
+        "brackets": E.brackets or [],  # rows [m, c1, c0, B]
     }
     parts: list[str] = []
     _write_json(payload, parts.append if sink is None else sink.write)

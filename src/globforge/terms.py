@@ -25,7 +25,10 @@ of this canonical representation.
 Terms are hash-consed inside their owner (Filliâtre and Conchon,
 "Type-safe modular hash-consing", 2006): a TermContext builds every term it
 hands out and interns it in its own table, so within one context equal terms
-are the same object.  Terms from different contexts are equal when their
+are the same object.  The table is keyed by the constructor, its indices and
+the names of its arguments, whose hashes a str caches, rather than by the
+argument terms, whose __hash__ runs in Python; each constructor computes its
+term's fields itself.  Terms from different contexts are equal when their
 dimension and name are, and a term hashes as its name.  A term's dimension,
 size, name and one-step faces (src and tgt, None on 0-terms) are set when it
 is built and never change.  Nothing is held process-wide: terms live as long
@@ -42,50 +45,12 @@ class IllTypedTermError(ValueError):
     """A constructor side condition failed."""
 
 
-def _dim(kind: str, dims: tuple[int, ...]) -> int:
-    if kind in ("gen", "comp", "rev"):
-        return dims[0]
-    if kind == "refl":
-        return dims[1]
-    if kind == "bracket":
-        return dims[0] + 1
-    raise ValueError(kind)
-
-
-def _name(kind: str, dims: tuple[int, ...], args: tuple["StretchTerm", ...], cell: str) -> str:
-    if kind == "gen":
-        return cell
-    if kind == "comp":
-        m, p = dims
-        return f"({args[0].name} *{m}.{p} {args[1].name})"
-    if kind == "refl":
-        p, m = dims
-        return f"1[{p}.{m}]({args[0].name})"
-    if kind == "rev":
-        m, p = dims
-        return f"j[{m}.{p}]({args[0].name})"
-    (m,) = dims
-    return f"[{args[0].name};{args[1].name}]{m}"
-
-
 class _Fields:
-    """A term under construction: TermContext fills its slots with plain
-    stores, several times cheaper than object.__setattr__, and then makes it
-    a StretchTerm, which refuses assignment."""
+    """A term under construction: _term fills its slots with plain stores,
+    several times cheaper than object.__setattr__, and then makes it a
+    StretchTerm, which refuses assignment."""
 
     __slots__ = ("kind", "dims", "args", "cell", "dim", "size", "name", "src", "tgt", "__weakref__")
-
-    def __init__(self, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str,
-                 src: StretchTerm | None, tgt: StretchTerm | None):
-        self.dim = _dim(kind, dims)  # first: rejects an unknown kind
-        self.kind = kind
-        self.dims = dims
-        self.args = args
-        self.cell = cell
-        self.size = 1 + sum([a.size for a in args])
-        self.name = _name(kind, dims, args, cell)
-        self.src = src
-        self.tgt = tgt
 
 
 class StretchTerm(_Fields):
@@ -122,6 +87,23 @@ class StretchTerm(_Fields):
         return f"StretchTerm({self.name!r})"
 
 
+def _term(kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str, dim: int, size: int, name: str,
+          src: StretchTerm | None, tgt: StretchTerm | None) -> StretchTerm:
+    """A new term with these fields."""
+    t = _Fields()
+    t.kind = kind
+    t.dims = dims
+    t.args = args
+    t.cell = cell
+    t.dim = dim
+    t.size = size
+    t.name = name
+    t.src = src
+    t.tgt = tgt
+    t.__class__ = StretchTerm
+    return t
+
+
 _FACE = {"source": "src", "target": "tgt"}
 
 
@@ -138,39 +120,36 @@ class TermContext:
         self.strictifier = strictifier
         self._terms: dict[tuple, StretchTerm] = {}
 
-    def _make(self, kind: str, dims: tuple[int, ...], args: tuple[StretchTerm, ...], cell: str = "") -> StretchTerm:
-        """The context's one term with these fields, built with its faces on first use."""
-        key = (kind, dims, args, cell)
-        t = self._terms.get(key)
-        if t is not None:
-            return t
-        m = dims[0]  # the dimension of a gen, comp or rev term
-        if kind == "refl":
-            src = tgt = args[0]  # one-step reflexor: both faces are the core
-        elif kind == "bracket":
-            tgt, src = args
-        elif m == 0:  # a generating 0-cell
+    def _gen(self, m: int, cell: str) -> StretchTerm:
+        t = self._terms.get(("gen", m, cell))
+        if t is None:
             src = tgt = None
-        elif kind == "gen":
-            src = self._make(kind, (m - 1,), (), self.g.map("source", m)[cell])
-            tgt = self._make(kind, (m - 1,), (), self.g.map("target", m)[cell])
-        elif kind == "comp":
-            p = dims[1]
-            t1, t0 = args
+            if m:
+                src, tgt = (self._gen(m - 1, self.g.map(side, m)[cell]) for side in ("source", "target"))
+            t = self._terms["gen", m, cell] = _term("gen", (m,), (), cell, m, 1, cell, src, tgt)
+        return t
+
+    def _comp(self, m: int, p: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
+        key = ("comp", m, p, t1.name, t0.name)
+        t = self._terms.get(key)
+        if t is None:
             if p == m - 1:
                 src, tgt = t0.src, t1.tgt
             else:
-                src = self._make(kind, (m - 1, p), (t1.src, t0.src))
-                tgt = self._make(kind, (m - 1, p), (t1.tgt, t0.tgt))
-        else:  # rev
-            p = dims[1]
-            (u,) = args
+                src, tgt = self._comp(m - 1, p, t1.src, t0.src), self._comp(m - 1, p, t1.tgt, t0.tgt)
+            name = f"({t1.name} *{m}.{p} {t0.name})"
+            t = self._terms[key] = _term("comp", (m, p), (t1, t0), "", m, 1 + t1.size + t0.size, name, src, tgt)
+        return t
+
+    def _rev(self, m: int, p: int, u: StretchTerm) -> StretchTerm:
+        key = ("rev", m, p, u.name)
+        t = self._terms.get(key)
+        if t is None:
             if m == p + 1:
                 src, tgt = u.tgt, u.src
             else:
-                src, tgt = self._make(kind, (m - 1, p), (u.src,)), self._make(kind, (m - 1, p), (u.tgt,))
-        t = self._terms[key] = _Fields(kind, dims, args, cell, src, tgt)
-        t.__class__ = StretchTerm
+                src, tgt = self._rev(m - 1, p, u.src), self._rev(m - 1, p, u.tgt)
+            t = self._terms[key] = _term("rev", (m, p), (u,), "", m, 1 + u.size, f"j[{m}.{p}]({u.name})", src, tgt)
         return t
 
     def src(self, t: StretchTerm) -> StretchTerm:
@@ -203,7 +182,7 @@ class TermContext:
     def gen(self, name: str) -> StretchTerm:
         for m in range(self.g.max_dim + 1):
             if self.g.has_cell(m, name):
-                return self._make("gen", (m,), (), name)
+                return self._gen(m, name)
         raise IllTypedTermError(f"no generating cell named {name}")
 
     def comp(self, m: int, p: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
@@ -218,17 +197,21 @@ class TermContext:
             raise IllTypedTermError(
                 f"terms are not {p}-compatible: {t1.name} after {t0.name}"
             )
-        return self._make("comp", (m, p), (t1, t0))
+        return self._comp(m, p, t1, t0)
 
     def refl(self, p: int, m: int, t: StretchTerm) -> StretchTerm:
         if not 0 <= p < m:
             raise IllTypedTermError(f"reflexor indices need 0 <= p < m, got ({p}, {m})")
         if t.dim != p:
             raise IllTypedTermError(f"reflexor over ({p}, {m}) needs a {p}-term")
-        cur = t
-        for k in range(p, m):
-            cur = self._make("refl", (k, k + 1), (cur,))
-        return cur
+        for k in range(p, m):  # one-step reflexors: both faces are the core
+            key = ("refl", k, t.name)
+            u = self._terms.get(key)
+            if u is None:
+                name = f"1[{k}.{k + 1}]({t.name})"
+                u = self._terms[key] = _term("refl", (k, k + 1), (t,), "", k + 1, 1 + t.size, name, t, t)
+            t = u
+        return t
 
     def rev(self, m: int, p: int, t: StretchTerm) -> StretchTerm:
         if not self.threshold <= p < m:
@@ -237,7 +220,7 @@ class TermContext:
             )
         if t.dim != m:
             raise IllTypedTermError(f"reversor over ({m}, {p}) needs an {m}-term")
-        return self._make("rev", (m, p), (t,))
+        return self._rev(m, p, t)
 
     def bracket(self, m: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
         if t1.dim != m or t0.dim != m:
@@ -255,4 +238,9 @@ class TermContext:
             raise IllTypedTermError(
                 f"bracket arguments strictify differently: {t1.name} vs {t0.name}"
             )
-        return self._make("bracket", (m,), (t1, t0))
+        key = ("bracket", m, t1.name, t0.name)
+        t = self._terms.get(key)
+        if t is None:
+            name = f"[{t1.name};{t0.name}]{m}"
+            t = self._terms[key] = _term("bracket", (m,), (t1, t0), "", m + 1, 1 + t1.size + t0.size, name, t0, t1)
+        return t

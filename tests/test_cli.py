@@ -10,12 +10,20 @@ from pathlib import Path
 import pytest
 from fixtures import bouquet, graph_file, two_edge_graph
 
-from globforge.cli import LAYERS, _validate, main
+from globforge.cli import LAYERS, SUITE_CHOICES, _validate, main
 from globforge.dsl import parse_structure
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
+from globforge.globular import TruncatedGlobularSet
+from globforge.magma import KINDS, NMagma
 from globforge.report import ValidationReport, emit_report, parse_report
-from globforge.stretching import dump_stretching, generate_free_stretching, load_stretching, validate_stretching
+from globforge.stretching import (
+    Stretching,
+    dump_stretching,
+    generate_free_stretching,
+    load_stretching,
+    validate_stretching,
+)
 
 WALKING_ISO = """
 structure W
@@ -457,6 +465,55 @@ def test_validate_stretching_on_mutated_dumps_keeps_the_contract(tmp_path, capsy
     assert min(codes.count(code) for code in (1, 2)) >= 30  # reports and load errors are common
 
 
+def _reversed(E: Stretching) -> Stretching:
+    """E with its cells, tables, table rows, pi and brackets all held in reversed order."""
+    flip = lambda tables: {key: dict(reversed(t.items())) for key, t in reversed(tables.items())}  # noqa: E731
+
+    def side(nm: NMagma) -> NMagma:
+        gs = nm.magma.gs
+        cells = {m: cs[::-1] for m, cs in reversed(gs.cells.items())}
+        flipped = TruncatedGlobularSet(gs.max_dim, cells, flip(gs.src), flip(gs.tgt))
+        return NMagma.of(flipped, nm.threshold, *(flip(kind.layer(nm).maps) for kind in KINDS))
+
+    return Stretching(side(E.m_side), side(E.c_side), E.threshold, flip(E.pi), dict(reversed(E.brackets.items())))
+
+
+def _scrambled(payload: dict, rng: random.Random, share: float) -> dict:
+    """payload with about share of its table values and bracket cells swapped for other cell names."""
+    payload = json.loads(json.dumps(payload))
+    sides = [payload[side] for side in ("m_side", "c_side")]
+    names = sorted({x for side in sides for cells in side["cells"].values() for x in cells})
+    for side in sides:
+        for table in (t for kind in ("refl", "rev") for t in side[kind].values()):
+            for key in table:
+                if rng.random() < share:
+                    table[key] = rng.choice(names)
+    for row in [*payload["brackets"], *(r for side in sides for t in side["comp"].values() for r in t)]:
+        if rng.random() < share:
+            row[rng.randrange(isinstance(row[0], int), len(row))] = rng.choice(names)
+    return payload
+
+
+def test_validate_stretching_ignores_the_order_of_rows():
+    # a loaded dump, scrambled copies of it, and the loadable mutants of the contract test above,
+    # in file order and in reversed order
+    payload = json.loads(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 5)))
+    rng = random.Random(20121809)
+    texts = [json.dumps(payload), *(json.dumps(_scrambled(payload, rng, share)) for share in (0.05, 0.2, 0.5))]
+    payload = json.loads(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 1, 4)))
+    rng = random.Random(20121804)
+    texts += [json.dumps(_dump_mutant(payload, rng)) for _ in range(200)]
+    reports = []
+    for text in texts:
+        try:
+            E = load_stretching(text)
+        except ValueError:
+            continue
+        reports.append(emit_report(validate_stretching(E)))
+        assert emit_report(validate_stretching(_reversed(E))) == reports[-1]
+    assert sum('"valid": false' in text for text in reports) >= 30
+
+
 Z3 = "\n".join([
     "structure Z3", "dim 1", "threshold 0", "cells 0: o", "cells 1: r0 r1 r2",
     *(f"{face} r{k} = o" for k in range(3) for face in ("src", "tgt")),
@@ -528,6 +585,98 @@ def test_every_command_on_mutated_presentations_keeps_the_contract(tmp_path, cap
                 else:
                     assert json.loads(out)["subject"]
     assert min(codes.count(code) for code in (0, 1, 2)) >= 20  # documents, reports and errors are all common
+
+
+GLOBE = """
+structure globe
+dim 2
+cells 0: a b
+cells 1: f g
+cells 2: al
+src f = a
+tgt f = b
+src g = a
+tgt g = b
+src al = f
+tgt al = g
+"""
+_HUGE = str(10**20)
+_SMALL = ["0", "1", "2", "3", "+1", "002"]
+
+
+def _command_line(rng: random.Random, files: dict[str, str], reports: list) -> list[str]:
+    """A seeded command line: its bounds small, negative or huge, its flags in any order.  A huge --size
+    or --max-len comes with a bound or an input that is refused before any work, so neither runs to the
+    end (a huge --n asks for no work)."""
+    command = rng.choice(["stretch", "stretch", "free-groupoid", "free-groupoid", "derive-reversors", "index",
+                          "validate", "check-proofs"])
+    reject = rng.random() < 0.25
+    if command == "stretch":
+        bounds = {"--n": rng.choice(_SMALL[:3] + [_HUGE]), "--dim": rng.choice(_SMALL[:4]),
+                  "--size": rng.choice(_SMALL + ["5"])}
+        if reject or rng.random() < 0.2:
+            bounds["--size"] = rng.choice([_HUGE, "4"])
+            bounds[rng.choice(["--n", "--dim", "--size"])] = rng.choice(["-1", "-20"])
+            if rng.random() < 0.5:
+                bounds["--dim"] = rng.choice(["4", _HUGE])
+        options = [[flag, value] for flag, value in bounds.items()]
+        graph = rng.choice(["edge", "edge", "iso", "globe"])
+    elif command == "free-groupoid":
+        max_len = rng.choice(_SMALL[:4] + ["-1", "-5"])
+        options = [["--max-len", max_len]]
+        graph = rng.choice(["edge", "iso"])
+        if reject:  # a huge bound, with a dimension-2 graph or a malformed word beside it
+            options[0][1], graph = _HUGE, rng.choice(["globe", graph])
+            if graph != "globe":
+                options.append(["--reduce", rng.choice(["f+ zz", "q+", "e+ e+"])])
+        elif rng.random() < 0.5:
+            options.append(["--reduce", rng.choice(["e+ e-", "f+ g+", "a", "g- f-", "zz"])])
+    elif command == "derive-reversors":
+        options = [["--n", rng.choice(_SMALL[:3] + ["-1", _HUGE])]]
+        graph = rng.choice(["iso", "edge"])
+    elif command in ("validate", "index"):
+        options = [["--layer", rng.choice(LAYERS[:-1])]] if command == "validate" else []
+        graph = rng.choice(["iso", "edge", "globe"])
+    else:
+        options, graph = ([["--suite", rng.choice(SUITE_CHOICES)]] if rng.random() < 0.8 else []), None
+    if rng.random() < 0.6:
+        report = rng.choice(["fresh", "fresh", "directory", "missing"])
+        path = {"fresh": files["dir"] + f"/report{len(reports)}.json", "directory": files["dir"],
+                "missing": files["dir"] + "/missing/report.json"}[report]
+        reports.append(path)
+        options.append(["--report", path])
+    if graph is not None:
+        options.append([files[graph]])
+    rng.shuffle(options)
+    return [command, *(token for option in options for token in option)]
+
+
+def test_seeded_command_lines_keep_the_contract(tmp_path, capsys):
+    # exit 0 or 1 with a document, or exit 2 with one stderr line; never a crash, and the same bytes twice
+    files = {"dir": str(tmp_path)}
+    for name, text in (("edge", EDGE), ("iso", WALKING_ISO), ("globe", GLOBE)):
+        files[name] = str(tmp_path / f"{name}.glob")
+        Path(files[name]).write_text(text, encoding="utf-8")
+    rng = random.Random(20121808)
+    codes, reports = [], []
+    for _ in range(80):
+        argv = _command_line(rng, files, reports)
+        report = argv[argv.index("--report") + 1] if "--report" in argv else None
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            written = Path(report).read_text(encoding="utf-8") if report and os.path.isfile(report) else None
+            runs.append((code, *capsys.readouterr(), written))
+        assert runs[0] == runs[1], argv
+        code, out, err, written = runs[0]
+        codes.append(code)
+        assert "internal error:" not in err, argv
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+        else:
+            assert code in (0, 1) and (err == "" or argv[0] == "stretch"), argv
+            assert json.loads(out) and written == (out if report else None), argv
+    assert min(codes.count(code) for code in (0, 1, 2)) >= 10, codes
 
 
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):

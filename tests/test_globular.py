@@ -1,9 +1,19 @@
 import itertools
+import random
 
 import pytest
-from fixtures import compose_morphisms, identity_morphism, three_globe, two_cell_globe, walking_iso_graph
+from fixtures import (
+    compose_morphisms,
+    identity_morphism,
+    one_edge_graph,
+    three_globe,
+    two_cell_globe,
+    walking_iso_graph,
+)
 
 from globforge.globular import (
+    LAW_GLOBULAR,
+    LAW_TOTAL_MAPS,
     DimensionError,
     GlobularMorphism,
     GradeMismatchError,
@@ -13,6 +23,8 @@ from globforge.globular import (
     validate_globular,
     validate_morphism,
 )
+from globforge.report import ValidationReport, emit_report
+from globforge.stretching import generate_free_stretching
 
 
 def test_single_point_is_valid():
@@ -36,6 +48,72 @@ def test_missing_map_reported():
     gs = globular_set(1, {0: ["a"], 1: ["f"]}, src={1: {"f": "a"}}, tgt={1: {}})
     rep = validate_globular(gs)
     assert rep.axiom_ids() == {"globular.map"}
+
+
+def _per_cell_validate_globular(gs):
+    """validate_globular as it was before its set-based pass: every map walked cell by cell."""
+    rep = ValidationReport("globular")
+    for m in range(1, gs.max_dim + 1):
+        for side in ("source", "target"):
+            table = gs.map(side, m)
+            for x in gs.grade(m):
+                if x not in table:
+                    rep.add("globular.map", LAW_TOTAL_MAPS, (x,), f"{side} of {m}-cell {x} is not declared")
+                elif not gs.has_cell(m - 1, table[x]):
+                    rep.add("globular.map", LAW_TOTAL_MAPS, (x, table[x]),
+                            f"{side} of {m}-cell {x} is {table[x]}, not a {m - 1}-cell")
+            for x in table:
+                if not gs.has_cell(m, x):
+                    rep.add("globular.map", LAW_TOTAL_MAPS, (x,),
+                            f"{side} table at grade {m} mentions undeclared cell {x}")
+    if not rep.valid:
+        return rep
+    for m in range(2, gs.max_dim + 1):
+        s_m, t_m = gs.map("source", m), gs.map("target", m)
+        s_low, t_low = gs.map("source", m - 1), gs.map("target", m - 1)
+        for x in gs.grade(m):
+            if s_low[s_m[x]] != s_low[t_m[x]]:
+                rep.add("globular.ss-st", LAW_GLOBULAR, (x,),
+                        f"src(src({x})) = {s_low[s_m[x]]} but src(tgt({x})) = {s_low[t_m[x]]}")
+            if t_low[t_m[x]] != t_low[s_m[x]]:
+                rep.add("globular.tt-ts", LAW_GLOBULAR, (x,),
+                        f"tgt(tgt({x})) = {t_low[t_m[x]]} but tgt(src({x})) = {t_low[s_m[x]]}")
+    return rep
+
+
+def _broken(gs, rng: random.Random):
+    """gs with one to three seeded edits: a face dropped or redirected, an entry for an
+    undeclared cell, a cell undeclared under its entries, or a new cell without faces."""
+    cells = {m: list(gs.grade(m)) for m in range(gs.max_dim + 1)}
+    maps = {side: {m: dict(gs.map(side, m)) for m in range(1, gs.max_dim + 1)} for side in ("source", "target")}
+    for k in range(rng.choice((1, 1, 2, 3))):
+        m = rng.randrange(1, gs.max_dim + 1)
+        table = maps[rng.choice(("source", "target"))][m]
+        x = rng.choice(cells[m]) if cells[m] else f"new{k}"
+        op = rng.randrange(5)
+        if op == 0:
+            table.pop(x, None)
+        elif op == 1:  # another cell of the grade below, a cell of the wrong grade, or no cell
+            table[x] = rng.choice([*cells[m - 1], *cells[m], "nowhere"])
+        elif op == 2:
+            table[f"stray{k}"] = rng.choice(cells[m - 1] or ["nowhere"])
+        elif op == 3 and x in cells[m]:
+            cells[m].remove(x)
+        else:
+            cells[m].append(f"new{k}")
+    return globular_set(gs.max_dim, cells, maps["source"], maps["target"])
+
+
+def test_set_based_validation_reports_what_the_per_cell_walk_does():
+    rng = random.Random(20121807)
+    bases = [three_globe(), two_cell_globe(), generate_free_stretching(one_edge_graph(), 0, 2, 4).m_side.magma.gs]
+    invalid = 0
+    for _ in range(300):
+        gs = _broken(rng.choice(bases), rng)
+        want = emit_report(_per_cell_validate_globular(gs))
+        assert emit_report(validate_globular(gs)) == want
+        invalid += '"valid": false' in want
+    assert invalid >= 200  # nearly every edit breaks a map or an identity
 
 
 def test_has_cell_is_per_grade_and_index_stays_out_of_equality():

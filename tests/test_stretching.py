@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from fixtures import (
@@ -13,7 +14,7 @@ from fixtures import (
     two_edge_graph,
     walking_iso_category,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_words import _small_graphs
 
 from globforge.cli import main
@@ -387,6 +388,9 @@ _JSON_TREES = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(_JSON_TREES)
+# a first item that is not a str beyond the first chunk: the items before it are already written
+@example(["a"] * 600 + [7, "b"])
+@example({**{f"k{i:04}": "v" for i in range(1100)}, "z": {"y": ["x"]}})
 def test_write_json_is_json_dumps(tree):
     chunks = []
     _write_json(tree, chunks.append)
@@ -400,6 +404,27 @@ def test_write_json_writes_in_batches():
     _write_json(tree, chunks.append)
     assert len(chunks) > 2
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_writes_a_tuple_keyed_dict_as_its_rows():
+    rows = {(i % 3, f"y{i:04}", "x"): f"z{i}" for i in range(700)}
+    rows[(1, "y0650", "x")] = ["not", "a", "str"]  # beyond the first chunk
+    cases = [
+        ({"t": {("b", "a"): "c", ("a", "b"): "d"}}, {"t": [["a", "b", "d"], ["b", "a", "c"]]}),
+        (rows, [[*key, value] for key, value in sorted(rows.items())]),
+    ]
+    for tree, want in cases:
+        chunks = []
+        _write_json(tree, chunks.append)
+        assert "".join(chunks) == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_reaches_its_sink_in_bounded_pieces():
+    # the src table of grade 2 alone is about 350K characters
+    pieces = []
+    dump_stretching(generate_free_stretching(one_edge_graph(), 0, 2, 9), SimpleNamespace(write=pieces.append))
+    assert hashlib.sha256("".join(pieces).encode()).hexdigest() == DUMP_DIGESTS[("edge", 0, 2, 9)]
+    assert max(map(len, pieces)) <= 1 << 17 and len(pieces) > 16
 
 
 @pytest.mark.parametrize("tree", [1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"}])

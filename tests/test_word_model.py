@@ -14,6 +14,10 @@ Against the model, over every stored term of a generated stretching:
   - the 1-dimensional brackets are exactly the parallel, model-equal pairs
     (t1, t0) with size(t1) + size(t0) + 1 <= S, the larger in (size, name)
     order as target, and the diagonal ones on terms of size below S.
+At D=3 a 3-cell is an identity too: pi partitions the 3-cells as the model
+value of their 2-source does, and, as parallel 2-cells are equal, the
+2-dimensional brackets are exactly the parallel pairs of 2-terms within the
+same size bound, plus the diagonal ones.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ from globforge.words import free_reduce
 
 
 def _model(t):
-    """A 0-term's point; a 1-term's (source point, reduced word); a 2-term's
-    model is the 1-cell it is an identity on, checked on both faces."""
+    """A 0-term's point; a 1-term's (source point, reduced word); a 2- or
+    3-term's model is the 1-cell it is an identity on, checked on both faces."""
     if t.dim == 0:
         return t.name
-    if t.dim == 2:
+    if t.dim >= 2:
         face = _model(t.src)
         assert _model(t.tgt) == face, (t.name, "faces disagree in the model")
         return face
@@ -55,6 +59,32 @@ def _classes(names, key) -> set[frozenset]:
     return {frozenset(c) for c in by.values()}
 
 
+def _brackets(E, model, d: int, S: int) -> set[tuple[int, str, str]]:
+    """The d-dimensional brackets the model asks for: parallel, model-equal pairs within the size bound."""
+    terms = sorted(E.terms[d].values(), key=lambda t: (t.size, t.name))
+    return {
+        (d, t1.name, t0.name)
+        for i, t0 in enumerate(terms) for t1 in terms[i:]
+        if model[d][t1.name] == model[d][t0.name] and t1.src is t0.src and t1.tgt is t0.tgt
+        and (t1.size + t0.size + 1 if t1 is not t0 else t1.size + 1) <= S
+    }
+
+
+def _check(graph, D: int, S: int) -> list[tuple[int, int]]:
+    """Check pi and the brackets against the model; per level d < D, the pi classes of
+    the d-cells and the count of non-diagonal d-dimensional brackets."""
+    E = generate_free_stretching(graph(), 0, D, S)
+    model = {d: {nm: _model(t) for nm, t in E.terms[d].items()} for d in range(D + 1)}
+    for d in range(D + 1):
+        assert _classes(E.terms[d], E.pi[d].__getitem__) == _classes(E.terms[d], model[d].__getitem__), d
+    counts = []
+    for d in range(1, D):
+        got = {key for key in E.brackets if key[0] == d}
+        assert got == _brackets(E, model, d, S), d
+        counts.append((len(set(E.pi[d].values())), sum(t1 != t0 for _, t1, t0 in got)))
+    return counts
+
+
 CASES = {
     "two-edge path S=8": (two_edge_graph, 8, 9, 77),
     "bouquet(1) S=7": (lambda: bouquet(1), 7, 8, 11),
@@ -64,19 +94,16 @@ CASES = {
 
 @pytest.mark.parametrize("graph, S, classes1, brackets1", CASES.values(), ids=CASES)
 def test_pi_and_brackets_match_the_free_groupoid_model(graph, S, classes1, brackets1):
-    E = generate_free_stretching(graph(), 0, 2, S)
-    model = {d: {nm: _model(t) for nm, t in E.terms[d].items()} for d in range(3)}
-    for d in range(3):
-        assert _classes(E.terms[d], E.pi[d].__getitem__) == _classes(E.terms[d], model[d].__getitem__), d
-    assert len(set(E.pi[1].values())) == classes1
+    assert _check(graph, 2, S) == [(classes1, brackets1)]
 
-    ones = sorted(E.terms[1].values(), key=lambda t: (t.size, t.name))
-    want = {
-        (1, t1.name, t0.name)
-        for i, t0 in enumerate(ones) for t1 in ones[i:]
-        if model[1][t1.name] == model[1][t0.name] and t1.src is t0.src and t1.tgt is t0.tgt
-        and (t1.size + t0.size + 1 if t1 is not t0 else t1.size + 1) <= S
-    }
-    got = {key for key in E.brackets if key[0] == 1}
-    assert got == want
-    assert sum(t1 != t0 for _, t1, t0 in got) == brackets1
+
+CASES3 = {
+    "two-edge path S=7": (two_edge_graph, 7, [(9, 24), (9, 6)]),
+    "bouquet(1) S=7": (lambda: bouquet(1), 7, [(8, 11), (7, 3)]),
+    "bouquet(2) S=6": (lambda: bouquet(2), 6, [(51, 7), (25, 2)]),
+}
+
+
+@pytest.mark.parametrize("graph, S, counts", CASES3.values(), ids=CASES3)
+def test_pi_and_brackets_match_the_model_in_dimension_three(graph, S, counts):
+    assert _check(graph, 3, S) == counts
