@@ -282,8 +282,15 @@ def _cmd_check_proofs(args) -> int:
     return 0 if merged.valid else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line, as its subcommand parsers do, with one line on stderr and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, " ".join(f"{self.prog}: {message}".splitlines()) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="globforge",
         description="validate finite higher-dimensional structures and replay their equational proofs",
     )
@@ -333,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

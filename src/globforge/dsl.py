@@ -29,19 +29,21 @@ range of each table line (refl, rev, comp) come from magma.KINDS.
 
 parse_structure reads every comp line in one pass: one regex split of the
 whole text cuts them out, and the line parser reads the few other lines.
-On any doubt the pass gives up and the line parser reads the whole text,
-so every ParseError comes from the line parser.
+Every ParseError comes from the line parser: it rereads a failing text with
+its comp lines blanked, but for the first row it refuses and the row that
+one repeats, and reads it whole if no row explains the doubt.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from itertools import chain, compress, count, islice
+from operator import itemgetter, ne, not_
 
 from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set
 from .layers import ReflexorStructure
-from .magma import KINDS, CompositionStructure, InfinityMagma, NMagma, StrictNCategory
+from .magma import COMP, KINDS, CompositionStructure, InfinityMagma, NMagma, StrictNCategory
 
 
 class ParseError(ValueError):
@@ -55,10 +57,10 @@ _ID = r"([^\s(),:=#]+)"
 _IDENT = re.compile(_ID)
 _CELLS = re.compile(r"cells\s+(\d+)\s*:\s*(.*)")
 _SRC_TGT = re.compile(rf"(?:src|tgt)\s+{_ID}\s*=\s*{_ID}")
-# A whole comp line and its \n, or one up to its \r or comment, its blanks spaces and tabs.
+# A whole comp line, its blanks spaces and tabs, and what ends it: its \n, or nothing before a \r or comment.
 _COMP_LINES = re.compile(
     rf"(?m)^[ \t]*comp[ \t]+(\d+)[ \t]+(\d+)[ \t]+\([ \t]*{_ID}[ \t]*,[ \t]*{_ID}[ \t]*\)"
-    rf"[ \t]*=[ \t]*{_ID}[ \t]*(?:\n|\Z|(?=[\r#]))"
+    rf"[ \t]*=[ \t]*{_ID}[ \t]*(\n|\Z|(?=[\r#]))"
 )
 _HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
 MAX_DIM = 10_000  # the largest grade a file may declare: the carrier allocates every grade up to dim
@@ -109,36 +111,67 @@ def _show(key: str | tuple[str, ...]) -> str:
     return f"({', '.join(key)})" if isinstance(key, tuple) else key
 
 
-def _comp_tables(cut: list[str], declared: dict[int, dict[str, str]]) -> dict:
+def _index(i: str, j: str) -> tuple[int, int]:
+    """A table line's indices as written; a pair too long for int() is out of range."""
+    return (int(i), int(j)) if len(i) + len(j) <= 4300 else (0, 0)
+
+
+class _Refused(Exception):
+    """A doubt of the one pass, with the first comp row the line parser refuses and the row it repeats, if any."""
+
+
+def _comp_tables(cut: list[str], declared: dict[int, dict[str, str]], max_dim: int) -> dict:
     """The tables of the cut-out comp lines as the line parser builds them, keys in file order."""
-    ms, ps, *rows = (cut[k::6] for k in range(1, 6))  # each line's m and p as written, and its y, x, z
-    tables = {(ms[0], ps[0]): rows}  # (m, p) as written -> the y, x, z of its lines, in file order
+    ms, ps, *rows = (cut[k::7] for k in range(1, 6))  # each line's m and p as written, and its y, x, z
+    at = {(ms[0], ps[0]): range(len(ms))}  # (m, p) as written -> its rows, in file order
     if ms.count(ms[0]) != len(ms) or ps.count(ps[0]) != len(ps):
-        at: dict[tuple[str, str], list[int]] = {}
+        at = {}
         for r, key in enumerate(zip(ms, ps)):
             at.setdefault(key, []).append(r)
-        tables = {key: [[column[r] for r in rs] for column in rows] for key, rs in at.items()}
-    maps = {}
-    for (i, j), (y, x, z) in tables.items():
-        get = declared[int(i)].__getitem__  # ValueError beyond 4,300 digits, KeyError above max_dim
-        maps[int(i), int(j)] = dict(zip(zip(map(get, y), map(get, x)), map(get, z)))  # KeyError: unresolved
-    if any(p >= m for m, p in maps) or sum(map(len, maps.values())) != len(ms):
-        raise ValueError  # an index out of range, a repeated key, or one index spelt two ways
-    return maps
+    tables = {_index(*key): [[c[r] for r in rs] for c in rows] if len(at) > 1 else rows for key, rs in at.items()}
+    try:
+        maps = {}
+        for (m, p), (y, x, z) in tables.items():
+            get = declared[m].__getitem__  # KeyError: a grade without cells
+            maps[m, p] = dict(zip(zip(map(get, y), map(get, x)), map(get, z)))  # KeyError: unresolved
+        if not all(COMP.fits(key, max_dim) for key in maps) or sum(map(len, maps.values())) != len(ms):
+            raise ValueError  # an index out of range or spelt two ways, or a repeated key
+        return maps
+    except (ValueError, KeyError):  # each table's first refused row; none if an index is spelt two ways
+        found = []
+        for rs, ((m, p), (y, x, z)) in zip(at.values(), tables.items()) if len(tables) == len(at) else ():
+            grade = declared.get(m, {}) if COMP.fits((m, p), max_dim) else {}  # out of range: every row refused
+            k = min(next(compress(count(), map(not_, map(grade.__contains__, c))), len(y)) for c in (y, x, z))
+            pairs = list(islice(zip(y, x), k + 1))  # the rows up to the first with a name not in the grade
+            first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))  # a key -> the first row of it
+            k = next(compress(count(), map(ne, map(first.__getitem__, pairs), count())), k)  # a repeated key
+            if k < len(y):
+                found.append({rs[first[pairs[k]]], rs[k]})
+        raise _Refused(*min(found, key=max, default=()))
 
 
 def parse_structure(text: str) -> ParsedStructure:
-    cut = _COMP_LINES.split(text)  # [other text, m, p, y, x, z, other text, ...]
+    cut = _COMP_LINES.split(text)  # [other text, m, p, y, x, z, line break, other text, ...]
     try:
-        return _parse("".join(cut[::6]), cut)
-    except (ValueError, KeyError):  # a doubt, a ParseError too: the line parser reads the whole text and words each error
-        del cut
+        return _parse("".join(cut[::7]), cut)
+    except _Refused as refused:  # the line parser reads the rows that explain the doubt, if any do
+        keep = refused.args or None
+    except ParseError:  # numbered without the comp lines, none of which the pass refused
+        if len(cut) == 1:
+            raise
+        keep = ()
+    if keep is not None:  # every comp line cut down to its line break, so that lines keep their numbers
+        ends = cut[6::7]
+        for r in keep:
+            ends[r] = "comp {} {} ({}, {}) = {}".format(*cut[7 * r + 1 : 7 * r + 6]) + ends[r]
+        _parse("".join(chain.from_iterable(zip(cut[::7], ends))) + cut[-1])  # raises the whole text's ParseError
+    del cut
     return _parse(text)
 
 
 def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
-    """The line parser, reading in one pass the comp lines cut out of text; a comp line left in text is unknown."""
-    heads = {"src", "tgt", *_TABLES} - ({"comp"} if cut else set())  # a comp line left in cut text is unknown
+    """The line parser, reading in one pass the comp lines cut out of text; a comp line left in text is a doubt."""
+    heads = {"src", "tgt", *_TABLES} - ({"comp"} if cut else set())
     header: dict[str, str] = {}
     declared: dict[int, dict[str, str]] = {}  # grade -> {name: the name object every table holds}
     cells_line: dict[int, int] = {}  # grade -> its first cells line
@@ -171,6 +204,8 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
                 bucket[nm] = nm
         elif head in heads:
             deferred.append((lineno, head, line))
+        elif head == "comp":  # a comp line the split missed: a doubt that the whole text answers
+            raise _Refused()
         else:
             raise ParseError(lineno, f"unknown declaration {head!r}")
 
@@ -191,7 +226,7 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
     src: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
     tgt: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
     maps: dict[str, dict[tuple[int, int], dict]] = {head: {} for head in _TABLES}
-    maps["comp"] = _comp_tables(cut, declared) if cut[1:] else {}
+    maps["comp"] = _comp_tables(cut, declared, max_dim) if cut[1:] else {}
 
     for lineno, head, line in deferred:
         if head in _TABLES:
@@ -200,7 +235,7 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
             if not mt:
                 raise ParseError(lineno, f"expected: {usage}")
             i, j, *names = mt.groups()
-            index = (int(i), int(j)) if len(i) + len(j) <= 4300 else (0, 0)  # too long for int(): out of range
+            index = _index(i, j)
             if not kind.fits(index, max_dim):
                 raise ParseError(lineno, f"{head} indices need {kind.span(max_dim)}")
             g, m = index[kind.names], index[kind.value]

@@ -32,14 +32,13 @@ then checked on the stored entries only.
 The validators index the tables instead of scanning whole grades.
 Associativity numbers the cells of a table once and reads it by columns of
 numbers, cols[b] = {a: a o b}: for a stored (y, x) the z that matter are the
-keys of cols[y], and two itemgetters, built once per y, gather the
-composites (z o y) o x from cols[x] and z o (y o x) from cols[y o x] in that
-key order.  Rows whose gathers are equal are skipped, which is exact: equal
-composites satisfy the law.  An absent composite makes its gather raise
-KeyError, and only such rows and unequal ones are read triple by triple,
-where an absent composite is skipped on fragments and reported under
-require_total.  Columns are dicts, not lists over all cells, so they take
-memory in proportion to the table even when the table is sparse.
+keys of cols[y].  Up to 255 cells, each column is also 256 bytes, 255 where
+a composite is absent, and one bytes.translate reads every (z o y) o x of a
+row, to compare with the column of y o x; above, two itemgetters per y
+gather the (z o y) o x from cols[x] and the z o (y o x) from cols[y o x].
+Rows that compare equal are skipped, which is exact; only the others are
+read triple by triple, where an absent composite is skipped on fragments
+and reported under require_total.  Columns are dicts, as sparse as tables.
 Interchange numbers the cells of a p-table and a q-table pair once, as
 associativity does, and visits exactly the squares whose outer composite
 (y2 o_q y1) o_p (x2 o_q x1) is stored, as the q-pairs over xx against the
@@ -72,8 +71,8 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain, compress
-from operator import itemgetter, not_
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne, not_
 from typing import Iterable, Iterator, Mapping
 
 from ._record import Record
@@ -325,15 +324,24 @@ def _columns(
 def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """The stored (y, x, y o x), y in ys, whose triples are not all stored and associative.
 
-    Over the z with z o y stored, two itemgetters built once per y gather the
-    (z o y) o x and the z o (y o x); a missing composite raises KeyError, so
-    the one compare also tests that every composite is stored.
+    Up to 255 cells, rows[b][a] = a o b, or 255 if absent: a row holds when
+    rows[y].translate(rows[x]), every (z o y) o x, equals rows[y o x], every
+    z o (y o x), with as many holes as rows[y], so no composite is absent on
+    both sides.  Above, itemgetters over the z with z o y stored gather both,
+    and a missing composite raises KeyError.
     """
+    wanted = {y for y in ys if cols[y]}  # y need not be a right factor at all
+    if len(cols) <= 255:
+        rows = [bytes(map(col.get, range(len(cols)), repeat(255))).ljust(256, b"\xff") for col in cols]
+        holes = [row.count(255) for row in rows]
+        yield from (
+            (y, x, yx) for x, col_x in enumerate(cols) for y, yx in col_x.items()
+            if y in wanted and (rows[y].translate(rows[x]) != rows[yx] or holes[y] != holes[yx])
+        )
+        return
     gathers: list[tuple[itemgetter, itemgetter] | None] = [None] * len(cols)
-    for y in ys:
-        col_y = cols[y]  # y need not be a right factor at all
-        if col_y:
-            gathers[y] = itemgetter(*col_y.values()), itemgetter(*col_y)
+    for y in wanted:
+        gathers[y] = itemgetter(*cols[y].values()), itemgetter(*cols[y])
     for x, col_x in enumerate(cols):
         for y, yx in col_x.items():
             gather = gathers[y]
@@ -439,24 +447,23 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
             continue
         for y, x, yx in _differing_rows(cols, range(len(names))):
             col_y = cols[y]
-            lefts = map(cols[x].get, col_y.values())
-            rights = map(cols[yx].get, col_y)
+            lefts = list(map(cols[x].get, col_y.values(), repeat(-1)))  # -1 and -2: absent, and never equal
+            rights = list(map(cols[yx].get, col_y, repeat(-2)))
             y, x = names[y], names[x]
-            for z, left, right in zip(col_y, lefts, rights):
+            for z, left, right in compress(zip(col_y, lefts, rights), map(ne, lefts, rights)):
                 z = names[z]
-                if left is None or right is None:
+                if left < 0 or right < 0:
                     if require_total:
                         rep.add(
                             "assoc.triple", LAW_ASSOC, (z, y, x),
                             f"a composite needed for the triple ({z}, {y}, {x}) over comp[{m}][{p}] is missing",
                         )
                     continue
-                if left != right:
-                    rep.add(
-                        "assoc.triple", LAW_ASSOC, (z, y, x),
-                        f"(({z} o {y}) o {x}) = {names[left]} but ({z} o ({y} o {x})) = {names[right]} "
-                        f"over comp[{m}][{p}]",
-                    )
+                rep.add(
+                    "assoc.triple", LAW_ASSOC, (z, y, x),
+                    f"(({z} o {y}) o {x}) = {names[left]} but ({z} o ({y} o {x})) = {names[right]} "
+                    f"over comp[{m}][{p}]",
+                )
 
     for m in range(1, gs.max_dim + 1):
         cells = gs.grade(m)

@@ -6,8 +6,9 @@ dotted identifier), the mathematical law behind it, the cells or steps
 involved, and a human-readable detail line.  The report is valid iff the
 violation list is empty.
 
-Serialization is canonical JSON: stable key order, violations sorted by
-axiom id then by the involved cell names, fixed separators.  emit_report
+Serialization is canonical JSON, the text json.dumps(payload, sort_keys=True,
+indent=2) writes, which emit_report writes directly from its fixed schema:
+violations sorted by axiom id then by the involved cell names.  emit_report
 followed by parse_report is the identity, and distinct reports serialize to
 distinct byte strings, which makes the format suitable for golden-file
 tests.
@@ -16,6 +17,7 @@ tests.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from ._record import Record
 
@@ -61,23 +63,22 @@ class ValidationReport(Record):
         return {v.axiom.split(".", 1)[0] for v in self.violations}
 
 
+_REPORT = '{{\n  "subject": {},\n  "valid": {},\n  "violations": {}\n}}\n'
+_ENTRY = '\n    {{\n      "axiom": {},\n      "cells": {},\n      "detail": {},\n      "law": {}\n    }}'
+_CELLS = "[\n        {}\n      ]"
+
+
 def emit_report(report: ValidationReport) -> str:
     """Serialize a report to its canonical textual form."""
     rep = report.sorted()
-    payload = {
-        "subject": rep.subject,
-        "valid": rep.valid,
-        "violations": [
-            {
-                "axiom": v.axiom,
-                "law": v.law,
-                "cells": list(v.cells),
-                "detail": v.detail,
-            }
-            for v in rep.violations
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    quote = encode_basestring_ascii
+    entries = ",".join(
+        _ENTRY.format(quote(v.axiom), _CELLS.format(",\n        ".join(map(quote, v.cells))) if v.cells else "[]",
+                      quote(v.detail), quote(v.law))
+        for v in rep.violations
+    )
+    violations = f"[{entries}\n  ]" if entries else "[]"
+    return _REPORT.format(quote(rep.subject), "true" if rep.valid else "false", violations)
 
 
 def parse_report(text: str) -> ValidationReport:

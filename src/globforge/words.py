@@ -161,7 +161,7 @@ def enumerate_reduced_words(gs: TruncatedGlobularSet, max_len: int) -> list[Word
         leaving.setdefault(tail, []).append(step)
     frontier: list[Word] = [Word(a, ()) for a in gs.grade(0)]
     out: list[Word] = list(frontier)
-    for _ in range(max_len):
+    while frontier and len(frontier[0].steps) < max_len:  # an empty frontier has no longer words to extend
         nxt: list[Word] = []
         for w in frontier:
             # extend on the outside; reject immediate cancellation

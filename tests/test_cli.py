@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,16 @@ def test_free_groupoid_and_reduce(edge_file, capsys):
     assert main(["free-groupoid", edge_file, "--max-len", "2", "--reduce", "e+.e-"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["reduced"] == "id(b)"
+
+
+def test_free_groupoid_stops_once_no_word_grows(edge_file, capsys):
+    # every reduced word on one edge has length at most 1, so a huge bound is over as soon as 1 is
+    assert main(["free-groupoid", edge_file, "--max-len", "1"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    start = time.perf_counter()
+    assert main(["free-groupoid", edge_file, "--max-len", str(10**20)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == json.dumps({**short, "max_len": 10**20}, sort_keys=True, indent=2) + "\n"
 
 
 def test_stretch_dump_validates(edge_file, tmp_path, capsys):
@@ -606,8 +617,9 @@ _SMALL = ["0", "1", "2", "3", "+1", "002"]
 
 def _command_line(rng: random.Random, files: dict[str, str], reports: list) -> list[str]:
     """A seeded command line: its bounds small, negative or huge, its flags in any order.  A huge --size
-    or --max-len comes with a bound or an input that is refused before any work, so neither runs to the
-    end (a huge --n asks for no work)."""
+    comes with a bound or an input that is refused before any work, and a huge --max-len with one of those
+    or with the one-edge graph, whose reduced words end at length 1, so none runs long (a huge --n asks
+    for no work)."""
     command = rng.choice(["stretch", "stretch", "free-groupoid", "free-groupoid", "derive-reversors", "index",
                           "validate", "check-proofs"])
     reject = rng.random() < 0.25
@@ -625,9 +637,9 @@ def _command_line(rng: random.Random, files: dict[str, str], reports: list) -> l
         max_len = rng.choice(_SMALL[:4] + ["-1", "-5"])
         options = [["--max-len", max_len]]
         graph = rng.choice(["edge", "iso"])
-        if reject:  # a huge bound, with a dimension-2 graph or a malformed word beside it
-            options[0][1], graph = _HUGE, rng.choice(["globe", graph])
-            if graph != "globe":
+        if reject:  # a huge bound: on a dimension-2 graph, beside a malformed word, or on the one edge
+            options[0][1], graph = _HUGE, rng.choice(["globe", "edge", graph])
+            if graph == "iso":
                 options.append(["--reduce", rng.choice(["f+ zz", "q+", "e+ e+"])])
         elif rng.random() < 0.5:
             options.append(["--reduce", rng.choice(["e+ e-", "f+ g+", "a", "g- f-", "zz"])])
@@ -651,16 +663,44 @@ def _command_line(rng: random.Random, files: dict[str, str], reports: list) -> l
     return [command, *(token for option in options for token in option)]
 
 
+_REFUSALS = ("invalid choice", "invalid int value", "are required", "unrecognized arguments", "expected one argument")
+
+
+def _refused(argv: list[str], rng: random.Random) -> list[str]:
+    """argv respelt so that argparse refuses it: a bad choice, a bound that is not an int, a required
+    flag left out or an unknown flag."""
+    argv = list(argv)
+    at = {token: k for k, token in enumerate(argv)}
+    kind = rng.randrange(4)
+    if kind == 0:
+        choice = next((at[flag] for flag in ("--layer", "--suite") if flag in at), None)
+        if choice is None:
+            argv[0] += "s"
+        else:
+            argv[choice + 1] = "X"
+    elif kind == 1 and {"--size", "--max-len"} & set(at):
+        argv[at["--size" if "--size" in at else "--max-len"] + 1] = "1e3"
+    elif kind == 2 and argv[0] in ("stretch", "free-groupoid"):
+        k = at["--max-len"] if "--max-len" in at else at[rng.choice(["--n", "--dim", "--size"])]
+        del argv[k : k + 2]
+    else:
+        argv.insert(rng.randrange(1, len(argv) + 1), "--bogus")
+    return argv
+
+
 def test_seeded_command_lines_keep_the_contract(tmp_path, capsys):
     # exit 0 or 1 with a document, or exit 2 with one stderr line; never a crash, and the same bytes twice
     files = {"dir": str(tmp_path)}
     for name, text in (("edge", EDGE), ("iso", WALKING_ISO), ("globe", GLOBE)):
         files[name] = str(tmp_path / f"{name}.glob")
         Path(files[name]).write_text(text, encoding="utf-8")
-    rng = random.Random(20121808)
-    codes, reports = [], []
+    rng, respell = random.Random(20121808), random.Random(20121809)
+    codes, reports, refusals = [], [], set()
     for _ in range(80):
         argv = _command_line(rng, files, reports)
+        refused = respell.random() < 0.15
+        if refused:
+            argv = _refused(argv, respell)
         report = argv[argv.index("--report") + 1] if "--report" in argv else None
         runs = []
         for _ in range(2):
@@ -673,10 +713,14 @@ def test_seeded_command_lines_keep_the_contract(tmp_path, capsys):
         assert "internal error:" not in err, argv
         if code == 2:
             assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+            if refused:
+                assert err.startswith("globforge"), argv
+                refusals.add(next(why for why in _REFUSALS if why in err))
         else:
-            assert code in (0, 1) and (err == "" or argv[0] == "stretch"), argv
+            assert code in (0, 1) and (err == "" or argv[0] == "stretch") and not refused, argv
             assert json.loads(out) and written == (out if report else None), argv
     assert min(codes.count(code) for code in (0, 1, 2)) >= 10, codes
+    assert refusals == set(_REFUSALS)
 
 
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -210,6 +211,8 @@ PARSE_ERRORS = {
     _GRAPH + "refl " + "1" * 5000 + " 1 a = i\n": "line 4: refl indices need 0 <= p < m <= 1",
     _GRAPH + "rev 1 " + "1" * 5000 + " f = f\n": "line 4: rev indices need 0 <= p < m <= 1",
     _GRAPH + "comp " + "1" * 5000 + " 0 (f, i) = f\n": "line 4: comp indices need 0 <= p < m <= 1",
+    # two indices that int() reads one by one, but not together
+    _GRAPH + "comp 1 " + "0" * 4300 + " (f, i) = f\n": "line 4: comp indices need 0 <= p < m <= 1",
     "structure big\nthreshold " + "9" * 5000 + "\n": "line 2: threshold " + "9" * 5000 + " is above the cap 10000",
 }
 
@@ -333,25 +336,60 @@ class _CountingPattern:
         return self.pattern.fullmatch(line)
 
 
-def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
-    text = "\n".join(_group_text(100)) + "\n"
-    line = dsl._parse(text)
+def _spy_on_comp_lines(monkeypatch) -> _CountingPattern:
     pattern, usage, kind = dsl._TABLES["comp"]
     spy = _CountingPattern(pattern)
     monkeypatch.setitem(dsl._TABLES, "comp", (spy, usage, kind))
+    return spy
+
+
+def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
+    text = "\n".join(_group_text(100)) + "\n"
+    line = dsl._parse(text)
+    spy = _spy_on_comp_lines(monkeypatch)
     parsed = parse_structure(text)
     assert spy.calls == 0  # the per-line table code never ran: no fallback
     assert _outcome(lambda _: parsed, text) == _outcome(lambda _: line, text)
     assert len(parsed.comp.table(1, 0)) == 10_000
 
 
-def test_an_unresolved_name_on_the_last_of_10k_comp_lines():
+def test_an_unresolved_name_on_the_last_of_10k_comp_lines(monkeypatch):
     lines = _group_text(100)
     lines[-1] = lines[-1].rsplit("=", 1)[0] + "= undeclared"
+    spy = _spy_on_comp_lines(monkeypatch)
     with pytest.raises(ParseError) as err:
         parse_structure("\n".join(lines) + "\n")
     assert str(err.value) == f"line {len(lines)}: unresolved identifier 'undeclared'"
     assert err.value.line == len(lines) == 10_205
+    assert spy.calls <= 2  # the line parser read the refused line, not the 10k before it
+
+
+Z100_ERRORS = {  # {line number: its new text} in Z100 -> the line parser's message
+    "unresolved-in-the-middle": (
+        {5206: "comp 1 0 (g50, g0) = nowhere"}, "line 5206: unresolved identifier 'nowhere'"),
+    "repeated-key-in-the-middle": (
+        {5206: "comp 1 0 (g0, g7) = g7"}, "line 5206: duplicate comp declaration for (g0, g7)"),
+    "index-above-dim-twice": (
+        {506: "comp 2 0 (g3, g0) = g3", 806: "comp 2 0 (g6, g0) = g6"},
+        "line 506: comp indices need 0 <= p < m <= 1"),
+    "bad-src-before-an-unresolved-name": (
+        {5: "src g0 o", 9206: "comp 1 0 (g90, g0) = nowhere"}, "line 5: expected: src <id> = <id>"),
+    "unresolved-before-a-bad-src": (
+        {226: "comp 1 0 (g0, g20) = nowhere", 10205: "src g0 o"}, "line 226: unresolved identifier 'nowhere'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Z100_ERRORS))
+def test_a_failing_z100_is_worded_as_the_line_parser_words_it(name, monkeypatch):
+    edits, message = Z100_ERRORS[name]
+    lines = _group_text(100)
+    for lineno, line in edits.items():
+        lines[lineno - 1] = line
+    text = "\n".join(lines) + "\n"
+    assert _outcome(dsl._parse, text) == (ParseError, message)
+    spy = _spy_on_comp_lines(monkeypatch)
+    assert _outcome(parse_structure, text) == (ParseError, message)
+    assert spy.calls <= 2
 
 
 _names = st.text(alphabet="abcxyz.-", min_size=1, max_size=8)
@@ -376,6 +414,30 @@ def test_report_round_trip(entries):
     back = parse_report(text)
     assert emit_report(back) == text
     assert back.valid == rep.valid
+
+
+def _payload_report(report: ValidationReport) -> str:
+    """The canonical report as json.dumps writes its payload: the form emit_report writes directly."""
+    rep = report.sorted()
+    payload = {
+        "subject": rep.subject,
+        "valid": rep.valid,
+        "violations": [
+            {"axiom": v.axiom, "law": v.law, "cells": list(v.cells), "detail": v.detail} for v in rep.violations
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_odd_text = st.text(alphabet=['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "a", " ", "."])
+
+
+@given(_odd_text, st.lists(st.tuples(_odd_text, _odd_text, st.lists(_odd_text, max_size=3), _odd_text), max_size=5))
+def test_emit_report_writes_what_json_dumps_writes(subject, entries):
+    rep = ValidationReport(subject)
+    for axiom, law, cells, detail in entries:
+        rep.add(axiom, law, tuple(cells), detail)
+    assert emit_report(rep) == _payload_report(rep)
 
 
 def test_report_deterministic_ordering():

@@ -454,6 +454,31 @@ def test_column_edge_cases_match_oracles(name):
     assert validate_strict(mag, require_total=False).valid == valid_fragment
 
 
+def _pair_groupoid(k: int) -> InfinityMagma:
+    """One arrow a{i}.{j} from each object o{j} to each o{i}: k^2 cells and k^3 composites."""
+    arrow = "a{}.{}".format
+    cells = [(i, j) for i in range(k) for j in range(k)]
+    gs = globular_set(
+        1, {0: [f"o{i}" for i in range(k)], 1: [arrow(i, j) for i, j in cells]},
+        src={1: {arrow(i, j): f"o{j}" for i, j in cells}}, tgt={1: {arrow(i, j): f"o{i}" for i, j in cells}},
+    )
+    table = {(arrow(i, j), arrow(j, l)): arrow(i, l) for i, j in cells for l in range(k)}
+    return InfinityMagma(gs, ReflexorStructure({}), CompositionStructure({(1, 0): table}))
+
+
+@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by itemgetters
+def test_pair_groupoids_on_both_sides_of_255_cells_match_the_oracle(k):
+    valid = _pair_groupoid(k)
+    table = valid.comp.maps[1, 0]
+    # a0.0 o a0.1 redirected to the cell numbered last, which as number 255 would read as absent
+    redirected = {**table, ("a0.0", "a0.1"): magma._columns(table)[0][-1]}
+    mutant = InfinityMagma(valid.gs, valid.refl, CompositionStructure({(1, 0): redirected}))
+    for mag, valid_total in ((valid, True), (mutant, False)):
+        rep = validate_strict(mag)
+        assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, True))
+        assert rep.valid == valid_total
+
+
 def _eckmann_hilton(n: int, without: str = "") -> InfinityMagma:
     """Z_n as a strict 2-category on one object and one arrow, optionally without one comp line."""
     return parse_structure("\n".join(line for line in abelian_2cat_lines(n) if line != without)).magma
