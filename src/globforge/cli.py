@@ -4,7 +4,8 @@ Every command prints a canonical machine-readable document to stdout and,
 with --report PATH, also writes it to a file.  Validation commands exit 0
 exactly when the merged report has no violations; data commands exit 0 on
 success.  Parse errors, unusable inputs and internal errors exit 2 with one
-line on stderr.
+line on stderr.  A process ends through run(): it flushes the output and exits
+without tearing the interpreter down, which took about 4 ms of a 30 ms command.
 """
 
 from __future__ import annotations
@@ -352,5 +353,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """End the process with main's code once stdout and stderr are flushed.  os._exit skips the
+    interpreter's teardown, about 4 ms per command; a stdout that refuses the flush exits 2."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"cannot write stdout: {exc.strerror or exc}\n")
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -81,12 +81,18 @@ DATA_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", DATA_COMMANDS, ids=[" ".join(argv) for argv in DATA_COMMANDS])
-def test_data_commands_import_neither_dataclasses_nor_inspect(argv, tmp_path):
+def data_files(tmp_path: Path) -> dict[str, Path]:
+    """The input files that DATA_COMMANDS name, written under tmp_path."""
     files = {"iso": tmp_path / "iso.glob", "edge": tmp_path / "edge.glob", "dump": tmp_path / "dump.json"}
     files["iso"].write_text(WALKING_ISO)
     files["edge"].write_text(EDGE)
     files["dump"].write_text(dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 3)))
+    return files
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS, ids=[" ".join(argv) for argv in DATA_COMMANDS])
+def test_data_commands_import_neither_dataclasses_nor_inspect(argv, tmp_path):
+    files = data_files(tmp_path)
     loaded = _after_command([arg.format(**files) for arg in argv], prefix="")
     assert not {"dataclasses", "inspect"} & loaded
 
