@@ -43,6 +43,7 @@ class Record:
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))  # a tuple, as dataclasses hash
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)  # the slots' own, past __setattr__
+        cls.__dataclass_fields__ = _DataclassView()  # its own: a parent's stored view lists the parent's fields
 
     def __init__(self, *args, **kwargs) -> None:
         """Bind the fields by position or keyword, as a dataclass does; a field left out takes its default."""

@@ -24,12 +24,12 @@ _LAYER_NAMES = {
     "dsl": ("ParseError", "ParsedStructure", "parse_structure"),
     "globular": ("validate_globular",),
     "layers": (
-        "LAW_REFLEXOR_TOTAL", "LAW_REVERSOR_TOTAL", "ReflexorStructure", "validate_involutive",
-        "validate_reflexive_compat", "validate_reflexors", "validate_reversors",
+        "LAW_REFLEXOR_TOTAL", "LAW_REVERSOR_TOTAL", "validate_involutive", "validate_reflexive_compat",
+        "validate_reflexors", "validate_reversors",
     ),
     "magma": (
-        "LAW_COMP_TOTAL", "LAW_UNIQUE_INVERSE", "AmbiguousInverseError", "NoInverseError", "compute_index",
-        "derive_canonical_reversors", "validate_magma", "validate_strict",
+        "LAW_COMP_TOTAL", "LAW_UNIQUE_INVERSE", "AmbiguousInverseError", "NoInverseError", "StrictNCategory",
+        "compute_index", "derive_canonical_reversors", "validate_magma", "validate_strict",
     ),
     "report": ("ValidationReport", "emit_report"),
     "stretching": (
@@ -80,14 +80,18 @@ def _stream(write, path: str | None) -> None:
         except OSError as exc:
             sys.stderr.write(f"cannot write report {path}: {exc.strerror or exc}\n")
             raise SystemExit(2)
-        if os.path.isfile(path):
+    try:
+        if path and os.path.isfile(path):
             left = os.path.getsize(path)  # documents are ASCII; stdout may append to this very file
             with open(path, encoding="utf-8", newline="") as fh:
                 while left > 0 and (chunk := fh.read(min(left, 1 << 20))):
                     sys.stdout.write(chunk)
                     left -= len(chunk)
-            return
-    write(sys.stdout)
+        else:
+            write(sys.stdout)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write stdout: {exc.strerror or exc}\n")
+        raise SystemExit(2)
 
 
 def _dump(payload: dict, path: str | None) -> None:
@@ -119,8 +123,7 @@ def _load(path: str) -> ParsedStructure:
 def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
     _import("globular", "layers", "magma", "report")
     rep = ValidationReport(parsed.name)
-    gs = parsed.gs
-    refl = parsed.refl if parsed.refl else ReflexorStructure({})
+    gs, rev, refl, comp = parsed.gs, parsed.rev, parsed.magma.refl, parsed.magma.comp
     reflexor_rep: ValidationReport | None = None
 
     def reflexors() -> bool:
@@ -131,30 +134,29 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
             rep.extend(reflexor_rep)
         return reflexor_rep.valid
 
-    def want(name: str, declared: bool) -> bool:
-        return layer == name or (layer == "auto" and declared)
+    def want(name: str, structure) -> bool:  # under auto, a layer is declared when it holds a table
+        return layer == name or (layer == "auto" and bool(structure.maps))
 
     rep.extend(validate_globular(gs))
     if not rep.valid and layer != "globular":
         return rep  # layered validators assume a well-formed carrier
-    if want("reversors", parsed.rev is not None):
-        rev = parsed.rev
-        if rev is None:
+    if want("reversors", rev):
+        if not rev.maps:
             rep.add("reversor.total", LAW_REVERSOR_TOTAL, (), "no reversor layer declared")
         else:
             rep.extend(validate_reversors(gs, rev))
             if rep.valid:
                 rep.extend(validate_involutive(gs, rev))
                 # compat applies the reflexor tables, so they must be valid first
-                if parsed.refl and reflexors():
-                    rep.extend(validate_reflexive_compat(gs, parsed.refl, rev))
-    if want("reflexors", parsed.refl is not None):
-        if parsed.refl is None:
+                if refl.maps and reflexors():
+                    rep.extend(validate_reflexive_compat(gs, refl, rev))
+    if want("reflexors", refl):
+        if not refl.maps:
             rep.add("reflexor.total", LAW_REFLEXOR_TOTAL, (), "no reflexor layer declared")
         else:
             reflexors()
-    if want("magma", parsed.comp is not None) or want("strict", parsed.comp is not None):
-        if parsed.comp is None:
+    if want("magma", comp) or want("strict", comp):
+        if not comp.maps:
             rep.add("positional.total", LAW_COMP_TOTAL, (), "no composition layer declared")
         else:
             reflexors()
@@ -163,6 +165,16 @@ def _validate(parsed: ParsedStructure, layer: str) -> ValidationReport:
             if layer in ("auto", "strict") and magma_rep.valid:
                 rep.extend(validate_strict(parsed.magma))
     return rep
+
+
+def _strict(args) -> ParsedStructure:
+    """The file's structure once it validates as strict; otherwise its report is emitted and the command exits 1."""
+    parsed = _load(args.file)
+    rep = _validate(parsed, "strict")
+    if not rep.valid:
+        _emit(emit_report(rep), args.report)
+        raise SystemExit(1)
+    return parsed
 
 
 def _cmd_validate(args) -> int:
@@ -184,14 +196,9 @@ def _cmd_derive(args) -> int:
     if args.n < 0:  # a bad argument, whatever the file holds
         sys.stderr.write(f"the reversor threshold must be >= 0, got {args.n}\n")
         return 2
-    parsed = _load(args.file)
-    rep = _validate(parsed, "strict")
-    if not rep.valid:
-        _emit(emit_report(rep), args.report)
-        return 1
-    cat = parsed.as_category(args.n)
+    parsed = _strict(args)
     try:
-        rev = derive_canonical_reversors(cat, args.n)
+        rev = derive_canonical_reversors(StrictNCategory(parsed.magma, args.n), args.n)
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep = ValidationReport(parsed.name)
         rep.add("derive.inverse", LAW_UNIQUE_INVERSE, (exc.cell,), str(exc))
@@ -208,12 +215,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    parsed = _load(args.file)
-    rep = _validate(parsed, "strict")
-    if not rep.valid:
-        _emit(emit_report(rep), args.report)
-        return 1
-    value = compute_index(parsed.as_category(0))
+    parsed = _strict(args)
+    value = compute_index(StrictNCategory(parsed.magma, 0))
     _dump({"kind": "index", "subject": parsed.name, "index": value}, args.report)
     return 0
 
@@ -360,7 +363,8 @@ def run() -> None:
     try:
         sys.stdout.flush()
     except OSError as exc:
-        sys.stderr.write(f"cannot write stdout: {exc.strerror or exc}\n")
+        if code != 2:  # a command that exits 2 has written its one line, maybe for this very stdout
+            sys.stderr.write(f"cannot write stdout: {exc.strerror or exc}\n")
         code = 2
     sys.stderr.flush()
     os._exit(code)

@@ -22,7 +22,9 @@ inferred from the declared cells and must be unambiguous; everything
 unknown, duplicated, or ill-graded is a parse-time error carrying its line
 number.  dim, threshold and the grade of a cells line are at most MAX_DIM
 (10,000), since the carrier holds a table for every grade up to dim; a
-table index too long to convert is out of range.  emit_structure
+table index too long to convert is out of range.  A parsed structure is
+the n-magma that NMagma.of builds from the file's tables, with the file's
+name; a layer the file has no line of holds no tables.  emit_structure
 writes a parsed structure back as text that parse_structure reads to an
 equal structure.  The pattern, usage text, grades and index
 range of each table line (refl, rev, comp) come from magma.KINDS.
@@ -40,10 +42,8 @@ import re
 from itertools import chain, compress, count, islice
 from operator import itemgetter, ne, not_
 
-from ._record import Record
-from .globular import TruncatedGlobularSet, globular_set
-from .layers import ReflexorStructure
-from .magma import COMP, KINDS, CompositionStructure, InfinityMagma, NMagma, StrictNCategory
+from .globular import globular_set
+from .magma import COMP, KINDS, NMagma
 
 
 class ParseError(ValueError):
@@ -76,22 +76,11 @@ _TABLES = {
 }
 
 
-class ParsedStructure(Record):
-    """A presentation file: name, carrier gs, threshold, and the rev, refl and comp layers (None if undeclared)."""
+class ParsedStructure(NMagma):
+    """A presentation file: the n-magma its parser builds, and the file's name."""
 
-    __slots__ = _fields = ("name", "gs", "threshold", "rev", "refl", "comp")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    @property
-    def magma(self) -> InfinityMagma:
-        return InfinityMagma(
-            self.gs,
-            self.refl if self.refl else ReflexorStructure({}),
-            self.comp if self.comp else CompositionStructure({}),
-        )
-
-    def as_category(self, threshold: int | None = None) -> StrictNCategory:
-        return StrictNCategory(self.magma, self.threshold if threshold is None else threshold)
+    __slots__ = ("name",)
+    _fields = (*NMagma._fields, "name")
 
 
 def _ident(token: str, lineno: int) -> str:
@@ -272,8 +261,7 @@ def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
     threshold = int(header.get("threshold", "0"))
     gs = globular_set(max_dim, declared, src, tgt)
     nm = NMagma.of(gs, threshold, *(maps[kind.name] for kind in KINDS))
-    layers = {kind.name: kind.layer(nm) if maps[kind.name] else None for kind in KINDS}
-    return ParsedStructure(header.get("structure", "anonymous"), gs, threshold, **layers)
+    return ParsedStructure(nm.magma, nm.rev, header.get("structure", "anonymous"))
 
 
 def emit_structure(parsed: ParsedStructure) -> str:
@@ -285,8 +273,6 @@ def emit_structure(parsed: ParsedStructure) -> str:
         faces = ("src", gs.map("source", m)), ("tgt", gs.map("target", m))
         out += [f"{head} {x} = {face[x]}" for x in gs.grade(m) for head, face in faces if x in face]
     for kind in KINDS:
-        layer = getattr(parsed, kind.name)
-        if layer:
-            for (i, j), table in sorted(layer.maps.items()):
-                out += [f"{kind.name} {i} {j} {_show(key)} = {value}" for key, value in sorted(table.items())]
+        for (i, j), table in sorted(kind.layer(parsed).maps.items()):
+            out += [f"{kind.name} {i} {j} {_show(key)} = {value}" for key, value in sorted(table.items())]
     return "\n".join(out) + "\n"

@@ -2,9 +2,9 @@
 
 A derivation claims start = end and justifies it by a list of steps.  A
 rewrite step cites a rule, a position, an explicit substitution, and a
-direction; the checker matches the cited side in place, building nothing
-(one-sided matching, Baader and Nipkow 1998), and builds the other side; a
-failing step is redone by instantiation, which names the failure.  Two
+direction; one function checks it: it matches the cited side in place,
+building nothing (one-sided matching, Baader and Nipkow 1998), and builds
+the other side; it instantiates the cited side only to word a mismatch.  Two
 inference steps extend pure rewriting:
 
   - inverse uniqueness concludes beta = rev(alpha) once both unit
@@ -150,57 +150,41 @@ def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> No
 
 
 def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
-    """Match the cited side in place and build only the other; on any failure
-    _rewrite_by_instantiation redoes the step and names the failure."""
+    """Match the cited side in place and build only the other; a failure is named in the order
+    unknown rule, substitution, side condition, position, match, carrier.  The cited side is
+    instantiated only to word a mismatch."""
     rule, subst = ctx.rules.get(step.rule), step.subst
-    if rule is not None:
-        pattern, replacement = (rule.lhs, rule.rhs) if step.direction == "fwd" else (rule.rhs, rule.lhs)
-        try:
-            sub = subterm(current, step.position)
-            if subst.instantiates(pattern, sub) and sub.carrier in rule.carriers and all(
-                ctx.solver.holds(subst.dim(c.lhs), subst.dim(c.rhs), c.strict) for c in rule.conds
-            ):
-                out = replace(current, step.position, subst.term(replacement))
-                _check_new_brackets(current, out, ctx)
-                return out
-        except TermError:
-            pass
-    return _rewrite_by_instantiation(current, step, ctx)
-
-
-def _rewrite_by_instantiation(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
-    """Instantiate both sides and compare; a failure is named in the order
-    substitution, side condition, position, match, carrier."""
-    rule = ctx.rules.get(step.rule)
     if rule is None:
         raise StepFailure(f"unknown rule {step.rule}")
     pattern, replacement = (rule.lhs, rule.rhs) if step.direction == "fwd" else (rule.rhs, rule.lhs)
     try:
-        inst_pat = step.subst.term(pattern)
-        inst_rep = step.subst.term(replacement)
+        sub = subterm(current, step.position)
+    except TermError as exc:
+        sub, unplaced = None, exc  # reported after the substitution and the side conditions
+    try:
+        expected = sub if sub is not None and subst.instantiates(pattern, sub) else subst.term(pattern)
+        written = subst.term(replacement)
     except TermError as exc:
         raise StepFailure(f"substitution does not instantiate {step.rule}: {exc}")
     for cond in rule.conds:
-        instantiated = DimCond(step.subst.dim(cond.lhs), step.subst.dim(cond.rhs), cond.strict)
-        if not ctx.solver.entails(instantiated):
+        lhs, rhs = subst.dim(cond.lhs), subst.dim(cond.rhs)
+        if not ctx.solver.holds(lhs, rhs, cond.strict):
             raise StepFailure(
-                f"side condition {instantiated} of {step.rule} is not entailed by the assumptions"
+                f"side condition {DimCond(lhs, rhs, cond.strict)} of {step.rule} is not entailed by the assumptions"
             )
-    try:
-        sub = subterm(current, step.position)
-    except TermError as exc:
-        raise StepFailure(str(exc))
-    if sub != inst_pat:
+    if sub is None:
+        raise StepFailure(str(unplaced))
+    if sub != expected:
         raise StepFailure(
             f"rule {step.rule} does not match at {step.position}: "
-            f"expected {render(inst_pat)}, found {render(sub)}"
+            f"expected {render(expected)}, found {render(sub)}"
         )
     if sub.carrier not in rule.carriers:
         raise StepFailure(
             f"rule {step.rule} holds on carriers {sorted(rule.carriers)}, "
             f"but the matched term lives on {sub.carrier}"
         )
-    out = replace(current, step.position, inst_rep)
+    out = replace(current, step.position, written)
     _check_new_brackets(current, out, ctx)
     return out
 

@@ -140,6 +140,10 @@ class NMagma(Record):
         return cls(InfinityMagma(gs, ReflexorStructure(refl), CompositionStructure(comp)), ReversorStructure(n, rev))
 
     @property
+    def gs(self) -> TruncatedGlobularSet:
+        return self.magma.gs
+
+    @property
     def threshold(self) -> int:
         return self.rev.threshold
 

@@ -396,9 +396,11 @@ def bouquet(k: int) -> TruncatedGlobularSet:
 def graph_file(path, name: str, g: TruncatedGlobularSet) -> str:
     """Write a graph to path as a presentation file; return the path as a string."""
     from globforge.dsl import ParsedStructure, emit_structure
+    from globforge.magma import NMagma
 
+    nm = NMagma.of(g, 0, {}, {}, {})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_structure(ParsedStructure(name, g, 0, None, None, None)))
+        fh.write(emit_structure(ParsedStructure(nm.magma, nm.rev, name)))
     return str(path)
 
 

@@ -122,6 +122,33 @@ def test_validate_layer_choice(iso_file, capsys):
     capsys.readouterr()
 
 
+_UNDECLARED = """{{
+  "subject": "edge",
+  "valid": false,
+  "violations": [
+    {{
+      "axiom": "{}",
+      "cells": [],
+      "detail": "no {} layer declared",
+      "law": "{}"
+    }}
+  ]
+}}
+"""
+
+
+@pytest.mark.parametrize("layer, axiom, noun, law", [
+    ("reversors", "reversor.total", "reversor", "reversor tables are total level-preserving maps"),
+    ("reflexors", "reflexor.total", "reflexor", "one-step reflexor tables are total"),
+    ("magma", "positional.total", "composition", "composition is defined exactly on boundary-compatible pairs"),
+    ("strict", "positional.total", "composition", "composition is defined exactly on boundary-compatible pairs"),
+])
+def test_a_layer_asked_for_but_not_declared_is_one_violation(edge_file, capsys, layer, axiom, noun, law):
+    # the file's tables are empty, not absent; the report bytes are those of a file without the layer
+    assert main(["validate", edge_file, "--layer", layer]) == 1
+    assert capsys.readouterr() == (_UNDECLARED.format(axiom, noun, law), "")
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.glob"
     path.write_text("cells 0: a\nsrc q = a\n")

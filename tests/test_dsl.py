@@ -9,7 +9,7 @@ from globforge import dsl
 from globforge.dsl import MAX_DIM, ParseError, emit_structure, parse_structure
 from globforge.globular import validate_globular
 from globforge.layers import validate_reflexors, validate_reversors
-from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
+from globforge.magma import KINDS, NMagma, StrictNCategory, derive_canonical_reversors, validate_magma, validate_strict
 from globforge.report import ValidationReport, emit_report, parse_report
 
 WALKING_ISO = """
@@ -49,12 +49,22 @@ def test_walking_iso_round_trip_through_validators():
     assert parsed.name == "W"
     assert parsed.gs.max_dim == 1
     assert validate_globular(parsed.gs).valid
-    assert validate_reflexors(parsed.gs, parsed.refl).valid
+    assert validate_reflexors(parsed.gs, parsed.magma.refl).valid
     assert validate_reversors(parsed.gs, parsed.rev).valid
     assert validate_magma(parsed.magma).valid
     assert validate_strict(parsed.magma).valid
-    rev = derive_canonical_reversors(parsed.as_category(0), 0)
+    rev = derive_canonical_reversors(StrictNCategory(parsed.magma, 0), 0)
     assert rev.maps == parsed.rev.maps
+
+
+def test_a_parsed_structure_is_the_n_magma_its_parser_built(monkeypatch):
+    built, of = [], NMagma.of.__func__
+    monkeypatch.setattr(NMagma, "of", classmethod(lambda cls, *args: built.append(of(cls, *args)) or built[-1]))
+    parsed = parse_structure(WALKING_ISO)
+    assert isinstance(parsed, NMagma) and len(built) == 1
+    assert parsed.magma is parsed.magma is built[0].magma  # stored, not rebuilt per read
+    assert all(kind.layer(parsed) is kind.layer(built[0]) for kind in KINDS)
+    assert (parsed.gs, parsed.threshold) == (built[0].gs, 0)
 
 
 def test_emit_structure_round_trip():
@@ -62,8 +72,8 @@ def test_emit_structure_round_trip():
     again = parse_structure(emit_structure(parsed))
     assert again.gs == parsed.gs
     assert again.rev == parsed.rev
-    assert again.refl == parsed.refl
-    assert again.comp == parsed.comp
+    assert again.magma.refl == parsed.magma.refl
+    assert again.magma.comp == parsed.magma.comp
 
 
 # names reused across grades: the 0-cell ob and the 2-cell ob are two cells
@@ -94,13 +104,13 @@ def _table_names(parsed):
         for face in (gs.map("source", m), gs.map("target", m)):
             for x, y in face.items():
                 yield from ((m, x), (m - 1, y))
-    for (p, m), table in (parsed.refl.maps if parsed.refl else {}).items():
+    for (p, m), table in parsed.magma.refl.maps.items():
         for x, y in table.items():
             yield from ((p, x), (m, y))
-    for (m, _), table in (parsed.rev.maps if parsed.rev else {}).items():
+    for (m, _), table in parsed.rev.maps.items():
         for x, y in table.items():
             yield from ((m, x), (m, y))
-    for (m, _), table in (parsed.comp.maps if parsed.comp else {}).items():
+    for (m, _), table in parsed.magma.comp.maps.items():
         for (y, x), z in table.items():
             yield from ((m, y), (m, x), (m, z))
 
@@ -130,7 +140,7 @@ def test_empty_file_is_empty_structure():
     parsed = parse_structure("")
     assert parsed.gs.max_dim == 0
     assert parsed.gs.grade(0) == ()
-    assert parsed.rev is None and parsed.refl is None and parsed.comp is None
+    assert [kind.layer(parsed).maps for kind in KINDS] == [{}, {}, {}]
 
 
 def test_unresolved_identifier_has_line_number():
@@ -252,7 +262,8 @@ def _group_text(n: int) -> list[str]:
 
 
 def _graph_lines(name: str, g) -> list[str]:
-    return emit_structure(dsl.ParsedStructure(name, g, 0, None, None, None)).splitlines()
+    nm = NMagma.of(g, 0, {}, {}, {})
+    return emit_structure(dsl.ParsedStructure(nm.magma, nm.rev, name)).splitlines()
 
 
 _TOKENS = ["comp", "src", "refl", "rev", "cells", "(", ")", ",", "=", "#", "0", "1", "2", "9",
@@ -306,8 +317,7 @@ def _outcome(parse, text: str):
         parsed = parse(text)
     except Exception as exc:  # the comparison covers every exception, not only ParseError
         return type(exc), str(exc)
-    tables = [(head, [(k, list(t.items())) for k, t in getattr(parsed, head).maps.items()])
-              for head in ("rev", "refl", "comp") if getattr(parsed, head)]
+    tables = [[(k, list(t.items())) for k, t in kind.layer(parsed).maps.items()] for kind in KINDS]
     declared = {m: {x: x for x in parsed.gs.grade(m)} for m in range(parsed.gs.max_dim + 1)}
     assert all(declared[m][nm] is nm for m, nm in _table_names(parsed))
     return parsed, tables
@@ -350,7 +360,7 @@ def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
     parsed = parse_structure(text)
     assert spy.calls == 0  # the per-line table code never ran: no fallback
     assert _outcome(lambda _: parsed, text) == _outcome(lambda _: line, text)
-    assert len(parsed.comp.table(1, 0)) == 10_000
+    assert len(parsed.magma.comp.table(1, 0)) == 10_000
 
 
 def test_an_unresolved_name_on_the_last_of_10k_comp_lines(monkeypatch):

@@ -28,6 +28,7 @@ from globforge.engine.suites import _SuiteBuilder
 from globforge.engine.terms import (
     App,
     Atom,
+    DimCond,
     DimSolver,
     Subst,
     TermError,
@@ -47,6 +48,7 @@ from globforge.engine.terms import (
     replace,
     revT,
     srcT,
+    subterm,
     tgtT,
     vT,
 )
@@ -302,10 +304,42 @@ def _outcome(rewrite, current, step, ctx):
         return type(exc), str(exc)
 
 
+def _rewrite_by_instantiation(current, step, ctx):
+    """The oracle for a rewrite step: instantiate both sides and compare; a failure
+    is named in the order unknown rule, substitution, side condition, position, match, carrier."""
+    rule = ctx.rules.get(step.rule)
+    if rule is None:
+        raise StepFailure(f"unknown rule {step.rule}")
+    pattern, replacement = (rule.lhs, rule.rhs) if step.direction == "fwd" else (rule.rhs, rule.lhs)
+    try:
+        inst_pat, inst_rep = step.subst.term(pattern), step.subst.term(replacement)
+    except TermError as exc:
+        raise StepFailure(f"substitution does not instantiate {step.rule}: {exc}")
+    for cond in rule.conds:
+        instantiated = DimCond(step.subst.dim(cond.lhs), step.subst.dim(cond.rhs), cond.strict)
+        if not ctx.solver.entails(instantiated):
+            raise StepFailure(f"side condition {instantiated} of {step.rule} is not entailed by the assumptions")
+    try:
+        sub = subterm(current, step.position)
+    except TermError as exc:
+        raise StepFailure(str(exc))
+    if sub != inst_pat:
+        raise StepFailure(
+            f"rule {step.rule} does not match at {step.position}: expected {render(inst_pat)}, found {render(sub)}"
+        )
+    if sub.carrier not in rule.carriers:
+        raise StepFailure(
+            f"rule {step.rule} holds on carriers {sorted(rule.carriers)}, but the matched term lives on {sub.carrier}"
+        )
+    out = replace(current, step.position, inst_rep)
+    derivation._check_new_brackets(current, out, ctx)
+    return out
+
+
 def _compare_rewrites(suite) -> tuple[int, int]:
     """Replay suite as check_suite does, and at each rewrite step compare the
-    checker's matching path with the instantiating fallback called directly;
-    returns the steps compared and how many of them fail."""
+    checker's _apply_rewrite with the instantiating oracle; returns the steps
+    compared and how many of them fail."""
     ctx = DerivationContext.for_suite(suite)
     compared = failed = 0
     for d in suite.derivations:
@@ -315,7 +349,7 @@ def _compare_rewrites(suite) -> tuple[int, int]:
         for step in d.steps:
             if isinstance(step, RewriteStep):
                 fast = _outcome(derivation._apply_rewrite, cur, step, ctx)
-                assert fast == _outcome(derivation._rewrite_by_instantiation, cur, step, ctx), (suite.name, d.name)
+                assert fast == _outcome(_rewrite_by_instantiation, cur, step, ctx), (suite.name, d.name)
                 compared += 1
                 failed += isinstance(fast, tuple)
             try:
@@ -383,19 +417,41 @@ def test_matching_checks_what_instantiation_checks():
         (compT(1, 0, al, revT(1, 0, al)), RewriteStep("inverse-right", (), Subst({"x": al}, {**one, "n": dim(1)}))),
         (compT(1, 0, g, revT(1, 0, g)), RewriteStep("inverse-right", (), Subst({"x": g}, {**one, "n": dim(0)}))),
         (e, RewriteStep("two", (), Subst({}, {}))),
+        # no subterm at the position: the substitution, then a side condition, is named first
+        (aM, RewriteStep("bare", (0,), Subst({}, one))),
+        (compT(1, 0, al, revT(1, 0, al)), RewriteStep("inverse-right", (7,), Subst({"x": al}, {**one, "n": dim(1)}))),
+        (compT(1, 0, al, revT(1, 0, al)), RewriteStep("inverse-right", (7,), Subst({"x": al}, {**one, "n": dim(0)}))),
     ]
     outcomes = [_outcome(derivation._apply_rewrite, t, step, ctx) for t, step in rewrites]
-    assert outcomes == [_outcome(derivation._rewrite_by_instantiation, t, step, ctx) for t, step in rewrites]
+    assert outcomes == [_outcome(_rewrite_by_instantiation, t, step, ctx) for t, step in rewrites]
     assert [type(o) for o in outcomes].count(tuple) == len(rewrites) - 1
 
 
-def test_clean_suites_never_reach_the_fallback(monkeypatch):
-    def fallback(*args):
-        raise AssertionError("the matching path fell back")
+def test_clean_suites_never_instantiate_a_cited_side(monkeypatch):
+    # each rewrite step of a clean suite instantiates one term: the side it writes in
+    instantiated, depth, term, rewrite = [], [0], Subst.term, derivation._apply_rewrite
 
-    monkeypatch.setattr(derivation, "_rewrite_by_instantiation", fallback)
+    def spy_term(self, t):
+        if not depth[0]:
+            instantiated.append(t)
+        depth[0] += 1
+        try:
+            return term(self, t)
+        finally:
+            depth[0] -= 1
+
+    def spy_rewrite(current, step, ctx):
+        instantiated.clear()
+        out = rewrite(current, step, ctx)
+        rule = ctx.rules[step.rule]
+        assert instantiated == [rule.rhs if step.direction == "fwd" else rule.lhs], step
+        return out
+
+    monkeypatch.setattr(Subst, "term", spy_term)
+    monkeypatch.setattr(derivation, "_apply_rewrite", spy_rewrite)
     for key, suite in builtin_suites().items():
         assert check_suite(suite).valid, key
+    assert instantiated
 
 
 def test_suite_symbols_need_no_suite():

@@ -77,9 +77,32 @@ def test_a_full_stdout_exits_two_with_one_line(tmp_path):
     with open("/dev/full", "wb") as full:
         proc = _process(["check-proofs", "--suite", "S2"], stdout=full)
         assert (proc.returncode, proc.stderr) == (2, b"cannot write stdout: No space left on device\n")
-        # a dump larger than the buffer fails inside main, which leaves the flush nothing to retry
+        # a dump larger than the buffer fails inside main, and the final flush adds no second line
         proc = _process(_stretch(tmp_path, 6), stdout=full)
-        assert proc.returncode == 2 and proc.stderr.count(b"\n") == 1
+        assert (proc.returncode, proc.stderr) == (2, b"cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_the_final_flush_adds_no_line_after_a_failed_write():
+    # a small write stays in the buffer when a larger one fails, so the final flush fails on it again
+    code = (
+        "import sys\nfrom globforge import cli\n"
+        "cli._cmd_check_proofs = lambda args: sys.stdout.write('{') and cli._emit('x' * (1 << 16), None)\n"
+        "sys.argv[1:] = ['check-proofs']\ncli.run()\n"
+    )
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=full, stderr=subprocess.PIPE, env=_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, b"cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("size", [6, 3])
+def test_a_closed_pipe_exits_two_with_one_line(tmp_path, size):
+    # the dump at size 6 outgrows the stdout buffer, so a write inside main fails; size 3 fails at the flush
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "wb") as closed:
+        proc = _process(_stretch(tmp_path, size), stdout=closed)
+    assert (proc.returncode, proc.stderr) == (2, b"cannot write stdout: Broken pipe\n")
 
 
 def test_the_installed_script_is_the_function_the_main_block_calls():
