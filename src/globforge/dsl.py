@@ -26,24 +26,24 @@ table index too long to convert is out of range.  A parsed structure is
 the n-magma that NMagma.of builds from the file's tables, with the file's
 name; a layer the file has no line of holds no tables.  emit_structure
 writes a parsed structure back as text that parse_structure reads to an
-equal structure.  The pattern, usage text, grades and index
-range of each table line (refl, rev, comp) come from magma.KINDS.
+equal structure.  The heads, usage, grades and index range of refl, rev
+and comp lines come from magma.KINDS.
 
-parse_structure reads every comp line in one pass: one regex split of the
-whole text cuts them out, and the line parser reads the few other lines.
-Every ParseError comes from the line parser: it rereads a failing text with
-its comp lines blanked, but for the first row it refuses and the row that
-one repeats, and reads it whole if no row explains the doubt.
+parse_structure reads a text once: a regex split cuts out each well-formed
+table line, whole as str.splitlines breaks lines, and a loop reads the rest.
+Names are looked up a table's column at a time, src/tgt grades in one name
+-> grade index; the first refused line is worded as a line parser words it.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, count, islice
+from collections import defaultdict
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, ne, not_
 
 from .globular import globular_set
-from .magma import COMP, KINDS, NMagma
+from .magma import KINDS, NMagma
 
 
 class ParseError(ValueError):
@@ -53,27 +53,33 @@ class ParseError(ValueError):
         self.message = message
 
 
-_ID = r"([^\s(),:=#]+)"
+# Latin-1 whitespace (as str.isspace, str.split and re's \s take it), its str.splitlines breaks and its blanks, the
+# rest.  Wider whitespace is read as the blank or break it is (_WIDE): sre compiles Latin-1 classes 4x faster.
+_SPACE = "\t-\r\x1c-\x20\x85\xa0"
+_BREAK = "\n\x0b\x0c\r\x1c-\x1e\x85"
+_B = "[\t\x1f \xa0]"
+_WIDE = {0x2028: "\x0b", 0x2029: "\x0b"} | dict.fromkeys([0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000], " ")
+_ID = rf"([^{_SPACE}(),:=#]+)"
 _IDENT = re.compile(_ID)
+_NOT_ID = re.compile("[(),:=]")  # in a line cut at its comment and split at its blanks, what is no identifier
 _CELLS = re.compile(r"cells\s+(\d+)\s*:\s*(.*)")
-_SRC_TGT = re.compile(rf"(?:src|tgt)\s+{_ID}\s*=\s*{_ID}")
-# A whole comp line, its blanks spaces and tabs, and what ends it: its \n, or nothing before a \r or comment.
-_COMP_LINES = re.compile(
-    rf"(?m)^[ \t]*comp[ \t]+(\d+)[ \t]+(\d+)[ \t]+\([ \t]*{_ID}[ \t]*,[ \t]*{_ID}[ \t]*\)"
-    rf"[ \t]*=[ \t]*{_ID}[ \t]*(\n|\Z|(?=[\r#]))"
-)
 _HEADERS = {"structure": "<name>", "dim": "<natural number>", "threshold": "<natural number>"}
 MAX_DIM = 10_000  # the largest grade a file may declare: the carrier allocates every grade up to dim
-_NAMES = {1: (_ID, "<id>"), 2: (rf"\(\s*{_ID}\s*,\s*{_ID}\s*\)", "(<id>, <id>)")}  # by arity: pattern, usage
-# head -> (pattern, usage, kind) of each kind's `<head> <i> <j> <names> = <id>`; index kind.value is <m>
-_TABLES = {
-    kind.name: (
-        re.compile(rf"{kind.name}\s+(\d+)\s+(\d+)\s+{_NAMES[kind.arity][0]}\s*=\s*{_ID}"),
-        f"{kind.name} {' '.join('<m>' if k == kind.value else '<p>' for k in (0, 1))} {_NAMES[kind.arity][1]} = <id>",
-        kind,
-    )
+_NAMES = {1: (_ID, "<id>"), 2: (rf"\({_B}*{_ID}{_B}*,{_B}*{_ID}{_B}*\)", "(<id>, <id>)")}  # by arity: pattern, usage
+_FACES = ("src", "tgt")
+_KIND = {kind.name: kind for kind in KINDS}
+_USAGE = {head: f"{head} <id> = <id>" for head in _FACES} | {  # of a kind: index kind.value is <m>
+    kind.name: f"{kind.name} {' '.join('<m>' if k == kind.value else '<p>' for k in (0, 1))} "
+    f"{_NAMES[kind.arity][1]} = <id>"
     for kind in KINDS
 }
+# A whole table line: its key (head and indices as written), two names or one, its value, a comment and its break.
+# The key is matched in a lookahead, taken by a backreference: sre keeps no state to backtrack into it, a tenth faster.
+_TABLE_LINES = re.compile(
+    rf"(?<![^{_BREAK}]){_B}*(?=((?:{'|'.join(_KIND)}){_B}+\d+{_B}+\d+|{'|'.join(_FACES)}))\1"
+    rf"{_B}+(?:{_NAMES[2][0]}|{_NAMES[1][0]}){_B}*={_B}*{_ID}{_B}*(?:\n|(?:#[^{_BREAK}]*)?(?:\r\n|[{_BREAK}]|\Z))"
+)
+_STRIDE = 6  # the split holds the text before a table line, then its key, y, x (a pair), a (one name) and value
 
 
 class ParsedStructure(NMagma):
@@ -105,162 +111,154 @@ def _index(i: str, j: str) -> tuple[int, int]:
     return (int(i), int(j)) if len(i) + len(j) <= 4300 else (0, 0)
 
 
-class _Refused(Exception):
-    """A doubt of the one pass, with the first comp row the line parser refuses and the row it repeats, if any."""
-
-
-def _comp_tables(cut: list[str], declared: dict[int, dict[str, str]], max_dim: int) -> dict:
-    """The tables of the cut-out comp lines as the line parser builds them, keys in file order."""
-    ms, ps, *rows = (cut[k::7] for k in range(1, 6))  # each line's m and p as written, and its y, x, z
-    at = {(ms[0], ps[0]): range(len(ms))}  # (m, p) as written -> its rows, in file order
-    if ms.count(ms[0]) != len(ms) or ps.count(ps[0]) != len(ps):
-        at = {}
-        for r, key in enumerate(zip(ms, ps)):
-            at.setdefault(key, []).append(r)
-    tables = {_index(*key): [[c[r] for r in rs] for c in rows] if len(at) > 1 else rows for key, rs in at.items()}
-    try:
-        maps = {}
-        for (m, p), (y, x, z) in tables.items():
-            get = declared[m].__getitem__  # KeyError: a grade without cells
-            maps[m, p] = dict(zip(zip(map(get, y), map(get, x)), map(get, z)))  # KeyError: unresolved
-        if not all(COMP.fits(key, max_dim) for key in maps) or sum(map(len, maps.values())) != len(ms):
-            raise ValueError  # an index out of range or spelt two ways, or a repeated key
-        return maps
-    except (ValueError, KeyError):  # each table's first refused row; none if an index is spelt two ways
-        found = []
-        for rs, ((m, p), (y, x, z)) in zip(at.values(), tables.items()) if len(tables) == len(at) else ():
-            grade = declared.get(m, {}) if COMP.fits((m, p), max_dim) else {}  # out of range: every row refused
-            k = min(next(compress(count(), map(not_, map(grade.__contains__, c))), len(y)) for c in (y, x, z))
-            pairs = list(islice(zip(y, x), k + 1))  # the rows up to the first with a name not in the grade
-            first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))  # a key -> the first row of it
-            k = next(compress(count(), map(ne, map(first.__getitem__, pairs), count())), k)  # a repeated key
-            if k < len(y):
-                found.append({rs[first[pairs[k]]], rs[k]})
-        raise _Refused(*min(found, key=max, default=()))
-
-
-def parse_structure(text: str) -> ParsedStructure:
-    cut = _COMP_LINES.split(text)  # [other text, m, p, y, x, z, line break, other text, ...]
-    try:
-        return _parse("".join(cut[::7]), cut)
-    except _Refused as refused:  # the line parser reads the rows that explain the doubt, if any do
-        keep = refused.args or None
-    except ParseError:  # numbered without the comp lines, none of which the pass refused
-        if len(cut) == 1:
-            raise
-        keep = ()
-    if keep is not None:  # every comp line cut down to its line break, so that lines keep their numbers
-        ends = cut[6::7]
-        for r in keep:
-            ends[r] = "comp {} {} ({}, {}) = {}".format(*cut[7 * r + 1 : 7 * r + 6]) + ends[r]
-        _parse("".join(chain.from_iterable(zip(cut[::7], ends))) + cut[-1])  # raises the whole text's ParseError
-    del cut
-    return _parse(text)
-
-
-def _parse(text: str, cut: list[str] | tuple[()] = ()) -> ParsedStructure:
-    """The line parser, reading in one pass the comp lines cut out of text; a comp line left in text is a doubt."""
-    heads = {"src", "tgt", *_TABLES} - ({"comp"} if cut else set())
+def _read_rest(rest: list[str]) -> tuple[dict, dict[int, dict[str, str]], dict[int, int], list]:
+    """Headers, cells and each malformed table line, as (number, [head, None, None, None, None]), of the whole lines
+    left; piece k follows k cut lines."""
     header: dict[str, str] = {}
     declared: dict[int, dict[str, str]] = {}  # grade -> {name: the name object every table holds}
     cells_line: dict[int, int] = {}  # grade -> its first cells line
-    deferred: list[tuple[int, str, str]] = []
+    malformed: list[tuple[int, list]] = []
+    before = 0  # the lines of the pieces read so far
+    for k in compress(count(), rest):
+        lines = rest[k].splitlines()
+        for lineno, raw in enumerate(lines, k + before + 1):
+            line = raw.split("#", 1)[0].strip()
+            head = line.split(None, 1)[0] if line else None
+            if head in _HEADERS:
+                parts = line.split()
+                if head in header:
+                    raise ParseError(lineno, f"duplicate {head} line")
+                if len(parts) != 2 or not (head == "structure" or parts[1].isdecimal()):
+                    raise ParseError(lineno, f"expected: {head} {_HEADERS[head]}")
+                header[head] = _ident(parts[1], lineno)
+                if head != "structure":
+                    _grade(parts[1], lineno, head)
+            elif head == "cells":
+                mt = _CELLS.fullmatch(line)
+                if not mt:
+                    raise ParseError(lineno, "expected: cells <m>: <id> ...")
+                grade = _grade(mt[1], lineno, "cells grade")
+                bucket = declared.setdefault(grade, {})
+                cells_line.setdefault(grade, lineno)
+                names = mt[2].split()
+                if _NOT_ID.search(mt[2]) or len(set(names)) < len(names) or not bucket.keys().isdisjoint(names):
+                    for nm in names:  # raises at the first name that is no identifier or is declared twice
+                        if _ident(nm, lineno) in bucket:
+                            raise ParseError(lineno, f"cell {nm} declared twice in grade {grade}")
+                        bucket[nm] = nm
+                bucket.update(zip(names, names))
+            elif head in _USAGE:
+                malformed.append((lineno, [head, None, None, None, None]))
+            elif head:
+                raise ParseError(lineno, f"unknown declaration {head!r}")
+        before += len(lines)
+    return header, declared, cells_line, malformed
 
-    for lineno, raw in filter(itemgetter(1), enumerate(text.splitlines(), start=1)):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+
+def _tables(columns: list[list], declared: dict[int, dict[str, str]], max_dim: int) -> dict:
+    """The cut lines by table, (head, index or the grade of a src/tgt line) -> the numbers of its lines in file
+    order, and its columns of names, the key's and the value's, each with the grade that holds them."""
+    keys, _, _, names, values = columns
+    low = dict(chain.from_iterable(zip(declared[g], repeat(g)) for g in sorted(declared, reverse=True)))  # lowest grade
+    grades_of: dict[str, list[int]] = {}  # a name -> its grades, if some name is in several
+    if sum(map(len, declared.values())) > len(low):
+        for g in sorted(declared):
+            for nm in declared[g]:
+                grades_of.setdefault(nm, []).append(g)
+    spelt, tables = defaultdict(list), {}  # key as written -> its lines; table -> its lines
+    for r, key in enumerate(keys):
+        spelt[key].append(r)
+    for key, rows in spelt.items():
+        head, *index = key.split()
+        if index:
+            tables.setdefault((head, _index(*index)), []).extend(rows)
             continue
-        parts = line.split()
-        head = parts[0]
-        if head in _HEADERS:
-            if head in header:
-                raise ParseError(lineno, f"duplicate {head} line")
-            if len(parts) != 2 or not (head == "structure" or parts[1].isdecimal()):
-                raise ParseError(lineno, f"expected: {head} {_HEADERS[head]}")
-            header[head] = _ident(parts[1], lineno)
-            if head != "structure":
-                _grade(parts[1], lineno, head)
-        elif head == "cells":
-            mt = _CELLS.fullmatch(line)
-            if not mt:
-                raise ParseError(lineno, "expected: cells <m>: <id> ...")
-            grade = _grade(mt[1], lineno, "cells grade")
-            bucket = declared.setdefault(grade, {})
-            cells_line.setdefault(grade, lineno)
-            for nm in mt[2].split():
-                if _ident(nm, lineno) in bucket:
-                    raise ParseError(lineno, f"cell {nm} declared twice in grade {grade}")
-                bucket[nm] = nm
-        elif head in heads:
-            deferred.append((lineno, head, line))
-        elif head == "comp":  # a comp line the split missed: a doubt that the whole text answers
-            raise _Refused()
-        else:
-            raise ParseError(lineno, f"unknown declaration {head!r}")
+        grades = map(low.get, map(names.__getitem__, rows))
+        if grades_of:  # the one grade whose grade below holds the value, else none
+            fits = ([g for g in grades_of.get(names[r], ()) if values[r] in declared.get(g - 1, ())] for r in rows)
+            grades = (f[0] if len(f) == 1 else None for f in fits)
+        by_grade = defaultdict(list)
+        for r, g in zip(rows, grades):
+            by_grade[g].append(r)
+        tables.update(((head, g), rs) for g, rs in by_grade.items())
+    for (head, key), rows in tables.items():
+        rows.sort()  # one index spelt two ways, each in file order
+        kind = _KIND.get(head)
+        if kind is None:  # src/tgt: the name in grade key, the value in the grade below
+            g, m = key, key - 1 if key else None
+        else:  # none if out of range
+            g, m = (key[kind.names], key[kind.value]) if kind.fits(key, max_dim) else (None, None)
+        cols = (1, 2, 4) if kind and kind.arity == 2 else (3, 4)  # y, x or a, and the values
+        tables[head, key] = rows, [(columns[c], declared.get(m if c == 4 else g, {})) for c in cols]
+    return tables
 
+
+def _first_refused(cols: list[tuple[list[str], dict[str, str]]]) -> int:
+    """A table's first row with a name not in its column's grade, or with the key of an earlier row."""
+    k = min(next(compress(count(), map(not_, map(g.__contains__, c))), len(c)) for c, g in cols)
+    keys = list(islice(zip(*(c for c, _ in cols[:-1])), k + 1))  # the rows up to the first unresolved
+    first = dict(zip(reversed(keys), reversed(range(len(keys)))))  # a key -> the first row of it
+    return next(compress(count(), map(ne, map(first.__getitem__, keys), count())), k)
+
+
+def _refusal(key: str, y: str | None, x: str | None, a: str | None, z: str | None, declared: dict, max_dim: int) -> str:
+    """Why the first refused table line is refused, from its key, names (y, x) or a and value z, every line before
+    it taken; a line no pattern cut has no value."""
+    grades = {nm: sorted(g for g, names in declared.items() if nm in names) for nm in (y, x, a, z)}
+    head, *index = key.split()
+    kind = _KIND.get(head)
+    if z is None or (a is None) != (kind is not None and kind.arity == 2):
+        return f"expected: {_USAGE[head]}"
+    if kind is None:  # src/tgt
+        fits = [g for g in grades[a] if z in declared.get(g - 1, ())]
+        if fits:
+            return f"ambiguous declaration: {head}({a}) = {z} fits grades {fits}" if fits[1:] else (
+                f"duplicate {head} declaration for {a}")
+        nm = next((nm for nm in (a, z) if not grades[nm]), None)
+        return f"unresolved identifier {nm!r}" if nm else f"grade mismatch: no grade places {head}({a}) = {z}"
+    index = _index(*index)
+    if not kind.fits(index, max_dim):
+        return f"{head} indices need {kind.span(max_dim)}"
+    names = (y, x) if a is None else (a,)
+    for nm, grade in zip((*names, z), [index[kind.names]] * kind.arity + [index[kind.value]]):
+        if nm not in declared.get(grade, ()):
+            return f"grade mismatch: {nm} is not a {grade}-cell (found in {grades[nm]})" if grades[nm] else (
+                f"unresolved identifier {nm!r}")
+    return f"duplicate {head} declaration for {_show(names if a is None else a)}"
+
+
+def parse_structure(text: str) -> ParsedStructure:
+    text = text if text.isascii() or not any(map(text.__contains__, map(chr, _WIDE))) else text.translate(_WIDE)
+    cut = _TABLE_LINES.split(text)
+    rest, *columns = (cut[c::_STRIDE] for c in range(_STRIDE))  # the whole lines left; keys, y, x, a, values
+    del cut
+    header, declared, cells_line, refusals = _read_rest(rest)
     max_dim = int(header["dim"]) if "dim" in header else max(declared, default=0)
     for grade, lineno in cells_line.items():
         if grade > max_dim:
             raise ParseError(lineno, f"cells declared in grade {grade} above dim {max_dim}")
 
-    def grades_of(nm: str) -> list[int]:
-        return sorted(g for g, names in declared.items() if nm in names)
-
-    def unresolved(nm: str, grade: int, lineno: int) -> ParseError:
-        found = grades_of(nm)
-        if not found:
-            return ParseError(lineno, f"unresolved identifier {nm!r}")
-        return ParseError(lineno, f"grade mismatch: {nm} is not a {grade}-cell (found in {found})")
-
-    src: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
-    tgt: dict[int, dict[str, str]] = {m: {} for m in range(1, max_dim + 1)}
-    maps: dict[str, dict[tuple[int, int], dict]] = {head: {} for head in _TABLES}
-    maps["comp"] = _comp_tables(cut, declared, max_dim) if cut[1:] else {}
-
-    for lineno, head, line in deferred:
-        if head in _TABLES:
-            pattern, usage, kind = _TABLES[head]
-            mt = pattern.fullmatch(line)
-            if not mt:
-                raise ParseError(lineno, f"expected: {usage}")
-            i, j, *names = mt.groups()
-            index = _index(i, j)
-            if not kind.fits(index, max_dim):
-                raise ParseError(lineno, f"{head} indices need {kind.span(max_dim)}")
-            g, m = index[kind.names], index[kind.value]
-            try:  # the key names share one grade; itemgetter gets the cell of one name, the pair of two
-                key = itemgetter(*names[:-1])(declared[g])
-                value = declared[m][names[-1]]
-            except KeyError:
-                at = [g] * kind.arity + [m]
-                nm, grade = next((nm, k) for nm, k in zip(names, at) if nm not in declared.get(k, ()))
-                raise unresolved(nm, grade, lineno) from None
-            table = maps[head].setdefault(index, {})
-            if key in table:
-                raise ParseError(lineno, f"duplicate {head} declaration for {_show(key)}")
-            table[key] = value
+    faces = {head: {m: {} for m in range(1, max_dim + 1)} for head in _FACES}
+    maps: dict[str, dict[tuple[int, int], dict]] = {kind.name: {} for kind in KINDS}
+    refused = []  # the first line that each refusing table refuses
+    for (head, key), (rows, cols) in _tables(columns, declared, max_dim).items():
+        try:  # the key's names share one grade; the value has its own
+            cells = [map(grade.__getitem__, map(col.__getitem__, rows)) for col, grade in cols]
+            table = dict(zip(cells[0] if len(cells) == 2 else zip(*cells[:-1]), cells[-1]))
+        except KeyError:  # a name not in its grade; or None, where a pair stands for one name or one for a pair
+            table = {}
+        if len(table) < len(rows):  # a refused name, or a repeated key
+            refused.append(rows[_first_refused([([*map(col.__getitem__, rows)], grade) for col, grade in cols])])
         else:
-            mt = _SRC_TGT.fullmatch(line)
-            if not mt:
-                raise ParseError(lineno, f"expected: {head} <id> = <id>")
-            x, y = mt.groups()
-            candidates = [g for g in grades_of(x) if y in declared.get(g - 1, ())]
-            if not candidates:
-                for nm in (x, y):
-                    if not grades_of(nm):
-                        raise ParseError(lineno, f"unresolved identifier {nm!r}")
-                raise ParseError(lineno, f"grade mismatch: no grade places {head}({x}) = {y}")
-            if len(candidates) > 1:
-                raise ParseError(lineno, f"ambiguous declaration: {head}({x}) = {y} fits grades {candidates}")
-            g = candidates[0]
-            table = (src if head == "src" else tgt)[g]
-            if x in table:
-                raise ParseError(lineno, f"duplicate {head} declaration for {x}")
-            table[declared[g][x]] = declared[g - 1][y]
+            (faces if head in _FACES else maps)[head][key] = table
+    refusals += [(r + 1 + sum(map(len, map(str.splitlines, rest[: r + 1]))), [col[r] for col in columns])
+                 for r in sorted(refused)[:1]]  # the first, its line after r cut lines and the whole lines before them
+    if refusals:
+        lineno, fields = min(refusals, key=itemgetter(0))
+        raise ParseError(lineno, _refusal(*fields, declared, max_dim))
 
-    threshold = int(header.get("threshold", "0"))
-    gs = globular_set(max_dim, declared, src, tgt)
-    nm = NMagma.of(gs, threshold, *(maps[kind.name] for kind in KINDS))
+    gs = globular_set(max_dim, declared, faces["src"], faces["tgt"])
+    nm = NMagma.of(gs, int(header.get("threshold", "0")), *(maps[kind.name] for kind in KINDS))
     return ParsedStructure(nm.magma, nm.rev, header.get("structure", "anonymous"))
 
 

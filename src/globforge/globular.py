@@ -16,6 +16,7 @@ concurrent use needs no coordination.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Literal, Mapping
 
 from ._record import Record
@@ -41,7 +42,7 @@ def _freeze_cells(cells: Mapping[int, Iterable[str]], max_dim: int) -> dict[int,
     for m in range(max_dim + 1):
         names = list(cells.get(m, ()))
         if len(set(names)) != len(names):
-            dupes = sorted({x for x in names if names.count(x) > 1})
+            dupes = sorted(x for x, n in Counter(names).items() if n > 1)
             raise ValueError(f"duplicate cell names in grade {m}: {dupes}")
         out[m] = tuple(sorted(names))
     extra = [m for m in cells if m > max_dim and cells[m]]

@@ -99,6 +99,20 @@ def edge_file(tmp_path):
     return str(path)
 
 
+def test_the_readme_report_is_what_validate_writes(tmp_path, capsys):
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.M | re.S)
+    (w,) = [text for _, text in blocks if text.startswith("structure W\n")]
+    (report,) = [text for lang, text in blocks if lang == "json"]
+    path = tmp_path / "w.glob"
+    path.write_text(w)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == emit_report(ValidationReport("W"))
+    assert "comp 1 0 (idb, f) = f\n" in w
+    path.write_text(w.replace("comp 1 0 (idb, f) = f\n", "comp 1 0 (idb, f) = g\n"))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == report
+
+
 def test_validate_ok(iso_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["validate", iso_file, "--report", str(report_path)])

@@ -1,13 +1,18 @@
 import json
 import random
+import re
+import sys
+import time
+from collections import Counter
 
 import pytest
 from fixtures import abelian_2cat_lines, bouquet, two_edge_graph
 from hypothesis import given, strategies as st
+from line_parser import parse_lines
 
 from globforge import dsl
 from globforge.dsl import MAX_DIM, ParseError, emit_structure, parse_structure
-from globforge.globular import validate_globular
+from globforge.globular import globular_set, validate_globular
 from globforge.layers import validate_reflexors, validate_reversors
 from globforge.magma import KINDS, NMagma, StrictNCategory, derive_canonical_reversors, validate_magma, validate_strict
 from globforge.report import ValidationReport, emit_report, parse_report
@@ -249,7 +254,7 @@ def test_a_number_too_long_to_convert_is_above_the_cap():
         assert err.value.message.endswith("is above the cap 10000")
 
 
-# -- the one-pass comp reading against the line parser ----------------------
+# -- the one-pass reader against the line parser ------------------------------
 
 
 def _group_text(n: int) -> list[str]:
@@ -265,6 +270,34 @@ def _graph_lines(name: str, g) -> list[str]:
     nm = NMagma.of(g, 0, {}, {}, {})
     return emit_structure(dsl.ParsedStructure(nm.magma, nm.rev, name)).splitlines()
 
+
+# names in several grades: a src/tgt line fits one grade, and a mutant may fit none or two
+REUSED = """
+structure R
+dim 2
+threshold 1
+cells 0: o a1
+cells 1: o i g1
+cells 2: i a1
+src o = o
+tgt o = a1
+src i = a1
+tgt i = a1
+src g1 = o
+tgt g1 = o
+src a1 = g1
+tgt a1 = g1
+src i = g1
+tgt i = g1
+refl 0 1 o = o
+refl 0 1 a1 = i
+refl 1 2 g1 = a1
+rev 2 1 i = a1
+rev 2 1 a1 = i
+comp 1 0 (o, o) = o
+comp 2 1 (a1, i) = a1
+comp 2 0 (i, i) = i
+"""
 
 _TOKENS = ["comp", "src", "refl", "rev", "cells", "(", ")", ",", "=", "#", "0", "1", "2", "9",
            "\u0661", "\U0001d7d9", "1" * 5000, "0" * 3000 + "1", "undeclared", "g1", "a1", "o", "i", ""]
@@ -323,42 +356,63 @@ def _outcome(parse, text: str):
     return parsed, tables
 
 
+def _wording(message: str) -> str:
+    """What a ParseError says, without its line number and names: `expected: src`, `unresolved identifier`, ..."""
+    message = message.split(": ", 1)[1]
+    for what in ("ambiguous declaration", "grade mismatch: no grade places", "grade mismatch", "unresolved identifier",
+                 "indices need", "declared twice", "invalid identifier", "unknown declaration", "above"):
+        if what in message:
+            return what
+    return " ".join(message.split()[:2])  # `expected: src`, `duplicate refl`, ...
+
+
+# every table head refused every way that its lines can be
+_TABLE_WORDINGS = {f"{how} {head}" for head in ("src", "tgt", "refl", "rev", "comp") for how in ("expected:", "duplicate")}
+_TABLE_WORDINGS |= {"ambiguous declaration", "grade mismatch: no grade places", "grade mismatch", "unresolved identifier",
+                    "indices need"}
+
+
+def test_the_reader_knows_every_blank_and_break():
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in chars if c.isspace()]
+    assert len("".join(c for c in chars if not c.isspace()).splitlines()) == 1  # every line break is whitespace
+    breaks = {c for c in spaces if len(f"a{c}b".splitlines()) == 2}
+    latin1 = "".join(chars[:256])
+    assert re.findall(f"[{dsl._SPACE}]", latin1) == [c for c in spaces if c <= "\xff"]
+    assert re.findall(f"[{dsl._BREAK}]", latin1) == sorted(c for c in breaks if c <= "\xff")
+    assert re.findall(dsl._B, latin1) == [c for c in spaces if c <= "\xff" and c not in breaks]
+    wide = {chr(c): to for c, to in dsl._WIDE.items()}  # read as a Latin-1 break, or a blank
+    assert sorted(wide) == [c for c in spaces if c > "\xff"]
+    assert all((to == "\x0b") == (c in breaks) for c, to in wide.items())
+
+
 def test_one_pass_agrees_with_the_line_parser_on_mutants():
     rng = random.Random(20121803)
-    bases = [_group_text(5), abelian_2cat_lines(3), _graph_lines("P", two_edge_graph()), _graph_lines("B", bouquet(3))]
-    outcomes = {"parsed": 0, "error": 0}
-    for n in range(4800):
+    bases = [_group_text(5), abelian_2cat_lines(3), _graph_lines("P", two_edge_graph()), _graph_lines("B", bouquet(3)),
+             WALKING_ISO.strip().splitlines(), REUSED.strip().splitlines()]
+    outcomes = Counter()
+    for n in range(7200):
         text = _mutant(bases[n % len(bases)], rng)
-        fast, line = _outcome(parse_structure, text), _outcome(dsl._parse, text)
+        fast, line = _outcome(parse_structure, text), _outcome(parse_lines, text)
         assert fast == line, text
-        outcomes["parsed" if isinstance(fast[0], dsl.ParsedStructure) else "error"] += 1
-    assert min(outcomes.values()) > 800  # both kinds of outcome are common
+        outcomes["parsed" if isinstance(fast[0], dsl.ParsedStructure) else _wording(fast[1])] += 1
+    assert outcomes["parsed"] > 1200 and outcomes.total() - outcomes["parsed"] > 3000  # both outcomes are common
+    assert _TABLE_WORDINGS <= outcomes.keys()
 
 
-class _CountingPattern:
-    """A stand-in for the comp line pattern that counts the lines the line parser matches."""
-
-    def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
-
-    def fullmatch(self, line):
-        self.calls += 1
-        return self.pattern.fullmatch(line)
-
-
-def _spy_on_comp_lines(monkeypatch) -> _CountingPattern:
-    pattern, usage, kind = dsl._TABLES["comp"]
-    spy = _CountingPattern(pattern)
-    monkeypatch.setitem(dsl._TABLES, "comp", (spy, usage, kind))
-    return spy
+def _spy_on_refusals(monkeypatch) -> list:
+    """The calls that word a refused table line, made through a stand-in that counts them."""
+    calls, refusal = [], dsl._refusal
+    monkeypatch.setattr(dsl, "_refusal", lambda *args: calls.append(args) or refusal(*args))
+    return calls
 
 
 def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
     text = "\n".join(_group_text(100)) + "\n"
-    line = dsl._parse(text)
-    spy = _spy_on_comp_lines(monkeypatch)
+    line = parse_lines(text)
+    calls = _spy_on_refusals(monkeypatch)
     parsed = parse_structure(text)
-    assert spy.calls == 0  # the per-line table code never ran: no fallback
+    assert calls == []  # no line was refused
     assert _outcome(lambda _: parsed, text) == _outcome(lambda _: line, text)
     assert len(parsed.magma.comp.table(1, 0)) == 10_000
 
@@ -366,12 +420,24 @@ def test_the_one_pass_reads_every_comp_line_of_z100(monkeypatch):
 def test_an_unresolved_name_on_the_last_of_10k_comp_lines(monkeypatch):
     lines = _group_text(100)
     lines[-1] = lines[-1].rsplit("=", 1)[0] + "= undeclared"
-    spy = _spy_on_comp_lines(monkeypatch)
+    calls = _spy_on_refusals(monkeypatch)
     with pytest.raises(ParseError) as err:
         parse_structure("\n".join(lines) + "\n")
     assert str(err.value) == f"line {len(lines)}: unresolved identifier 'undeclared'"
     assert err.value.line == len(lines) == 10_205
-    assert spy.calls <= 2  # the line parser read the refused line, not the 10k before it
+    assert len(calls) == 1  # one line worded, not the 10k before it
+
+
+def test_the_chain_at_max_dim_parses_in_linear_time():
+    # every src/tgt line took the grade of its name from a scan of all 10,001 grades: 4.3 s
+    lines = [f"dim {MAX_DIM}"] + [f"cells {m}: c{m}" for m in range(MAX_DIM + 1)]
+    lines += [f"{face} c{m} = c{m - 1}" for m in range(1, MAX_DIM + 1) for face in ("src", "tgt")]
+    start = time.perf_counter()
+    gs = parse_structure("\n".join(lines) + "\n").gs
+    assert time.perf_counter() - start < 1.0
+    assert len(lines) == 30_002 and gs.max_dim == MAX_DIM
+    assert all(gs.grade(m) == (f"c{m}",) for m in range(MAX_DIM + 1))
+    assert all(gs.map("source", m) == gs.map("target", m) == {f"c{m}": f"c{m - 1}"} for m in range(1, MAX_DIM + 1))
 
 
 Z100_ERRORS = {  # {line number: its new text} in Z100 -> the line parser's message
@@ -388,18 +454,50 @@ Z100_ERRORS = {  # {line number: its new text} in Z100 -> the line parser's mess
         {226: "comp 1 0 (g0, g20) = nowhere", 10205: "src g0 o"}, "line 226: unresolved identifier 'nowhere'"),
 }
 
+_PATH = _graph_lines("P", globular_set(  # a path of 3,000 edges: 6,005 lines, the last `tgt e999 = p999`
+    1, {0: [f"p{i}" for i in range(3001)], 1: [f"e{i}" for i in range(1, 3001)]},
+    src={1: {f"e{i}": f"p{i - 1}" for i in range(1, 3001)}}, tgt={1: {f"e{i}": f"p{i}" for i in range(1, 3001)}}))
+
+PATH_ERRORS = {  # {line number: its new text} in the path, a number past its end adding a line -> the message
+    "src-unresolved": ({6005: "tgt e999 = nowhere"}, "line 6005: unresolved identifier 'nowhere'"),
+    "src-repeated": ({6005: "tgt e1 = p1"}, "line 6005: duplicate tgt declaration for e1"),
+    "src-no-grade": ({6005: "src p3 = e1"}, "line 6005: grade mismatch: no grade places src(p3) = e1"),
+    "src-ambiguous": (
+        {2: "dim 2", 6006: "cells 0: q", 6007: "cells 1: q r", 6008: "cells 2: r", 6009: "src r = q"},
+        "line 6009: ambiguous declaration: src(r) = q fits grades [1, 2]"),
+    "src-malformed": ({6005: "tgt e999 p999"}, "line 6005: expected: tgt <id> = <id>"),
+    "refl-unresolved": ({6006: "refl 0 1 p3000 = nowhere"}, "line 6006: unresolved identifier 'nowhere'"),
+    "refl-mismatch": ({6006: "refl 0 1 e1 = e2"}, "line 6006: grade mismatch: e1 is not a 0-cell (found in [1])"),
+    "refl-repeated": (
+        {6006: "refl 0 1 p0 = e1", 6007: "refl 0 01 p0 = e2"}, "line 6007: duplicate refl declaration for p0"),
+    "rev-out-of-range": ({6006: "rev 2 0 e1 = e1"}, "line 6006: rev indices need 0 <= p < m <= 1"),
+    "rev-pair": ({6006: "rev 1 0 (e1, e2) = e1"}, "line 6006: expected: rev <m> <p> <id> = <id>"),
+    "rev-repeated": ({6006: "rev 1 0 e1 = e2", 6007: "rev 1 0 e1 = e3"}, "line 6007: duplicate rev declaration for e1"),
+    "rev-after-a-bad-tgt": ({6005: "tgt e999 = nowhere", 6006: "rev 2 0 e1 = e1"},
+                            "line 6005: unresolved identifier 'nowhere'"),
+    "cells-after-a-bad-rev": ({6006: "rev 2 0 e1 = e1", 6007: "cells 0: p0"}, "line 6007: cell p0 declared twice in grade 0"),
+}
+
+
+def _assert_worded_as_the_line_parser_words_it(lines: list[str], edits: dict[int, str], message: str, monkeypatch):
+    lines = list(lines)
+    for lineno, line in sorted(edits.items()):
+        lines[lineno - 1 : lineno] = [line]
+    text = "\n".join(lines) + "\n"
+    assert _outcome(parse_lines, text) == (ParseError, message)
+    calls = _spy_on_refusals(monkeypatch)
+    assert _outcome(parse_structure, text) == (ParseError, message)
+    assert len(calls) == (not message.endswith("grade 0"))  # a cells error comes before every table line
+
 
 @pytest.mark.parametrize("name", sorted(Z100_ERRORS))
 def test_a_failing_z100_is_worded_as_the_line_parser_words_it(name, monkeypatch):
-    edits, message = Z100_ERRORS[name]
-    lines = _group_text(100)
-    for lineno, line in edits.items():
-        lines[lineno - 1] = line
-    text = "\n".join(lines) + "\n"
-    assert _outcome(dsl._parse, text) == (ParseError, message)
-    spy = _spy_on_comp_lines(monkeypatch)
-    assert _outcome(parse_structure, text) == (ParseError, message)
-    assert spy.calls <= 2
+    _assert_worded_as_the_line_parser_words_it(_group_text(100), *Z100_ERRORS[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_ERRORS))
+def test_a_failing_path_is_worded_as_the_line_parser_words_it(name, monkeypatch):
+    _assert_worded_as_the_line_parser_words_it(_PATH, *PATH_ERRORS[name], monkeypatch)
 
 
 _names = st.text(alphabet="abcxyz.-", min_size=1, max_size=8)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from fixtures import (
@@ -200,3 +201,12 @@ def test_composite_of_valid_morphisms_valid():
     to_term = GlobularMorphism(gs, term, {m: {x: f"t{m}" for x in gs.grade(m)} for m in range(4)})
     comp = compose_morphisms(to_term, ident)
     assert validate_morphism(comp).valid
+
+
+def test_a_repeated_name_in_a_large_grade_is_refused_in_linear_time():
+    names = [f"c{i}" for i in range(40_000)] + ["c17"]
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        globular_set(0, {0: names})
+    assert time.perf_counter() - start < 1.0  # counting each name's copies took 14 s
+    assert str(err.value) == "duplicate cell names in grade 0: ['c17']"
