@@ -5,16 +5,19 @@ with --report PATH, also writes it to a file.  Validation commands exit 0
 exactly when the merged report has no violations; data commands exit 0 on
 success.  Parse errors, unusable inputs and internal errors exit 2 with one
 line on stderr.  A process ends through run(): it flushes the output and exits
-without tearing the interpreter down, which took about 4 ms of a 30 ms command.
+without tearing the interpreter down, which took about 4 ms a command.  The
+command line is read against the one table _COMMANDS, so importing this module
+loads no option parser, json, re or typing: under `python -S` (Python 3.11.7,
+a shared 2-core host) the import takes about 11 ms, and a whole check-proofs
+--suite S2 about 17 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 # The names cli takes from each layer.  A layer is imported when a command
 # first needs it, and then all its names are bound as globals of this module
@@ -61,8 +64,8 @@ def __getattr__(name: str):
 
 
 LAYERS = ("auto", "globular", "reversors", "reflexors", "magma", "strict", "stretching")
-# a literal, so that building the parser imports no engine; a test keeps it
-# equal to the keys of builtin_suites()
+# a literal, so that reading the command line imports no engine; a test keeps
+# it equal to the keys of builtin_suites()
 SUITE_CHOICES = ("S1", "S2", "S3a", "S3b", "S4", "S5a", "S5b", "S5c", "S6", "S7", "all")
 
 
@@ -95,7 +98,8 @@ def _stream(write, path: str | None) -> None:
 
 
 def _dump(payload: dict, path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    from .report import write_json
+    _stream(lambda sink: write_json(payload, sink.write), path)
 
 
 def _read(path: str) -> str:
@@ -286,66 +290,130 @@ def _cmd_check_proofs(args) -> int:
     return 0 if merged.valid else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a bad command line, as its subcommand parsers do, with one line on stderr and exit 2."""
+_REPORT = {"--report": (str, None, None, False)}
+_BOUND = (int, None, None, True)
+# Each command: its positional argument (None if it takes none); its flags in usage order, each
+# name -> (type, choices, default, required); its handler; and what it does.
+_COMMANDS = {
+    "validate": ("file", {"--layer": (str, LAYERS, "auto", False), **_REPORT}, _cmd_validate,
+                 "run the axiom validators on a presentation file"),
+    "derive-reversors": ("file", {"--n": (int, None, 0, False), **_REPORT}, _cmd_derive,
+                         "derive the canonical reversor tables"),
+    "index": ("file", _REPORT, _cmd_index, "least threshold at which the structure is reversible"),
+    "free-groupoid": ("file", {"--max-len": _BOUND, "--reduce": (str, None, None, False), **_REPORT},
+                      _cmd_free_groupoid, "length-bounded free groupoid on a graph"),
+    "stretch": ("file", {"--n": _BOUND, "--dim": _BOUND, "--size": _BOUND, **_REPORT}, _cmd_stretch,
+                "generate the bounded free stretching on a graph"),
+    "check-proofs": (None, {"--suite": (str, SUITE_CHOICES, "all", False), **_REPORT}, _cmd_check_proofs,
+                     "replay the built-in derivation suites"),
+}
+_HELP = ("-h", "--help")
+_ABOUT = "validate finite higher-dimensional structures and replay their equational proofs"
 
-    def error(self, message: str):
-        self.exit(2, " ".join(f"{self.prog}: {message}".splitlines()) + "\n")
+
+def _refuse(prog: str, message: str):
+    sys.stderr.write(" ".join(f"{prog}: {message}".splitlines()) + "\n")
+    raise SystemExit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="globforge",
-        description="validate finite higher-dimensional structures and replay their equational proofs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _listed(choices) -> str:
+    return ", ".join(map(repr, choices))
 
-    p = sub.add_parser("validate", help="run the axiom validators on a presentation file")
-    p.add_argument("file")
-    p.add_argument("--layer", choices=LAYERS, default="auto")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("derive-reversors", help="derive the canonical reversor tables")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_derive)
+def _option(token: str, names: tuple[str, ...], prog: str) -> tuple[str | None, str | None] | None:
+    """What token is among the option strings names: None for a positional, else the option it names
+    by its whole name or a unique prefix (None if none) and the value attached, as in --flag=value."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    key, eq, value = token.partition("=")
+    if eq and key in names:
+        return key, value
+    if token[1] == "-":
+        found = [(name, value if eq else None) for name in names if name.startswith(key)]
+    else:  # a short option with its value attached, as in -hx
+        found = [(name, token[2:]) for name in names if name == token[:2]]
+    if len(found) > 1:
+        _refuse(prog, f"ambiguous option: {token} could match {', '.join(name for name, _ in found)}")
+    # a negative number, -\d+ or -\d*\.\d+ (where $ also matches before a final newline), is a positional
+    number = (digits := token[1:].removesuffix("\n")).replace(".", "", 1).isdecimal() and digits[-1] != "."
+    return found[0] if found else None if number or " " in token else (None, None)
 
-    p = sub.add_parser("index", help="least threshold at which the structure is reversible")
-    p.add_argument("file")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("free-groupoid", help="length-bounded free groupoid on a graph")
-    p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--reduce")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_free_groupoid)
+def _help(prog: str, option: tuple[str, str | None]):
+    """Print the usage of every command and exit 0, or refuse a value attached to the help flag
+    (-hh is -h twice)."""
+    name, value = option
+    if name == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        _refuse(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    lines = ["usage: globforge [-h] COMMAND ...", "", _ABOUT, ""]
+    for command, (positional, flags, _, about) in _COMMANDS.items():
+        words = [" ", "globforge", command, "[-h]"]
+        for flag, (_, choices, _, required) in flags.items():
+            word = f"{flag} {{{','.join(choices)}}}" if choices else f"{flag} {flag[2:].upper()}"
+            words.append(word if required else f"[{word}]")
+        lines += [" ".join(words + [positional] * bool(positional)), f"      {about}"]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("stretch", help="generate the bounded free stretching on a graph")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_stretch)
 
-    p = sub.add_parser("check-proofs", help="replay the built-in derivation suites")
-    p.add_argument(
-        "--suite",
-        choices=SUITE_CHOICES,
-        default="all",
-    )
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_check_proofs)
-    return parser
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read against _COMMANDS, or refused with one line on stderr and exit 2, by the rules and
+    in the words of the standard library's argparse, which the README lists."""
+    at = 0  # options before the command: help, or unknown ones, refused once the command's are read
+    while at < len(argv) and argv[at] != "--" and (option := _option(argv[at], _HELP, "globforge")):
+        if option[0]:
+            _help("globforge", option)
+        at += 1
+    if argv[at:] in ([], ["--"]):
+        _refuse("globforge", "the following arguments are required: command")
+    command, tokens, extras = argv[at], argv[at + 1:], argv[:at]
+    if command not in _COMMANDS:
+        _refuse("globforge", f"argument command: invalid choice: {command!r} (choose from {_listed(_COMMANDS)})")
+    prog, (positional, flags, func, _) = f"globforge {command}", _COMMANDS[command]
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # every token after the first -- is positional
+    options = [_option(token, (*_HELP, *flags), prog) for token in tokens[:end]] + ["--"] + [None] * len(tokens)
+    values, taken, at = {flag: spec[2] for flag, spec in flags.items()}, None, 0  # taken: the positional's index
+    while at < len(tokens):
+        token, option = tokens[at], options[at]
+        if option is None and positional and taken is None:
+            taken, values[positional] = at, token
+        elif option == "--" and positional and (taken == at - 1 or taken is None and at + 1 < len(tokens)):
+            pass  # the positional takes along a -- beside it
+        elif option in (None, "--") or option[0] is None:
+            extras.append(token)
+        elif option[0] in _HELP:
+            _help(prog, option)
+        else:
+            name, value = option
+            if value is None:  # the next token, unless it is an option or the first --
+                if at + 1 == len(tokens) or options[at + 1] is not None:
+                    _refuse(prog, f"argument {name}: expected one argument")
+                at += 1
+                value = tokens[at]
+            kind, choices, _, _ = flags[name]
+            try:
+                values[name] = kind(value)
+            except ValueError:
+                _refuse(prog, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            if choices and values[name] not in choices:
+                _refuse(prog, f"argument {name}: invalid choice: {value!r} (choose from {_listed(choices)})")
+        at += 1
+    required = [positional] * bool(positional) + [flag for flag, spec in flags.items() if spec[3]]
+    if missing := [name for name in required if values.get(name) is None]:
+        _refuse(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _refuse("globforge", f"unrecognized arguments: {' '.join(extras)}")
+    values = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}  # --max-len: max_len
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -24,8 +24,6 @@ report does not depend on hashing.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .._record import Record
 from ..report import ValidationReport
 from .rules import ALL, RewriteRule, rule_library
@@ -72,7 +70,7 @@ class BracketIntroStep(Record):
     _defaults = {"face": "tgt", "direction": "fwd"}  # face: which face of the bracket replaces the cell
 
 
-Step = Union[RewriteStep, InverseUniquenessStep, BracketIntroStep]
+Step = RewriteStep | InverseUniquenessStep | BracketIntroStep
 
 
 class Derivation(Record):

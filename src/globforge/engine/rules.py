@@ -12,8 +12,8 @@ carriers through pi, v, and lam.  Each rule names the law it encodes.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .._record import Record
 from .terms import (

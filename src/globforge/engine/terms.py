@@ -30,8 +30,8 @@ computed once, when it is built; brackets_in reads them.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
 
 from .._record import Record
 
@@ -73,7 +73,7 @@ class DimExpr(Record):
 _DIMS: dict[tuple[str | None, int], DimExpr] = {}
 
 
-def dim(value: Union[int, str, DimExpr], off: int = 0) -> DimExpr:
+def dim(value: int | str | DimExpr, off: int = 0) -> DimExpr:
     if isinstance(value, DimExpr):
         return value.shift(off)
     if isinstance(value, int):
@@ -209,7 +209,7 @@ class App(_AppSlots, Record):
         object.__setattr__(self, "brackets", brackets)
 
 
-Term = Union[Atom, App]
+Term = Atom | App
 
 
 class TermTable:

@@ -17,12 +17,12 @@ concurrent use needs no coordination.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Literal, Mapping
+from collections.abc import Iterable, Mapping
 
 from ._record import Record
 from .report import ValidationReport
 
-Side = Literal["source", "target"]
+Side = str  # "source" or "target"
 
 LAW_GLOBULAR = "globular identities ss = st and tt = ts"
 LAW_TOTAL_MAPS = "source/target maps are total and land one grade below"

@@ -21,7 +21,7 @@ implicit identity.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from ._record import Record
 from .globular import TruncatedGlobularSet

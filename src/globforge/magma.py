@@ -71,9 +71,9 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, repeat
 from operator import itemgetter, ne, not_
-from typing import Iterable, Iterator, Mapping
 
 from ._record import Record
 from .globular import GlobularMorphism, TruncatedGlobularSet, boundary, validate_morphism

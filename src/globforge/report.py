@@ -11,13 +11,14 @@ indent=2) writes, which emit_report writes directly from its fixed schema:
 violations sorted by axiom id then by the involved cell names.  emit_report
 followed by parse_report is the identity, and distinct reports serialize to
 distinct byte strings, which makes the format suitable for golden-file
-tests.
+tests.  write_json writes the package's other documents, CLI payloads and
+stretching dumps, in the same form; neither writer imports json.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
+from collections.abc import Callable
 
 from ._record import Record
 
@@ -83,6 +84,7 @@ def emit_report(report: ValidationReport) -> str:
 
 def parse_report(text: str) -> ValidationReport:
     """Inverse of emit_report on canonical report text."""
+    import json  # here, not at the top: no writer needs it
     payload = json.loads(text)
     rep = ValidationReport(payload["subject"])
     for entry in payload["violations"]:
@@ -90,3 +92,82 @@ def parse_report(text: str) -> ValidationReport:
     if bool(payload["valid"]) != rep.valid:
         raise ValueError("report text is inconsistent: valid flag does not match violations")
     return rep
+
+
+_CHUNK = 512  # items per join: at S=10, about 70K characters of a cell table
+
+
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
+
+    obj is a tree of dicts with str keys, lists, strs and ints; any other type
+    raises TypeError.  A dict keyed by tuples stands for the list of its rows
+    [*key, value] in key order, so a table is written without a copy.  Items
+    are encoded _CHUNK at a time, a chunk of strs by one join, and write gets
+    the pieces joined, at most about 64K characters or one chunk at a time.
+    """
+    encode = encode_basestring_ascii
+    parts: list[str] = []
+    pending = 0  # characters in the joins held in parts
+
+    def flush() -> None:
+        nonlocal pending
+        write("".join(parts))
+        parts.clear()
+        pending = 0
+
+    def row(key: tuple, value) -> list[str]:  # a row's items: strs, or ints such as a bracket's grade
+        return [encode(a) if type(a) is not int else repr(a) for a in (*key, value)]
+
+    def emit(x, nl: str) -> None:  # nl: newline and indentation of x's line
+        nonlocal pending
+        if isinstance(x, str):
+            parts.append(encode(x))
+        elif isinstance(x, int) and not isinstance(x, bool):
+            parts.append(int.__repr__(x))
+        elif not isinstance(x, (list, dict)):
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        elif not x:
+            parts.append("{}" if isinstance(x, dict) else "[]")
+        else:
+            is_dict = isinstance(x, dict)
+            items = sorted(x) if is_dict else x  # unique keys: json's order of sorted items
+            rows = is_dict and isinstance(items[0], tuple)
+            opening, closing = "{}" if is_dict and not rows else "[]"
+            inner = nl + "  "
+            sep = "," + inner
+            parts.append(opening + inner)
+            for start in range(0, len(items), _CHUNK):
+                chunk = items[start:start + _CHUNK]
+                if start:
+                    parts.append(sep)
+                try:
+                    if rows:  # each row [*key, value] with its items a level deeper
+                        deeper = sep + "  "
+                        body = sep.join(["[" + deeper[1:] + deeper.join(row(k, x[k])) + inner + "]" for k in chunk])
+                    elif is_dict:
+                        body = sep.join([encode(k) + ": " + encode(x[k]) for k in chunk])
+                    else:
+                        body = sep.join(map(encode, chunk))
+                except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
+                    for i, item in enumerate(chunk):
+                        if i:
+                            parts.append(sep)
+                        if rows:
+                            item = [*item, x[item]]
+                        elif is_dict:
+                            parts.append(encode(item) + ": ")
+                            item = x[item]
+                        emit(item, inner)
+                        if pending >= 1 << 16 or len(parts) >= 1024:
+                            flush()
+                else:
+                    if pending and pending + len(body) > 1 << 16:
+                        flush()
+                    parts.append(body)
+                    pending += len(body)
+            parts.append(nl + closing)
+
+    emit(obj, "\n")
+    parts.append("\n")
+    flush()

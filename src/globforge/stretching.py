@@ -38,16 +38,16 @@ other spelling and any repeated row, so no entry can shadow another.
 
 from __future__ import annotations
 
-import json
 import re
+from collections.abc import Callable, Mapping
+from io import TextIOBase
 from operator import attrgetter
-from typing import Callable, Mapping, TextIO
 
 from ._record import Record
 from .globular import TruncatedGlobularSet, globular_set, validate_globular
 from .magma import KINDS, Kind, NMagma
 from .normalform import Strictifier
-from .report import ValidationReport
+from .report import ValidationReport, write_json
 from .terms import StretchTerm, TermContext
 
 LAW_PI_MORPHISM = "the projection onto the strict side preserves all structure"
@@ -374,7 +374,7 @@ def induced_algebra_magma(
 
 
 def _nmagma_payload(nm: NMagma) -> dict:
-    """nm's dump, holding nm's own tables: _write_json writes a pair-keyed comp table as rows [y, x, z]."""
+    """nm's dump, holding nm's own tables: write_json writes a pair-keyed comp table as rows [y, x, z]."""
     gs = nm.magma.gs
     return {
         "max_dim": gs.max_dim,
@@ -487,86 +487,7 @@ def _nmagma_from_payload(payload: dict, where: str) -> NMagma:
     return NMagma.of(gs, _key(payload, "threshold", int, where), *tables)
 
 
-_CHUNK = 512  # items per join: at S=10, about 70K characters of a cell table
-
-
-def _write_json(obj, write: Callable[[str], object]) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
-
-    obj is a tree of dicts with str keys, lists, strs and ints; any other type
-    raises TypeError.  A dict keyed by tuples stands for the list of its rows
-    [*key, value] in key order, so a table is written without a copy.  Items
-    are encoded _CHUNK at a time, a chunk of strs by one join, and write gets
-    the pieces joined, at most about 64K characters or one chunk at a time.
-    """
-    encode = json.encoder.encode_basestring_ascii  # what json.dumps uses under ensure_ascii
-    parts: list[str] = []
-    pending = 0  # characters in the joins held in parts
-
-    def flush() -> None:
-        nonlocal pending
-        write("".join(parts))
-        parts.clear()
-        pending = 0
-
-    def row(key: tuple, value) -> list[str]:  # a row's items: strs, or ints such as a bracket's grade
-        return [encode(a) if type(a) is not int else repr(a) for a in (*key, value)]
-
-    def emit(x, nl: str) -> None:  # nl: newline and indentation of x's line
-        nonlocal pending
-        if isinstance(x, str):
-            parts.append(encode(x))
-        elif isinstance(x, int) and not isinstance(x, bool):
-            parts.append(int.__repr__(x))
-        elif not isinstance(x, (list, dict)):
-            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-        elif not x:
-            parts.append("{}" if isinstance(x, dict) else "[]")
-        else:
-            is_dict = isinstance(x, dict)
-            items = sorted(x) if is_dict else x  # unique keys: json's order of sorted items
-            rows = is_dict and isinstance(items[0], tuple)
-            opening, closing = "{}" if is_dict and not rows else "[]"
-            inner = nl + "  "
-            sep = "," + inner
-            parts.append(opening + inner)
-            for start in range(0, len(items), _CHUNK):
-                chunk = items[start:start + _CHUNK]
-                if start:
-                    parts.append(sep)
-                try:
-                    if rows:  # each row [*key, value] with its items a level deeper
-                        deeper = sep + "  "
-                        body = sep.join(["[" + deeper[1:] + deeper.join(row(k, x[k])) + inner + "]" for k in chunk])
-                    elif is_dict:
-                        body = sep.join([encode(k) + ": " + encode(x[k]) for k in chunk])
-                    else:
-                        body = sep.join(map(encode, chunk))
-                except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
-                    for i, item in enumerate(chunk):
-                        if i:
-                            parts.append(sep)
-                        if rows:
-                            item = [*item, x[item]]
-                        elif is_dict:
-                            parts.append(encode(item) + ": ")
-                            item = x[item]
-                        emit(item, inner)
-                        if pending >= 1 << 16 or len(parts) >= 1024:
-                            flush()
-                else:
-                    if pending and pending + len(body) > 1 << 16:
-                        flush()
-                    parts.append(body)
-                    pending += len(body)
-            parts.append(nl + closing)
-
-    emit(obj, "\n")
-    parts.append("\n")
-    flush()
-
-
-def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
+def dump_stretching(E: Stretching, sink: TextIOBase | None = None) -> str | None:
     """The canonical dump, json.dumps(payload, sort_keys=True, indent=2) + "\n":
     streamed to sink a chunk at a time from E's own tables when a sink is
     given, returned as a str otherwise."""
@@ -579,7 +500,7 @@ def dump_stretching(E: Stretching, sink: TextIO | None = None) -> str | None:
         "brackets": E.brackets or [],  # rows [m, c1, c0, B]
     }
     parts: list[str] = []
-    _write_json(payload, parts.append if sink is None else sink.write)
+    write_json(payload, parts.append if sink is None else sink.write)
     return "".join(parts) if sink is None else None
 
 
@@ -597,6 +518,7 @@ def load_stretching(text: str) -> Stretching:
     """Parse a dump; ValueError (one line) if it is not a stretching whose
     parts have their JSON types and whose sides are well-formed globular
     sets, which validate_stretching assumes."""
+    import json  # here, not at the top: no writer needs it
     try:
         payload = _typed(json.loads(text, object_pairs_hook=_object), dict, "$")
     except RecursionError:

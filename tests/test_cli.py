@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from argparse_oracle import build_parser
 from fixtures import bouquet, graph_file, two_edge_graph
 
-from globforge.cli import LAYERS, SUITE_CHOICES, _validate, main
+from globforge.cli import LAYERS, SUITE_CHOICES, _parse_args, _validate, main
 from globforge.dsl import parse_structure
 from globforge.engine import check_suite
 from globforge.engine.suites import _BUILDERS
@@ -764,6 +766,86 @@ def test_seeded_command_lines_keep_the_contract(tmp_path, capsys):
     assert refusals == set(_REFUSALS)
 
 
+_ODD = ["-", "-x", "---", "-1", "-0", "-1.5", "-.5", "-1\n", "- 1", "-5 x", "", "-h", "--h", "--he", "-hh", "-hx",
+        "--help=x", "--=x", "--bogus=1", "--report=", "x"]
+_VALUES = ["0", "2", "+1", " 3", "-1", "S2", "all", "auto", "magma", "X", "1e3", "e+ e-", ""]
+
+
+def _respelt(argv: list[str], rng: random.Random) -> list[str]:
+    """argv with one to three edits of its spelling: a --flag=value, a prefix of a flag, a flag given
+    again, a --, a negative number or other odd value, a token that starts with -, or a flag with no
+    value at the end."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        flags = [k for k in range(1, len(argv)) if argv[k].startswith("--") and len(argv[k]) > 2]
+        k = rng.choice(flags) if flags else None
+        edit = rng.randrange(7)
+        if edit == 0 and k is not None and k + 1 < len(argv) and argv[k + 1] != "--":
+            argv[k : k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+        elif edit == 1 and k is not None:  # unique, ambiguous or matching no flag
+            argv[k] = argv[k][: rng.randint(3, len(argv[k]))]
+        elif edit == 2 and k is not None:
+            at = rng.randint(1, len(argv))
+            argv[at:at] = [argv[k].partition("=")[0], rng.choice(_VALUES)]
+        elif edit == 3:
+            argv.insert(rng.randint(1, len(argv)), "--")
+        elif edit == 4 and k is not None and k + 1 < len(argv):
+            argv[k + 1] = rng.choice(["-1", "-0", "-1.5", "-.5", "-1\n", "-x", "--", "-5 x", "--report"])
+        elif edit == 5:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(_ODD))
+        else:
+            argv.append(rng.choice(["--report", "--n", "--max-len", "--suite", "--layer", "--size", "--re"]))
+    return argv
+
+
+def _parsed(parse, argv: list[str], capsys) -> tuple:
+    """What parse makes of argv: the namespace's attributes, or the exit code and the refusal line."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        if exc.code == 0:
+            assert err == "" and out.startswith("usage: globforge "), argv
+            return 0, "usage"
+        assert out == "" and err.count("\n") == 1, argv
+        return exc.code, err
+    return vars(args)
+
+
+def test_the_command_line_reader_agrees_with_the_argparse_parser(capsys):
+    # the lines of the contract fuzz and its refusals, respelt; a refusal must be the same line
+    rng = random.Random(20121810)
+    files = {"dir": "reports", "edge": "edge.glob", "iso": "iso.glob", "globe": "-globe.glob"}
+    oracle = build_parser()
+    lines = [[], ["--"], ["-h"], ["--bogus"], ["--bogus", "-h"], ["-hx", "index", "f"], ["--", "index", "f"],
+             ["validates", "f"], ["--report", "r", "index", "f"], ["-1", "index"], ["index", "f", "-hh"]]
+    for _ in range(3000):
+        argv = _command_line(rng, files, [])
+        if rng.random() < 0.3:
+            argv = _refused(argv, rng)
+        if rng.random() < 0.8:
+            argv = _respelt(argv, rng)
+        if rng.random() < 0.05:
+            argv.insert(0, rng.choice(_ODD))
+        lines.append(argv)
+    outcomes = Counter()
+    for argv in lines:
+        want = _parsed(oracle.parse_args, argv, capsys)
+        assert _parsed(_parse_args, argv, capsys) == want, argv
+        outcomes["accepted" if isinstance(want, dict) else "usage" if want[0] == 0 else
+                 next(why for why in (*_REFUSALS, "ambiguous option", "ignored explicit") if why in want[1])] += 1
+    assert len(outcomes) == 4 + len(_REFUSALS) and min(outcomes.values()) >= 30, outcomes
+    assert outcomes["accepted"] >= 600, outcomes
+
+
+def test_a_double_dash_after_the_equals_sign_is_the_flags_value(capsys):
+    # where the argparse parser stored an empty list, which no handler expects
+    assert _parse_args(["validate", "f", "--report=--"]).report == "--"
+    assert build_parser().parse_args(["validate", "f", "--report=--"]).report == []
+    assert _parsed(_parse_args, ["validate", "f", "--layer=--"], capsys) == (
+        2, f"globforge validate: argument --layer: invalid choice: '--' (choose from {str(LAYERS)[1:-1]})\n")
+
+
 def test_validate_stretching_deep_nesting_exit_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -882,6 +964,25 @@ def test_internal_error_exits_two_with_one_line(iso_file, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: table went away second line\n"
+
+
+def test_data_payloads_are_what_json_dumps_writes(tmp_path, capsys):
+    # the one writer, report.write_json, on cell names beyond ASCII and on an empty graph's empty lists
+    iso = re.sub(r"\bg\b", "γ", re.sub(r"\bf\b", "φ", WALKING_ISO)).replace("structure W", "structure Wé")
+    texts = {"iso": iso, "edge": EDGE.replace(" e", " é"), "empty": "structure empty\ndim 1\n"}
+    files = {name: tmp_path / f"{name}.glob" for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text, encoding="utf-8")
+    payloads = []
+    for argv in (["derive-reversors", files["iso"]], ["index", files["iso"]],
+                 ["free-groupoid", files["edge"], "--max-len", "3", "--reduce", "é+ é- é+"],
+                 ["free-groupoid", files["empty"], "--max-len", "2"]):
+        assert main([str(arg) for arg in argv]) == 0
+        out = capsys.readouterr().out
+        payloads.append(json.loads(out))
+        assert out == json.dumps(payloads[-1], sort_keys=True, indent=2) + "\n", argv
+    assert payloads[0]["tables"]["1.0"]["φ"] == "γ" and payloads[1]["subject"] == "Wé"
+    assert payloads[2]["reduced"] == "é+" and payloads[3]["cells"] == payloads[3]["points"] == []
 
 
 def test_check_proofs(capsys):

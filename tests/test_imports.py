@@ -1,6 +1,6 @@
 """Import footprint: each command imports only the layers it runs, no command
-imports dataclasses, and the lazy package exports resolve to the defining
-modules' objects."""
+imports dataclasses, an option parser or typing, only reading a dump imports
+json, and the lazy package exports resolve to the defining modules' objects."""
 
 import importlib
 import json
@@ -28,8 +28,21 @@ def _loaded(code: str, prefix: str = "globforge") -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def _command(argv: list[str]) -> str:
+    return f"import globforge.cli\nassert globforge.cli.main({argv!r}) == 0"
+
+
 def _after_command(argv: list[str], prefix: str = "globforge") -> set[str]:
-    return _loaded(f"import globforge.cli\nassert globforge.cli.main({argv!r}) == 0", prefix)
+    return _loaded(_command(argv), prefix)
+
+
+def _loaded_without_site(code: str) -> set[str]:
+    """Every module loaded once `code` has run in a fresh `python -S`, whose site can preload none."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_importing_cli_loads_no_layer():
@@ -95,6 +108,21 @@ def test_data_commands_import_neither_dataclasses_nor_inspect(argv, tmp_path):
     files = data_files(tmp_path)
     loaded = _after_command([arg.format(**files) for arg in argv], prefix="")
     assert not {"dataclasses", "inspect"} & loaded
+
+
+_OPTION_PARSING = {"argparse", "gettext", "locale", "shutil"}
+
+
+def test_importing_cli_and_checking_proofs_load_no_option_parser_json_re_or_typing():
+    for code in ("import globforge.cli", _command(["check-proofs", "--suite", "all"])):
+        assert not {*_OPTION_PARSING, "json", "re", "typing"} & _loaded_without_site(code), code
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS, ids=[" ".join(argv) for argv in DATA_COMMANDS])
+def test_only_validating_a_dump_loads_json(argv, tmp_path):
+    loaded = _loaded_without_site(_command([arg.format(**data_files(tmp_path)) for arg in argv]))
+    assert not {*_OPTION_PARSING, "typing"} & loaded
+    assert ("json" in loaded) == (argv[-2:] == ["--layer", "stretching"])
 
 
 def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():

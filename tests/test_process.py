@@ -47,7 +47,7 @@ def test_data_commands_write_the_same_bytes_in_a_process(tmp_path, capsys):
         assert proc.stderr == b"", argv
 
 
-def test_an_argparse_refusal_exits_two_with_one_line():
+def test_a_refused_command_line_exits_two_with_one_line():
     proc = _process(["check-proofs", "--suite", "S9"])
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.count(b"\n") == 1 and proc.stderr.startswith(b"globforge check-proofs: argument --suite")

@@ -21,12 +21,11 @@ from globforge.cli import main
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
 from globforge.normalform import UnsupportedFreeConstructionError
-from globforge.report import parse_report
+from globforge.report import parse_report, write_json
 from globforge.stretching import (
     InvalidGraphError,
     SectionViolationError,
     UnsupportedDimensionError,
-    _write_json,
     dump_stretching,
     generate_free_stretching,
     induced_algebra_magma,
@@ -393,7 +392,7 @@ _JSON_TREES = st.recursive(
 @example({**{f"k{i:04}": "v" for i in range(1100)}, "z": {"y": ["x"]}})
 def test_write_json_is_json_dumps(tree):
     chunks = []
-    _write_json(tree, chunks.append)
+    write_json(tree, chunks.append)
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
@@ -401,7 +400,7 @@ def test_write_json_writes_in_batches():
     # more than 1024 pieces, and a joined list of more than 64K characters
     tree = {"rows": [[i, "x" * (i % 7), "\u00e9"] for i in range(3000)], "names": ["n" * 100] * 2000}
     chunks = []
-    _write_json(tree, chunks.append)
+    write_json(tree, chunks.append)
     assert len(chunks) > 2
     assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
@@ -415,7 +414,7 @@ def test_write_json_writes_a_tuple_keyed_dict_as_its_rows():
     ]
     for tree, want in cases:
         chunks = []
-        _write_json(tree, chunks.append)
+        write_json(tree, chunks.append)
         assert "".join(chunks) == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
@@ -430,7 +429,7 @@ def test_dump_reaches_its_sink_in_bounded_pieces():
 @pytest.mark.parametrize("tree", [1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"}])
 def test_write_json_rejects_other_types(tree):
     with pytest.raises(TypeError):
-        _write_json(tree, [].append)
+        write_json(tree, [].append)
 
 
 def test_dump_streams_what_it_returns(tmp_path):
