@@ -40,16 +40,20 @@ Rows that compare equal are skipped, which is exact; only the others are
 read triple by triple, where an absent composite is skipped on fragments
 and reported under require_total.  Columns are dicts, as sparse as tables.
 Interchange numbers the cells of a p-table and a q-table pair once, as
-associativity does, and visits exactly the squares whose outer composite
-(y2 o_q y1) o_p (x2 o_q x1) is stored, as the q-pairs over xx against the
-q-pairs over the yy in the column of xx.  It reads them in blocks: the xx
-whose columns hold the same yy share three itemgetters, which for a q-pair
-(x2, x1) gather y2 o_p x2, y1 o_p x1 and the outer composite over those
-(y2, y1), and the block holds when every gathered triple is a stored
-q-composite.  A block that fails names its failing squares (an absent
-composite gathers as None), and only those are read square by square, which
-skips a square missing an inner composite and reports the rest.
-validate_magma computes each cell's iterated boundaries once per grade.
+associativity does, and reads the squares in blocks, one per stored q-pair
+(x2, x1) over xx.  Up to 255 cells a block is two byte strings indexed by
+the (y2, y1): bytes.translate reads every outer composite
+(y2 o_q y1) o_p xx off the q-rows and the p-column of xx, and every inner
+one (y2 o_p x2) o_q (y1 o_p x1) off rows built once per x1, 255 standing
+for an absent composite on both sides; above, itemgetters gather the
+triples of a class of xx off the columns.  A block whose sides agree holds;
+the others name the squares whose outer composite is stored and whose
+inner ones are not all stored and equal to it, and only those are read
+square by square, which skips a square missing an inner composite and
+reports the rest.  validate_magma computes each cell's iterated boundaries
+once per grade, then compares whole columns of faces, the y, x and z of
+each table, and counts compatible pairs against the table as Light's guard
+does; only when a column disagrees do its loops run to word the report.
 
 Under require_total, Light's associativity test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, 1.2) comes before the column scan.
@@ -203,6 +207,8 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
         for q in range(m)
         for side in ("source", "target")
     })
+    if _column_pass(mag, grades, faces, require_total):
+        return rep
 
     for (m, p), table in comp.maps.items():
         if not COMP.fits((m, p), gs.max_dim):
@@ -285,6 +291,48 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
     return rep
 
 
+def _column_pass(
+    mag: InfinityMagma, grades: list[int], faces: Mapping[tuple[int, int, str], dict[str, str]], require_total: bool
+) -> bool:
+    """True when validate_magma's loops would report nothing, decided on whole columns: the y, x
+    and z of each table, their faces, and the count of compatible pairs under require_total."""
+    gs, comp = mag.gs, mag.comp
+    for (m, p), table in comp.maps.items():
+        if not COMP.fits((m, p), gs.max_dim):
+            return False
+        grade = gs.cell_sets[m]
+        ys, xs, zs = list(map(itemgetter(0), table)), list(map(itemgetter(1), table)), list(table.values())
+        if not (grade.issuperset(ys) and grade.issuperset(xs) and grade.issuperset(zs)):
+            return False
+        for q in range(m):
+            (sy, sx, sz), (ty, tx, tz) = (
+                [list(map(faces[m, q, side].__getitem__, column)) for column in (ys, xs, zs)]
+                for side in ("source", "target")
+            )
+            if q > p:  # on fragments an absent composite of boundaries stands for the face of z
+                get = comp.table(q, p).get
+                holds = sz == list(map(get, zip(sy, sx), repeat(None) if require_total else sz)) and (
+                    tz == list(map(get, zip(ty, tx), repeat(None) if require_total else tz)))
+            elif q == p:  # p-compatible, and positional (b)
+                holds = sy == tx and sz == sx and tz == ty
+            else:
+                holds = sz == sx == sy and tz == tx == ty
+            if not holds:
+                return False
+    if require_total:
+        for m in grades:
+            for p in range(m):
+                if len(comp.table(m, p)) != _compatible_pairs(faces[m, p, "source"], faces[m, p, "target"]):
+                    return False  # a compatible pair is absent
+    return True
+
+
+def _compatible_pairs(src: Mapping[str, str], tgt: Mapping[str, str]) -> int:
+    """How many pairs (y, x) of cells have src(y) = tgt(x)."""
+    rows = Counter(tgt.values())  # rows[c]: how many x have tgt(x) = c
+    return sum(map(rows.__getitem__, src.values()))
+
+
 def _generators(
     grade: tuple[str, ...], table: Mapping[tuple[str, str], str], src: Mapping[str, str], tgt: Mapping[str, str]
 ) -> list[str]:
@@ -325,6 +373,11 @@ def _columns(
     return names, num, cols
 
 
+def _byte_rows(maps: list[dict[int, int]]) -> list[bytes]:
+    """Each of at most 255 maps {i: j} as 256 bytes, j at index i and 255 where i is absent."""
+    return [bytes(map(row.get, range(len(maps)), repeat(255))).ljust(256, b"\xff") for row in maps]
+
+
 def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """The stored (y, x, y o x), y in ys, whose triples are not all stored and associative.
 
@@ -336,7 +389,7 @@ def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[t
     """
     wanted = {y for y in ys if cols[y]}  # y need not be a right factor at all
     if len(cols) <= 255:
-        rows = [bytes(map(col.get, range(len(cols)), repeat(255))).ljust(256, b"\xff") for col in cols]
+        rows = _byte_rows(cols)
         holes = [row.count(255) for row in rows]
         yield from (
             (y, x, yx) for x, col_x in enumerate(cols) for y, yx in col_x.items()
@@ -366,18 +419,55 @@ def _differing_squares(
     (y2 o_q y1) o_p (x2 o_q x1) is stored but whose inner ones are not all stored
     and interchanging.
 
-    The squares with a stored outer composite are those the q-pairs over xx make
-    with the q-pairs over the yy in the column of xx.  The xx whose columns hold
-    the same yy form a class, and a block is one (x2, x1) of the class against
-    the (y2, y1) over those yy: three itemgetters built once per class gather
-    y2 o_p x2, y1 o_p x1 and the outer composite off the columns of x2, x1 and
-    xx, and the block holds iff each gathered triple (a, b, c) has a o_q b = c
-    stored.  A block that fails yields the squares whose triple is not stored; a
-    missing p-composite raises KeyError, and the block is then gathered again
-    with None for what is missing.
+    A block is one stored (x2, x1) over xx against every (y2, y1).  Up to 255
+    cells, numbered below n, pc[b][a] = a o_p b and qr[a][b] = a o_q b are
+    256-byte translation tables, 255 where absent, and ys[y2 * n + y1] is
+    y2 o_q y1.  Two byte strings indexed like ys hold the block: left, every
+    (y2 o_q y1) o_p xx, is ys translated by pc[xx]; right, every
+    (y2 o_p x2) o_q (y1 o_p x1), joins inner[a] for a = y2 o_p x2, where
+    inner[a], the first n bytes of pc[x1] translated by qr[a], is built once
+    per x1, and inner holds a row of holes at each index from n to 255, so a
+    hole reads through it as a hole.  The block holds when left == right;
+    otherwise its y2-slices that differ yield the squares where left is not a
+    hole.
+
+    Above 255 cells, the squares with a stored outer composite are those the
+    q-pairs over xx make with the q-pairs over the yy in the column of xx.  The
+    xx whose columns hold the same yy form a class, and three itemgetters built
+    once per class gather y2 o_p x2, y1 o_p x1 and the outer composite off the
+    columns of x2, x1 and xx; the block holds iff each gathered triple (a, b, c)
+    has a o_q b = c stored.  A block that fails yields the squares whose triple
+    is not stored; a missing p-composite raises KeyError, and the block is then
+    gathered again with None for what is missing.
     """
     names, num, cols = _columns(table_p, table_q)
     q = {(num[a], num[b]): num[ab] for (a, b), ab in table_q.items()}
+    n = len(names)
+    if n <= 255:
+        pc = _byte_rows(cols)
+        ys = bytearray(b"\xff" * (n * n))  # ys[y2 * n + y1] = y2 o_q y1
+        for (a, b), ab in q.items():
+            ys[a * n + b] = ab
+        qr = [ys[lo:lo + n].ljust(256, b"\xff") for lo in range(0, n * n, n)]  # qr[a][b] = a o_q b
+        lefts = {xx: ys.translate(pc[xx]) for xx in set(q.values()) if cols[xx]}  # no column: no outer composite
+        over_x1: dict[int, list[tuple[int, int]]] = {}
+        for (x2, x1), xx in q.items():
+            if xx in lefts:
+                over_x1.setdefault(x1, []).append((x2, xx))
+        holes = [b"\xff" * n] * (256 - n)
+        for x1, blocks in over_x1.items():
+            inner = [*map(pc[x1][:n].translate, qr), *holes]  # inner[a][y1] = a o_q (y1 o_p x1)
+            for x2, xx in blocks:
+                left, right = lefts[xx], b"".join(map(inner.__getitem__, pc[x2][:n]))
+                if left == right:
+                    continue
+                for y2, lo in enumerate(range(0, len(left), n)):
+                    row_l, row_r = left[lo:lo + n], right[lo:lo + n]
+                    if row_l != row_r:
+                        for y1 in compress(range(n), map(ne, row_l, row_r)):
+                            if row_l[y1] != 255:
+                                yield names[y2], names[y1], names[x2], names[x1]
+        return
     graph = {(a, b, ab) for (a, b), ab in q.items()}
     fibre: dict[int, list[tuple[int, int]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
     for pair, c in q.items():
@@ -423,8 +513,7 @@ def _light_test(
                 return False
     except KeyError:  # a cell outside grade m, or a carrier missing a face
         return False
-    rows = Counter(tgt.values())  # rows[c]: how many x have tgt(x) = c
-    if len(table) != sum(rows[src[y]] for y in grade):
+    if len(table) != _compatible_pairs(src, tgt):
         return False  # a compatible pair is absent
     # a generator outside the table is composable with nothing, so has no law to check
     gens = [num[g] for g in _generators(grade, table, src, tgt) if g in num]

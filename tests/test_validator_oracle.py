@@ -7,9 +7,11 @@ every stored (y, x), every pair of q-composites for interchange, and one
 boundary() call per entry, and the unit and reflexor clauses over every
 0 <= q < p < m <= max_dim.  Reports must be byte-equal under emit_report.
 On total tables validate_strict first tries Light's test over a generating
-set; the spy tests below watch when that fast path passes.
+set, and validate_magma first compares whole columns of faces; the spy tests
+below watch when those fast paths pass.
 """
 
+import time
 from collections import Counter
 
 import pytest
@@ -29,6 +31,7 @@ from fixtures import (
     two_edge_graph,
     walking_iso_category,
 )
+from test_acceptance import _strict_fixtures
 from hypothesis import given, settings, strategies as st
 
 from globforge import magma
@@ -502,6 +505,46 @@ def test_interchange_blocks_without_a_composite_are_read_square_by_square():
     assert _agree(mag)
 
 
+def _z3_beside_units(k: int) -> InfinityMagma:
+    """Z_3 as a strict 2-category on the loop i0 at o0, beside the objects o1..ok whose loops ij each
+    bear one 2-cell uj, its own composite over 0 and over 1: the two 2-tables number k + 3 cells
+    together and hold k + 9 entries each."""
+    loops = {f"i{j}": f"o{j}" for j in range(k + 1)}
+    faces = {**{f"a{i}": "i0" for i in range(3)}, **{f"u{j}": f"i{j}" for j in range(1, k + 1)}}
+    gs = globular_set(2, {0: list(loops.values()), 1: list(loops), 2: list(faces)},
+                      src={1: loops, 2: faces}, tgt={1: loops, 2: faces})
+    two = {(f"a{i}", f"a{j}"): f"a{(i + j) % 3}" for i in range(3) for j in range(3)}
+    two.update(((u, u), u) for u in faces if u[0] == "u")
+    comp = {(1, 0): {(i, i): i for i in loops}, (2, 0): two, (2, 1): dict(two)}
+    return InfinityMagma(gs, ReflexorStructure({}), CompositionStructure(comp))
+
+
+@pytest.mark.parametrize("k", [252, 253])  # 255 cells read as byte rows, 256 by itemgetters
+def test_two_dimensional_tables_on_both_sides_of_255_cells_match_the_oracle(k):
+    valid = _z3_beside_units(k)
+    maps = valid.comp.maps
+    names = magma._columns(maps[2, 0], maps[2, 1])[0]
+    assert len(names) == k + 3
+    # a1 o a2 redirected, over 0 or over 1, to the cell numbered last, which as number 255 would read as absent
+    mutants = [
+        InfinityMagma(valid.gs, valid.refl, CompositionStructure({**maps, key: {**maps[key], ("a1", "a2"): names[-1]}}))
+        for key in ((2, 0), (2, 1))
+    ]
+    for mag in (valid, *mutants):
+        rep = validate_strict(mag)
+        assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, True))
+        assert ("interchange.square" in rep.axiom_ids()) == (mag is not valid)
+
+
+def test_z64_as_a_two_category_validates_in_under_half_a_second():
+    # interchange read each of the 64^4 squares with a set lookup: 1.5 s
+    mag = _eckmann_hilton(64)
+    start = time.perf_counter()
+    rep = validate_strict(mag)
+    assert time.perf_counter() - start < 0.5
+    assert rep.valid
+
+
 def _spy(monkeypatch):
     """Record what each Light's test returns and the generators it picks."""
     results, generator_sets = [], []
@@ -545,6 +588,66 @@ def test_light_test_fails_or_is_not_reached(monkeypatch, name):
     rep = validate_strict(mag, require_total=total)
     assert results == expected
     assert emit_report(_assoc_interchange(rep)) == emit_report(_assoc_interchange_oracle(mag, total))
+
+
+def _column_pass_spy(monkeypatch) -> list[bool]:
+    """Record what each column pass of validate_magma returns."""
+    results = []
+    column_pass = magma._column_pass
+
+    def spy(*args):
+        results.append(column_pass(*args))
+        return results[-1]
+
+    monkeypatch.setattr(magma, "_column_pass", spy)
+    return results
+
+
+def test_the_column_pass_decides_every_valid_magma(monkeypatch):
+    results = _column_pass_spy(monkeypatch)
+    cats = {**_strict_fixtures(), **{f"z{n}": cyclic_group_category(n) for n in (1, 7, 30)}}
+    for name, cat in cats.items():
+        for total in (True, False):
+            results.clear()
+            valid = validate_magma(cat.magma, require_total=total).valid
+            assert valid or total, name  # every fixture is a valid fragment
+            assert results == [valid], (name, total)  # a valid magma never reaches the loops
+
+
+def _with(cat, key: tuple[int, int], pair: tuple[str, str], value: str) -> InfinityMagma:
+    maps = {k: dict(t) for k, t in cat.magma.comp.maps.items()}
+    maps.setdefault(key, {})[pair] = value
+    return InfinityMagma(cat.gs, cat.magma.refl, CompositionStructure(maps))
+
+
+# name: (magma, valid under require_total, valid on fragments)
+MAGMA_MUTANTS = {
+    # be o_0 al ends at g1f1 and theta runs g0f0 => g1f1, but g0f0>g1f0 ends at g1f0: positional (a)
+    "wrong-face-a": (_with(square_2cat(), (2, 0), ("be", "al"), "g0f0>g1f0"), False, False),
+    "wrong-face-b": (redirect_comp(walking_iso_category(), (1, 0), ("f", "id(a)"), "id(a)").magma, False, False),
+    # a vertical composite over f0 => f1 sent to a 2-cell over b -> c: positional (c)
+    "wrong-face-c": (_with(square_2cat(), (2, 1), ("1(f1)", "al"), "be"), False, False),
+    "parallel-face": (_with(square_2cat(), (2, 0), ("be", "al"), "theta"), True, True),
+    "incompatible-pair": (_with(square_2cat(), (1, 0), ("f0", "f0"), "f0"), False, False),
+    "cell-outside-grade": (_with(square_2cat(), (1, 0), ("1a", "a"), "1a"), False, False),
+    "composite-outside-grade": (_with(square_2cat(), (1, 0), ("1a", "1a"), "a"), False, False),
+    "missing-pair": (_without(square_2cat(), (2, 1), ("1(1a)", "1(1a)")), False, True),
+    # g0 o f0 is the 1-boundary of be o_0 al
+    "missing-boundary-composite": (_without(square_2cat(), (1, 0), ("g0", "f0")), False, True),
+    "table-out-of-range": (_with(square_2cat(), (2, 2), ("al", "al"), "al"), False, False),
+    "fragment": (free_groupoid_cells(two_edge_graph(), 1).magma, False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAGMA_MUTANTS))
+def test_magma_mutants_are_worded_as_the_oracle_words_them(monkeypatch, name):
+    mag, valid_total, valid_fragment = MAGMA_MUTANTS[name]
+    results = _column_pass_spy(monkeypatch)
+    for total, valid in ((True, valid_total), (False, valid_fragment)):
+        results.clear()
+        rep = validate_magma(mag, require_total=total)
+        assert emit_report(rep) == emit_report(_magma_oracle(mag, total))
+        assert results == [rep.valid] == [valid]
 
 
 def _generators_reference(grade, table, src, tgt) -> list[str]:
