@@ -32,15 +32,17 @@ and comp lines come from magma.KINDS.
 parse_structure reads a text once: a regex split cuts out each well-formed
 table line, whole as str.splitlines breaks lines, and a loop reads the rest.
 Names are looked up a table's column at a time, src/tgt grades in one name
--> grade index; the first refused line is worded as a line parser words it.
+-> grade index; a table stops at its first refused name, and its first
+refused line, that one or an earlier repeated key, is worded as a line
+parser words it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, ne, not_
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, ne
 
 from .globular import globular_set
 from .magma import KINDS, NMagma
@@ -193,14 +195,6 @@ def _tables(columns: list[list], declared: dict[int, dict[str, str]], max_dim: i
     return tables
 
 
-def _first_refused(cols: list[tuple[list[str], dict[str, str]]]) -> int:
-    """A table's first row with a name not in its column's grade, or with the key of an earlier row."""
-    k = min(next(compress(count(), map(not_, map(g.__contains__, c))), len(c)) for c, g in cols)
-    keys = list(islice(zip(*(c for c, _ in cols[:-1])), k + 1))  # the rows up to the first unresolved
-    first = dict(zip(reversed(keys), reversed(range(len(keys)))))  # a key -> the first row of it
-    return next(compress(count(), map(ne, map(first.__getitem__, keys), count())), k)
-
-
 def _refusal(key: str, y: str | None, x: str | None, a: str | None, z: str | None, declared: dict, max_dim: int) -> str:
     """Why the first refused table line is refused, from its key, names (y, x) or a and value z, every line before
     it taken; a line no pattern cut has no value."""
@@ -242,16 +236,18 @@ def parse_structure(text: str) -> ParsedStructure:
     maps: dict[str, dict[tuple[int, int], dict]] = {kind.name: {} for kind in KINDS}
     refused = []  # the first line that each refusing table refuses
     for (head, key), (rows, cols) in _tables(columns, declared, max_dim).items():
+        cells, table = [map(grade.__getitem__, map(col.__getitem__, rows)) for col, grade in cols], {}
         try:  # the key's names share one grade; the value has its own
-            cells = [map(grade.__getitem__, map(col.__getitem__, rows)) for col, grade in cols]
-            table = dict(zip(cells[0] if len(cells) == 2 else zip(*cells[:-1]), cells[-1]))
+            table.update(zip(cells[0] if len(cells) == 2 else zip(*cells[:-1]), cells[-1]))
         except KeyError:  # a name not in its grade; or None, where a pair stands for one name or one for a pair
-            table = {}
-        if len(table) < len(rows):  # a refused name, or a repeated key
-            refused.append(rows[_first_refused([([*map(col.__getitem__, rows)], grade) for col, grade in cols])])
+            pass
+        if len(table) < len(rows):  # the first refused row: the first whose key is not the table's next, first seen
+            spelt = [map(col.__getitem__, rows) for col, _ in cols[:-1]]  # (a repeat), else where it stopped
+            refused.append(rows[next(compress(count(), map(ne, table, spelt[0] if len(spelt) == 1 else zip(*spelt))),
+                                     len(table))])
         else:
             (faces if head in _FACES else maps)[head][key] = table
-    refusals += [(r + 1 + sum(map(len, map(str.splitlines, rest[: r + 1]))), [col[r] for col in columns])
+    refusals += [(r + 1 + sum(map(len, map(str.splitlines, filter(None, rest[: r + 1])))), [col[r] for col in columns])
                  for r in sorted(refused)[:1]]  # the first, its line after r cut lines and the whole lines before them
     if refusals:
         lineno, fields = min(refusals, key=itemgetter(0))

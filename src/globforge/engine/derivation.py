@@ -158,7 +158,7 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
     try:
         sub = subterm(current, step.position)
     except TermError as exc:
-        sub, unplaced = None, exc  # reported after the substitution and the side conditions
+        sub, unplaced = None, str(exc)  # reported after the substitution and the side conditions
     try:
         expected = sub if sub is not None and subst.instantiates(pattern, sub) else subst.term(pattern)
         written = subst.term(replacement)
@@ -171,7 +171,7 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
                 f"side condition {DimCond(lhs, rhs, cond.strict)} of {step.rule} is not entailed by the assumptions"
             )
     if sub is None:
-        raise StepFailure(str(unplaced))
+        raise StepFailure(unplaced)
     if sub != expected:
         raise StepFailure(
             f"rule {step.rule} does not match at {step.position}: "

@@ -15,7 +15,7 @@ p-target of x.  The positional axioms locate the boundary of a composite:
 Strictness adds associativity, units via reflexors, the interchange law,
 and functoriality of reflexors over lower compositions.  In a strict
 structure every invertible cell has a unique inverse, which is what
-derive_canonical_reversors extracts by brute-force search.
+derive_canonical_reversors extracts, from the entries whose composite is a unit.
 
 An n-magma holds three kinds of table, each keyed by its two indices as a
 presentation writes them: reflexors refl[p][m], reversors j[m][p] and
@@ -30,15 +30,16 @@ fragments, where composites may fall outside the stored carrier; axioms are
 then checked on the stored entries only.
 
 The validators index the tables instead of scanning whole grades.
-Associativity numbers the cells of a table once and reads it by columns of
-numbers, cols[b] = {a: a o b}: for a stored (y, x) the z that matter are the
-keys of cols[y].  Up to 255 cells, each column is also 256 bytes, 255 where
-a composite is absent, and one bytes.translate reads every (z o y) o x of a
-row, to compare with the column of y o x; above, two itemgetters per y
-gather the (z o y) o x from cols[x] and the z o (y o x) from cols[y o x].
-Rows that compare equal are skipped, which is exact; only the others are
-read triple by triple, where an absent composite is skipped on fragments
-and reported under require_total.  Columns are dicts, as sparse as tables.
+Associativity numbers the cells of a table once, in name order, the
+composites alone where every factor is one, as in a category, and reads it
+by columns of numbers, cols[b][a] = a o b.  Up to 255 cells a column is 256
+bytes, 255 where a composite is absent, read off the table at every pair of
+cells, and one bytes.translate reads every (z o y) o x of a row, to compare
+with the column of y o x; above, a column is a dict, as sparse as the table,
+and two itemgetters per y gather the (z o y) o x from cols[x] and the
+z o (y o x) from cols[y o x].  Rows that compare equal are skipped, which is
+exact; the others are worded from the same bytes or gathers, where an absent
+composite is skipped on fragments and reported under require_total.
 Interchange numbers the cells of a p-table and a q-table pair once, as
 associativity does, and reads the squares in blocks, one per stored q-pair
 (x2, x1) over xx.  Up to 255 cells a block is two byte strings indexed by
@@ -76,8 +77,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import chain, compress, repeat
-from operator import itemgetter, ne, not_
+from itertools import chain, compress, count, product, repeat
+from operator import eq, is_, itemgetter, ne, not_, or_
 
 from ._record import Record
 from .globular import GlobularMorphism, TruncatedGlobularSet, boundary, validate_morphism
@@ -361,44 +362,62 @@ def _generators(
 
 def _columns(
     table: Mapping[tuple[str, str], str], *also: Mapping[tuple[str, str], str]
-) -> tuple[list[str], dict[str, int], list[dict[int, int]]]:
-    """Number the cells of a table and of the tables also: names[i] is cell i, num[names[i]] = i,
-    and cols[b][a] = a o b in the first table."""
-    cells = chain.from_iterable(chain(chain.from_iterable(t), t.values()) for t in (table, *also))
-    names = list(dict.fromkeys(cells))
-    num = {c: i for i, c in enumerate(names)}
+) -> tuple[list[str], dict[str, int], list[bytes] | list[dict[int, int]]]:
+    """Number the cells of a table and of the tables also in name order: names[i] is cell i, num[names[i]] = i,
+    and cols[b][a] = a o b in the first table.  Up to 255 cells a column is 256 bytes, 255 where a o b is
+    absent, read off the table at every pair of cells; above, it is a dict, filled entry by entry.
+
+    In a category every cell is a composite, x o 1, so the composites alone are numbered first, which
+    costs a third less than numbering every factor as well (1.07 against 1.64 ms on Z100); the first
+    table's bytes then hold all its entries.  A fragment whose factor is no composite is numbered whole."""
+    tables = (table, *also)
+    names = sorted(set(chain.from_iterable(map(dict.values, tables))))
+    num = dict(zip(names, count()))
+    if len(names) <= 255 and num.keys() >= set(chain.from_iterable(chain.from_iterable(also))):
+        if byte_cols := _byte_columns(table, names, num):
+            return names, num, byte_cols
+    names = sorted({*names, *chain.from_iterable(chain.from_iterable(tables))})
+    num = dict(zip(names, count()))
+    if len(names) <= 255:
+        return names, num, _byte_columns(table, names, num)
     cols: list[dict[int, int]] = [{} for _ in names]
     for (a, b), ab in table.items():
         cols[num[b]][num[a]] = num[ab]
     return names, num, cols
 
 
-def _byte_rows(maps: list[dict[int, int]]) -> list[bytes]:
-    """Each of at most 255 maps {i: j} as 256 bytes, j at index i and 255 where i is absent."""
-    return [bytes(map(row.get, range(len(maps)), repeat(255))).ljust(256, b"\xff") for row in maps]
+def _byte_columns(table: Mapping[tuple[str, str], str], names: list[str], num: dict[str, int]) -> list[bytes]:
+    """The columns of a table as 256-byte rows, read at every pair of the names; empty if an entry lies off them."""
+    n = len(names)
+    flat = bytes(map({**num, None: 255}.__getitem__, map(table.get, product(names, names))))  # [a * n + b]: a o b
+    return [flat[b::n].ljust(256, b"\xff") for b in range(n)] if n * n - flat.count(255) == len(table) else []
 
 
-def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+def _differing_rows(cols: list[bytes] | list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """The stored (y, x, y o x), y in ys, whose triples are not all stored and associative.
 
-    Up to 255 cells, rows[b][a] = a o b, or 255 if absent: a row holds when
-    rows[y].translate(rows[x]), every (z o y) o x, equals rows[y o x], every
-    z o (y o x), with as many holes as rows[y], so no composite is absent on
-    both sides.  Above, itemgetters over the z with z o y stored gather both,
-    and a missing composite raises KeyError.
+    Up to 255 cells, cols[b][a] = a o b, or 255 if absent: a row holds when
+    cols[y].translate(cols[x]), every (z o y) o x, equals cols[y o x], every
+    z o (y o x), with as many holes as cols[y], so no composite is absent on
+    both sides.  The y o x are read off every column at index y, and all the
+    rows of a y are compared in one pass.  Above, itemgetters over the z with
+    z o y stored gather both, and a missing composite raises KeyError.
     """
-    wanted = {y for y in ys if cols[y]}  # y need not be a right factor at all
-    if len(cols) <= 255:
-        rows = _byte_rows(cols)
-        holes = [row.count(255) for row in rows]
-        yield from (
-            (y, x, yx) for x, col_x in enumerate(cols) for y, yx in col_x.items()
-            if y in wanted and (rows[y].translate(rows[x]) != rows[yx] or holes[y] != holes[yx])
-        )
+    n = len(cols)
+    if n <= 255:
+        holes, rows, flat = [col.count(255) for col in cols], [col[:n] for col in cols], b"".join(cols)
+        for y in ys:
+            yxs = flat[y::256]  # yxs[x] = y o x
+            xs = [*compress(range(n), map(ne, yxs, repeat(255)))]
+            prods = [*map(yxs.__getitem__, xs)]
+            bad = map(or_, map(ne, map(rows[y].translate, map(cols.__getitem__, xs)), map(rows.__getitem__, prods)),
+                      map(ne, map(holes.__getitem__, prods), repeat(holes[y])))
+            yield from ((y, x, yx) for x, yx in compress(zip(xs, prods), bad))
         return
-    gathers: list[tuple[itemgetter, itemgetter] | None] = [None] * len(cols)
-    for y in wanted:
-        gathers[y] = itemgetter(*cols[y].values()), itemgetter(*cols[y])
+    gathers: list[tuple[itemgetter, itemgetter] | None] = [None] * n
+    for y in ys:
+        if cols[y]:  # y need not be a right factor at all
+            gathers[y] = itemgetter(*cols[y].values()), itemgetter(*cols[y])
     for x, col_x in enumerate(cols):
         for y, yx in col_x.items():
             gather = gathers[y]
@@ -412,6 +431,23 @@ def _differing_rows(cols: list[dict[int, int]], ys: Iterable[int]) -> Iterator[t
             yield y, x, yx
 
 
+def _differing_sides(cols: list[bytes] | list[dict[int, int]], y: int, x: int, yx: int) -> Iterator[tuple]:
+    """The z with z o y stored whose (z o y) o x and z o (y o x) are not both stored and equal, with the two,
+    None where absent: up to 255 cells, where the bytes of cols[y].translate(cols[x]) and cols[y o x] differ."""
+    if len(cols) <= 255:
+        col_y, lefts, rights = cols[y], cols[y].translate(cols[x]), cols[yx]
+        differ = map(ne, lefts, rights)
+        if lefts.count(255) > col_y.count(255):  # some (z o y) o x is absent, and z o (y o x) may be too
+            differ = map(or_, differ, map(eq, lefts, repeat(255)))
+        return (
+            (z, *(None if side == 255 else side for side in (lefts[z], rights[z])))
+            for z in compress(range(len(cols)), differ) if col_y[z] != 255
+        )
+    col_y = cols[y]
+    lefts, rights = [*map(cols[x].get, col_y.values())], [*map(cols[yx].get, col_y)]
+    return compress(zip(col_y, lefts, rights), map(or_, map(ne, lefts, rights), map(is_, lefts, repeat(None))))
+
+
 def _differing_squares(
     table_p: Mapping[tuple[str, str], str], table_q: Mapping[tuple[str, str], str]
 ) -> Iterator[tuple[str, str, str, str]]:
@@ -420,12 +456,12 @@ def _differing_squares(
     and interchanging.
 
     A block is one stored (x2, x1) over xx against every (y2, y1).  Up to 255
-    cells, numbered below n, pc[b][a] = a o_p b and qr[a][b] = a o_q b are
+    cells, numbered below n, cols[b][a] = a o_p b and qr[a][b] = a o_q b are
     256-byte translation tables, 255 where absent, and ys[y2 * n + y1] is
     y2 o_q y1.  Two byte strings indexed like ys hold the block: left, every
-    (y2 o_q y1) o_p xx, is ys translated by pc[xx]; right, every
+    (y2 o_q y1) o_p xx, is ys translated by cols[xx]; right, every
     (y2 o_p x2) o_q (y1 o_p x1), joins inner[a] for a = y2 o_p x2, where
-    inner[a], the first n bytes of pc[x1] translated by qr[a], is built once
+    inner[a], the first n bytes of cols[x1] translated by qr[a], is built once
     per x1, and inner holds a row of holes at each index from n to 255, so a
     hole reads through it as a hole.  The block holds when left == right;
     otherwise its y2-slices that differ yield the squares where left is not a
@@ -444,21 +480,20 @@ def _differing_squares(
     q = {(num[a], num[b]): num[ab] for (a, b), ab in table_q.items()}
     n = len(names)
     if n <= 255:
-        pc = _byte_rows(cols)
         ys = bytearray(b"\xff" * (n * n))  # ys[y2 * n + y1] = y2 o_q y1
         for (a, b), ab in q.items():
             ys[a * n + b] = ab
         qr = [ys[lo:lo + n].ljust(256, b"\xff") for lo in range(0, n * n, n)]  # qr[a][b] = a o_q b
-        lefts = {xx: ys.translate(pc[xx]) for xx in set(q.values()) if cols[xx]}  # no column: no outer composite
+        lefts = {xx: ys.translate(cols[xx]) for xx in set(q.values()) if min(cols[xx]) < 255}  # else no outer composite
         over_x1: dict[int, list[tuple[int, int]]] = {}
         for (x2, x1), xx in q.items():
             if xx in lefts:
                 over_x1.setdefault(x1, []).append((x2, xx))
         holes = [b"\xff" * n] * (256 - n)
         for x1, blocks in over_x1.items():
-            inner = [*map(pc[x1][:n].translate, qr), *holes]  # inner[a][y1] = a o_q (y1 o_p x1)
+            inner = [*map(cols[x1][:n].translate, qr), *holes]  # inner[a][y1] = a o_q (y1 o_p x1)
             for x2, xx in blocks:
-                left, right = lefts[xx], b"".join(map(inner.__getitem__, pc[x2][:n]))
+                left, right = lefts[xx], b"".join(map(inner.__getitem__, cols[x2][:n]))
                 if left == right:
                     continue
                 for y2, lo in enumerate(range(0, len(left), n)):
@@ -499,7 +534,7 @@ def _differing_squares(
 
 def _light_test(
     gs: TruncatedGlobularSet, m: int, p: int,
-    table: Mapping[tuple[str, str], str], num: Mapping[str, int], cols: list[dict[int, int]],
+    table: Mapping[tuple[str, str], str], num: Mapping[str, int], cols: list[bytes] | list[dict[int, int]],
 ) -> bool:
     """Light's test (see the module docstring): True means the column scan would report nothing."""
     if not COMP.fits((m, p), gs.max_dim):
@@ -539,13 +574,10 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
         if require_total and _light_test(gs, m, p, table, num, cols):
             continue
         for y, x, yx in _differing_rows(cols, range(len(names))):
-            col_y = cols[y]
-            lefts = list(map(cols[x].get, col_y.values(), repeat(-1)))  # -1 and -2: absent, and never equal
-            rights = list(map(cols[yx].get, col_y, repeat(-2)))
-            y, x = names[y], names[x]
-            for z, left, right in compress(zip(col_y, lefts, rights), map(ne, lefts, rights)):
+            sides, y, x = _differing_sides(cols, y, x, yx), names[y], names[x]
+            for z, left, right in sides:
                 z = names[z]
-                if left < 0 or right < 0:
+                if left is None or right is None:
                     if require_total:
                         rep.add(
                             "assoc.triple", LAW_ASSOC, (z, y, x),
@@ -642,16 +674,17 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
     return rep
 
 
-def _inverse_candidates(
-    mag: InfinityMagma, m: int, p: int, alpha: str, *, cells: tuple[str, ...]
-) -> list[str]:
-    gs, refl, comp = mag.gs, mag.refl, mag.comp
-    s_a = boundary(gs, m, alpha, p, "source")
-    t_a = boundary(gs, m, alpha, p, "target")
-    if not (refl.defined(p, m, s_a) and refl.defined(p, m, t_a)):
-        return []
-    unit_t, unit_s, get = refl.apply(p, m, t_a), refl.apply(p, m, s_a), comp.table(m, p).get
-    return [beta for beta in cells if get((alpha, beta)) == unit_t and get((beta, alpha)) == unit_s]
+def _inverses(mag: InfinityMagma, m: int, p: int) -> dict[str, list[str]]:
+    """Each m-cell's two-sided inverses over p in grade order, read in one pass over the entries of comp[m][p]
+    whose composite is a unit; a cell whose p-boundary has no unit is left out."""
+    gs, refl, table = mag.gs, mag.refl, mag.comp.table(m, p)
+    ends = {alpha: [boundary(gs, m, alpha, p, side) for side in ("target", "source")] for alpha in gs.grade(m)}
+    units = {a: [refl.apply(p, m, e) for e in es] for a, es in ends.items() if all(refl.defined(p, m, e) for e in es)}
+    order, found = dict(zip(gs.grade(m), count())), defaultdict(list)
+    for (a, b), ab in compress(table.items(), map(set(chain(*units.values())).__contains__, table.values())):
+        if b in order and a in units and units[a][0] == ab and table.get((b, a)) == units[a][1]:
+            found[a].append(b)
+    return {alpha: sorted(found[alpha], key=order.__getitem__) for alpha in units}
 
 
 def derive_canonical_reversors(cat: StrictNCategory, n: int) -> ReversorStructure:
@@ -669,8 +702,9 @@ def derive_canonical_reversors(cat: StrictNCategory, n: int) -> ReversorStructur
         cells = gs.grade(m)
         for p in range(n, m):
             table: dict[str, str] = {}
+            inverses = _inverses(cat.magma, m, p)
             for alpha in cells:
-                found = _inverse_candidates(cat.magma, m, p, alpha, cells=cells)
+                found = inverses.get(alpha, [])
                 if not found:
                     raise NoInverseError(alpha, m, p)
                 if len(found) > 1:
@@ -695,10 +729,9 @@ def compute_index(cat: StrictNCategory) -> int:
         for p in range(m):
             if p < index:
                 continue  # a lower pair already pushed the threshold past p
-            for alpha in cells:
-                if len(_inverse_candidates(cat.magma, m, p, alpha, cells=cells)) != 1:
-                    index = p + 1
-                    break
+            inverses = _inverses(cat.magma, m, p)
+            if any(len(inverses.get(alpha, ())) != 1 for alpha in cells):
+                index = p + 1
     return index
 
 

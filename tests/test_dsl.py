@@ -453,6 +453,22 @@ Z100_ERRORS = {  # {line number: its new text} in Z100 -> the line parser's mess
     "unresolved-before-a-bad-src": (
         {226: "comp 1 0 (g0, g20) = nowhere", 10205: "src g0 o"}, "line 226: unresolved identifier 'nowhere'"),
 }
+Z100_REFUSALS = {  # kind -> the text of comp row (y, x) = z written with head, and the message it gets at that line
+    "unresolved": (lambda head, y, x, z: f"{head} (g{y}, g{x}) = nowhere", "unresolved identifier 'nowhere'"),
+    "wrong-grade": (lambda head, y, x, z: f"{head} (o, g{x}) = g{z}", "grade mismatch: o is not a 1-cell (found in [0])"),
+    "repeated-key": (lambda head, y, x, z: f"{head} (g0, g{int(y == x == 0)}) = g{z}", "duplicate comp declaration for"),
+    "index-out-of-range": (
+        lambda head, y, x, z: f"{head.replace('1', '2', 1)} (g{y}, g{x}) = g{z}", "comp indices need 0 <= p < m <= 1"),
+}
+# each refusal on the first, a middle and the last of the 10k comp rows, its key spelt as every other row's or not;
+# the first row given the key (g0, g1) of the second is refused on the second, the others given (g0, g0) on theirs
+Z100_ERRORS.update(
+    (f"{kind}-on-row-{row}-spelt-{head.replace(' ', '_')}", (
+        {206 + row: text(head, row // 100, row % 100, sum(divmod(row, 100)) % 100)},
+        f"line 207: {message} (g0, g1)" if kind == "repeated-key" and row == 0 else
+        f"line {206 + row}: {message}" + " (g0, g0)" * (kind == "repeated-key")))
+    for kind, (text, message) in Z100_REFUSALS.items() for row in (0, 5000, 9999) for head in ("comp 1 0", "comp 1  0")
+)
 
 _PATH = _graph_lines("P", globular_set(  # a path of 3,000 edges: 6,005 lines, the last `tgt e999 = p999`
     1, {0: [f"p{i}" for i in range(3001)], 1: [f"e{i}" for i in range(1, 3001)]},

@@ -1,9 +1,11 @@
 """The process path: `python -m globforge.cli` ends through `cli.run`, which
-flushes the output and exits without tearing the interpreter down.  Each
-child runs with stdout block-buffered (no PYTHONUNBUFFERED), so these tests
-see what only the final flush writes."""
+runs the command without the cyclic collector, flushes the output and exits
+without tearing the interpreter down.  Each child runs with stdout
+block-buffered (no PYTHONUNBUFFERED), so these tests see what only the final
+flush writes."""
 
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -12,10 +14,12 @@ from pathlib import Path
 
 import pytest
 from test_cli import EDGE
+from test_dsl import _group_text
 from test_imports import DATA_COMMANDS, data_files
 
 from globforge import cli
 from globforge.dsl import parse_structure
+from globforge.report import emit_report, parse_report
 from globforge.stretching import dump_stretching, generate_free_stretching
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,3 +116,48 @@ def test_the_installed_script_is_the_function_the_main_block_calls():
     [block] = [node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
     assert ast.unparse(block) == f"if __name__ == '__main__':\n    {entry[1]}()"
     assert getattr(cli, entry[1]) is cli.run
+
+
+def test_a_command_runs_without_the_cyclic_collector():
+    code = (
+        "import gc, sys\nfrom globforge import cli\n"
+        "cli.main = lambda: print(gc.isenabled()) or 0\ncli.run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert cli.main(["check-proofs", "--suite", "S2"]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+
+
+def test_z100_validates_refuses_a_composite_and_refuses_a_name_in_a_process(tmp_path, capsys):
+    lines = _group_text(100)
+    last = lines[-1]  # comp 1 0 (g99, g99) = g98
+    texts = {
+        "valid": lines,
+        "redirected": lines[:-1] + [last.replace("= g98", "= g97")],
+        "undeclared": lines[:-1] + [last.replace("= g98", "= undeclared")],
+    }
+    outcomes = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.gf"
+        path.write_text("\n".join(text) + "\n")
+        proc = _process(["validate", str(path)])
+        assert (proc.returncode, proc.stdout) == _in_process(["validate", str(path)], capsys), name
+        outcomes[name] = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    for name, code in (("valid", 0), ("redirected", 1)):
+        returncode, out, err = outcomes[name]
+        assert (returncode, err) == (code, "") and emit_report(parse_report(out)) == out
+        assert parse_report(out).valid == (code == 0) and parse_report(out).subject == "Z"
+    assert "assoc" in parse_report(outcomes["redirected"][1]).families()
+    path = tmp_path / "undeclared.gf"
+    assert outcomes["undeclared"] == (2, "", f"{path}: line 10205: unresolved identifier 'undeclared'\n")

@@ -11,6 +11,7 @@ set, and validate_magma first compares whole columns of faces; the spy tests
 below watch when those fast paths pass.
 """
 
+import random
 import time
 from collections import Counter
 
@@ -482,6 +483,26 @@ def test_pair_groupoids_on_both_sides_of_255_cells_match_the_oracle(k):
         assert rep.valid == valid_total
 
 
+
+@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by itemgetters
+def test_missing_composites_on_both_sides_of_255_cells_match_the_oracle(k):
+    table = _pair_groupoid(k).comp.maps[1, 0]
+    rng = random.Random(k)
+    holed = {pair: z for pair, z in table.items() if rng.random() > 0.02}
+    # the triple (a0.1, a1.2, a2.3) keeps z o y and y o x, but (z o y) o x and z o (y o x) are both absent
+    holed.update({("a0.1", "a1.2"): "a0.2", ("a1.2", "a2.3"): "a1.3"})
+    for pair in (("a0.2", "a2.3"), ("a0.1", "a1.3")):
+        del holed[pair]
+    holed[("a3.4", "a4.5")] = "a3.6"  # and one stored composite wrong
+    assert len(magma._columns(holed)[0]) == k * k
+    mag = InfinityMagma(_pair_groupoid(k).gs, ReflexorStructure({}), CompositionStructure({(1, 0): holed}))
+    for total in (True, False):
+        rep = validate_strict(mag, require_total=total)
+        assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, total))
+        assert (("a0.1", "a1.2", "a2.3") in [v.cells for v in rep.violations]) == total
+        assert any(" but " in v.detail for v in rep.violations)  # the wrong composite, on both sides
+
+
 def _eckmann_hilton(n: int, without: str = "") -> InfinityMagma:
     """Z_n as a strict 2-category on one object and one arrow, optionally without one comp line."""
     return parse_structure("\n".join(line for line in abelian_2cat_lines(n) if line != without)).magma
@@ -741,3 +762,40 @@ def test_reversor_lookups_do_not_grow_with_empty_grades(monkeypatch):
     assert [v.detail for v in validate_reversors(parsed.gs, stray).violations] == [
         "j[40][3] mentions undeclared cell ghost"
     ]
+
+
+def _inverse_scan(mag: InfinityMagma, m: int, p: int, alpha: str) -> list[str]:
+    """The direct search: every cell of the grade tried as a two-sided inverse of alpha over p."""
+    gs, refl, get = mag.gs, mag.refl, mag.comp.table(m, p).get
+    s_a, t_a = boundary(gs, m, alpha, p, "source"), boundary(gs, m, alpha, p, "target")
+    if not (refl.defined(p, m, s_a) and refl.defined(p, m, t_a)):
+        return []
+    unit_t, unit_s = refl.apply(p, m, t_a), refl.apply(p, m, s_a)
+    return [beta for beta in gs.grade(m) if get((alpha, beta)) == unit_t and get((beta, alpha)) == unit_s]
+
+
+def test_inverses_match_the_scan_over_the_grade():
+    cats = {**_strict_fixtures(), **{f"z{n}": cyclic_group_category(n) for n in (1, 7, 30)}}
+    mags = {name: cat.magma for name, cat in cats.items()}
+    # seeded mutants of Z_n: an entry, and every other time its mirror too, sent to the unit or to a random cell,
+    # in a table stored backwards, so that the order of the candidates is the grade's and not the table's
+    for n in (4, 6, 9):
+        rng, z = random.Random(n), cyclic_group_category(n)
+        for i in range(12):
+            (y, x), value = rng.choice(sorted(z.magma.comp.maps[1, 0])), "r0" if i % 3 else rng.choice(z.gs.grade(1))
+            mutant = redirect_comp(z, (1, 0), (y, x), value)
+            if i % 2:
+                mutant = redirect_comp(mutant, (1, 0), (x, y), value)
+            backwards = CompositionStructure({(1, 0): dict(reversed(mutant.magma.comp.maps[1, 0].items()))})
+            mags[f"z{n}-mutant-{i}"] = InfinityMagma(z.gs, z.magma.refl, backwards)
+    ghost = {**z.magma.comp.maps[1, 0], ("r1", "ghost"): "r0", ("ghost", "r1"): "r0"}  # an inverse off the grade
+    mags["z9-ghost"] = InfinityMagma(z.gs, z.magma.refl, CompositionStructure({(1, 0): ghost}))
+    found = Counter()
+    for name, mag in mags.items():
+        for m in range(1, mag.gs.max_dim + 1):
+            for p in range(m):
+                inverses = magma._inverses(mag, m, p)
+                scan = {alpha: _inverse_scan(mag, m, p, alpha) for alpha in mag.gs.grade(m)}
+                assert {alpha: inverses.get(alpha, []) for alpha in mag.gs.grade(m)} == scan, (name, m, p)
+                found.update(min(len(betas), 2) for betas in scan.values())
+    assert found[0] and found[1] and found[2]  # no inverse, one, and several all occur
