@@ -206,7 +206,7 @@ def _cmd_derive(args) -> int:
         return 2
     parsed = _strict(args)
     try:
-        rev = derive_canonical_reversors(StrictNCategory(parsed.magma, args.n), args.n)
+        rev = derive_canonical_reversors(StrictNCategory(parsed.magma, args.n))
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep = ValidationReport(parsed.name)
         rep.add("derive.inverse", LAW_UNIQUE_INVERSE, (exc.cell,), str(exc))

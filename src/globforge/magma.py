@@ -54,7 +54,7 @@ square by square, which skips a square missing an inner composite and
 reports the rest.  validate_magma computes each cell's iterated boundaries
 once per grade, then compares whole columns of faces, the y, x and z of
 each table, and counts compatible pairs against the table as Light's guard
-does; only when a column disagrees do its loops run to word the report.
+does; the columns word what they find, an entry only where they differ.
 
 Under require_total, Light's associativity test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, 1.2) comes before the column scan.
@@ -193,7 +193,8 @@ class StrictNCategory(Record):
 
 
 def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> ValidationReport:
-    """Positional axioms plus domain exactness of the composition tables.
+    """Positional axioms plus domain exactness of the composition tables, read off each table's
+    columns of y, x and z; only the entries where a column differs from what its law wants are worded.
 
     Assumes the underlying globular set and reflexors already validate.
     With require_total=False, missing composites on compatible pairs are
@@ -208,9 +209,7 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
         for q in range(m)
         for side in ("source", "target")
     })
-    if _column_pass(mag, grades, faces, require_total):
-        return rep
-
+    columns = []
     for (m, p), table in comp.maps.items():
         if not COMP.fits((m, p), gs.max_dim):
             rep.add(
@@ -219,30 +218,36 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
             )
             continue
         grade = gs.cell_sets[m]
-        src_p, tgt_p = faces[m, p, "source"], faces[m, p, "target"]
-        for (y, x), z in table.items():
-            if y not in grade or x not in grade or z not in grade:
+        ys, xs, zs = list(map(itemgetter(0), table)), list(map(itemgetter(1), table)), list(table.values())
+        if not (grade.issuperset(ys) and grade.issuperset(xs) and grade.issuperset(zs)):
+            inside = list(map(grade.issuperset, zip(ys, xs, zs)))
+            for y, x, z in compress(zip(ys, xs, zs), map(not_, inside)):
                 rep.add(
                     "positional.domain", LAW_COMP_TOTAL, (y, x, z),
                     f"comp[{m}][{p}] entry ({y}, {x}) -> {z} mentions cells outside grade {m}",
                 )
-                continue
-            if src_p[y] != tgt_p[x]:
+            ys, xs, zs = (list(compress(column, inside)) for column in (ys, xs, zs))
+        sy, tx = list(map(faces[m, p, "source"].__getitem__, ys)), list(map(faces[m, p, "target"].__getitem__, xs))
+        if sy != tx:
+            for y, x in compress(zip(ys, xs), map(ne, sy, tx)):
                 rep.add(
                     "positional.domain", LAW_COMP_TOTAL, (y, x),
                     f"comp[{m}][{p}] is defined on ({y}, {x}) although the pair is not {p}-compatible",
                 )
+        columns.append((m, p, ys, xs, zs))
     if not rep.valid:
         return rep
 
     if require_total:
         for m in grades:
             for p in range(m):
-                table = comp.table(m, p)
+                table, src_p, tgt_p = comp.table(m, p), faces[m, p, "source"], faces[m, p, "target"]
+                if len(table) == _compatible_pairs(src_p, tgt_p):
+                    continue  # every stored pair is compatible, so none is absent
                 by_src: dict[str, list[str]] = {}
-                for y, sy in faces[m, p, "source"].items():
+                for y, sy in src_p.items():
                     by_src.setdefault(sy, []).append(y)
-                for x, tx in faces[m, p, "target"].items():
+                for x, tx in tgt_p.items():
                     for y in by_src.get(tx, ()):
                         if (y, x) not in table:
                             rep.add(
@@ -250,82 +255,38 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
                                 f"comp[{m}][{p}] misses the compatible pair ({y}, {x})",
                             )
 
-    for (m, p), table in comp.maps.items():
+    for m, p, ys, xs, zs in columns:
         for q in range(m):
-            table_q = comp.table(q, p)
             for side, tag in (("source", "src"), ("target", "tgt")):
-                bnd = faces[m, q, side]
-                for (y, x), z in table.items():
-                    bz = bnd[z]
-                    if q > p:
-                        by, bx = bnd[y], bnd[x]
-                        want = table_q.get((by, bx))
-                        if want is None:
-                            if require_total:
-                                rep.add(
-                                    "positional.total", LAW_COMP_TOTAL, (by, bx),
-                                    f"comp[{q}][{p}] misses ({by}, {bx}) needed for the boundary of ({y}, {x})",
-                                )
-                            continue
-                        if bz != want:
-                            rep.add(
-                                "positional.a", LAW_POSITIONAL_A, (y, x, z),
-                                f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz} but the composite of boundaries is {want}",
-                            )
+                face = faces[m, q, side].__getitem__
+                bz = list(map(face, zs))
+                if q > p:  # on fragments an absent composite of boundaries stands for the face of z
+                    by, bx = list(map(face, ys)), list(map(face, xs))
+                    want = list(map(comp.table(q, p).get, zip(by, bx), repeat(None) if require_total else bz))
+                elif q == p:
+                    want = list(map(face, xs if side == "source" else ys))
+                else:
+                    want = list(map(face, xs))
+                    # sanity cross-check: compatibility plus globularity force
+                    # the factors to agree below the composition level
+                    assert want == list(map(face, ys))
+                if bz == want:
+                    continue
+                for i in compress(range(len(zs)), map(ne, bz, want)):
+                    y, x, z, wanted = ys[i], xs[i], zs[i], want[i]
+                    head = f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz[i]}"
+                    if q < p:
+                        rep.add("positional.c", LAW_POSITIONAL_C, (y, x, z),
+                                f"{head}, expected the shared boundary {wanted}")
                     elif q == p:
-                        want = bnd[x if side == "source" else y]
-                        if bz != want:
-                            rep.add(
-                                "positional.b", LAW_POSITIONAL_B, (y, x, z),
-                                f"{tag}_{p}({y} o[{m},{p}] {x}) = {bz}, expected {want}",
-                            )
+                        rep.add("positional.b", LAW_POSITIONAL_B, (y, x, z), f"{head}, expected {wanted}")
+                    elif wanted is None:
+                        rep.add("positional.total", LAW_COMP_TOTAL, (by[i], bx[i]),
+                                f"comp[{q}][{p}] misses ({by[i]}, {bx[i]}) needed for the boundary of ({y}, {x})")
                     else:
-                        bx = bnd[x]
-                        # sanity cross-check: compatibility plus globularity force
-                        # the factors to agree below the composition level
-                        assert bx == bnd[y]
-                        if bz != bx:
-                            rep.add(
-                                "positional.c", LAW_POSITIONAL_C, (y, x, z),
-                                f"{tag}_{q}({y} o[{m},{p}] {x}) = {bz}, expected the shared boundary {bx}",
-                            )
+                        rep.add("positional.a", LAW_POSITIONAL_A, (y, x, z),
+                                f"{head} but the composite of boundaries is {wanted}")
     return rep
-
-
-def _column_pass(
-    mag: InfinityMagma, grades: list[int], faces: Mapping[tuple[int, int, str], dict[str, str]], require_total: bool
-) -> bool:
-    """True when validate_magma's loops would report nothing, decided on whole columns: the y, x
-    and z of each table, their faces, and the count of compatible pairs under require_total."""
-    gs, comp = mag.gs, mag.comp
-    for (m, p), table in comp.maps.items():
-        if not COMP.fits((m, p), gs.max_dim):
-            return False
-        grade = gs.cell_sets[m]
-        ys, xs, zs = list(map(itemgetter(0), table)), list(map(itemgetter(1), table)), list(table.values())
-        if not (grade.issuperset(ys) and grade.issuperset(xs) and grade.issuperset(zs)):
-            return False
-        for q in range(m):
-            (sy, sx, sz), (ty, tx, tz) = (
-                [list(map(faces[m, q, side].__getitem__, column)) for column in (ys, xs, zs)]
-                for side in ("source", "target")
-            )
-            if q > p:  # on fragments an absent composite of boundaries stands for the face of z
-                get = comp.table(q, p).get
-                holds = sz == list(map(get, zip(sy, sx), repeat(None) if require_total else sz)) and (
-                    tz == list(map(get, zip(ty, tx), repeat(None) if require_total else tz)))
-            elif q == p:  # p-compatible, and positional (b)
-                holds = sy == tx and sz == sx and tz == ty
-            else:
-                holds = sz == sx == sy and tz == tx == ty
-            if not holds:
-                return False
-    if require_total:
-        for m in grades:
-            for p in range(m):
-                if len(comp.table(m, p)) != _compatible_pairs(faces[m, p, "source"], faces[m, p, "target"]):
-                    return False  # a compatible pair is absent
-    return True
 
 
 def _compatible_pairs(src: Mapping[str, str], tgt: Mapping[str, str]) -> int:
@@ -687,16 +648,16 @@ def _inverses(mag: InfinityMagma, m: int, p: int) -> dict[str, list[str]]:
     return {alpha: sorted(found[alpha], key=order.__getitem__) for alpha in units}
 
 
-def derive_canonical_reversors(cat: StrictNCategory, n: int) -> ReversorStructure:
-    """Search each grade for the unique two-sided inverse over every p >= n.
+def derive_canonical_reversors(cat: StrictNCategory) -> ReversorStructure:
+    """Search each grade for the unique two-sided inverse over every p >= cat.threshold.
 
     The result satisfies the reversor boundary axioms, is involutive, and is
     compatible with the reflexors; those are theorems about strict
     structures, and the validators confirm them on any concrete input.
     """
+    gs, n = cat.gs, cat.threshold
     if n < 0:
         raise ValueError(f"the reversor threshold must be >= 0, got {n}")
-    gs = cat.gs
     maps: dict[tuple[int, int], dict[str, str]] = {}
     for m in range(n + 1, gs.max_dim + 1):
         cells = gs.grade(m)
@@ -770,8 +731,8 @@ def check_functor_reversors(
 
     n = max(cat.threshold, cat2.threshold)
     try:
-        rev = derive_canonical_reversors(StrictNCategory(cat.magma, n), n)
-        rev2 = derive_canonical_reversors(StrictNCategory(cat2.magma, n), n)
+        rev = derive_canonical_reversors(StrictNCategory(cat.magma, n))
+        rev2 = derive_canonical_reversors(StrictNCategory(cat2.magma, n))
     except (NoInverseError, AmbiguousInverseError) as exc:
         rep.add("functor.reversor", LAW_UNIQUE_INVERSE, (), f"canonical reversors unavailable: {exc}")
         return rep

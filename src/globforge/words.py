@@ -19,13 +19,9 @@ words and for the columns of 2-generator letters in normalform alike.
 The 1-cells of the 1-truncated free groupoid on a graph are the reduced
 words up to a length bound; reduced_words_by_name keys them by cell name.
 free_groupoid_cells materializes the groupoid as a strict structure over
-them.  The composite of reduced words y after x is y[:len(y)-c] + x[c:],
-where c is the length of the overlap in which y's last steps cancel x's
-first steps.  This is exactly the reduced concatenation: each factor is
-reduced, so the only cancellable pairs are at the junction, and once the
-overlap is gone the new junction does not cancel either.  Composition is
-partial at the length boundary, so validators should be run with
-require_total=False.
+them, y after x being compose_words' reduced concatenation wherever it stays
+within the bound.  Composition is partial at the length boundary, so
+validators should be run with require_total=False.
 """
 
 from __future__ import annotations
@@ -127,11 +123,7 @@ def word_name(w: Word) -> str:
     """Canonical cell name: id(a) for the empty word, dotted signed edges otherwise."""
     if not w.steps:
         return f"id({w.base})"
-    return ".".join(_tokens(w))
-
-
-def _tokens(w: Word) -> tuple[str, ...]:
-    return tuple([edge + ("+" if orient > 0 else "-") for edge, orient in w.steps])
+    return ".".join([edge + ("+" if orient > 0 else "-") for edge, orient in w.steps])
 
 
 def parse_word(gs: TruncatedGlobularSet, text: str) -> Word:
@@ -197,27 +189,17 @@ def free_groupoid_cells(g: TruncatedGlobularSet, max_len: int) -> StrictNCategor
 
     refl = ReflexorStructure({(0, 1): {a: word_name(Word(a, ())) for a in g.grade(0)}})
 
-    tokens = {nm: _tokens(w) for nm, w in names.items()}
-    by_target: dict[str, list[str]] = {a: [] for a in g.grade(0)}
-    for nm in names:
-        by_target[tgt[1][nm]].append(nm)
-
-    # y o x exists only when x ends where y starts: scan that bucket alone.
-    # Both words are valid and reduced, so the overlap c gives the composite;
-    # the new junction chains because the cancelled overlap retraces one path.
+    by_target: dict[str, list[tuple[str, Word]]] = {a: [] for a in g.grade(0)}
+    for nm, w in names.items():
+        by_target[tgt[1][nm]].append((nm, w))
+    # y o x exists only when x ends where y starts, so only that bucket is scanned, and only when y's last
+    # k steps cancel x's first k, k = ceil((|y| + |x| - max_len) / 2), does the composite fit the bound
     table: dict[tuple[str, str], str] = {}
     for ny, wy in names.items():
-        ys, ly, ty = wy.steps, len(wy.steps), tokens[ny]
-        undo = tuple((e, -o) for e, o in reversed(ys))  # undo[i] cancels ys[ly-1-i]
-        for nx in by_target[src[1][ny]]:
-            wx = names[nx]
-            xs, lx = wx.steps, len(wx.steps)
-            c, top = 0, min(ly, lx)
-            while c < top and undo[c] == xs[c]:
-                c += 1
-            if ly + lx - 2 * c > max_len:
-                continue
-            kept = ty[: ly - c] + tokens[nx][c:]
-            table[(ny, nx)] = ".".join(kept) if kept else f"id({wx.base})"
+        undo, over = inverse_word(ends, wy).steps, len(wy.steps) - max_len + 1  # undo[i] cancels wy.steps[-1 - i]
+        for nx, wx in by_target[wy.base]:
+            k = (over + len(wx.steps)) // 2
+            if k <= 0 or undo[:k] == wx.steps[:k]:
+                table[ny, nx] = word_name(compose_words(ends, wy, wx))
     comp = CompositionStructure({(1, 0): table})
     return StrictNCategory(InfinityMagma(gs, refl, comp), threshold=0)

@@ -419,7 +419,7 @@ def identity_stretching(cat: StrictNCategory):
     from globforge.magma import NMagma, derive_canonical_reversors
     from globforge.stretching import Stretching
 
-    rev = derive_canonical_reversors(cat, cat.threshold)
+    rev = derive_canonical_reversors(cat)
     nm = NMagma(cat.magma, rev)
     gs = cat.gs
     pi = {m: {x: x for x in gs.grade(m)} for m in range(gs.max_dim + 1)}

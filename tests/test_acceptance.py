@@ -120,7 +120,7 @@ def test_c1_mutant_kill():
     checks += 1
 
     iso = walking_iso_category()
-    iso_rev = derive_canonical_reversors(iso, 0)
+    iso_rev = derive_canonical_reversors(iso)
     assert validate_involutive(iso.gs, iso_rev).valid
     cycle = ReversorStructure(0, {(1, 0): {"u": "v", "v": "w", "w": "u"}})
     assert validate_reversors(loops_graph(), cycle).valid
@@ -216,7 +216,7 @@ def test_c1_mutant_kill():
 def test_c2_dimension_one_inverses():
     started = time.time()
     cat = free_groupoid_cells(one_edge_graph(), 4)
-    rev = derive_canonical_reversors(cat, 0)
+    rev = derive_canonical_reversors(cat)
     for cell in cat.gs.grade(1):
         assert rev.apply(1, 0, cell) is not None
     assert rev.apply(1, 0, "e+") == "e-"
@@ -313,7 +313,7 @@ def test_c4_derived_reversors_satisfy_theorems():
         assert validate_globular(cat.gs).valid, name
         assert validate_magma(cat.magma, require_total=False).valid, name
         assert validate_strict(cat.magma, require_total=False).valid, name
-        rev = derive_canonical_reversors(cat, 0)
+        rev = derive_canonical_reversors(cat)
         inv = validate_involutive(cat.gs, rev)
         compat = validate_reflexive_compat(cat.gs, cat.magma.refl, rev)
         assert inv.valid and compat.valid, (name, inv.violations, compat.violations)

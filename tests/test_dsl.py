@@ -58,7 +58,7 @@ def test_walking_iso_round_trip_through_validators():
     assert validate_reversors(parsed.gs, parsed.rev).valid
     assert validate_magma(parsed.magma).valid
     assert validate_strict(parsed.magma).valid
-    rev = derive_canonical_reversors(StrictNCategory(parsed.magma, 0), 0)
+    rev = derive_canonical_reversors(StrictNCategory(parsed.magma, 0))
     assert rev.maps == parsed.rev.maps
 
 

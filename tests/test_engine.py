@@ -160,6 +160,17 @@ def test_inverse_uniqueness_is_conservative():
     assert any("established" in v.detail for v in rep.violations)
 
 
+def test_inverse_uniqueness_with_an_ill_graded_beta_is_an_ill_formed_step():
+    al, be = const("alpha", "m", "C"), const("beta", "p", "C")
+    step = InverseUniquenessStep((), dim("m"), dim("p"), al, be)
+    d = Derivation("ill-graded", be, (step,), revT("m", "p", al))
+    rep = check_derivation(d, _ctx([le("n", "p"), lt("p", "m")]))
+    assert [(v.axiom, v.cells, v.detail) for v in rep.violations] == [(
+        "derivation.step", ("ill-graded", "step 0"),
+        "step builds an ill-formed term: comp: expected grade m, got p in beta",
+    )]
+
+
 def test_bracket_gate_blocks_unintroduced():
     f = const("f", 1, "M")
     g = const("g", 1, "M")

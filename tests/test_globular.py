@@ -194,6 +194,31 @@ def test_broken_naturality_names_cell():
     assert any("f" in v.cells for v in rep.violations)
 
 
+# name: (morphism, every violation as (cells, detail)), all of them morphism.map
+MAP_REFUSALS = {
+    "target-below-source": (
+        GlobularMorphism(three_globe(), walking_iso_graph(), {}),
+        [((), "target truncation 1 is below source truncation 3")],
+    ),
+    "component-misses-a-cell": (
+        GlobularMorphism(walking_iso_graph(), walking_iso_graph(), {0: {"a": "a", "b": "b"}, 1: {"f": "f"}}),
+        [(("g",), "component at grade 1 misses cell g")],
+    ),
+    "image-outside-the-grade": (
+        GlobularMorphism(walking_iso_graph(), walking_iso_graph(), {0: {"a": "a", "b": "b"}, 1: {"f": "f", "g": "a"}}),
+        [(("g", "a"), "image of 1-cell g is a, not a 1-cell of the target")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_REFUSALS))
+def test_map_refusals_are_worded(name):
+    phi, expected = MAP_REFUSALS[name]
+    rep = validate_morphism(phi)
+    assert rep.axiom_ids() == {"morphism.map"}
+    assert [(v.cells, v.detail) for v in rep.violations] == expected
+
+
 def test_composite_of_valid_morphisms_valid():
     gs = three_globe()
     term = terminal_gs(3)

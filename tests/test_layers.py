@@ -1,3 +1,4 @@
+import pytest
 from fixtures import (
     redirect_rev,
     square_2cat,
@@ -120,7 +121,7 @@ def test_reflexor_composite_checked():
 
 def test_identity_loops_compat():
     cat = walking_iso_category()
-    rev = derive_canonical_reversors(cat, 0)
+    rev = derive_canonical_reversors(cat)
     gs = cat.gs
     assert rev.apply(1, 0, "id(a)") == "id(a)"
     assert validate_reflexive_compat(gs, cat.magma.refl, rev).valid
@@ -173,3 +174,46 @@ def test_swap_law_on_three_dimensional_fixture():
         for x, jx in table.items():
             assert boundary(gs, m, jx, p, "source") == boundary(gs, m, x, p, "target")
             assert boundary(gs, m, jx, p, "target") == boundary(gs, m, x, p, "source")
+
+
+def _square_refl_without_a_at_0_2() -> ReflexorStructure:
+    """square_2cat's reflexors with a declared refl[0][2] that misses the 0-cell a."""
+    cat = square_2cat(with_spare=False)
+    multi = {x: cat.magma.refl.apply(0, 2, x) for x in cat.gs.grade(0) if x != "a"}
+    return ReflexorStructure({**cat.magma.refl.maps, (0, 2): multi})
+
+
+# name: (validator, carrier, layer, every violation as (axiom, cells, detail))
+TABLE_REFUSALS = {
+    "reversor-missing-entry": (
+        validate_reversors, walking_iso_graph(), ReversorStructure(0, {(1, 0): {"f": "g"}}),
+        [("reversor.total", ("g",), "j[1][0] has no entry for g")],
+    ),
+    "reversor-value-outside-grade": (
+        validate_reversors, walking_iso_graph(), ReversorStructure(0, {(1, 0): {"f": "g", "g": "a"}}),
+        [("reversor.total", ("g", "a"), "j[1][0](g) = a is not an 1-cell")],
+    ),
+    "reversor-table-below-threshold": (
+        validate_reversors, walking_iso_graph(), ReversorStructure(1, {(1, 0): {"f": "g", "g": "f"}}),
+        [("reversor.total", (), "table j[1][0] is outside the range 1 <= p < m <= 1")],
+    ),
+    "reflexor-value-not-a-cell-above": (
+        validate_reflexors, walking_iso_category().gs, ReflexorStructure({(0, 1): {"a": "id(a)", "b": "b"}}),
+        [("reflexor.total", ("b", "b"), "refl[0][1](b) = b is not a 1-cell")],
+    ),
+    "reflexor-table-out-of-range": (
+        validate_reflexors, walking_iso_category().gs,
+        ReflexorStructure({(0, 1): {"a": "id(a)", "b": "id(b)"}, (1, 2): {"id(a)": "id(a)"}}),
+        [("reflexor.total", (), "table refl[1][2] is outside the range 0 <= p < m <= 1")],
+    ),
+    "reflexor-composite-missing-entry": (
+        validate_reflexors, square_2cat(with_spare=False).gs, _square_refl_without_a_at_0_2(),
+        [("reflexor.composite", ("a",), "declared refl[0][2] has no entry for a")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_REFUSALS))
+def test_table_refusals_are_worded(name):
+    validator, gs, layer, expected = TABLE_REFUSALS[name]
+    assert [(v.axiom, v.cells, v.detail) for v in validator(gs, layer).violations] == expected

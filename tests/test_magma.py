@@ -17,6 +17,7 @@ from globforge.layers import validate_involutive, validate_reflexive_compat, val
 from globforge.magma import (
     AmbiguousInverseError,
     NoInverseError,
+    StrictNCategory,
     check_functor_reversors,
     compute_index,
     derive_canonical_reversors,
@@ -87,7 +88,7 @@ def test_units_mutant_isolated():
     # spare parallel arrow k: a -> b on which nothing else depends
     from globforge.globular import globular_set
     from globforge.layers import ReflexorStructure
-    from globforge.magma import CompositionStructure, InfinityMagma, StrictNCategory
+    from globforge.magma import CompositionStructure, InfinityMagma
 
     gs = globular_set(
         1,
@@ -131,7 +132,7 @@ def test_refl_functorial_mutant_isolated():
 
 def test_derive_reversors_walking_iso():
     cat = walking_iso_category()
-    rev = derive_canonical_reversors(cat, 0)
+    rev = derive_canonical_reversors(cat)
     assert rev.table(1, 0) == {"f": "g", "g": "f", "id(a)": "id(a)", "id(b)": "id(b)"}
     assert validate_involutive(cat.gs, rev).valid
     assert validate_reflexive_compat(cat.gs, cat.magma.refl, rev).valid
@@ -139,14 +140,19 @@ def test_derive_reversors_walking_iso():
 
 def test_derive_reversors_z2():
     z2 = cyclic_group_category(2)
-    rev = derive_canonical_reversors(z2, 0)
+    rev = derive_canonical_reversors(z2)
     assert rev.table(1, 0) == {"r0": "r0", "r1": "r1"}
+
+
+def test_derive_reversors_refuses_a_negative_threshold():
+    with pytest.raises(ValueError, match=r"^the reversor threshold must be >= 0, got -1$"):
+        derive_canonical_reversors(StrictNCategory(walking_iso_category().magma, -1))
 
 
 def test_no_inverse_on_poset():
     cat = poset_category(["a", "b"])
     with pytest.raises(NoInverseError) as exc:
-        derive_canonical_reversors(cat, 0)
+        derive_canonical_reversors(cat)
     assert exc.value.cell == "a<b"
     assert (exc.value.m, exc.value.p) == (1, 0)
 
@@ -155,7 +161,7 @@ def test_ambiguous_inverse_guard():
     # a corrupt table where two cells both behave as inverses
     from globforge.globular import globular_set
     from globforge.layers import ReflexorStructure
-    from globforge.magma import CompositionStructure, InfinityMagma, StrictNCategory
+    from globforge.magma import CompositionStructure, InfinityMagma
 
     gs = globular_set(
         1,
@@ -170,7 +176,7 @@ def test_ambiguous_inverse_guard():
     }
     cat = StrictNCategory(InfinityMagma(gs, refl, CompositionStructure({(1, 0): table})), 0)
     with pytest.raises(AmbiguousInverseError):
-        derive_canonical_reversors(cat, 0)
+        derive_canonical_reversors(cat)
 
 
 def test_compute_index():
@@ -178,7 +184,7 @@ def test_compute_index():
     assert compute_index(poset_category(["a", "b"])) == 1
     from globforge.globular import globular_set
     from globforge.layers import ReflexorStructure
-    from globforge.magma import CompositionStructure, InfinityMagma, StrictNCategory
+    from globforge.magma import CompositionStructure, InfinityMagma
 
     discrete = StrictNCategory(
         InfinityMagma(
@@ -231,6 +237,43 @@ def test_functor_reversors_boundary_swapper_fails():
     rep = check_functor_reversors(swap, cat, cat)
     assert not rep.valid
     assert "morphism.src" in rep.axiom_ids() or "functor.comp" in rep.axiom_ids()
+
+
+def _iso_onto_z2(*ones: str) -> GlobularMorphism:
+    """The walking iso sent onto Z_2: the 1-cells in ones go to r1, the others to r0."""
+    gs = walking_iso_category().gs
+    return GlobularMorphism(gs, cyclic_group_category(2).gs,
+                            {0: {"a": "*", "b": "*"}, 1: {x: "r1" if x in ones else "r0" for x in gs.grade(1)}})
+
+
+# name: (F, source, target, axiom, every violation of that axiom as (cells, detail))
+FUNCTOR_REFUSALS = {
+    "comp": (
+        _iso_onto_z2("f"), walking_iso_category(), cyclic_group_category(2), "functor.comp",
+        [(("f", "g"), "F(f o[1,0] g) = r0 but F(f) o F(g) = r1"),
+         (("g", "f"), "F(g o[1,0] f) = r0 but F(g) o F(f) = r1")],
+    ),
+    "refl": (
+        _iso_onto_z2("f", "g", "id(b)"), walking_iso_category(), cyclic_group_category(2), "functor.refl",
+        [(("b",), "F(refl[0][1](b)) = r1 but refl(F(b)) = r0")],
+    ),
+    "reversor-square": (
+        _iso_onto_z2("f"), walking_iso_category(), cyclic_group_category(2), "functor.reversor",
+        [(("f",), "F(j[1][0](f)) = r0 but j[1][0](F(f)) = r1"),
+         (("g",), "F(j[1][0](g)) = r1 but j[1][0](F(g)) = r0")],
+    ),
+    "reversors-unavailable": (
+        identity_morphism(poset_category(["a", "b"]).gs), poset_category(["a", "b"]), poset_category(["a", "b"]),
+        "functor.reversor", [((), "canonical reversors unavailable: 1-cell a<b has no inverse over dimension 0")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_REFUSALS))
+def test_functor_refusals_are_worded(name):
+    F, cat, cat2, axiom, expected = FUNCTOR_REFUSALS[name]
+    rep = check_functor_reversors(F, cat, cat2)
+    assert [(v.cells, v.detail) for v in rep.violations if v.axiom == axiom] == expected
 
 
 def test_disagreeing_multi_step_reflexor_is_a_reflexor_violation():

@@ -585,8 +585,8 @@ def test_derive_reversors_rerun_is_stable():
     from globforge.magma import derive_canonical_reversors
 
     cat = free_groupoid_cells(one_edge_graph(), 2)
-    first = derive_canonical_reversors(cat, 0)
-    second = derive_canonical_reversors(cat, 0)
+    first = derive_canonical_reversors(cat)
+    second = derive_canonical_reversors(cat)
     assert first.maps == second.maps
 
 

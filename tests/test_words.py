@@ -145,7 +145,7 @@ def test_free_groupoid_one_edge():
     assert validate_reflexors(cat.gs, cat.magma.refl).valid
     assert validate_magma(cat.magma).valid  # total at this bound
     assert validate_strict(cat.magma).valid
-    rev = derive_canonical_reversors(cat, 0)
+    rev = derive_canonical_reversors(cat)
     assert rev.apply(1, 0, "e+") == "e-"
 
 
