@@ -12,8 +12,8 @@ the exit: chiefly the proof engine's term tables, each term pointing back at
 its table, about 2,200 objects (0.23 MB) for check-proofs over every suite.  The
 command line is read against the one table _COMMANDS, so importing this module
 loads no option parser, json, re or typing: under `python -S` (Python 3.11.7,
-a shared 2-core host) the import takes about 11 ms, and a whole check-proofs
---suite S2 about 17 ms.
+a shared 2-core host) a process that imports it takes about 10 ms, and a
+whole check-proofs --suite S2 about 14.5 ms.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ _LAYER_NAMES = {
         "load_stretching", "validate_stretching",
     ),
     "words": (
-        "MalformedWordError", "free_groupoid_cells", "parse_word", "reduce_word", "reduced_words_by_name", "word_name",
+        "AmbiguousNameError", "MalformedWordError", "check_generator_names", "free_groupoid_cells", "parse_word",
+        "reduce_word", "reduced_words_by_name", "word_name",
     ),
     "engine": ("builtin_suites", "check_suite"),
 }
@@ -242,6 +243,11 @@ def _cmd_free_groupoid(args) -> int:
     if not rep.valid:
         _emit(emit_report(rep), args.report)
         return 1
+    try:
+        check_generator_names(parsed.gs)
+    except AmbiguousNameError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     word = None
     if args.reduce is not None:  # before the words are enumerated, so a bad word fails fast
         try:

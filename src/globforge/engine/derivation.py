@@ -4,8 +4,14 @@ A derivation claims start = end and justifies it by a list of steps.  A
 rewrite step cites a rule, a position, an explicit substitution, and a
 direction; one function checks it: it matches the cited side in place,
 building nothing (one-sided matching, Baader and Nipkow 1998), and builds
-the other side; it instantiates the cited side only to word a mismatch.  Two
-inference steps extend pure rewriting:
+the other side; it instantiates the cited side only to word a mismatch.
+The substitution keeps each side it has matched or built (Subst.memo, keyed
+by the rule's term), and terms are hash-consed, so a step checked again, as
+every re-check of a suite and every mutant replay does, costs lookups: the
+cited side matches exactly when the subterm is the kept instance, and the
+written side is the kept one.  Only a side that instantiates is kept, so a
+failing step is worded as the first time.  Two inference steps extend pure
+rewriting:
 
   - inverse uniqueness concludes beta = rev(alpha) once both unit
     equations for beta are in the established-equality context;
@@ -140,7 +146,10 @@ def _leftmost(t: Term, among: frozenset[App]) -> App:
 
 
 def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> None:
-    fresh = brackets_in(after) - brackets_in(before) - ctx.introduced
+    brackets = brackets_in(after)
+    if not brackets:
+        return
+    fresh = brackets - brackets_in(before) - ctx.introduced
     if fresh:
         raise StepFailure(
             f"bracket {render(_leftmost(after, fresh))} appears without a prior introduction step"
@@ -150,7 +159,8 @@ def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> No
 def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
     """Match the cited side in place and build only the other; a failure is named in the order
     unknown rule, substitution, side condition, position, match, carrier.  The cited side is
-    instantiated only to word a mismatch."""
+    instantiated only to word a mismatch, and a side met before is read from the substitution's
+    memo (see the module docstring)."""
     rule, subst = ctx.rules.get(step.rule), step.subst
     if rule is None:
         raise StepFailure(f"unknown rule {step.rule}")
@@ -159,11 +169,17 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
         sub = subterm(current, step.position)
     except TermError as exc:
         sub, unplaced = None, str(exc)  # reported after the substitution and the side conditions
-    try:
-        expected = sub if sub is not None and subst.instantiates(pattern, sub) else subst.term(pattern)
-        written = subst.term(replacement)
-    except TermError as exc:
-        raise StepFailure(f"substitution does not instantiate {step.rule}: {exc}")
+    memo = subst.memo
+    expected, written = memo.get(pattern), memo.get(replacement)
+    if expected is None or written is None:
+        try:  # only a side that instantiates is kept, so a failure is worded as it was the first time
+            if expected is None:
+                found = sub is not None and subst.instantiates(pattern, sub)
+                expected = memo[pattern] = sub if found else subst.term(pattern)
+            if written is None:
+                written = memo[replacement] = subst.term(replacement)
+        except TermError as exc:
+            raise StepFailure(f"substitution does not instantiate {step.rule}: {exc}")
     for cond in rule.conds:
         lhs, rhs = subst.dim(cond.lhs), subst.dim(cond.rhs)
         if not ctx.solver.holds(lhs, rhs, cond.strict):
@@ -172,7 +188,7 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
             )
     if sub is None:
         raise StepFailure(unplaced)
-    if sub != expected:
+    if sub is not expected:
         raise StepFailure(
             f"rule {step.rule} does not match at {step.position}: "
             f"expected {render(expected)}, found {render(sub)}"

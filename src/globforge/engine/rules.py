@@ -17,6 +17,8 @@ from types import MappingProxyType
 
 from .._record import Record
 from .terms import (
+    DimCond,
+    Term,
     TermTable,
     bracketT,
     compT,
@@ -38,6 +40,15 @@ STRICT = frozenset({"C"})
 
 class RewriteRule(Record):
     __slots__ = _fields = ("name", "lhs", "rhs", "conds", "carriers", "law")
+
+    def __init__(self, name: str, lhs: Term, rhs: Term, conds: tuple[DimCond, ...], carriers, law: str) -> None:
+        put = object.__setattr__  # a check makes one rule per established derivation
+        put(self, "name", name)
+        put(self, "lhs", lhs)
+        put(self, "rhs", rhs)
+        put(self, "conds", conds)
+        put(self, "carriers", carriers)
+        put(self, "law", law)
 
 
 def _rule(name, lhs, rhs, conds, carriers, law) -> RewriteRule:

@@ -404,7 +404,21 @@ def render(t: Term) -> str:
 
 
 class Subst(Record):
-    __slots__ = _fields = ("cells", "dims")
+    """Bindings of cell variables (cells) and dimension variables (dims).
+
+    A substitution keeps its own copies of the mappings it is given, so its
+    bindings never change; memo, made with it and not a field, maps each rule
+    term that derivation._apply_rewrite has matched or built through it to
+    its instance."""
+
+    _fields = ("cells", "dims")
+    __slots__ = (*_fields, "memo")
+
+    def __init__(self, cells: Mapping[str, Term], dims: Mapping[str, DimExpr]) -> None:
+        put = object.__setattr__
+        put(self, "cells", dict(cells) if isinstance(cells, Mapping) else cells)
+        put(self, "dims", dict(dims) if isinstance(dims, Mapping) else dims)
+        put(self, "memo", {})
 
     def dim(self, d: DimExpr) -> DimExpr:
         if d.var is None:

@@ -63,6 +63,9 @@ The guard asks that every key and composite be an m-cell, every key be
 p-compatible, every composite y o x have the p-source of x and the p-target
 of y, and the table hold as many entries as there are compatible pairs; so
 an entry is stored exactly when its pair is composable, with the right ends.
+It is read off the same numbered columns as the scan, whole columns at a
+time: the column of x must store exactly the y with src(y) = tgt(x), and
+its composites must carry the faces of x and of those y.
 Then the good cells are closed under stored products: for good a, b,
 (z o (a o b)) o x = ((z o a) o b) o x = (z o a) o (b o x)
 = z o (a o (b o x)) = z o ((a o b) o x), every composite on the way stored.
@@ -495,7 +498,8 @@ def _differing_squares(
 
 def _light_test(
     gs: TruncatedGlobularSet, m: int, p: int,
-    table: Mapping[tuple[str, str], str], num: Mapping[str, int], cols: list[bytes] | list[dict[int, int]],
+    table: Mapping[tuple[str, str], str], names: list[str], num: Mapping[str, int],
+    cols: list[bytes] | list[dict[int, int]],
 ) -> bool:
     """Light's test (see the module docstring): True means the column scan would report nothing."""
     if not COMP.fits((m, p), gs.max_dim):
@@ -504,9 +508,8 @@ def _light_test(
     try:
         src = {x: boundary(gs, m, x, p, "source") for x in grade}
         tgt = {x: boundary(gs, m, x, p, "target") for x in grade}
-        for (y, x), yx in table.items():
-            if src[y] != tgt[x] or src[yx] != src[x] or tgt[yx] != tgt[y]:
-                return False
+        if not _guard_holds(cols, list(map(src.__getitem__, names)), list(map(tgt.__getitem__, names))):
+            return False
     except KeyError:  # a cell outside grade m, or a carrier missing a face
         return False
     if len(table) != _compatible_pairs(src, tgt):
@@ -514,6 +517,47 @@ def _light_test(
     # a generator outside the table is composable with nothing, so has no law to check
     gens = [num[g] for g in _generators(grade, table, src, tgt) if g in num]
     return not any(_differing_rows(cols, gens))
+
+
+_STORED = bytes(255) + b"\xff"  # translates a byte column's composites to 0, keeping 255 for an absent one
+
+
+def _guard_holds(cols: list[bytes] | list[dict[int, int]], srcs: list[str], tgts: list[str]) -> bool:
+    """Light's guard on a table's numbered columns, cols[b][a] = a o b, where cell i has the p-faces srcs[i]
+    and tgts[i]: the column of x stores exactly the y with src(y) = tgt(x), and each y o x has the source of
+    x and the target of y.  Up to 255 cells, three bytes.translate check a column, the faces numbered from
+    0, sources and targets apart; above, a column is compared with its composites entry by entry."""
+    sn, tn = _numbered(srcs), _numbered(tgts)
+    rows: dict[str, list[int]] = {}  # face -> the cells whose source it is, in number order
+    for a, face in enumerate(srcs):
+        rows.setdefault(face, []).append(a)
+    if cols and type(cols[0]) is bytes:
+        sb, tb = bytes(sn).ljust(256, b"\0"), bytes(tn).ljust(256, b"\0")
+        wants: dict[str, tuple[bytes, bytes]] = {}  # face -> the stored mask and the targets of a column
+        for col, s, face in zip(cols, sn, tgts):
+            if face not in wants:
+                mask = bytearray(b"\xff" * 256)
+                for a in rows.get(face, ()):
+                    mask[a] = 0
+                wants[face] = bytes(mask), bytes(map(tn.__getitem__, rows.get(face, ())))
+            mask, targets = wants[face]
+            sources = col.translate(sb, b"\xff")
+            if col.translate(_STORED) != mask or sources.count(s) != len(sources):
+                return False
+            if col.translate(tb, b"\xff") != targets:
+                return False
+        return True
+    keys = {face: set(ys) for face, ys in rows.items()}
+    return all(
+        col.keys() == keys.get(face, set()) and all(sn[ax] == s and tn[ax] == tn[a] for a, ax in col.items())
+        for col, s, face in zip(cols, sn, tgts)
+    )
+
+
+def _numbered(faces: list[str]) -> list[int]:
+    """Each face replaced by its number, faces numbered from 0 in the order they first occur."""
+    number: dict[str, int] = {}
+    return [number.setdefault(face, len(number)) for face in faces]
 
 
 def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> ValidationReport:
@@ -532,7 +576,7 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
 
     for (m, p), table in comp.maps.items():
         names, num, cols = _columns(table)
-        if require_total and _light_test(gs, m, p, table, num, cols):
+        if require_total and _light_test(gs, m, p, table, names, num, cols):
             continue
         for y, x, yx in _differing_rows(cols, range(len(names))):
             sides, y, x = _differing_sides(cols, y, x, yx), names[y], names[x]

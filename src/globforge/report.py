@@ -41,7 +41,10 @@ class Violation(Record):
 class ValidationReport(Record):
     __slots__ = _fields = ("subject", "violations")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-    _defaults = {"violations": list}
+
+    def __init__(self, subject: str, violations: list[Violation] | None = None) -> None:
+        self.subject = subject  # plain stores: a checker makes one report per derivation
+        self.violations = [] if violations is None else violations
 
     @property
     def valid(self) -> bool:

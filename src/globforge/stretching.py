@@ -49,6 +49,7 @@ from .magma import KINDS, Kind, NMagma
 from .normalform import Strictifier
 from .report import ValidationReport, write_json
 from .terms import StretchTerm, TermContext
+from .words import check_generator_names
 
 LAW_PI_MORPHISM = "the projection onto the strict side preserves all structure"
 LAW_TABLE_DOMAIN = "a table entry names cells of the grades its table is keyed by"
@@ -240,6 +241,7 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
     rep = validate_globular(g)
     if not rep.valid:
         raise InvalidGraphError(rep)
+    check_generator_names(g)
     strict = Strictifier(g, n)
     ctx = TermContext(g, n, strict)
 

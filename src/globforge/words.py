@@ -38,6 +38,25 @@ class MalformedWordError(ValueError):
     """Consecutive steps of a word do not chain, or a step names no edge or has an orientation other than +1 or -1."""
 
 
+class AmbiguousNameError(ValueError):
+    """A generator's name could also be the name of a cell built from other generators."""
+
+
+_JOINERS = frozenset(".;[]")
+
+
+def check_generator_names(gs: TruncatedGlobularSet) -> None:
+    """Refuse a generator of grade >= 1 whose name holds ".", ";", "[" or "]": word names join signed
+    edges with ".", and bracket names are [A;B]m, so such a name could stand for two different cells."""
+    for m in range(1, gs.max_dim + 1):
+        for c in gs.grade(m):
+            if not _JOINERS.isdisjoint(c):
+                raise AmbiguousNameError(
+                    f"cell {c} of grade {m}: a generator's name may not contain '.', ';', '[' or ']', "
+                    "which join the names of words and brackets"
+                )
+
+
 class Word(Record):
     """A base 0-cell and signed steps.  In a valid word the base is the word's
     source: the tail of its last step, or its only point when it has none."""

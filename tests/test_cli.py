@@ -279,6 +279,49 @@ def test_stretch_reports_a_malformed_graph(tmp_path, capsys):
     assert report.read_text(encoding="utf-8") == out
 
 
+COLLIDING_NAMES = """
+structure colliding
+dim 1
+cells 0: o
+cells 1: a b a+.b
+src a = o
+tgt a = o
+src b = o
+tgt b = o
+src a+.b = o
+tgt a+.b = o
+"""
+COLLIDING_REFUSAL = (
+    "cell a+.b of grade 1: a generator's name may not contain '.', ';', '[' or ']', "
+    "which join the names of words and brackets\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["free-groupoid", "--max-len", "2"],
+    ["free-groupoid", "--max-len", "2", "--reduce", "a+.b+"],
+    ["stretch", "--n", "0", "--dim", "2", "--size", "5"],
+])
+def test_a_name_that_two_cells_would_share_is_refused(argv, tmp_path, capsys, monkeypatch):
+    # the word a+ b+ and the edge a+.b would both be named a+.b+: refused before any word or term is built
+    import globforge.stretching as stretching
+
+    path = tmp_path / "colliding.glob"
+    path.write_text(COLLIDING_NAMES)
+    _refuse(monkeypatch, "parse_word", "reduced_words_by_name")
+    monkeypatch.setattr(stretching, "Strictifier", None)
+    monkeypatch.setattr(stretching, "TermContext", None)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", COLLIDING_REFUSAL)
+
+
+def test_validate_accepts_a_name_that_words_would_share(tmp_path, capsys):
+    path = tmp_path / "colliding.glob"
+    path.write_text(COLLIDING_NAMES)
+    assert main(["validate", str(path)]) == 0
+    assert parse_report(capsys.readouterr().out).valid
+
+
 def test_report_copy_stops_at_the_report_when_stdout_appends_to_it(edge_file, tmp_path):
     # stdout receives a copy of the report file, so it must copy only what
     # was written, even when stdout appends to that same file

@@ -439,8 +439,10 @@ def test_matching_checks_what_instantiation_checks():
 
 
 def test_clean_suites_never_instantiate_a_cited_side(monkeypatch):
-    # each rewrite step of a clean suite instantiates one term: the side it writes in
+    # a rewrite step of a clean suite instantiates only the side it writes in, and that
+    # once: its substitution keeps the instance for every later check of the step
     instantiated, depth, term, rewrite = [], [0], Subst.term, derivation._apply_rewrite
+    written_by: dict[int, int] = {}  # id of a step -> written sides it instantiated
 
     def spy_term(self, t):
         if not depth[0]:
@@ -455,14 +457,93 @@ def test_clean_suites_never_instantiate_a_cited_side(monkeypatch):
         instantiated.clear()
         out = rewrite(current, step, ctx)
         rule = ctx.rules[step.rule]
-        assert instantiated == [rule.rhs if step.direction == "fwd" else rule.lhs], step
+        written = rule.rhs if step.direction == "fwd" else rule.lhs
+        assert all(t is written for t in instantiated), step
+        written_by[id(step)] = written_by.get(id(step), 0) + len(instantiated)
         return out
 
     monkeypatch.setattr(Subst, "term", spy_term)
     monkeypatch.setattr(derivation, "_apply_rewrite", spy_rewrite)
+    suites = builtin_suites()
+    built = [suites[key] for key in suites]  # each suite built afresh, each step checked as it is built
+    at_build = sum(written_by.values())
+    for _ in range(2):
+        for suite in built:
+            assert check_suite(suite).valid, suite.name
+    steps = [s for suite in built for d in suite.derivations for s in d.steps if isinstance(s, RewriteStep)]
+    assert set(written_by) == {id(s) for s in steps}
+    assert max(written_by.values()) == 1 and sum(written_by.values()) == at_build > 0
+
+
+def _fresh_substs(suite):
+    """suite with every rewrite step given a new substitution of the same bindings, whose memo is empty."""
+    def fresh(step):
+        if not isinstance(step, RewriteStep):
+            return step
+        return RewriteStep(step.rule, step.position, Subst(step.subst.cells, step.subst.dims), step.direction)
+
+    return derivation.Suite(
+        suite.name, suite.title, suite.assumptions, suite.local_rules, suite.facts,
+        tuple(Derivation(d.name, d.start, tuple(map(fresh, d.steps)), d.end) for d in suite.derivations),
+    )
+
+
+def test_matching_and_instantiating_rewrites_agree_cold_and_warm():
+    # the comparison above runs on memos the build filled; here each suite and mutant
+    # starts from empty memos, and is compared again once its own check has filled them
+    totals = [[0, 0], [0, 0]]
+    for suite in builtin_suites().values():
+        for s in (suite, *_single_step_mutants(suite)):
+            cold = _fresh_substs(s)
+            for total in totals:
+                c, f = _compare_rewrites(cold)
+                total[0], total[1] = total[0] + c, total[1] + f
+    assert totals == [[8570, 294], [8570, 294]]
+
+
+def test_a_suite_checks_to_the_same_bytes_twice_and_after_its_mutants():
+    # mutants made by dataclasses.replace share the clean step's substitution and fill
+    # its memo with the sides of other rules; the clean suite still checks as before
+    from dataclasses import replace as dc_replace
+
+    names = sorted(rule_library())
     for key, suite in builtin_suites().items():
-        assert check_suite(suite).valid, key
-    assert instantiated
+        first = emit_report(check_suite(suite))
+        assert emit_report(check_suite(suite)) == first and '"valid": true' in first, key
+        for di, d in enumerate(suite.derivations):
+            for si, step in enumerate(d.steps):
+                if not isinstance(step, RewriteStep):
+                    continue
+                for name in names[si % 7::13]:  # a spread of catalogue rules
+                    steps = list(d.steps)
+                    steps[si] = dc_replace(step, rule=name)
+                    ders = list(suite.derivations)
+                    ders[di] = Derivation(d.name, d.start, tuple(steps), d.end)
+                    check_suite(derivation.Suite(
+                        suite.name, suite.title, suite.assumptions, suite.local_rules, suite.facts, tuple(ders)
+                    ))
+                    assert steps[si].subst is step.subst
+        assert emit_report(check_suite(suite)) == first, key
+
+
+def test_a_substitution_keeps_its_own_bindings():
+    m, p = dim("m"), dim("p")
+    a, b = const("a", 1, "C"), const("b", 1, "C")
+    x = var("x", m)
+    cells, dims = {"x": a}, {"m": dim(1), "p": dim(0), "n": dim(0)}
+    subst = Subst(cells, dims)
+    step = RewriteStep("inverse-right", (), subst)
+    ctx = _ctx()
+    t = compT(1, 0, a, revT(1, 0, a))
+    done = apply_step(t, step, ctx)
+    cells["x"], dims["m"] = b, dim(2)
+    del dims["n"]
+    assert subst.cells == {"x": a} and subst.dims == {"m": dim(1), "p": dim(0), "n": dim(0)}
+    assert subst == Subst({"x": a}, {"m": dim(1), "p": dim(0), "n": dim(0)}) != Subst(cells, dims)
+    assert subst.term(revT(m, p, x)) is revT(1, 0, a)
+    assert apply_step(t, step, ctx) is done
+    # the memo took no part: a fresh substitution of the mutated dicts fails where this one holds
+    assert _outcome(apply_step, t, RewriteStep("inverse-right", (), Subst(cells, dims)), ctx)[0] is StepFailure
 
 
 def test_suite_symbols_need_no_suite():

@@ -9,6 +9,8 @@ from fixtures import (
 
 from globforge.globular import boundary, globular_set
 from globforge.layers import (
+    LAW_COMPAT_FIX,
+    LAW_COMPAT_PUSH,
     ReflexorStructure,
     ReversorStructure,
     validate_involutive,
@@ -17,6 +19,7 @@ from globforge.layers import (
     validate_reversors,
 )
 from globforge.magma import derive_canonical_reversors
+from globforge.report import ValidationReport
 
 
 def test_walking_iso_reversors_valid():
@@ -217,3 +220,69 @@ TABLE_REFUSALS = {
 def test_table_refusals_are_worded(name):
     validator, gs, layer, expected = TABLE_REFUSALS[name]
     assert [(v.axiom, v.cells, v.detail) for v in validator(gs, layer).violations] == expected
+
+
+class _CountingTable(dict):
+    """A table that counts its lookups in a shared list."""
+
+    def __init__(self, items, counter: list[int]) -> None:
+        super().__init__(items)
+        self.counter = counter
+
+    def __getitem__(self, key):
+        self.counter[0] += 1
+        return super().__getitem__(key)
+
+
+def _chain(D: int, twins: bool = False):
+    """One cell c_k per grade k <= D, both faces c_(k-1), refl[k][k+1] c_k = c_(k+1) and every reversor
+    fixing every cell; with twins, a second top cell d_D beside c_D, and j[D][p] swaps them for odd p,
+    which breaks compat wherever such a j meets a degenerate cell."""
+    cells = {k: (f"c{k}", f"d{k}") if twins and k == D else (f"c{k}",) for k in range(D + 1)}
+    faces = {k: {x: f"c{k - 1}" for x in cells[k]} for k in range(1, D + 1)}
+    gs = globular_set(D, cells, src=faces, tgt=faces)
+    flip = {"c": "d", "d": "c"}
+    rev = ReversorStructure(0, {
+        (m, p): {x: flip[x[0]] + x[1:] if twins and m == D and p % 2 else x for x in cells[m]}
+        for m in range(1, D + 1) for p in range(m)
+    })
+    return gs, {(k, k + 1): {x: f"c{k + 1}" for x in cells[k]} for k in range(D)}, rev
+
+
+def _compat_reference(gs, refl, rev):
+    """validate_reflexive_compat as first written: each image walked up from its cell, for every (m, q, p, a)."""
+    rep = ValidationReport("reflexive-compat")
+    for m in range(1, gs.max_dim + 1):
+        for q in range(rev.threshold, m):
+            for p in range(m):
+                for a in gs.grade(p):
+                    image = refl.apply(p, m, a)
+                    got = rev.apply(m, q, image)
+                    if p <= q and got != image:
+                        rep.add("reflexive-compat.i", LAW_COMPAT_FIX, (a, image),
+                                f"j[{m}][{q}](refl[{p}][{m}]({a})) = {got}, expected the degenerate cell {image}")
+                    elif p > q and got != (want := refl.apply(p, m, rev.apply(p, q, a))):
+                        rep.add("reflexive-compat.ii", LAW_COMPAT_PUSH, (a, image),
+                                f"j[{m}][{q}](refl[{p}][{m}]({a})) = {got} but refl[{p}][{m}](j[{p}][{q}]({a})) = {want}")
+    return rep
+
+
+def test_compat_walks_each_reflexor_image_up_once():
+    # a walk from each cell for every (m, q, p) took about D^4 / 12 one-step lookups, 213k here
+    D, counter = 40, [0]
+    gs, maps, rev = _chain(D)
+    refl = ReflexorStructure({key: _CountingTable(table, counter) for key, table in maps.items()})
+    assert validate_reversors(gs, rev).valid and validate_reflexors(gs, ReflexorStructure(maps)).valid
+    counter[0] = 0
+    assert validate_reflexive_compat(gs, refl, rev) == ValidationReport("reflexive-compat")
+    assert counter[0] <= D * (D + 1) // 2  # one lookup per cell of grade p < m for each m
+
+
+@pytest.mark.parametrize("twins", [False, True])
+def test_compat_reports_as_the_walk_from_each_cell_does(twins):
+    gs, maps, rev = _chain(9, twins)
+    refl = ReflexorStructure(maps)
+    assert validate_reversors(gs, rev).valid and validate_reflexors(gs, refl).valid
+    rep = validate_reflexive_compat(gs, refl, rev)
+    assert rep == _compat_reference(gs, refl, rev) and rep.valid is not twins
+    assert rep.axiom_ids() == ({"reflexive-compat.i", "reflexive-compat.ii"} if twins else set())

@@ -789,3 +789,89 @@ def test_inverses_match_the_scan_over_the_grade():
                 assert {alpha: inverses.get(alpha, []) for alpha in mag.gs.grade(m)} == scan, (name, m, p)
                 found.update(min(len(betas), 2) for betas in scan.values())
     assert found[0] and found[1] and found[2]  # no inverse, one, and several all occur
+
+
+def _faces(gs, m, p):
+    grade = gs.grade(m)
+    return {x: boundary(gs, m, x, p, "source") for x in grade}, {x: boundary(gs, m, x, p, "target") for x in grade}
+
+
+def _guard_by_entries(gs, m, p, table) -> bool:
+    """Light's guard checked entry by entry, as first written: every key and composite an m-cell, every key
+    p-compatible, every composite with the ends of its factors, and every compatible pair stored."""
+    src, tgt = _faces(gs, m, p)
+    try:
+        for (y, x), yx in table.items():
+            if src[y] != tgt[x] or src[yx] != src[x] or tgt[yx] != tgt[y]:
+                return False
+    except KeyError:
+        return False
+    return len(table) == magma._compatible_pairs(src, tgt)
+
+
+def _guard_by_columns(gs, m, p, table, names, cols) -> bool:
+    src, tgt = _faces(gs, m, p)
+    try:
+        holds = magma._guard_holds(cols, [src[c] for c in names], [tgt[c] for c in names])
+    except KeyError:
+        return False
+    return holds and len(table) == magma._compatible_pairs(src, tgt)
+
+
+def _light_tests_agree(mag: InfinityMagma) -> list[bool]:
+    """Light's test on each table, whose guard is checked by columns and by entries alike."""
+    verdicts = []
+    for (m, p), table in mag.comp.maps.items():
+        names, num, cols = magma._columns(table)
+        guard = magma.COMP.fits((m, p), mag.gs.max_dim) and _guard_by_entries(mag.gs, m, p, table)
+        if magma.COMP.fits((m, p), mag.gs.max_dim):
+            assert _guard_by_columns(mag.gs, m, p, table, names, cols) == guard, (m, p)
+        verdicts.append(magma._light_test(mag.gs, m, p, table, names, num, cols))
+        assert verdicts[-1] == (guard and not any(magma._differing_rows(cols, [
+            num[g] for g in magma._generators(mag.gs.grade(m), table, *_faces(mag.gs, m, p)) if g in num
+        ]))), (m, p)
+    return verdicts
+
+
+def _traded(mag: InfinityMagma) -> InfinityMagma:
+    table = {**mag.comp.maps[1, 0], ("a0.2", "a0.1"): "a0.1"}
+    del table["a0.0", "a0.1"]
+    return InfinityMagma(mag.gs, mag.refl, CompositionStructure({(1, 0): table}))
+
+
+def _pair_groupoid_redirected(k: int, value: str) -> InfinityMagma:
+    cat = _pair_groupoid(k)
+    table = {**cat.comp.maps[1, 0], ("a0.0", "a0.1"): value}
+    return InfinityMagma(cat.gs, cat.refl, CompositionStructure({(1, 0): table}))
+
+
+GUARD_CASES = {
+    **{name: cat.magma for name, cat in TOTAL.items()},
+    **{f"scan-only-{name}": mag for name, (mag, _, _) in SCAN_ONLY.items()},
+    **{f"column-edge-{name}": mag for name, (mag, _, _) in COLUMN_EDGES.items()},
+    # 225 cells read as byte columns, 256 as dicts; a0.0 o a0.1 should run o1 -> o0
+    **{f"pairs{k}": _pair_groupoid(k) for k in (15, 16)},
+    **{f"pairs{k}-wrong-source": _pair_groupoid_redirected(k, "a0.0") for k in (15, 16)},
+    **{f"pairs{k}-wrong-target": _pair_groupoid_redirected(k, "a1.1") for k in (15, 16)},
+    **{f"pairs{k}-absent": _without(StrictNCategory(_pair_groupoid(k), 0), (1, 0), ("a0.0", "a0.1"))
+       for k in (15, 16)},
+    # a0.0 o a0.1 traded for the incompatible a0.2 o a0.1 = a0.1, with the ends a0.0 o a0.1 would have: in
+    # a0.1's column, as many entries as compatible pairs, and their composites' faces in the same order
+    **{f"pairs{k}-traded": _traded(_pair_groupoid(k)) for k in (15, 16)},
+}
+
+
+# the cases whose every table passes Light's test
+GUARD_PASSES = {*TOTAL, "scan-only-not-total", "column-edge-one-entry-column", "pairs15", "pairs16"}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_CASES))
+def test_the_column_guard_decides_as_the_entry_loop_does(name):
+    verdicts = _light_tests_agree(GUARD_CASES[name])
+    assert verdicts and all(verdicts) is (name in GUARD_PASSES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_partial_tables(), _square_tables(), _total_tables_one_entry_off()))
+def test_the_column_guard_decides_as_the_entry_loop_does_on_random_tables(mag):
+    _light_tests_agree(mag)

@@ -14,7 +14,9 @@ from globforge.globular import globular_set, validate_globular
 from globforge.magma import derive_canonical_reversors, validate_magma, validate_strict
 from globforge.normalform import NF1, Strictifier
 from globforge.words import (
+    AmbiguousNameError,
     MalformedWordError,
+    check_generator_names,
     Word,
     compose_words,
     enumerate_reduced_words,
@@ -379,3 +381,35 @@ def test_shared_word_operations_match_the_validating_oracle(data):
             compose_words(ends, c, b)
         with pytest.raises(MalformedWordError):
             strict.comp_nf(1, 0, NF1(c), NF1(b))
+
+
+@st.composite
+def _signed_name_graphs(draw):
+    """Small graphs whose point and edge names use + and - (no character a word name joins with)."""
+    name = st.text("ab+-", min_size=1, max_size=3)
+    points = draw(st.lists(name, min_size=1, max_size=2, unique=True))
+    edges = draw(st.lists(name, min_size=0, max_size=3, unique=True))
+    ends = [(draw(st.sampled_from(points)), draw(st.sampled_from(points))) for _ in edges]
+    return globular_set(
+        1, {0: points, 1: edges},
+        src={1: {e: s for e, (s, _) in zip(edges, ends)}},
+        tgt={1: {e: t for e, (_, t) in zip(edges, ends)}},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_signed_name_graphs(), st.integers(0, 3))
+def test_a_word_name_reads_back_as_its_word(graph, max_len):
+    check_generator_names(graph)
+    words = enumerate_reduced_words(graph, max_len)
+    assert all(parse_word(graph, word_name(w)) == w for w in words)
+    assert len({word_name(w) for w in words}) == len(words)
+
+
+@pytest.mark.parametrize("name", ["a+.b", "x;y", "[e", "f]1"])
+def test_a_generator_name_that_joins_words_or_brackets_is_refused(name):
+    g = globular_set(1, {0: ["o"], 1: ["a", name]}, src={1: {"a": "o", name: "o"}}, tgt={1: {"a": "o", name: "o"}})
+    with pytest.raises(AmbiguousNameError) as caught:
+        check_generator_names(g)
+    assert f"cell {name} of grade 1" in str(caught.value)
+    check_generator_names(globular_set(0, {0: [name]}, src={}, tgt={}))  # a point's name is never joined
