@@ -12,7 +12,8 @@ violations sorted by axiom id then by the involved cell names.  emit_report
 followed by parse_report is the identity, and distinct reports serialize to
 distinct byte strings, which makes the format suitable for golden-file
 tests.  write_json writes the package's other documents, CLI payloads and
-stretching dumps, in the same form; neither writer imports json.
+stretching dumps, in the same form, and encodes each distinct dict key,
+dict value and row item once per document; neither writer imports json.
 """
 
 from __future__ import annotations
@@ -100,6 +101,16 @@ def parse_report(text: str) -> ValidationReport:
 _CHUNK = 512  # items per join: at S=10, about 70K characters of a cell table
 
 
+class _Texts(dict):
+    """Each str's JSON text, encoded on its first lookup.  An int is spelt, not kept: True == 1 == 1.0."""
+
+    def __missing__(self, s):
+        if type(s) is int:
+            return int.__repr__(s)
+        text = self[s] = encode_basestring_ascii(s)  # a TypeError on any other type
+        return text
+
+
 def write_json(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write.
 
@@ -108,8 +119,10 @@ def write_json(obj, write: Callable[[str], object]) -> None:
     [*key, value] in key order, so a table is written without a copy.  Items
     are encoded _CHUNK at a time, a chunk of strs by one join, and write gets
     the pieces joined, at most about 64K characters or one chunk at a time.
+    Dict keys, dict values and row items are encoded once per call, list items each time.
     """
     encode = encode_basestring_ascii
+    text = _Texts().__getitem__
     parts: list[str] = []
     pending = 0  # characters in the joins held in parts
 
@@ -119,13 +132,10 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         parts.clear()
         pending = 0
 
-    def row(key: tuple, value) -> list[str]:  # a row's items: strs, or ints such as a bracket's grade
-        return [encode(a) if type(a) is not int else repr(a) for a in (*key, value)]
-
-    def emit(x, nl: str) -> None:  # nl: newline and indentation of x's line
+    def emit(x, nl: str, scalar: Callable[[str], str]) -> None:  # nl: newline and indentation of x's line
         nonlocal pending
         if isinstance(x, str):
-            parts.append(encode(x))
+            parts.append(scalar(x))
         elif isinstance(x, int) and not isinstance(x, bool):
             parts.append(int.__repr__(x))
         elif not isinstance(x, (list, dict)):
@@ -136,32 +146,34 @@ def write_json(obj, write: Callable[[str], object]) -> None:
             is_dict = isinstance(x, dict)
             items = sorted(x) if is_dict else x  # unique keys: json's order of sorted items
             rows = is_dict and isinstance(items[0], tuple)
+            if is_dict and not rows and not isinstance(items[0], str):  # sorted, so no key is a str
+                raise TypeError(f"keys must be str, not {type(items[0]).__name__}")
             opening, closing = "{}" if is_dict and not rows else "[]"
             inner = nl + "  "
             sep = "," + inner
+            head, deeper, tail = "[" + inner + "  ", sep + "  ", inner + "]"  # a row's items go a level deeper
             parts.append(opening + inner)
             for start in range(0, len(items), _CHUNK):
                 chunk = items[start:start + _CHUNK]
                 if start:
                     parts.append(sep)
                 try:
-                    if rows:  # each row [*key, value] with its items a level deeper
-                        deeper = sep + "  "
-                        body = sep.join(["[" + deeper[1:] + deeper.join(row(k, x[k])) + inner + "]" for k in chunk])
+                    if rows:  # each row [*key, value]
+                        body = sep.join([head + deeper.join(map(text, (*k, x[k]))) + tail for k in chunk])
                     elif is_dict:
-                        body = sep.join([encode(k) + ": " + encode(x[k]) for k in chunk])
+                        body = sep.join(map(": ".join, zip(map(text, chunk), map(text, map(x.__getitem__, chunk)))))
                     else:
                         body = sep.join(map(encode, chunk))
-                except TypeError:  # not all strs: one item at a time, where a key that is not a str raises
+                except TypeError:  # an item no join above writes: one item at a time, where the culprit raises
                     for i, item in enumerate(chunk):
                         if i:
                             parts.append(sep)
                         if rows:
                             item = [*item, x[item]]
                         elif is_dict:
-                            parts.append(encode(item) + ": ")
+                            parts.append(text(item) + ": ")
                             item = x[item]
-                        emit(item, inner)
+                        emit(item, inner, text if is_dict and not rows else encode)
                         if pending >= 1 << 16 or len(parts) >= 1024:
                             flush()
                 else:
@@ -171,6 +183,6 @@ def write_json(obj, write: Callable[[str], object]) -> None:
                     pending += len(body)
             parts.append(nl + closing)
 
-    emit(obj, "\n")
+    emit(obj, "\n", text)
     parts.append("\n")
     flush()

@@ -29,7 +29,8 @@ three table kinds of an n-magma once.
 validate_stretching reads each table once, in whatever order it holds its
 rows: emit_report sorts the violations, so no such order reaches a report.
 dump_stretching writes the stretching's own tables, a bounded chunk at a
-time, without a copy of them.
+time, without a copy of them; generation lists src, tgt and pi in name
+order, so the writer sorts each in one pass.
 
 A dump spells each grade as the writer does, in ASCII digits without a
 leading zero, and holds one row per pair; load_stretching rejects any
@@ -96,7 +97,7 @@ def _nmagma(
     D: int, n: int, objects: Mapping[int, Mapping[str, object]], faces: tuple[Callable, Callable], *tables: Mapping
 ) -> NMagma:
     """The n-magma whose m-cells are the names of objects[m], with the faces
-    faces[0](o).name and faces[1](o).name, carrying the tables of each kind."""
+    faces[0](o).name and faces[1](o).name in objects[m]'s order, carrying the tables of each kind."""
     src, tgt = ({m: {nm: face(o).name for nm, o in objects[m].items()} for m in range(1, D + 1)} for face in faces)
     return NMagma.of(globular_set(D, objects, src, tgt), n, *tables)
 
@@ -230,9 +231,9 @@ def validate_stretching(E: Stretching) -> ValidationReport:
 def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) -> Stretching:
     """All terms of size <= S and dimension <= D over g, with brackets.
 
-    Deterministic: grades are sorted by (size, name), brackets are stored
-    once per unordered pair with the larger term as target.  A graph that
-    is not a well-formed globular set raises InvalidGraphError.
+    Deterministic: grades, src, tgt and pi are in name order; brackets are
+    stored once per unordered pair with the larger term as target.  A graph
+    that is not a well-formed globular set raises InvalidGraphError.
     """
     if min(n, D, S) < 0:
         raise ValueError(f"the bounds n, D, S must be >= 0, got n={n}, D={D}, S={S}")
@@ -270,11 +271,13 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
         if d > D or nm in terms[d]:
             return
         terms[d][nm] = t
-        by_size.setdefault(t.size, []).append(t)
-        face = t
-        for p in range(d - 1, -1, -1):
-            face = face.tgt
-            tgt_bucket.setdefault((d, p, face.name, t.size), []).append(t)
+        if t.size < S:  # only arguments are looked up: of size at most S-1, or S-2 on the right of a comp
+            by_size.setdefault(t.size, []).append(t)
+        if t.size < S - 1:
+            face = t
+            for p in range(d - 1, -1, -1):
+                face = face.tgt
+                tgt_bucket.setdefault((d, p, face.name, t.size), []).append(t)
         if d + 1 <= D:
             par_bucket.setdefault(par_key(t) + (t.size,), []).append(t)
 
@@ -284,7 +287,7 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
 
     for s in range(2, S + 1):
         # unary constructors on terms of size s-1
-        for t in list(by_size.get(s - 1, [])):
+        for t in by_size.get(s - 1, ()):
             d = t.dim
             if d + 1 <= D:
                 u = ctx.refl(d, d + 1, t)
@@ -297,7 +300,7 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
         # binary constructors with argument sizes summing to s-1
         for s1 in range(1, s - 1):
             s0 = s - 1 - s1
-            for t1 in list(by_size.get(s1, [])):
+            for t1 in by_size.get(s1, ()):
                 d = t1.dim
                 for p, face in enumerate(ctx.boundaries(t1, "source")):
                     for t0 in tgt_bucket.get((d, p, face.name, s0), []):
@@ -312,8 +315,9 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
                         admit(B)
                         bracket_pairs[(d, t1.name, t0.name)] = B
 
-    # the magma side, then the strict fragment its cells project onto, closed
-    # under faces and degenerate cells; comp and rev there are images along pi
+    # each grade in name order, which src, tgt and pi keep; then the magma side, and the strict fragment its
+    # cells project onto, closed under faces and degenerate cells, where comp and rev are images along pi
+    terms = {m: {t.name: t for t in sorted(ts.values(), key=attrgetter("name"))} for m, ts in terms.items()}
     m_side = _nmagma(D, n, terms, (attrgetter("src"), attrgetter("tgt")), refl_maps, rev_maps, comp_maps)
     images = {m: {nm: strict.pi(t) for nm, t in terms[m].items()} for m in range(D + 1)}
     pi_tables = {m: {nm: nf.name for nm, nf in images[m].items()} for m in images}
@@ -330,7 +334,8 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
             table[nm] = lifted.name
             nfs[p + 1].setdefault(lifted.name, lifted)
     c_rev, c_comp = (_image(kind, kind.layer(m_side).maps, pi_tables, pi_tables) for kind in KINDS[1:])
-    c_side = _nmagma(D, n, nfs, (strict.src_nf, strict.tgt_nf), c_refl, c_rev, c_comp)
+    c_side = _nmagma(D, n, {m: dict(sorted(f.items())) for m, f in nfs.items()}, (strict.src_nf, strict.tgt_nf),
+                     c_refl, c_rev, c_comp)
     brackets = {key: B.name for key, B in bracket_pairs.items()}
     brackets.update(((p, x, x), ix) for (p, _), table in refl_maps.items() for x, ix in table.items())
     return Stretching(m_side, c_side, n, pi_tables, brackets, terms)

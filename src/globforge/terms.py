@@ -18,6 +18,19 @@ side conditions are checked at construction time by TermContext:
   - bracket needs parallel arguments with equal strictification, and the
     diagonal bracket collapses to the reflexor term it must equal.
 
+A term's name writes out its structure and names one term in its grade.
+Generator names hold no blank, "(" or ")", nor from grade 1 ".", ";", "["
+or "]" (words.check_generator_names); a compound name holds "(" or "[" and
+starts with "(" comp, "1" refl, "j" rev or "[" bracket, its indices ending
+at the first "]".  Parentheses come only from constructors and balance,
+and blanks only from comps, so a comp's first argument ends at its first
+blank outside parentheses.  A 0-cell, whose name may hold ".;[]", occurs in
+a compound only as x in 1[0.1](x): comp and rev take terms of dimension 1
+or more, and distinct 0-cells strictify apart, so none is bracketed.  So
+outside parentheses "[" and "]" balance, and a bracket's ";" is the one at
+depth one there.  By induction on size a name parses back to one term;
+tests fuzz this against terms kept apart by structure.
+
 Multi-step reflexors are represented by nested one-step constructors, so
 refl-tower absorption is definitional.  Term size counts constructor nodes
 of this canonical representation.

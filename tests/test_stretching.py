@@ -17,6 +17,7 @@ from fixtures import (
 from hypothesis import example, given, settings, strategies as st
 from test_words import _small_graphs
 
+from globforge import report
 from globforge.cli import main
 from globforge.globular import globular_set, validate_globular
 from globforge.magma import validate_magma, validate_strict
@@ -385,15 +386,32 @@ _JSON_TREES = st.recursive(
 )
 
 
+def _rows_as_lists(tree):
+    """tree with each tuple-keyed dict replaced by the list of its rows [*key, value] in key order."""
+    if isinstance(tree, list):
+        return [_rows_as_lists(x) for x in tree]
+    if isinstance(tree, dict):
+        if tree and isinstance(next(iter(tree)), tuple):
+            return [[*key, _rows_as_lists(value)] for key, value in sorted(tree.items())]
+        return {key: _rows_as_lists(value) for key, value in tree.items()}
+    return tree
+
+
+_ESCAPED = 'q"\\\n\x00\u00e9\u2028\U0001f600'  # escapes and non-ASCII, for each place the writer encodes a str
+
+
 @settings(max_examples=100, deadline=None)
 @given(_JSON_TREES)
 # a first item that is not a str beyond the first chunk: the items before it are already written
 @example(["a"] * 600 + [7, "b"])
 @example({**{f"k{i:04}": "v" for i in range(1100)}, "z": {"y": ["x"]}})
+# one str as a key, a value, a row item and a list item, in each order: each place writes it as json does
+@example({_ESCAPED: _ESCAPED, "r": {(1, _ESCAPED, "x"): _ESCAPED, (2, "y", _ESCAPED): "z"}, "s": [_ESCAPED, _ESCAPED]})
+@example([[_ESCAPED], {(_ESCAPED,): _ESCAPED}, {"k": _ESCAPED}, {_ESCAPED: [_ESCAPED, {_ESCAPED: 1}]}])
 def test_write_json_is_json_dumps(tree):
     chunks = []
     write_json(tree, chunks.append)
-    assert "".join(chunks) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert "".join(chunks) == json.dumps(_rows_as_lists(tree), sort_keys=True, indent=2) + "\n"
 
 
 def test_write_json_writes_in_batches():
@@ -426,10 +444,46 @@ def test_dump_reaches_its_sink_in_bounded_pieces():
     assert max(map(len, pieces)) <= 1 << 17 and len(pieces) > 16
 
 
-@pytest.mark.parametrize("tree", [1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"}])
+@pytest.mark.parametrize("tree", [
+    1.5, True, None, (1, 2), ["a", None], {"a": {1: "b"}}, {"a": "b", 1: "c"},
+    # True == 1 == 1.0, so an int written first must not answer for an equal bool or float
+    {(1, "a"): "b", (True, "c"): "d"}, {(1, "a"): "b", (1.0, "c"): "d"},
+    {"a": 1, "b": True}, {"a": 1, "b": 1.0}, {"a": "1", "b": {"c": 1, "d": True}},
+    [{"a": 1}, True], [{"a": 1}, 1.0], [{(1, "a"): "b"}, [True]],
+])
 def test_write_json_rejects_other_types(tree):
     with pytest.raises(TypeError):
         write_json(tree, [].append)
+
+
+def test_a_dump_encodes_each_map_or_row_string_once(monkeypatch):
+    # a list item is encoded each time it is listed; any other str once per dump
+    E = generate_free_stretching(one_edge_graph(), 0, 2, 7)
+    calls = Counter()
+
+    def counted(s, _encode=report.encode_basestring_ascii):
+        calls[s] += 1
+        return _encode(s)
+
+    monkeypatch.setattr(report, "encode_basestring_ascii", counted)
+    text = dump_stretching(E)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_DIGESTS[("edge", 0, 2, 7)]
+    listed = Counter(c for side in (E.m_side, E.c_side) for cells in side.magma.gs.cells.values() for c in cells)
+    assert max((calls - listed).values()) == 1
+
+
+@pytest.mark.parametrize("graph, n, D, S", [
+    ("edge", 0, 2, 6), ("path", 0, 2, 5), ("globe", 1, 2, 5), ("globe", 2, 3, 5),
+])
+def test_generated_maps_list_each_grade_in_order(graph, n, D, S):
+    # the writer sorts each map it writes: on these, its sort is one pass
+    g = {"edge": one_edge_graph, "path": two_edge_graph, "globe": two_cell_globe}[graph]()
+    E = generate_free_stretching(g, n, D, S)
+    for nm in (E.m_side, E.c_side):
+        gs = nm.magma.gs
+        for m in range(1, D + 1):
+            assert list(gs.map("source", m)) == list(gs.map("target", m)) == list(gs.grade(m))
+    assert {m: list(t) for m, t in E.pi.items()} == {m: list(E.m_side.magma.gs.grade(m)) for m in range(D + 1)}
 
 
 def test_dump_streams_what_it_returns(tmp_path):

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 from fixtures import one_edge_graph
+from hypothesis import example, given, settings, strategies as st
 
 from globforge.cli import main
 from globforge.globular import globular_set
@@ -438,3 +439,78 @@ def test_repeated_stretch_in_one_process_is_byte_identical(tmp_path, capsys):
         dumps.append(path.read_bytes())
     capsys.readouterr()
     assert dumps[0] == dumps[1]
+
+
+# every character the presentation reader admits in a name (none of blanks, "(", ")", ",", ":", "=" and "#"), as
+# ASCII and beyond; a generator of grade 1 or more may not hold ".", ";", "[" or "]" either
+_ADMITTED = [c for c in map(chr, range(0x21, 0x7F)) if c not in "(),:=#"] + ["é", "☃", "\U0001f600"]
+_IN_GRADE = {0: _ADMITTED, 1: [c for c in _ADMITTED if c not in ".;[]"]}
+
+
+@st.composite
+def _named_graphs(draw):
+    """A graph of dimension 2 whose names are drawn from what each grade admits; no name is in two grades."""
+    taken: set[str] = set()
+
+    def names(m, most):
+        name = st.text(st.sampled_from(_IN_GRADE[min(m, 1)]), min_size=1, max_size=4).filter(lambda x: x not in taken)
+        out = draw(st.lists(name, min_size=1 if m == 0 else 0, max_size=most, unique=True))
+        taken.update(out)
+        return out
+
+    points = names(0, 2)
+    edges = names(1, 3)
+    ends = {e: (draw(st.sampled_from(points)), draw(st.sampled_from(points))) for e in edges}
+    parallel = [(e1, e0) for e1 in edges for e0 in edges if ends[e1] == ends[e0]]
+    globes = {c: draw(st.sampled_from(parallel)) for c in names(2, 2 if parallel else 0)}
+    return globular_set(
+        2, {0: points, 1: edges, 2: list(globes)},
+        src={1: {e: a for e, (a, _) in ends.items()}, 2: {c: lo for c, (lo, _) in globes.items()}},
+        tgt={1: {e: b for e, (_, b) in ends.items()}, 2: {c: hi for c, (_, hi) in globes.items()}},
+    )
+
+
+def _every_structure(g, n: int, D: int, S: int) -> list[tuple[tuple, StretchTerm]]:
+    """Each well-typed term of size <= S and dimension <= D that generation would build, as a nested tuple of
+    its constructors paired with the term TermContext builds for it.  Unlike generation, this keeps two
+    structures apart when their terms share a name."""
+    ctx = TermContext(g, n, Strictifier(g, n))
+    by_size = {1: [(("gen", c), ctx.gen(c)) for m in range(D + 1) for c in g.grade(m)]}
+
+    def build(made, structure, constructor, *args):
+        try:
+            made.append((structure, constructor(*args)))
+        except IllTypedTermError:
+            pass
+
+    for s in range(2, S + 1):
+        made = by_size[s] = []
+        for u, t in by_size[s - 1]:
+            if t.dim < D:
+                build(made, ("refl", u), ctx.refl, t.dim, t.dim + 1, t)
+            for p in range(n, t.dim):
+                build(made, ("rev", p, u), ctx.rev, t.dim, p, t)
+        for s1 in range(1, s - 1):
+            for u1, t1 in by_size[s1]:
+                for u0, t0 in by_size[s - 1 - s1]:
+                    if t1.dim == t0.dim:
+                        for p in range(t1.dim):
+                            build(made, ("comp", p, u1, u0), ctx.comp, t1.dim, p, t1, t0)
+                        if 1 <= t1.dim < D and u1 != u0:  # brackets pair m-terms, m >= 1
+                            build(made, ("bracket", u1, u0), ctx.bracket, t1.dim, t1, t0)
+    return [pair for made in by_size.values() for pair in made]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_named_graphs(), st.integers(0, 1))
+# 0-cells that hold what joins compound names, and generators that look like their heads
+@example(globular_set(2, {0: ["x];y", "[", "x]", ";y"], 1: ["1", "j", "*1"], 2: []},
+                      src={1: {"1": "x];y", "j": "[", "*1": "x]"}}, tgt={1: {"1": "[", "j": "x];y", "*1": ";y"}}), 0)
+@example(globular_set(2, {0: [".", ";"], 1: ["e", "*"], 2: ["1"]}, src={1: {"e": ".", "*": "."}, 2: {"1": "e"}},
+                      tgt={1: {"e": ";", "*": ";"}, 2: {"1": "*"}}), 1)
+def test_a_term_name_names_one_term(g, n):
+    if g.grade(2):
+        n = 1  # normal forms of 2-generators need threshold 1
+    seen: dict[tuple[int, str], tuple] = {}
+    for structure, t in _every_structure(g, n, 2, 6):
+        assert seen.setdefault((t.dim, t.name), structure) == structure, t.name
