@@ -2,16 +2,15 @@
 
 A derivation claims start = end and justifies it by a list of steps.  A
 rewrite step cites a rule, a position, an explicit substitution, and a
-direction; one function checks it: it matches the cited side in place,
-building nothing (one-sided matching, Baader and Nipkow 1998), and builds
-the other side; it instantiates the cited side only to word a mismatch.
-The substitution keeps each side it has matched or built (Subst.memo, keyed
-by the rule's term), and terms are hash-consed, so a step checked again, as
-every re-check of a suite and every mutant replay does, costs lookups: the
-cited side matches exactly when the subterm is the kept instance, and the
-written side is the kept one.  Only a side that instantiates is kept, so a
-failing step is worded as the first time.  Two inference steps extend pure
-rewriting:
+direction; one function checks it: it builds both sides under the
+substitution (Subst.term) and compares the cited one with the subterm at the
+position.  Terms are hash-consed, so when the cited side matches, building
+it is a lookup in the suite's table that returns the subterm itself, and the
+comparison is an identity test.  The substitution keeps each side it has
+built (Subst.memo, keyed by the rule's term), so a step checked again, as
+every re-check of a suite and every mutant replay does, builds nothing.
+Only a side that instantiates is kept, so a failing step is worded as the
+first time.  Two inference steps extend pure rewriting:
 
   - inverse uniqueness concludes beta = rev(alpha) once both unit
     equations for beta are in the established-equality context;
@@ -157,25 +156,19 @@ def _check_new_brackets(before: Term, after: Term, ctx: DerivationContext) -> No
 
 
 def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> Term:
-    """Match the cited side in place and build only the other; a failure is named in the order
-    unknown rule, substitution, side condition, position, match, carrier.  The cited side is
-    instantiated only to word a mismatch, and a side met before is read from the substitution's
-    memo (see the module docstring)."""
+    """Build both sides under the substitution and compare the cited one with the subterm by
+    identity; a failure is named in the order unknown rule, substitution, side condition, position,
+    match, carrier.  A side built before is read from the substitution's memo (see the module docstring)."""
     rule, subst = ctx.rules.get(step.rule), step.subst
     if rule is None:
         raise StepFailure(f"unknown rule {step.rule}")
     pattern, replacement = (rule.lhs, rule.rhs) if step.direction == "fwd" else (rule.rhs, rule.lhs)
-    try:
-        sub = subterm(current, step.position)
-    except TermError as exc:
-        sub, unplaced = None, str(exc)  # reported after the substitution and the side conditions
     memo = subst.memo
     expected, written = memo.get(pattern), memo.get(replacement)
     if expected is None or written is None:
         try:  # only a side that instantiates is kept, so a failure is worded as it was the first time
             if expected is None:
-                found = sub is not None and subst.instantiates(pattern, sub)
-                expected = memo[pattern] = sub if found else subst.term(pattern)
+                expected = memo[pattern] = subst.term(pattern)
             if written is None:
                 written = memo[replacement] = subst.term(replacement)
         except TermError as exc:
@@ -186,8 +179,10 @@ def _apply_rewrite(current: Term, step: RewriteStep, ctx: DerivationContext) -> 
             raise StepFailure(
                 f"side condition {DimCond(lhs, rhs, cond.strict)} of {step.rule} is not entailed by the assumptions"
             )
-    if sub is None:
-        raise StepFailure(unplaced)
+    try:
+        sub = subterm(current, step.position)
+    except TermError as exc:
+        raise StepFailure(str(exc))
     if sub is not expected:
         raise StepFailure(
             f"rule {step.rule} does not match at {step.position}: "

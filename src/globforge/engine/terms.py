@@ -408,8 +408,9 @@ class Subst(Record):
 
     A substitution keeps its own copies of the mappings it is given, so its
     bindings never change; memo, made with it and not a field, maps each rule
-    term that derivation._apply_rewrite has matched or built through it to
-    its instance."""
+    side that derivation._apply_rewrite has built through term() to its
+    instance.  Terms are hash-consed, so building a side that a suite already
+    holds is a lookup of each node's key, and its instance is that very term."""
 
     _fields = ("cells", "dims")
     __slots__ = (*_fields, "memo")
@@ -446,18 +447,6 @@ class Subst(Record):
                 )
             return out
         return app(t.sym, tuple(map(self.dim, t.dims)), tuple(map(self.term, t.args)))
-
-    def instantiates(self, pattern: Term, t: Term) -> bool:
-        """Whether self.term(pattern) is t, found without building a term and
-        with term()'s grade and carrier checks; an unbound name may raise TermError."""
-        if pattern.__class__ is Atom:
-            if pattern.const:
-                return pattern is t
-            return (self.cells.get(pattern.name) is t and t.grade is self.dim(pattern.grade)
-                    and pattern.carrier in ("?", t.carrier))
-        return (t.__class__ is App and t.sym == pattern.sym
-                and tuple(map(self.dim, pattern.dims)) == t.dims
-                and all(map(self.instantiates, pattern.args, t.args)))
 
 
 class MatchError(ValueError):

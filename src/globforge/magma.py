@@ -16,6 +16,8 @@ Strictness adds associativity, units via reflexors, the interchange law,
 and functoriality of reflexors over lower compositions.  In a strict
 structure every invertible cell has a unique inverse, which is what
 derive_canonical_reversors extracts, from the entries whose composite is a unit.
+compute_index is the least threshold at which it succeeds.  validate_magma
+reads the globular set and the composition tables only, not the reflexors.
 
 An n-magma holds three kinds of table, each keyed by its two indices as a
 presentation writes them: reflexors refl[p][m], reversors j[m][p] and
@@ -199,7 +201,8 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
     """Positional axioms plus domain exactness of the composition tables, read off each table's
     columns of y, x and z; only the entries where a column differs from what its law wants are worded.
 
-    Assumes the underlying globular set and reflexors already validate.
+    Needs only a well-formed globular set and never reads the reflexors; the CLI
+    checks them first as a matter of layer order, not as a prerequisite.
     With require_total=False, missing composites on compatible pairs are
     tolerated (bounded fragments); stored entries are always checked.
     """
@@ -720,24 +723,15 @@ def derive_canonical_reversors(cat: StrictNCategory) -> ReversorStructure:
 
 
 def compute_index(cat: StrictNCategory) -> int:
-    """Least threshold k such that every cell is invertible over all p >= k.
-
-    Each (m, p) pair is searched once and shared across thresholds: a pair
-    that fails forces the threshold above p, and reversibility is monotone
-    in the threshold, so the answer is the largest such p + 1 (at most
-    max_dim, where the condition is vacuous).
-    """
-    gs = cat.gs
-    index = 0
-    for m in range(1, gs.max_dim + 1):
-        cells = gs.grade(m)
-        for p in range(m):
-            if p < index:
-                continue  # a lower pair already pushed the threshold past p
-            inverses = _inverses(cat.magma, m, p)
-            if any(len(inverses.get(alpha, ())) != 1 for alpha in cells):
-                index = p + 1
-    return index
+    """Least threshold k at which derive_canonical_reversors succeeds: every m-cell has exactly one
+    two-sided inverse over every p >= k, which holds vacuously at k = max_dim."""
+    for k in range(cat.gs.max_dim):
+        try:
+            derive_canonical_reversors(StrictNCategory(cat.magma, k))
+        except (NoInverseError, AmbiguousInverseError):
+            continue
+        return k
+    return cat.gs.max_dim
 
 
 def check_functor_reversors(

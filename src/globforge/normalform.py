@@ -296,7 +296,7 @@ class Strictifier:
     def canonical_term(self, nf: NF) -> StretchTerm:
         ctx = self._ctx
         if isinstance(nf, NF0):
-            return ctx.gen(nf.cell)
+            return ctx.gen(0, nf.cell)
         if isinstance(nf, NF1):
             return self._word_term(nf.word)
         if isinstance(nf, NF2):
@@ -322,12 +322,12 @@ class Strictifier:
 
     def _step_term(self, step: Step) -> StretchTerm:
         edge, orient = step
-        return self._ctx.gen(edge) if orient > 0 else self._ctx.rev(1, 0, self._ctx.gen(edge))
+        return self._ctx.gen(1, edge) if orient > 0 else self._ctx.rev(1, 0, self._ctx.gen(1, edge))
 
     def _word_term(self, w: Word) -> StretchTerm:
         ctx = self._ctx
         if not w.steps:
-            return ctx.refl(0, 1, ctx.gen(w.base))
+            return ctx.refl(0, 1, ctx.gen(0, w.base))
         terms = [self._step_term(s) for s in w.steps]
         out = terms[-1]
         for t in reversed(terms[:-1]):
@@ -340,7 +340,7 @@ class Strictifier:
         factors = []
         for i, step in enumerate(positions):
             if i == k:
-                factors.append(ctx.gen(gen2) if sign > 0 else ctx.rev(2, 1, ctx.gen(gen2)))
+                factors.append(ctx.gen(2, gen2) if sign > 0 else ctx.rev(2, 1, ctx.gen(2, gen2)))
             else:
                 factors.append(ctx.refl(1, 2, self._step_term(step)))
         out = factors[-1]

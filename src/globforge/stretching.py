@@ -231,9 +231,11 @@ def validate_stretching(E: Stretching) -> ValidationReport:
 def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) -> Stretching:
     """All terms of size <= S and dimension <= D over g, with brackets.
 
-    Deterministic: grades, src, tgt and pi are in name order; brackets are
-    stored once per unordered pair with the larger term as target.  A graph
-    that is not a well-formed globular set raises InvalidGraphError.
+    A generator is a term of size 1, read at its own grade, so an edge may
+    share a point's name; with S = 0 both sides are empty.  Deterministic:
+    grades, src, tgt and pi are in name order; brackets are stored once per
+    unordered pair with the larger term as target.  A graph that is not a
+    well-formed globular set raises InvalidGraphError.
     """
     if min(n, D, S) < 0:
         raise ValueError(f"the bounds n, D, S must be >= 0, got n={n}, D={D}, S={S}")
@@ -281,9 +283,9 @@ def generate_free_stretching(g: TruncatedGlobularSet, n: int, D: int, S: int) ->
         if d + 1 <= D:
             par_bucket.setdefault(par_key(t) + (t.size,), []).append(t)
 
-    for m in range(min(D, g.max_dim) + 1):
+    for m in range(min(D, g.max_dim) + 1 if S else 0):
         for c in g.grade(m):
-            admit(ctx.gen(c))
+            admit(ctx.gen(m, c))
 
     for s in range(2, S + 1):
         # unary constructors on terms of size s-1

@@ -3,7 +3,7 @@
 A StretchTerm is built from five constructors over a generating globular
 set:
 
-    gen(c)                a generating cell
+    gen(m, c)             the generating m-cell c
     comp(m, p, t1, t0)    the composite "t1 after t0" of two m-terms over p
     refl(p, m, t)         the degenerate m-term on a p-term (one-step nested)
     rev(m, p, t)          the formal reverse of an m-term over p
@@ -192,11 +192,11 @@ class TermContext:
             return True
         return t1.src == t0.src and t1.tgt == t0.tgt
 
-    def gen(self, name: str) -> StretchTerm:
-        for m in range(self.g.max_dim + 1):
-            if self.g.has_cell(m, name):
-                return self._gen(m, name)
-        raise IllTypedTermError(f"no generating cell named {name}")
+    def gen(self, m: int, name: str) -> StretchTerm:
+        """The generating m-cell name, at its intern key ("gen", m, name): grades namespace names."""
+        if not self.g.has_cell(m, name):
+            raise IllTypedTermError(f"no generating {m}-cell named {name}")
+        return self._gen(m, name)
 
     def comp(self, m: int, p: int, t1: StretchTerm, t0: StretchTerm) -> StretchTerm:
         if not 0 <= p < m:

@@ -18,7 +18,7 @@ def enumerate_terms(ctx: TermContext, max_size: int, max_dim: int = 2) -> list[S
     by_size: dict[int, list[StretchTerm]] = {1: []}
     for m in range(min(max_dim, g.max_dim) + 1):
         for c in g.grade(m):
-            by_size[1].append(ctx.gen(c))
+            by_size[1].append(ctx.gen(m, c))
     tgt_bucket: dict[tuple[int, int, StretchTerm], list[StretchTerm]] = {}
 
     def bucket(t: StretchTerm) -> None:

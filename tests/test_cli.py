@@ -248,6 +248,31 @@ def test_stretch_dump_validates(edge_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stretch_admits_an_edge_named_like_a_point(tmp_path, capsys):
+    # grades namespace names: the edge a: a -> b is a generator of grade 1 beside the point a
+    path = tmp_path / "named.glob"
+    path.write_text(EDGE.replace("cells 1: e", "cells 1: a").replace("e = ", "a = "))
+    assert main(["stretch", str(path), "--n", "0", "--dim", "1", "--size", "2"]) == 0
+    dump = json.loads(capsys.readouterr().out)
+    assert dump["m_side"]["cells"]["1"] == ["1[0.1](a)", "1[0.1](b)", "a", "j[1.0](a)"]
+    assert dump["pi"]["1"]["a"] == "a+" and dump["pi"]["1"]["j[1.0](a)"] == "a-"
+    (tmp_path / "dump.json").write_text(json.dumps(dump))
+    assert main(["validate", str(tmp_path / "dump.json"), "--layer", "stretching"]) == 0
+    capsys.readouterr()
+
+
+def test_stretch_at_size_zero_holds_no_cell(edge_file, tmp_path, capsys):
+    # a generator has size 1, so the bound S=0 admits nothing on either side
+    assert main(["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "0"]) == 0
+    text = capsys.readouterr().out
+    dump = json.loads(text)
+    assert all(cells == [] for side in ("m_side", "c_side") for cells in dump[side]["cells"].values())
+    assert dump["pi"] == {"0": {}, "1": {}, "2": {}} and dump["brackets"] == []
+    (tmp_path / "dump.json").write_text(text)
+    assert main(["validate", str(tmp_path / "dump.json"), "--layer", "stretching"]) == 0
+    capsys.readouterr()
+
+
 def test_stretch_streams_the_dump_to_stdout_and_report(edge_file, tmp_path, capsys):
     want = dump_stretching(generate_free_stretching(parse_structure(EDGE).gs, 0, 2, 5))
     argv = ["stretch", edge_file, "--n", "0", "--dim", "2", "--size", "5"]

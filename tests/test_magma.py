@@ -11,6 +11,7 @@ from fixtures import (
     sym3_category,
     walking_iso_category,
 )
+from index_oracle import index_by_pair_scan
 
 from globforge.globular import GlobularMorphism, validate_globular
 from globforge.layers import validate_involutive, validate_reflexive_compat, validate_reflexors
@@ -157,8 +158,8 @@ def test_no_inverse_on_poset():
     assert (exc.value.m, exc.value.p) == (1, 0)
 
 
-def test_ambiguous_inverse_guard():
-    # a corrupt table where two cells both behave as inverses
+def _ambiguous_category() -> StrictNCategory:
+    """A corrupt table where two cells both behave as inverses of u."""
     from globforge.globular import globular_set
     from globforge.layers import ReflexorStructure
     from globforge.magma import CompositionStructure, InfinityMagma
@@ -174,9 +175,12 @@ def test_ambiguous_inverse_guard():
         ("e", "e"): "e", ("e", "u"): "u", ("u", "e"): "u", ("e", "v"): "v", ("v", "e"): "v",
         ("u", "u"): "e", ("v", "v"): "e", ("u", "v"): "e", ("v", "u"): "e",
     }
-    cat = StrictNCategory(InfinityMagma(gs, refl, CompositionStructure({(1, 0): table})), 0)
+    return StrictNCategory(InfinityMagma(gs, refl, CompositionStructure({(1, 0): table})), 0)
+
+
+def test_ambiguous_inverse_guard():
     with pytest.raises(AmbiguousInverseError):
-        derive_canonical_reversors(cat)
+        derive_canonical_reversors(_ambiguous_category())
 
 
 def test_compute_index():
@@ -195,6 +199,24 @@ def test_compute_index():
         0,
     )
     assert compute_index(discrete) == 0
+
+
+@pytest.mark.parametrize("cat, index", [
+    (walking_iso_category(), 0),
+    (cyclic_group_category(3), 0),
+    (sym3_category(), 0),
+    (pad_to_dim(walking_iso_category(), 2), 0),
+    (product_category(walking_iso_category(), cyclic_group_category(2)), 0),
+    (poset_category(["a", "b", "c"]), 1),
+    (pad_to_dim(poset_category(["a", "b"]), 3), 1),
+    (_ambiguous_category(), 1),
+    (square_2cat(), 2),
+    (square_2cat(with_spare=False), 2),
+])
+def test_compute_index_is_the_pair_scan(cat, index):
+    # the least threshold at which the reversors derive is where the old scan of
+    # (m, p) pairs puts the index
+    assert compute_index(cat) == index_by_pair_scan(cat) == index
 
 
 def test_index_bounds_products():

@@ -130,7 +130,7 @@ def _count_terms_oracle(g, n, D, S):
     seen = {}
     for m in range(min(D, g.max_dim) + 1):
         for c in g.grade(m):
-            t = ctx.gen(c)
+            t = ctx.gen(m, c)
             seen[t.name] = t
     changed = True
     while changed:

@@ -31,7 +31,7 @@ def two_graph():
 def test_term_construction_and_sizes():
     g = two_graph()
     ctx = TermContext(g, 2)
-    al = ctx.gen("al")
+    al = ctx.gen(2, "al")
     assert al.dim == 2
     assert al.size == 1
     unit = ctx.refl(1, 2, ctx.src(al))
@@ -40,13 +40,13 @@ def test_term_construction_and_sizes():
     with pytest.raises(IllTypedTermError):
         ctx.comp(2, 1, al, al)  # target of al is not its source
     with pytest.raises(IllTypedTermError):
-        ctx.comp(1, 0, ctx.gen("f0"), ctx.gen("f1"))
+        ctx.comp(1, 0, ctx.gen(1, "f0"), ctx.gen(1, "f1"))
 
 
 def test_multi_step_refl_normalizes_to_nested_one_steps():
     g = two_graph()
     ctx = TermContext(g, 2)
-    a = ctx.gen("a")
+    a = ctx.gen(0, "a")
     t = ctx.refl(0, 2, a)
     assert t == ctx.refl(1, 2, ctx.refl(0, 1, a))
     assert t.size == 3
@@ -56,16 +56,16 @@ def test_rev_needs_threshold():
     g = one_edge_graph()
     ctx0 = TermContext(g, 0)
     ctx1 = TermContext(g, 1)
-    e = ctx0.gen("e")
+    e = ctx0.gen(1, "e")
     assert ctx0.rev(1, 0, e).kind == "rev"
     with pytest.raises(IllTypedTermError):
-        ctx1.rev(1, 0, ctx1.gen("e"))
+        ctx1.rev(1, 0, ctx1.gen(1, "e"))
 
 
 def test_normalize2_unit_law():
     g = two_graph()
     ctx = TermContext(g, 2)
-    al = ctx.gen("al")
+    al = ctx.gen(2, "al")
     t = ctx.comp(2, 1, al, ctx.refl(1, 2, ctx.src(al)))
     assert normalize2(g, t) == al
 
@@ -73,7 +73,7 @@ def test_normalize2_unit_law():
 def test_normalize2_rejects_reversors():
     g = one_edge_graph()
     ctx = TermContext(g, 0)
-    t = ctx.rev(1, 0, ctx.gen("e"))
+    t = ctx.rev(1, 0, ctx.gen(1, "e"))
     with pytest.raises(IllTypedTermError):
         normalize2(g, t)
 
@@ -102,7 +102,7 @@ def test_normalize2_interchange_grid():
     # the two middle-four bracketings of a 2x2 grid agree
     g = grid_graph()
     ctx = TermContext(g, 2)
-    al1, al2, be1, be2 = (ctx.gen(c) for c in ("al1", "al2", "be1", "be2"))
+    al1, al2, be1, be2 = (ctx.gen(2, c) for c in ("al1", "al2", "be1", "be2"))
     lhs = ctx.comp(2, 0, ctx.comp(2, 1, be2, be1), ctx.comp(2, 1, al2, al1))
     rhs = ctx.comp(2, 1, ctx.comp(2, 0, be2, al2), ctx.comp(2, 0, be1, al1))
     assert normalize2(g, lhs) == normalize2(g, rhs)
@@ -112,11 +112,11 @@ def test_normalize2_whisker_slides():
     # sliding independent layers past each other is invisible to the normal form
     g = two_graph()
     ctx = TermContext(g, 2)
-    al, be = ctx.gen("al"), ctx.gen("be")
-    id_g0 = ctx.refl(1, 2, ctx.gen("g0"))
-    id_f1 = ctx.refl(1, 2, ctx.gen("f1"))
-    id_f0 = ctx.refl(1, 2, ctx.gen("f0"))
-    id_g1 = ctx.refl(1, 2, ctx.gen("g1"))
+    al, be = ctx.gen(2, "al"), ctx.gen(2, "be")
+    id_g0 = ctx.refl(1, 2, ctx.gen(1, "g0"))
+    id_f1 = ctx.refl(1, 2, ctx.gen(1, "f1"))
+    id_f0 = ctx.refl(1, 2, ctx.gen(1, "f0"))
+    id_g1 = ctx.refl(1, 2, ctx.gen(1, "g1"))
     first_low = ctx.comp(2, 1, ctx.comp(2, 0, be, id_f1), ctx.comp(2, 0, id_g0, al))
     first_high = ctx.comp(2, 1, ctx.comp(2, 0, id_g1, al), ctx.comp(2, 0, be, id_f0))
     direct = ctx.comp(2, 0, be, al)
@@ -128,7 +128,7 @@ def test_pi_dimension_one_words():
     g = one_edge_graph()
     strict = Strictifier(g, 0)
     ctx = TermContext(g, 0, strict)
-    e = ctx.gen("e")
+    e = ctx.gen(1, "e")
     t = ctx.comp(1, 0, e, ctx.rev(1, 0, e))
     nf = strict.pi(t)
     assert isinstance(nf, NF1)
@@ -141,7 +141,7 @@ def test_pi_degenerate_two_cells():
     g = one_edge_graph()
     strict = Strictifier(g, 0)
     ctx = TermContext(g, 0, strict)
-    e = ctx.gen("e")
+    e = ctx.gen(1, "e")
     t = ctx.rev(2, 0, ctx.refl(1, 2, e))
     nf = strict.pi(t)
     assert isinstance(nf, NF2)
@@ -171,7 +171,7 @@ def test_threshold_one_vertical_inverses():
     g = two_graph()
     strict = Strictifier(g, 1)
     ctx = TermContext(g, 1, strict)
-    al = ctx.gen("al")
+    al = ctx.gen(2, "al")
     t = ctx.comp(2, 1, ctx.rev(2, 1, al), al)
     nf = strict.pi(t)
     assert isinstance(nf, NF2)
@@ -192,7 +192,7 @@ def test_comp_nf_rejects_words_that_do_not_chain():
         with pytest.raises(MalformedWordError):
             strict.comp_nf(1, 0, a, b)
     ctx = TermContext(g, 2, strict)
-    al, be = strict.pi(ctx.gen("al")), strict.pi(ctx.gen("be"))
+    al, be = strict.pi(ctx.gen(2, "al")), strict.pi(ctx.gen(2, "be"))
     assert strict.comp_nf(2, 0, be, al).name == "2<g0+.f0+|0:be+,1:al+>"
     with pytest.raises(MalformedWordError):
         strict.comp_nf(2, 0, al, be)
@@ -208,7 +208,7 @@ def test_canonical_term_round_trip():
     g = two_graph()
     strict = Strictifier(g, 2)
     ctx = TermContext(g, 2, strict)
-    al, be = ctx.gen("al"), ctx.gen("be")
+    al, be = ctx.gen(2, "al"), ctx.gen(2, "be")
     t = ctx.comp(2, 0, be, al)
     nf = strict.pi(t)
     rebuilt = strict.canonical_term(nf)
@@ -219,9 +219,9 @@ def test_bracket_requires_pi_equality():
     g = one_edge_graph()
     strict = Strictifier(g, 0)
     ctx = TermContext(g, 0, strict)
-    e = ctx.gen("e")
+    e = ctx.gen(1, "e")
     c1 = ctx.comp(1, 0, e, ctx.rev(1, 0, e))
-    c0 = ctx.refl(0, 1, ctx.gen("b"))
+    c0 = ctx.refl(0, 1, ctx.gen(0, "b"))
     B = ctx.bracket(1, c1, c0)
     assert B.dim == 2
     assert ctx.tgt(B) == c1 and ctx.src(B) == c0
@@ -235,7 +235,7 @@ def test_bracket_distinct_but_pi_unequal():
     g = one_edge_graph()
     strict = Strictifier(g, 0)
     ctx = TermContext(g, 0, strict)
-    e = ctx.gen("e")
+    e = ctx.gen(1, "e")
     double = ctx.comp(1, 0, e, ctx.comp(1, 0, ctx.rev(1, 0, e), e))
     # double strictifies to the single edge, so the pair is admissible
     assert ctx.bracket(1, double, e).kind == "bracket"
@@ -362,19 +362,31 @@ def test_equal_constructions_are_identical():
     # one context builds one object per term; terms of two contexts are equal by name
     g = two_graph()
     ctx, other = TermContext(g, 2), TermContext(g, 2)
-    a = ctx.comp(2, 1, ctx.gen("al"), ctx.refl(1, 2, ctx.src(ctx.gen("al"))))
-    assert ctx.comp(2, 1, ctx.gen("al"), ctx.refl(1, 2, ctx.gen("f0"))) is a
-    assert ctx.refl(0, 2, ctx.gen("a")) is ctx.refl(1, 2, ctx.refl(0, 1, ctx.gen("a")))
-    assert ctx.src(a) is ctx.gen("f0") and ctx.tgt(a) is ctx.gen("f1")
-    b = other.comp(2, 1, other.gen("al"), other.refl(1, 2, other.gen("f0")))
+    a = ctx.comp(2, 1, ctx.gen(2, "al"), ctx.refl(1, 2, ctx.src(ctx.gen(2, "al"))))
+    assert ctx.comp(2, 1, ctx.gen(2, "al"), ctx.refl(1, 2, ctx.gen(1, "f0"))) is a
+    assert ctx.refl(0, 2, ctx.gen(0, "a")) is ctx.refl(1, 2, ctx.refl(0, 1, ctx.gen(0, "a")))
+    assert ctx.src(a) is ctx.gen(1, "f0") and ctx.tgt(a) is ctx.gen(1, "f1")
+    b = other.comp(2, 1, other.gen(2, "al"), other.refl(1, 2, other.gen(1, "f0")))
     assert a is not b
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
-    assert ctx.refl(0, 2, ctx.gen("a")) == other.refl(1, 2, other.refl(0, 1, other.gen("a")))
-    assert a != other.gen("al") and ctx.gen("a") != ctx.refl(0, 1, ctx.gen("a"))
+    assert ctx.refl(0, 2, ctx.gen(0, "a")) == other.refl(1, 2, other.refl(0, 1, other.gen(0, "a")))
+    assert a != other.gen(2, "al") and ctx.gen(0, "a") != ctx.refl(0, 1, ctx.gen(0, "a"))
     with pytest.raises(TypeError):
         StretchTerm("gen", (0,), (), "a")  # only a context builds terms
     with pytest.raises(AttributeError):
         a.name = "b"
+
+
+def test_gen_reads_a_generator_at_its_grade():
+    # grades namespace names: the point a and the edge a: a -> b are two generators
+    g = globular_set(1, {0: ["a", "b"], 1: ["a"]}, src={1: {"a": "a"}}, tgt={1: {"a": "b"}})
+    ctx = TermContext(g, 0)
+    point, edge = ctx.gen(0, "a"), ctx.gen(1, "a")
+    assert (point.dim, edge.dim) == (0, 1) and edge is not point
+    assert edge.src is point and edge.tgt is ctx.gen(0, "b") and ctx.gen(1, "a") is edge
+    for m, name in ((1, "b"), (2, "a"), (0, "c")):
+        with pytest.raises(IllTypedTermError, match=f"no generating {m}-cell named {name}"):
+            ctx.gen(m, name)
 
 
 def test_each_context_reads_faces_from_its_own_graph():
@@ -382,7 +394,7 @@ def test_each_context_reads_faces_from_its_own_graph():
     g1 = globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "a"}}, tgt={1: {"e": "b"}})
     g2 = globular_set(1, {0: ["a", "b"], 1: ["e"]}, src={1: {"e": "b"}}, tgt={1: {"e": "a"}})
     c1, c2 = TermContext(g1, 0), TermContext(g2, 0)
-    e1, e2 = c1.gen("e"), c2.gen("e")
+    e1, e2 = c1.gen(1, "e"), c2.gen(1, "e")
     assert (c1.src(e1).name, c1.tgt(e1).name) == ("a", "b")
     assert (c2.src(e2).name, c2.tgt(e2).name) == ("b", "a")
     assert c1.tgt(c1.rev(1, 0, e1)).name == "a" and c2.tgt(c2.rev(1, 0, e2)).name == "b"
@@ -475,7 +487,7 @@ def _every_structure(g, n: int, D: int, S: int) -> list[tuple[tuple, StretchTerm
     its constructors paired with the term TermContext builds for it.  Unlike generation, this keeps two
     structures apart when their terms share a name."""
     ctx = TermContext(g, n, Strictifier(g, n))
-    by_size = {1: [(("gen", c), ctx.gen(c)) for m in range(D + 1) for c in g.grade(m)]}
+    by_size = {1: [(("gen", c), ctx.gen(m, c)) for m in range(D + 1) for c in g.grade(m)]}
 
     def build(made, structure, constructor, *args):
         try:
