@@ -117,8 +117,7 @@ class DimSolver:
         for v in names:
             if v != "0":
                 self._edge(v, "0", 0)  # every dimension is >= 0
-        self.names = names
-        self._closure()
+        self._closure(sorted(names))
 
     def _edge(self, frm: str, to: str, w: int) -> None:
         # encodes to - frm <= w
@@ -131,8 +130,8 @@ class DimSolver:
         bound = b.off - a.off - (1 if cond.strict else 0)
         self._edge(b.var or "0", a.var or "0", bound)
 
-    def _closure(self) -> None:
-        names = sorted({v for pair in self.edges for v in pair} | {"0"})
+    def _closure(self, names: list[str]) -> None:
+        """Shortest paths between the names, which are every vertex of self.edges and "0"."""
         dist = {(a, b): (0 if a == b else None) for a in names for b in names}
         for (frm, to), w in self.edges.items():
             cur = dist[(frm, to)]

@@ -31,32 +31,32 @@ Validators take `require_total=False` to check size- or length-bounded
 fragments, where composites may fall outside the stored carrier; axioms are
 then checked on the stored entries only.
 
-The validators index the tables instead of scanning whole grades.
-Associativity numbers the cells of a table once, in name order, the
-composites alone where every factor is one, as in a category, and reads it
-by columns of numbers, cols[b][a] = a o b.  Up to 255 cells a column is 256
-bytes, 255 where a composite is absent, read off the table at every pair of
-cells, and one bytes.translate reads every (z o y) o x of a row, to compare
-with the column of y o x; above, a column is a dict, as sparse as the table,
-and two itemgetters per y gather the (z o y) o x from cols[x] and the
-z o (y o x) from cols[y o x].  Rows that compare equal are skipped, which is
-exact; the others are worded from the same bytes or gathers, where an absent
-composite is skipped on fragments and reported under require_total.
-Interchange numbers the cells of a p-table and a q-table pair once, as
-associativity does, and reads the squares in blocks, one per stored q-pair
-(x2, x1) over xx.  Up to 255 cells a block is two byte strings indexed by
-the (y2, y1): bytes.translate reads every outer composite
+The validators index the tables instead of scanning whole grades, and each
+strict law is worded from what one generator yields: the triples or squares
+where it fails, with both sides.  Associativity numbers the cells of a table
+once, in name order, the composites alone where every factor is one, as in a
+category, and reads it by columns of numbers, cols[b][a] = a o b.  Up to 255
+cells a column is 256 bytes, 255 where a composite is absent, read off the
+table at every pair of cells, and one bytes.translate reads every
+(z o y) o x of a row (y, x), to compare with the column of y o x.  Rows that
+compare equal are skipped, which is exact; the others are read byte by byte
+off the same translation, where an absent composite is skipped on fragments
+and reported under require_total.  Above 255 cells a column is a dict, as
+sparse as the table, and a plain loop reads each stored z o y against each
+stored y o x.  Interchange numbers the cells of a p-table and a q-table pair
+once, as associativity does.  Up to 255 cells it reads the squares in
+blocks, one per stored q-pair (x2, x1) over xx, each two byte strings
+indexed by the (y2, y1): bytes.translate reads every outer composite
 (y2 o_q y1) o_p xx off the q-rows and the p-column of xx, and every inner
 one (y2 o_p x2) o_q (y1 o_p x1) off rows built once per x1, 255 standing
-for an absent composite on both sides; above, itemgetters gather the
-triples of a class of xx off the columns.  A block whose sides agree holds;
-the others name the squares whose outer composite is stored and whose
-inner ones are not all stored and equal to it, and only those are read
-square by square, which skips a square missing an inner composite and
-reports the rest.  validate_magma computes each cell's iterated boundaries
-once per grade, then compares whole columns of faces, the y, x and z of
-each table, and counts compatible pairs against the table as Light's guard
-does; the columns word what they find, an entry only where they differ.
+for an absent composite on both sides.  A block whose sides agree holds;
+the others yield the squares where both sides are stored and differ, which
+skips a square missing a composite.  Above 255 cells a plain loop reads the
+same squares off the columns.  validate_magma computes each cell's iterated
+boundaries once per grade, then compares whole columns of faces, the y, x
+and z of each table, and counts compatible pairs against the table as
+Light's guard does; the columns word what they find, an entry only where
+they differ.
 
 Under require_total, Light's associativity test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, 1.2) comes before the column scan.
@@ -81,9 +81,9 @@ and is skipped; otherwise the scan runs as before, on the same columns.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterator, Mapping
 from itertools import chain, compress, count, product, repeat
-from operator import eq, is_, itemgetter, ne, not_, or_
+from operator import eq, itemgetter, ne, not_, or_
 
 from ._record import Record
 from .globular import GlobularMorphism, TruncatedGlobularSet, boundary, validate_morphism
@@ -263,6 +263,7 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
 
     for m, p, ys, xs, zs in columns:
         for q in range(m):
+            sources = faces[m, q, "source"]
             for side, tag in (("source", "src"), ("target", "tgt")):
                 face = faces[m, q, side].__getitem__
                 bz = list(map(face, zs))
@@ -287,6 +288,8 @@ def validate_magma(mag: InfinityMagma, *, require_total: bool = True) -> Validat
                     elif q == p:
                         rep.add("positional.b", LAW_POSITIONAL_B, (y, x, z), f"{head}, expected {wanted}")
                     elif wanted is None:
+                        if side == "target" and (sources[y], sources[x]) == (by[i], bx[i]):
+                            continue  # the source side already words the pair both sides miss
                         rep.add("positional.total", LAW_COMP_TOTAL, (by[i], bx[i]),
                                 f"comp[{q}][{p}] misses ({by[i]}, {bx[i]}) needed for the boundary of ({y}, {x})")
                     else:
@@ -360,67 +363,59 @@ def _byte_columns(table: Mapping[tuple[str, str], str], names: list[str], num: d
     return [flat[b::n].ljust(256, b"\xff") for b in range(n)] if n * n - flat.count(255) == len(table) else []
 
 
-def _differing_rows(cols: list[bytes] | list[dict[int, int]], ys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """The stored (y, x, y o x), y in ys, whose triples are not all stored and associative.
+def _differing_triples(
+    cols: list[bytes] | list[dict[int, int]], ys: Collection[int], total: bool = True
+) -> Iterator[tuple[int, int, int, int | None, int | None]]:
+    """The (z, y, x, (z o y) o x, z o (y o x)), y in ys and z o y, y o x stored, whose two sides differ, None
+    standing for an absent side.  Under total a side that is absent differs from any other; otherwise a
+    triple with an absent side is skipped.
 
-    Up to 255 cells, cols[b][a] = a o b, or 255 if absent: a row holds when
-    cols[y].translate(cols[x]), every (z o y) o x, equals cols[y o x], every
-    z o (y o x), with as many holes as cols[y], so no composite is absent on
-    both sides.  The y o x are read off every column at index y, and all the
-    rows of a y are compared in one pass.  Above, itemgetters over the z with
-    z o y stored gather both, and a missing composite raises KeyError.
+    Up to 255 cells, cols[b][a] = a o b, or 255 if absent: a row (y, x) holds when
+    cols[y].translate(cols[x]), every (z o y) o x, equals cols[y o x], every z o (y o x), with as many
+    holes as cols[y], so no composite is absent on both sides.  The y o x are read off every column at
+    index y, all the rows of a y are compared in one pass, and a row that fails is read byte by byte off
+    the same translation.  Above, a plain loop reads each stored y o x against the z o y in the column of y.
     """
     n = len(cols)
-    if n <= 255:
-        holes, rows, flat = [col.count(255) for col in cols], [col[:n] for col in cols], b"".join(cols)
-        for y in ys:
-            yxs = flat[y::256]  # yxs[x] = y o x
-            xs = [*compress(range(n), map(ne, yxs, repeat(255)))]
-            prods = [*map(yxs.__getitem__, xs)]
-            bad = map(or_, map(ne, map(rows[y].translate, map(cols.__getitem__, xs)), map(rows.__getitem__, prods)),
-                      map(ne, map(holes.__getitem__, prods), repeat(holes[y])))
-            yield from ((y, x, yx) for x, yx in compress(zip(xs, prods), bad))
+    if n > 255:
+        for x, col_x in enumerate(cols):
+            for y, yx in col_x.items():
+                if y in ys:
+                    col_yx = cols[yx]
+                    for z, zy in cols[y].items():
+                        left, right = col_x.get(zy), col_yx.get(z)
+                        if left is None or right is None:
+                            if total:
+                                yield z, y, x, left, right
+                        elif left != right:
+                            yield z, y, x, left, right
         return
-    gathers: list[tuple[itemgetter, itemgetter] | None] = [None] * n
+    rows, flat = [col[:n] for col in cols], b"".join(cols)
+    holes = [row.count(255) for row in rows]
     for y in ys:
-        if cols[y]:  # y need not be a right factor at all
-            gathers[y] = itemgetter(*cols[y].values()), itemgetter(*cols[y])
-    for x, col_x in enumerate(cols):
-        for y, yx in col_x.items():
-            gather = gathers[y]
-            if gather is None:
-                continue
-            try:
-                if gather[0](col_x) == gather[1](cols[yx]):
-                    continue
-            except KeyError:
-                pass
-            yield y, x, yx
-
-
-def _differing_sides(cols: list[bytes] | list[dict[int, int]], y: int, x: int, yx: int) -> Iterator[tuple]:
-    """The z with z o y stored whose (z o y) o x and z o (y o x) are not both stored and equal, with the two,
-    None where absent: up to 255 cells, where the bytes of cols[y].translate(cols[x]) and cols[y o x] differ."""
-    if len(cols) <= 255:
-        col_y, lefts, rights = cols[y], cols[y].translate(cols[x]), cols[yx]
-        differ = map(ne, lefts, rights)
-        if lefts.count(255) > col_y.count(255):  # some (z o y) o x is absent, and z o (y o x) may be too
-            differ = map(or_, differ, map(eq, lefts, repeat(255)))
-        return (
-            (z, *(None if side == 255 else side for side in (lefts[z], rights[z])))
-            for z in compress(range(len(cols)), differ) if col_y[z] != 255
-        )
-    col_y = cols[y]
-    lefts, rights = [*map(cols[x].get, col_y.values())], [*map(cols[yx].get, col_y)]
-    return compress(zip(col_y, lefts, rights), map(or_, map(ne, lefts, rights), map(is_, lefts, repeat(None))))
+        row_y, yxs = rows[y], flat[y::256]  # yxs[x] = y o x
+        xs = [*compress(range(n), map(ne, yxs, repeat(255)))]
+        prods = [*map(yxs.__getitem__, xs)]
+        lefts = [*map(row_y.translate, map(cols.__getitem__, xs))]  # lefts[i][z] = (z o y) o xs[i]
+        bad = map(or_, map(ne, lefts, map(rows.__getitem__, prods)),
+                  map(ne, map(holes.__getitem__, prods), repeat(holes[y])))
+        for x, yx, left in compress(zip(xs, prods, lefts), bad):
+            right = rows[yx]
+            differ = map(ne, left, right)
+            if total and left.count(255) > holes[y]:  # some (z o y) o x is absent, and z o (y o x) may be too
+                differ = map(or_, differ, map(eq, left, repeat(255)))
+            for z in compress(range(n), differ):
+                sides = left[z], right[z]
+                if row_y[z] != 255 and (total or 255 not in sides):
+                    yield z, y, x, *(None if side == 255 else side for side in sides)
 
 
 def _differing_squares(
     table_p: Mapping[tuple[str, str], str], table_q: Mapping[tuple[str, str], str]
-) -> Iterator[tuple[str, str, str, str]]:
+) -> Iterator[tuple[str, str, str, str, str, str]]:
     """The squares (y2, y1), (x2, x1) of stored q-pairs whose outer composite
-    (y2 o_q y1) o_p (x2 o_q x1) is stored but whose inner ones are not all stored
-    and interchanging.
+    (y2 o_q y1) o_p (x2 o_q x1) and inner one (y2 o_p x2) o_q (y1 o_p x1) are
+    both stored and differ, with the two.
 
     A block is one stored (x2, x1) over xx against every (y2, y1).  Up to 255
     cells, numbered below n, cols[b][a] = a o_p b and qr[a][b] = a o_q b are
@@ -431,72 +426,51 @@ def _differing_squares(
     inner[a], the first n bytes of cols[x1] translated by qr[a], is built once
     per x1, and inner holds a row of holes at each index from n to 255, so a
     hole reads through it as a hole.  The block holds when left == right;
-    otherwise its y2-slices that differ yield the squares where left is not a
-    hole.
+    otherwise its y2-slices that differ yield the squares where neither side
+    is a hole.
 
-    Above 255 cells, the squares with a stored outer composite are those the
-    q-pairs over xx make with the q-pairs over the yy in the column of xx.  The
-    xx whose columns hold the same yy form a class, and three itemgetters built
-    once per class gather y2 o_p x2, y1 o_p x1 and the outer composite off the
-    columns of x2, x1 and xx; the block holds iff each gathered triple (a, b, c)
-    has a o_q b = c stored.  A block that fails yields the squares whose triple
-    is not stored; a missing p-composite raises KeyError, and the block is then
-    gathered again with None for what is missing.
+    Above 255 cells, a plain loop reads each stored (x2, x1) over xx against
+    the yy in the p-column of xx and the q-pairs (y2, y1) over each yy.
     """
     names, num, cols = _columns(table_p, table_q)
     q = {(num[a], num[b]): num[ab] for (a, b), ab in table_q.items()}
     n = len(names)
-    if n <= 255:
-        ys = bytearray(b"\xff" * (n * n))  # ys[y2 * n + y1] = y2 o_q y1
-        for (a, b), ab in q.items():
-            ys[a * n + b] = ab
-        qr = [ys[lo:lo + n].ljust(256, b"\xff") for lo in range(0, n * n, n)]  # qr[a][b] = a o_q b
-        lefts = {xx: ys.translate(cols[xx]) for xx in set(q.values()) if min(cols[xx]) < 255}  # else no outer composite
-        over_x1: dict[int, list[tuple[int, int]]] = {}
+    if n > 255:
+        fibre: dict[int, list[tuple[int, int]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
+        for pair, c in q.items():
+            fibre.setdefault(c, []).append(pair)
         for (x2, x1), xx in q.items():
-            if xx in lefts:
-                over_x1.setdefault(x1, []).append((x2, xx))
-        holes = [b"\xff" * n] * (256 - n)
-        for x1, blocks in over_x1.items():
-            inner = [*map(cols[x1][:n].translate, qr), *holes]  # inner[a][y1] = a o_q (y1 o_p x1)
-            for x2, xx in blocks:
-                left, right = lefts[xx], b"".join(map(inner.__getitem__, cols[x2][:n]))
-                if left == right:
-                    continue
-                for y2, lo in enumerate(range(0, len(left), n)):
-                    row_l, row_r = left[lo:lo + n], right[lo:lo + n]
-                    if row_l != row_r:
-                        for y1 in compress(range(n), map(ne, row_l, row_r)):
-                            if row_l[y1] != 255:
-                                yield names[y2], names[y1], names[x2], names[x1]
+            col2, col1 = cols[x2], cols[x1]
+            for yy, outer in cols[xx].items():
+                for y2, y1 in fibre.get(yy, ()):
+                    a, b = col2.get(y2), col1.get(y1)
+                    inner = None if a is None or b is None else q.get((a, b))
+                    if inner is not None and inner != outer:
+                        yield names[y2], names[y1], names[x2], names[x1], names[outer], names[inner]
         return
-    graph = {(a, b, ab) for (a, b), ab in q.items()}
-    fibre: dict[int, list[tuple[int, int]]] = {}  # fibre[c]: the (c2, c1) with c2 o_q c1 = c
-    for pair, c in q.items():
-        fibre.setdefault(c, []).append(pair)
-    classes: dict[tuple[int, ...], list[int]] = {}  # the yy of a column -> the xx with that column
-    for xx in fibre:
-        yys = tuple(sorted(yy for yy in cols[xx] if yy in fibre))
-        if yys:
-            classes.setdefault(yys, []).append(xx)
-    for yys, xxs in classes.items():
-        ys = [(y2, y1, yy) for yy in yys for y2, y1 in fibre[yy]]
-        y2s, y1s, yyc = zip(*ys)
-        # the first key repeated, so that each itemgetter has two keys and returns a tuple
-        g2, g1, gyy = (itemgetter(*column, column[0]) for column in (y2s, y1s, yyc))
-        for xx in xxs:
-            col = cols[xx]
-            for x2, x1 in fibre[xx]:
-                col2, col1 = cols[x2], cols[x1]
-                try:
-                    gathered = g2(col2), g1(col1), gyy(col)
-                except KeyError:
-                    gathered = map(col2.get, y2s), map(col1.get, y1s), map(col.get, yyc)
-                else:
-                    if graph.issuperset(zip(*gathered)):
-                        continue
-                for y2, y1, _ in compress(ys, map(not_, map(graph.__contains__, zip(*gathered)))):
-                    yield names[y2], names[y1], names[x2], names[x1]
+    ys = bytearray(b"\xff" * (n * n))  # ys[y2 * n + y1] = y2 o_q y1
+    for (a, b), ab in q.items():
+        ys[a * n + b] = ab
+    qr = [ys[lo:lo + n].ljust(256, b"\xff") for lo in range(0, n * n, n)]  # qr[a][b] = a o_q b
+    lefts = {xx: ys.translate(cols[xx]) for xx in set(q.values()) if min(cols[xx]) < 255}  # else no outer composite
+    over_x1: dict[int, list[tuple[int, int]]] = {}
+    for (x2, x1), xx in q.items():
+        if xx in lefts:
+            over_x1.setdefault(x1, []).append((x2, xx))
+    holes = [b"\xff" * n] * (256 - n)
+    for x1, blocks in over_x1.items():
+        inner = [*map(cols[x1][:n].translate, qr), *holes]  # inner[a][y1] = a o_q (y1 o_p x1)
+        for x2, xx in blocks:
+            left, right = lefts[xx], b"".join(map(inner.__getitem__, cols[x2][:n]))
+            if left == right:
+                continue
+            for y2, lo in enumerate(range(0, len(left), n)):
+                row_l, row_r = left[lo:lo + n], right[lo:lo + n]
+                if row_l != row_r:
+                    for y1 in compress(range(n), map(ne, row_l, row_r)):
+                        sides = row_l[y1], row_r[y1]
+                        if 255 not in sides:
+                            yield names[y2], names[y1], names[x2], names[x1], *map(names.__getitem__, sides)
 
 
 def _light_test(
@@ -518,8 +492,8 @@ def _light_test(
     if len(table) != _compatible_pairs(src, tgt):
         return False  # a compatible pair is absent
     # a generator outside the table is composable with nothing, so has no law to check
-    gens = [num[g] for g in _generators(grade, table, src, tgt) if g in num]
-    return not any(_differing_rows(cols, gens))
+    gens = {num[g] for g in _generators(grade, table, src, tgt) if g in num}
+    return not any(_differing_triples(cols, gens))
 
 
 _STORED = bytes(255) + b"\xff"  # translates a byte column's composites to 0, keeping 255 for an absent one
@@ -566,11 +540,15 @@ def _numbered(faces: list[str]) -> list[int]:
 def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> ValidationReport:
     """Associativity, units, interchange, and reflexor clauses on a valid magma.
 
+    Associativity words each triple _differing_triples yields, and interchange
+    each square _differing_squares yields, with no lookup of its own.  Units
+    and reflexor functoriality read refl[p][m] from one ReflexorStructure.images.
+
     Assumes validate_magma already passed.  On partial fragments, equations
-    whose inner composites are absent are skipped.  Light's test assumes
+    whose composites are absent are skipped.  Light's test assumes
     nothing from validate_magma: its guard checks what its lemma needs.
 
-    Reflexor absorption is not checked: ReflexorStructure.apply composes the
+    Reflexor absorption is not checked: ReflexorStructure.images composes the
     one-step maps, so both sides of the law walk the same chain.  A multi-step
     table that disagrees with the chain is validate_reflexors' reflexor.composite.
     """
@@ -581,54 +559,48 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
         names, num, cols = _columns(table)
         if require_total and _light_test(gs, m, p, table, names, num, cols):
             continue
-        for y, x, yx in _differing_rows(cols, range(len(names))):
-            sides, y, x = _differing_sides(cols, y, x, yx), names[y], names[x]
-            for z, left, right in sides:
-                z = names[z]
-                if left is None or right is None:
-                    if require_total:
-                        rep.add(
-                            "assoc.triple", LAW_ASSOC, (z, y, x),
-                            f"a composite needed for the triple ({z}, {y}, {x}) over comp[{m}][{p}] is missing",
-                        )
-                    continue
+        for z, y, x, left, right in _differing_triples(cols, range(len(names)), require_total):
+            z, y, x = names[z], names[y], names[x]
+            if left is None or right is None:
+                rep.add(
+                    "assoc.triple", LAW_ASSOC, (z, y, x),
+                    f"a composite needed for the triple ({z}, {y}, {x}) over comp[{m}][{p}] is missing",
+                )
+            else:
                 rep.add(
                     "assoc.triple", LAW_ASSOC, (z, y, x),
                     f"(({z} o {y}) o {x}) = {names[left]} but ({z} o ({y} o {x})) = {names[right]} "
                     f"over comp[{m}][{p}]",
                 )
 
-    for m in range(1, gs.max_dim + 1):
-        cells = gs.grade(m)
-        if not cells:
-            continue
-        for p in range(m):
-            table = comp.table(m, p)
-            for x in cells:
-                sx = boundary(gs, m, x, p, "source")
-                tx = boundary(gs, m, x, p, "target")
-                if not refl.defined(p, m, sx) or not refl.defined(p, m, tx):
-                    continue
-                unit_s, unit_t = refl.apply(p, m, sx), refl.apply(p, m, tx)
-                right = table.get((x, unit_s))
-                left = table.get((unit_t, x))
-                if right is None or left is None:
-                    if require_total:
-                        rep.add(
-                            "units.missing", LAW_UNITS, (x,),
-                            f"a unit composite for {x} over comp[{m}][{p}] is missing",
-                        )
-                    continue
-                if right != x:
+    # refl[p][m] for each grade m that holds cells, composed once; no grade above an empty one holds any
+    lifts = {(p, m): refl.images(p, m) for m in range(1, gs.max_dim + 1) if gs.grade(m) for p in range(m)}
+    for (p, m), lift in lifts.items():
+        table = comp.table(m, p)
+        for x in gs.grade(m):
+            sx = boundary(gs, m, x, p, "source")
+            tx = boundary(gs, m, x, p, "target")
+            if sx not in lift or tx not in lift:
+                continue
+            right = table.get((x, lift[sx]))
+            left = table.get((lift[tx], x))
+            if right is None or left is None:
+                if require_total:
                     rep.add(
-                        "units.right", LAW_UNITS, (x,),
-                        f"{x} o[{m},{p}] refl[{p}][{m}]({sx}) = {right}, expected {x}",
+                        "units.missing", LAW_UNITS, (x,),
+                        f"a unit composite for {x} over comp[{m}][{p}] is missing",
                     )
-                if left != x:
-                    rep.add(
-                        "units.left", LAW_UNITS, (x,),
-                        f"refl[{p}][{m}]({tx}) o[{m},{p}] {x} = {left}, expected {x}",
-                    )
+                continue
+            if right != x:
+                rep.add(
+                    "units.right", LAW_UNITS, (x,),
+                    f"{x} o[{m},{p}] refl[{p}][{m}]({sx}) = {right}, expected {x}",
+                )
+            if left != x:
+                rep.add(
+                    "units.left", LAW_UNITS, (x,),
+                    f"refl[{p}][{m}]({tx}) o[{m},{p}] {x} = {left}, expected {x}",
+                )
 
     # interchange and reflexor functoriality visit the stored tables and the
     # grades a chain of one-step reflexors reaches, not every (m, p, q) below
@@ -640,30 +612,24 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
             table_q = comp.maps.get((m, q))
             if not table_q:
                 continue
-            for y2, y1, x2, x1 in _differing_squares(table_p, table_q):
-                outer = table_p[table_q[y2, y1], table_q[x2, x1]]
-                a = table_p.get((y2, x2))
-                b = table_p.get((y1, x1))
-                if a is None or b is None:
-                    continue
-                other = table_q.get((a, b))
-                if other is not None and outer != other:
-                    rep.add(
-                        "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
-                        f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
-                        f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {other}",
-                    )
+            for y2, y1, x2, x1, outer, inner in _differing_squares(table_p, table_q):
+                rep.add(
+                    "interchange.square", LAW_INTERCHANGE, (y2, y1, x2, x1),
+                    f"(({y2} o_{q} {y1}) o_{p} ({x2} o_{q} {x1})) = {outer} "
+                    f"but (({y2} o_{p} {x2}) o_{q} ({y1} o_{p} {x1})) = {inner}",
+                )
 
     for (p, q), table in comp.maps.items():
         if not 0 <= q < p:
             continue
         for m in range(p + 1, gs.max_dim + 1):
-            if not refl.table(m - 1, m):
+            lift = lifts.get((p, m))
+            if not lift:
                 break  # refl[p][m'] is nowhere defined for m' >= m
             for (y, x), yx in table.items():
-                if not (refl.defined(p, m, y) and refl.defined(p, m, x) and refl.defined(p, m, yx)):
+                if not (y in lift and x in lift and yx in lift):
                     continue
-                ry, rx, ryx = refl.apply(p, m, y), refl.apply(p, m, x), refl.apply(p, m, yx)
+                ry, rx, ryx = lift[y], lift[x], lift[yx]
                 together = comp.get(m, q, ry, rx)
                 if together is None:
                     if require_total:
@@ -685,9 +651,9 @@ def validate_strict(mag: InfinityMagma, *, require_total: bool = True) -> Valida
 def _inverses(mag: InfinityMagma, m: int, p: int) -> dict[str, list[str]]:
     """Each m-cell's two-sided inverses over p in grade order, read in one pass over the entries of comp[m][p]
     whose composite is a unit; a cell whose p-boundary has no unit is left out."""
-    gs, refl, table = mag.gs, mag.refl, mag.comp.table(m, p)
+    gs, table, lift = mag.gs, mag.comp.table(m, p), mag.refl.images(p, m)
     ends = {alpha: [boundary(gs, m, alpha, p, side) for side in ("target", "source")] for alpha in gs.grade(m)}
-    units = {a: [refl.apply(p, m, e) for e in es] for a, es in ends.items() if all(refl.defined(p, m, e) for e in es)}
+    units = {a: [lift[e] for e in es] for a, es in ends.items() if all(e in lift for e in es)}
     order, found = dict(zip(gs.grade(m), count())), defaultdict(list)
     for (a, b), ab in compress(table.items(), map(set(chain(*units.values())).__contains__, table.values())):
         if b in order and a in units and units[a][0] == ab and table.get((b, a)) == units[a][1]:

@@ -1,8 +1,10 @@
 """The kernel stays dependency-free: pyproject declares no runtime
 dependency, and every module under src/ imports only the standard library
-and globforge itself."""
+and globforge itself, in the syntax of the oldest Python that pyproject
+allows."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -37,3 +39,12 @@ def test_src_imports_only_stdlib_and_globforge():
         if (names := _absolute_imports(path) - set(sys.stdlib_module_names) - {"globforge"})
     }
     assert foreign == {}
+
+
+def test_src_parses_as_the_oldest_python_pyproject_allows():
+    # feature_version refuses syntax newer than 3.10, such as except* (3.11) or a type statement (3.12)
+    assert re.search(r'^requires-python = ">=3\.10"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -186,6 +186,13 @@ def _square_refl_without_a_at_0_2() -> ReflexorStructure:
     return ReflexorStructure({**cat.magma.refl.maps, (0, 2): multi})
 
 
+def _square_refl_with_ghost_at_0_2() -> ReflexorStructure:
+    """square_2cat's reflexors with a declared refl[0][2] that agrees with the chain and also maps a ghost."""
+    cat = square_2cat(with_spare=False)
+    multi = {**cat.magma.refl.images(0, 2), "ghost": cat.magma.refl.apply(0, 2, "a")}
+    return ReflexorStructure({**cat.magma.refl.maps, (0, 2): multi})
+
+
 # name: (validator, carrier, layer, every violation as (axiom, cells, detail))
 TABLE_REFUSALS = {
     "reversor-missing-entry": (
@@ -212,6 +219,16 @@ TABLE_REFUSALS = {
     "reflexor-composite-missing-entry": (
         validate_reflexors, square_2cat(with_spare=False).gs, _square_refl_without_a_at_0_2(),
         [("reflexor.composite", ("a",), "declared refl[0][2] has no entry for a")],
+    ),
+    # f is a cell, but of grade 1, not of the grade refl[0][1] reads
+    "reflexor-key-not-a-cell-below": (
+        validate_reflexors, walking_iso_category().gs,
+        ReflexorStructure({(0, 1): {"a": "id(a)", "b": "id(b)", "f": "id(a)"}}),
+        [("reflexor.total", ("f",), "refl[0][1] mentions undeclared cell f")],
+    ),
+    "reflexor-composite-key-not-a-cell": (
+        validate_reflexors, square_2cat(with_spare=False).gs, _square_refl_with_ghost_at_0_2(),
+        [("reflexor.total", ("ghost",), "refl[0][2] mentions undeclared cell ghost")],
     ),
 }
 

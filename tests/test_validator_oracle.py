@@ -37,7 +37,13 @@ from hypothesis import given, settings, strategies as st
 from globforge import magma
 from globforge.dsl import parse_structure
 from globforge.globular import boundary, globular_set
-from globforge.layers import ReflexorStructure, ReversorStructure, validate_involutive, validate_reversors
+from globforge.layers import (
+    ReflexorStructure,
+    ReversorStructure,
+    validate_involutive,
+    validate_reflexors,
+    validate_reversors,
+)
 from globforge.magma import (
     LAW_ASSOC,
     LAW_COMP_TOTAL,
@@ -107,6 +113,15 @@ def _assoc_interchange_oracle(mag: InfinityMagma, require_total: bool) -> Valida
     return rep
 
 
+def _lift(refl: ReflexorStructure, p: int, m: int, x: str) -> str | None:
+    """refl[p][m](x) walked one step at a time through the one-step tables, None where a step is missing."""
+    for k in range(p, m):
+        x = refl.maps.get((k, k + 1), {}).get(x)
+        if x is None:
+            return None
+    return x
+
+
 def _units_reflexors_oracle(mag: InfinityMagma, require_total: bool) -> ValidationReport:
     rep = ValidationReport("strict")
     gs, refl, comp = mag.gs, mag.refl, mag.comp
@@ -114,10 +129,11 @@ def _units_reflexors_oracle(mag: InfinityMagma, require_total: bool) -> Validati
         for p in range(m):
             for x in gs.grade(m):
                 sx, tx = boundary(gs, m, x, p, "source"), boundary(gs, m, x, p, "target")
-                if not refl.defined(p, m, sx) or not refl.defined(p, m, tx):
+                unit_s, unit_t = _lift(refl, p, m, sx), _lift(refl, p, m, tx)
+                if unit_s is None or unit_t is None:
                     continue
-                right = comp.get(m, p, x, refl.apply(p, m, sx))
-                left = comp.get(m, p, refl.apply(p, m, tx), x)
+                right = comp.get(m, p, x, unit_s)
+                left = comp.get(m, p, unit_t, x)
                 if right is None or left is None:
                     if require_total:
                         rep.add("units.missing", LAW_UNITS, (x,),
@@ -133,9 +149,9 @@ def _units_reflexors_oracle(mag: InfinityMagma, require_total: bool) -> Validati
         for p in range(1, m):
             for q in range(p):
                 for (y, x), yx in sorted(comp.table(p, q).items()):
-                    if not (refl.defined(p, m, y) and refl.defined(p, m, x) and refl.defined(p, m, yx)):
+                    ry, rx, ryx = _lift(refl, p, m, y), _lift(refl, p, m, x), _lift(refl, p, m, yx)
+                    if None in (ry, rx, ryx):
                         continue
-                    ry, rx, ryx = refl.apply(p, m, y), refl.apply(p, m, x), refl.apply(p, m, yx)
                     together = comp.get(m, q, ry, rx)
                     if together is None:
                         if require_total:
@@ -475,22 +491,19 @@ def _pair_groupoid(k: int) -> InfinityMagma:
     return InfinityMagma(gs, ReflexorStructure({}), CompositionStructure({(1, 0): table}))
 
 
-@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by itemgetters
-def test_pair_groupoids_on_both_sides_of_255_cells_match_the_oracle(k):
-    valid = _pair_groupoid(k)
-    table = valid.comp.maps[1, 0]
-    # a0.0 o a0.1 redirected to the cell numbered last, which as number 255 would read as absent
-    redirected = {**table, ("a0.0", "a0.1"): magma._columns(table)[0][-1]}
-    mutant = InfinityMagma(valid.gs, valid.refl, CompositionStructure({(1, 0): redirected}))
-    for mag, valid_total in ((valid, True), (mutant, False)):
-        rep = validate_strict(mag)
-        assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, True))
-        assert rep.valid == valid_total
+def _pair_groupoid_redirected(k: int, value: str) -> InfinityMagma:
+    cat = _pair_groupoid(k)
+    table = {**cat.comp.maps[1, 0], ("a0.0", "a0.1"): value}
+    return InfinityMagma(cat.gs, cat.refl, CompositionStructure({(1, 0): table}))
 
 
+def _pair_groupoid_to_last(k: int) -> InfinityMagma:
+    """a0.0 o a0.1 redirected to the cell numbered last, which as number 255 would read as absent."""
+    return _pair_groupoid_redirected(k, magma._columns(_pair_groupoid(k).comp.maps[1, 0])[0][-1])
 
-@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by itemgetters
-def test_missing_composites_on_both_sides_of_255_cells_match_the_oracle(k):
+
+def _pair_groupoid_holed(k: int) -> InfinityMagma:
+    """About 2% of the entries dropped, a triple with both sides absent, and one stored composite wrong."""
     table = _pair_groupoid(k).comp.maps[1, 0]
     rng = random.Random(k)
     holed = {pair: z for pair, z in table.items() if rng.random() > 0.02}
@@ -498,9 +511,22 @@ def test_missing_composites_on_both_sides_of_255_cells_match_the_oracle(k):
     holed.update({("a0.1", "a1.2"): "a0.2", ("a1.2", "a2.3"): "a1.3"})
     for pair in (("a0.2", "a2.3"), ("a0.1", "a1.3")):
         del holed[pair]
-    holed[("a3.4", "a4.5")] = "a3.6"  # and one stored composite wrong
+    holed[("a3.4", "a4.5")] = "a3.6"
     assert len(magma._columns(holed)[0]) == k * k
-    mag = InfinityMagma(_pair_groupoid(k).gs, ReflexorStructure({}), CompositionStructure({(1, 0): holed}))
+    return InfinityMagma(_pair_groupoid(k).gs, ReflexorStructure({}), CompositionStructure({(1, 0): holed}))
+
+
+@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by a plain loop
+def test_pair_groupoids_on_both_sides_of_255_cells_match_the_oracle(k):
+    for mag, valid_total in ((_pair_groupoid(k), True), (_pair_groupoid_to_last(k), False)):
+        rep = validate_strict(mag)
+        assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, True))
+        assert rep.valid == valid_total
+
+
+@pytest.mark.parametrize("k", [15, 16])  # 225 cells read as byte rows, 256 by a plain loop
+def test_missing_composites_on_both_sides_of_255_cells_match_the_oracle(k):
+    mag = _pair_groupoid_holed(k)
     for total in (True, False):
         rep = validate_strict(mag, require_total=total)
         assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, total))
@@ -517,15 +543,9 @@ def test_interchange_blocks_without_a_composite_are_read_square_by_square():
     assert not _agree(_eckmann_hilton(3))
     assert not list(magma._differing_squares(*(_eckmann_hilton(3).comp.maps[key] for key in ((2, 0), (2, 1)))))
     mag = _eckmann_hilton(3, without="comp 2 0 (a1, a2) = a0")
-    squares = list(magma._differing_squares(mag.comp.maps[2, 0], mag.comp.maps[2, 1]))
-    # the squares that need a1 o_0 a2 as y2 o_0 x2 or y1 o_0 x1; those that need it
-    # as (y2 o_1 y1) o_0 (x2 o_1 x1) have no outer composite and are not visited
-    z3 = range(3)
-    assert sorted(squares) == sorted(
-        (f"a{y2}", f"a{y1}", f"a{x2}", f"a{x1}")
-        for y2 in z3 for y1 in z3 for x2 in z3 for x1 in z3
-        if (1, 2) in ((y2, x2), (y1, x1)) and ((y2 + y1) % 3, (x2 + x1) % 3) != (1, 2)
-    )
+    # the blocks differ where a square needs a1 o_0 a2, as its outer composite or as y2 o_0 x2 or
+    # y1 o_0 x1, and each such square misses a side, so none is yielded
+    assert not list(magma._differing_squares(mag.comp.maps[2, 0], mag.comp.maps[2, 1]))
     assert validate_strict(mag, require_total=False).valid  # those squares are skipped, not reported
     assert not validate_strict(mag, require_total=True).valid  # associativity and units miss the composite
     assert _agree(mag)
@@ -545,21 +565,51 @@ def _z3_beside_units(k: int) -> InfinityMagma:
     return InfinityMagma(gs, ReflexorStructure({}), CompositionStructure(comp))
 
 
-@pytest.mark.parametrize("k", [252, 253])  # 255 cells read as byte rows, 256 by itemgetters
-def test_two_dimensional_tables_on_both_sides_of_255_cells_match_the_oracle(k):
+def _z3_beside_units_and_mutants(k: int) -> list[InfinityMagma]:
+    """_z3_beside_units(k), then a1 o a2 redirected, over 0 or over 1, to the cell numbered last, which as
+    number 255 would read as absent."""
     valid = _z3_beside_units(k)
     maps = valid.comp.maps
     names = magma._columns(maps[2, 0], maps[2, 1])[0]
     assert len(names) == k + 3
-    # a1 o a2 redirected, over 0 or over 1, to the cell numbered last, which as number 255 would read as absent
-    mutants = [
+    return [valid, *(
         InfinityMagma(valid.gs, valid.refl, CompositionStructure({**maps, key: {**maps[key], ("a1", "a2"): names[-1]}}))
         for key in ((2, 0), (2, 1))
-    ]
+    )]
+
+
+@pytest.mark.parametrize("k", [252, 253])  # 255 cells read as byte rows, 256 by a plain loop
+def test_two_dimensional_tables_on_both_sides_of_255_cells_match_the_oracle(k):
+    valid, *mutants = _z3_beside_units_and_mutants(k)
     for mag in (valid, *mutants):
         rep = validate_strict(mag)
         assert emit_report(rep) == emit_report(_assoc_interchange_oracle(mag, True))
         assert ("interchange.square" in rep.axiom_ids()) == (mag is not valid)
+
+
+AROUND_255 = {  # name: the magma, tables of at most 255 cells read as byte rows, above by a plain loop
+    **{f"pairs{k}": _pair_groupoid(k) for k in (15, 16)},
+    **{f"pairs{k}-to-last": _pair_groupoid_to_last(k) for k in (15, 16)},
+    **{f"pairs{k}-holed": _pair_groupoid_holed(k) for k in (15, 16)},
+    **{f"z3-beside-{k}-{i}": mag for k in (252, 253) for i, mag in enumerate(_z3_beside_units_and_mutants(k))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AROUND_255))
+def test_each_item_the_generators_yield_is_one_violation(name):
+    mag = AROUND_255[name]
+    for total in (True, False):
+        triples, squares = [], []
+        for (m, p), table in mag.comp.maps.items():
+            names, _, cols = magma._columns(table)
+            triples += [tuple(map(names.__getitem__, item[:3]))
+                        for item in magma._differing_triples(cols, range(len(names)), total)]
+            for q in range(p + 1, m):
+                squares += [item[:4] for item in magma._differing_squares(table, mag.comp.maps[m, q])]
+        violations = validate_strict(mag, require_total=total).violations
+        assert sorted(triples) == sorted(v.cells for v in violations if v.axiom == "assoc.triple")
+        assert sorted(squares) == sorted(v.cells for v in violations if v.axiom == "interchange.square")
+        assert triples or squares or name in ("pairs15", "pairs16", "z3-beside-252-0", "z3-beside-253-0")
 
 
 def test_z64_as_a_two_category_validates_in_under_half_a_second():
@@ -725,7 +775,7 @@ def _loop_at_dim(dim: int) -> InfinityMagma:
 def test_strict_table_lookups_do_not_grow_with_empty_grades(monkeypatch):
     lookups = Counter()
     for cls, name in ((CompositionStructure, "table"), (CompositionStructure, "get"),
-                      (ReflexorStructure, "table"), (ReflexorStructure, "defined"), (ReflexorStructure, "apply")):
+                      (ReflexorStructure, "table"), (ReflexorStructure, "images"), (ReflexorStructure, "apply")):
         def counted(*args, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
             lookups[_key] += 1
             return _method(*args)
@@ -769,9 +819,9 @@ def _inverse_scan(mag: InfinityMagma, m: int, p: int, alpha: str) -> list[str]:
     """The direct search: every cell of the grade tried as a two-sided inverse of alpha over p."""
     gs, refl, get = mag.gs, mag.refl, mag.comp.table(m, p).get
     s_a, t_a = boundary(gs, m, alpha, p, "source"), boundary(gs, m, alpha, p, "target")
-    if not (refl.defined(p, m, s_a) and refl.defined(p, m, t_a)):
+    unit_t, unit_s = _lift(refl, p, m, t_a), _lift(refl, p, m, s_a)
+    if unit_t is None or unit_s is None:
         return []
-    unit_t, unit_s = refl.apply(p, m, t_a), refl.apply(p, m, s_a)
     return [beta for beta in gs.grade(m) if get((alpha, beta)) == unit_t and get((beta, alpha)) == unit_s]
 
 
@@ -838,9 +888,9 @@ def _light_tests_agree(mag: InfinityMagma) -> list[bool]:
         if magma.COMP.fits((m, p), mag.gs.max_dim):
             assert _guard_by_columns(mag.gs, m, p, table, names, cols) == guard, (m, p)
         verdicts.append(magma._light_test(mag.gs, m, p, table, names, num, cols))
-        assert verdicts[-1] == (guard and not any(magma._differing_rows(cols, [
+        assert verdicts[-1] == (guard and not any(magma._differing_triples(cols, {
             num[g] for g in magma._generators(mag.gs.grade(m), table, *_faces(mag.gs, m, p)) if g in num
-        ]))), (m, p)
+        }))), (m, p)
     return verdicts
 
 
@@ -848,12 +898,6 @@ def _traded(mag: InfinityMagma) -> InfinityMagma:
     table = {**mag.comp.maps[1, 0], ("a0.2", "a0.1"): "a0.1"}
     del table["a0.0", "a0.1"]
     return InfinityMagma(mag.gs, mag.refl, CompositionStructure({(1, 0): table}))
-
-
-def _pair_groupoid_redirected(k: int, value: str) -> InfinityMagma:
-    cat = _pair_groupoid(k)
-    table = {**cat.comp.maps[1, 0], ("a0.0", "a0.1"): value}
-    return InfinityMagma(cat.gs, cat.refl, CompositionStructure({(1, 0): table}))
 
 
 GUARD_CASES = {
@@ -886,3 +930,20 @@ def test_the_column_guard_decides_as_the_entry_loop_does(name):
 @given(st.one_of(_partial_tables(), _square_tables(), _total_tables_one_entry_off()))
 def test_the_column_guard_decides_as_the_entry_loop_does_on_random_tables(mag):
     _light_tests_agree(mag)
+
+
+REPEAT_CASES = {
+    **{f"magma-mutant-{name}": mag for name, (mag, _, _) in MAGMA_MUTANTS.items()},
+    **{f"fixture-{name}": cat.magma for name, cat in _strict_fixtures().items()},
+    **{f"guard-{name}": mag for name, mag in GUARD_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEAT_CASES))
+def test_no_validator_report_repeats_a_violation(name):
+    mag = REPEAT_CASES[name]
+    reports = [validate_reflexors(mag.gs, mag.refl), *(
+        validate(mag, require_total=total) for validate in (validate_magma, validate_strict) for total in (True, False)
+    )]
+    for rep in reports:
+        assert len(set(rep.violations)) == len(rep.violations), rep.subject
